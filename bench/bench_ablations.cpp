@@ -131,7 +131,7 @@ void write_cache_durability() {
     StandardStack stack(1, io::StandardDriver::Scheduling::kClook, p);
     sim::Rng rng(3);
     std::vector<std::byte> data(2 * disk::kSectorSize, std::byte{7});
-    sim::Summary lat;
+    obs::Histogram lat;
     std::uint64_t acked = 0;
     for (int i = 0; i < 100; ++i) {
       const auto lba = static_cast<disk::Lba>(rng.uniform(0, 1 << 20));
@@ -143,17 +143,17 @@ void write_cache_durability() {
       });
       while (!done)
         if (!stack.sim.step()) throw std::runtime_error("stalled");
-      lat.add(stack.sim.now() - t0);
+      lat.record(stack.sim.now() - t0);
     }
     // Power cut right after the last ack.
     stack.data_disks[0]->crash_halt();
-    return Result{lat.mean(), acked, stack.data_disks[0]->cached_writes_lost()};
+    return Result{lat.mean_ms(), acked, stack.data_disks[0]->cached_writes_lost()};
   };
   auto run_trail = [] {
     TrailStack stack(1);
     sim::Rng rng(3);
     std::vector<std::byte> data(2 * disk::kSectorSize, std::byte{7});
-    sim::Summary lat;
+    obs::Histogram lat;
     std::uint64_t acked = 0;
     for (int i = 0; i < 100; ++i) {
       const auto lba = static_cast<disk::Lba>(rng.uniform(0, 1 << 20));
@@ -165,10 +165,10 @@ void write_cache_durability() {
       });
       while (!done)
         if (!stack.sim.step()) throw std::runtime_error("stalled");
-      lat.add(stack.sim.now() - t0);
+      lat.record(stack.sim.now() - t0);
     }
     stack.driver->crash();
-    return Result{lat.mean(), acked, 0 /* recovery restores everything */};
+    return Result{lat.mean_ms(), acked, 0 /* recovery restores everything */};
   };
 
   const Result no_wce = run_std(false);

@@ -40,7 +40,7 @@ int main() {
     const auto log_before = rig.trail->log_disk->stats().sectors_written;
     const auto io_before = rig.log_io_time();
     const auto result = driver.run(txns);
-    rows[direct] = Row{result.response_ms.mean(),
+    rows[direct] = Row{result.response.mean_ms(),
                        result.tpmc(),
                        (rig.log_io_time() - io_before).sec(),
                        rig.trail->log_disk->stats().sectors_written - log_before,

@@ -39,7 +39,7 @@ Row run_config(StorageConfig cfg, double scale, std::uint64_t txns, std::uint64_
   const tpcc::BenchResult result = driver.run(txns);
 
   Row row;
-  row.resp_sec = result.response_ms.mean() / 1000.0;
+  row.resp_sec = result.response.mean_ms() / 1000.0;
   const auto& ws = rig.database->wal().stats();
   // Durability-inclusive response: add the mean deferred-commit lag.
   const double lag =

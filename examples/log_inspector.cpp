@@ -1,8 +1,8 @@
 // log_inspector: fsck.trail — builds a Trail deployment, runs a small
 // mixed workload, crashes it, and then walks the raw log disk with the
-// offline scanner: sector census, per-epoch record counts, utilization
-// histogram, chain verification, and a dump of the live records. A guided
-// tour of the self-describing on-disk format of §3.2.
+// offline log verifier: sector census, per-epoch record counts,
+// utilization histogram, chain verification, and a dump of the live
+// records. A guided tour of the self-describing on-disk format of §3.2.
 //
 // With `--fsck [report-path]` it instead runs the trail::audit log
 // verifier over the same scenario: once on the crashed image (torn-tail
@@ -24,7 +24,6 @@
 
 #include "audit/log_verifier.hpp"
 #include "core/format_tool.hpp"
-#include "core/log_scanner.hpp"
 #include "core/trail_driver.hpp"
 #include "disk/profile.hpp"
 #include "obs/obs.hpp"
@@ -159,33 +158,34 @@ int run_tour() {
   run_workload(dep);
   std::printf("*** crashed with pending records; inspecting the raw log disk ***\n\n");
 
-  core::LogScanner scanner(dep.log_disk);
-  const core::ScanReport report = scanner.scan();
+  audit::LogCensus census;
+  audit::Report report = audit::verify_log(dep.log_disk, {}, &census);
 
   std::printf("formatted          : %s (%d/3 header replicas intact)\n",
-              report.formatted ? "yes" : "NO", report.intact_header_replicas);
+              census.intact_header_replicas > 0 ? "yes" : "NO", census.intact_header_replicas);
   std::printf("disk header        : epoch=%u crash_var=%u resume_track=%u\n",
-              report.disk_header.epoch, report.disk_header.crash_var,
-              report.disk_header.resume_track);
+              census.disk_header.epoch, census.disk_header.crash_var,
+              census.disk_header.resume_track);
   std::printf("sector census      : %llu written (%llu record headers, %llu payload, "
               "%llu other)\n",
-              static_cast<unsigned long long>(report.sectors_scanned),
-              static_cast<unsigned long long>(report.record_headers),
-              static_cast<unsigned long long>(report.payload_sectors),
-              static_cast<unsigned long long>(report.other_sectors));
-  for (const auto& [epoch, count] : report.records_per_epoch)
+              static_cast<unsigned long long>(census.sectors_written),
+              static_cast<unsigned long long>(census.record_headers),
+              static_cast<unsigned long long>(census.payload_sectors),
+              static_cast<unsigned long long>(census.other_sectors));
+  for (const auto& [epoch, count] : census.records_per_epoch)
     std::printf("  epoch %u: %llu records%s\n", epoch,
                 static_cast<unsigned long long>(count),
-                epoch == report.disk_header.epoch ? "   <- crashed epoch" : " (stale)");
+                epoch == census.disk_header.epoch ? "   <- crashed epoch" : " (stale)");
 
+  const audit::Check& chain = report.check("log.chain");
   std::printf("chain verification : %s",
-              report.chain_verified ? "OK" : report.chain_error.c_str());
-  std::printf(" (%u records on the live chain)\n", report.chain_length);
+              chain.ok() ? "OK" : chain.findings().front().message.c_str());
+  std::printf(" (%u records on the live chain)\n", census.chain_length);
 
   // Utilization histogram over tracks that carry current-epoch data.
   int buckets[5] = {};
   int touched = 0;
-  for (double u : report.track_utilization) {
+  for (double u : census.track_utilization) {
     if (u <= 0) continue;
     ++touched;
     ++buckets[std::min(4, static_cast<int>(u * 5))];
@@ -199,9 +199,9 @@ int run_tour() {
   }
 
   std::printf("\nlive records (youngest first):\n");
-  auto records = scanner.records_of_epoch(report.disk_header.epoch);
-  for (auto it = records.rbegin(); it != records.rend(); ++it)
-    std::printf("%s", core::LogScanner::describe(*it).c_str());
+  for (auto it = census.records.rbegin(); it != census.records.rend(); ++it)
+    if (it->header.epoch == census.disk_header.epoch)
+      std::printf("%s", audit::describe(*it).c_str());
 
   // Boot a fresh driver: recovery replays the chain we just inspected.
   std::printf("\n*** rebooting: recovery should find the same chain ***\n");

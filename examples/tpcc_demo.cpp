@@ -60,8 +60,8 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(result.aborted),
               static_cast<unsigned long long>(result.user_aborts));
   std::printf("throughput: %.0f tpmC | response mean %.1f ms (new-order %.1f ms, p99 %.1f ms)\n",
-              result.tpmc(), result.response_ms.mean(), result.new_order_response_ms.mean(),
-              result.response_ms.percentile(99));
+              result.tpmc(), result.response.mean_ms(), result.new_order_response.mean_ms(),
+              result.response.percentile_ms(99));
 
   const auto& ts = driver.stats();
   std::printf("\nTrail driver internals:\n");

@@ -1,6 +1,7 @@
 #include "audit/log_verifier.hpp"
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <set>
 #include <string>
@@ -14,12 +15,6 @@ namespace trail::audit {
 
 namespace {
 
-struct ParsedRecord {
-  core::RecordHeader header;
-  disk::Lba header_lba = 0;
-  bool payload_intact = false;
-};
-
 std::string replica_name(const char* what, int replica) {
   return std::string(what) + " replica " + std::to_string(replica);
 }
@@ -27,8 +22,9 @@ std::string replica_name(const char* what, int replica) {
 }  // namespace
 
 Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry,
-                  const VerifyOptions& options) {
+                  const VerifyOptions& options, LogCensus* census) {
   Report report;
+  LogCensus seen;
   const core::LogDiskLayout layout(geometry);
 
   Check& c_header = report.check("log.disk_header");
@@ -46,6 +42,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
     store.read(layout.header_lba(r), 1, sector);
     if (const auto hdr = core::parse_disk_header(sector)) {
       c_header.pass();
+      if (headers.empty()) seen.disk_header = *hdr;
       headers.push_back(*hdr);
     } else {
       c_header.fail(replica_name("disk header", r) + " damaged", layout.header_lba(r),
@@ -67,6 +64,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
                   Severity::kWarning);
     }
   }
+  seen.intact_header_replicas = static_cast<int>(headers.size());
   if (headers.empty())
     c_header.fail("no intact disk header replica: the disk is unidentifiable");
   for (std::size_t r = 1; r < headers.size(); ++r) {
@@ -88,13 +86,25 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
     metadata_lbas.insert(layout.geometry_lba(r));
   }
 
-  std::vector<ParsedRecord> records;
+  std::vector<LogRecord> records;
   for (disk::Lba lba = 0; lba < geometry.total_sectors(); ++lba) {
     if (!store.is_written(lba)) continue;
     store.read(lba, 1, sector);
     const disk::TrackId track = geometry.track_of_lba(lba);
+    ++seen.sectors_written;
 
     if (reserved.contains(track)) {
+      switch (core::classify_sector(sector)) {
+        case core::SectorKind::kRecordHeader:
+          ++seen.record_headers;
+          break;
+        case core::SectorKind::kPayload:
+          ++seen.payload_sectors;
+          break;
+        case core::SectorKind::kOther:
+          ++seen.other_sectors;
+          break;
+      }
       // Reserved tracks hold only the replicated metadata sectors; the
       // format tool wiped everything else.
       if (!metadata_lbas.contains(lba))
@@ -107,12 +117,15 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
     if (sector[0] == core::kHeaderFirstByte) {
       auto hdr = core::parse_record_header(sector);
       if (!hdr) {
+        ++seen.other_sectors;
         c_class.fail("0xFF first byte but the sector is not an intact record header", lba);
         continue;
       }
+      ++seen.record_headers;
       c_class.pass();
-      ParsedRecord rec;
+      LogRecord rec;
       rec.header_lba = lba;
+      rec.track = track;
       rec.header = std::move(*hdr);
       if (lba + 1 + rec.header.batch_size <= geometry.total_sectors()) {
         // Stream the payload one sector at a time through the incremental
@@ -129,8 +142,10 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
       }
       records.push_back(std::move(rec));
     } else if (sector[0] == core::kDataFirstByte) {
+      ++seen.payload_sectors;
       c_class.pass();  // escaped payload (or zero fill)
     } else {
+      ++seen.other_sectors;
       c_class.fail("written sector violates the 0xFF/0x00 first-byte discipline", lba);
     }
   }
@@ -139,8 +154,8 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
   // First-byte violations are only classified after the chain walk: a
   // stale record's payload region is legally clobbered by track reuse,
   // so the 0x00 discipline is an error only for live-chain records.
-  std::vector<std::pair<const ParsedRecord*, disk::Lba>> escape_violations;
-  for (const ParsedRecord& rec : records) {
+  std::vector<std::pair<const LogRecord*, disk::Lba>> escape_violations;
+  for (const LogRecord& rec : records) {
     bool layout_ok = true;
     bool any_direct = false;
     bool any_block = false;
@@ -175,7 +190,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
 
   // ---- global (epoch, sequence_id) uniqueness ----
   std::map<std::uint64_t, disk::Lba> by_key;
-  for (const ParsedRecord& rec : records) {
+  for (const LogRecord& rec : records) {
     const std::uint64_t key = core::record_key(rec.header);
     const auto [it, inserted] = by_key.emplace(key, rec.header_lba);
     if (inserted)
@@ -185,21 +200,20 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
   }
 
   // ---- chain walk from the youngest intact record (§3.3 rebuild) ----
+  std::uint32_t stamped_epoch = 0;
+  for (const core::LogDiskHeader& h : headers) stamped_epoch = std::max(stamped_epoch, h.epoch);
   if (!headers.empty()) {
-    std::uint32_t stamped_epoch = 0;
-    for (const core::LogDiskHeader& h : headers)
-      stamped_epoch = std::max(stamped_epoch, h.epoch);
-    for (const ParsedRecord& rec : records)
+    for (const LogRecord& rec : records)
       if (rec.header.epoch > stamped_epoch)
         c_chain.fail("record carries an epoch newer than the stamped disk header",
                      rec.header_lba);
   }
 
-  std::map<disk::Lba, const ParsedRecord*> by_lba;
-  for (const ParsedRecord& rec : records) by_lba[rec.header_lba] = &rec;
+  std::map<disk::Lba, const LogRecord*> by_lba;
+  for (const LogRecord& rec : records) by_lba[rec.header_lba] = &rec;
 
-  const ParsedRecord* youngest = nullptr;
-  for (const ParsedRecord& rec : records) {
+  const LogRecord* youngest = nullptr;
+  for (const LogRecord& rec : records) {
     if (!rec.payload_intact) continue;
     if (youngest == nullptr ||
         core::record_key(rec.header) > core::record_key(youngest->header))
@@ -227,7 +241,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
         ok = false;
         break;
       }
-      const ParsedRecord& rec = *it->second;
+      const LogRecord& rec = *it->second;
       const std::uint64_t key = core::record_key(rec.header);
       if (!first && key >= prev_key) {
         c_chain.fail("(epoch, sequence_id) not strictly decreasing along prev_sect",
@@ -261,6 +275,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
     }
     if (ok) c_chain.pass(on_chain.size());
   }
+  seen.chain_length = static_cast<std::uint32_t>(on_chain.size());
 
   // ---- payload CRCs, severity-classified by chain membership ----
   const std::uint64_t youngest_key =
@@ -276,7 +291,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
                      Severity::kWarning);
     }
   }
-  for (const ParsedRecord& rec : records) {
+  for (const LogRecord& rec : records) {
     if (rec.payload_intact) {
       c_crc.pass();
       continue;
@@ -294,11 +309,56 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
     }
   }
 
+  if (census == nullptr) return report;
+  std::vector<std::uint32_t> used_sectors(geometry.track_count(), 0);
+  for (const LogRecord& rec : records) {
+    ++seen.records_per_epoch[rec.header.epoch];
+    if (rec.header.epoch == stamped_epoch) used_sectors[rec.track] += 1 + rec.header.batch_size;
+    if (rec.header.epoch <= stamped_epoch &&
+        (!seen.youngest || core::record_key(rec.header) > core::record_key(seen.youngest->header)))
+      seen.youngest = rec;
+  }
+  seen.track_utilization.resize(geometry.track_count());
+  for (disk::TrackId t = 0; t < geometry.track_count(); ++t)
+    seen.track_utilization[t] = static_cast<double>(used_sectors[t]) / geometry.spt_of_track(t);
+  seen.records = std::move(records);
+  std::sort(seen.records.begin(), seen.records.end(), [](const LogRecord& a, const LogRecord& b) {
+    return core::record_key(a.header) < core::record_key(b.header);
+  });
+  *census = std::move(seen);
   return report;
 }
 
-Report verify_log(const disk::DiskDevice& device, const VerifyOptions& options) {
-  return verify_log(device.store(), device.geometry(), options);
+Report verify_log(const disk::DiskDevice& device, const VerifyOptions& options,
+                  LogCensus* census) {
+  return verify_log(device.store(), device.geometry(), options, census);
+}
+
+std::string describe(const LogRecord& record) {
+  char buf[256];
+  std::string out;
+  std::snprintf(buf, sizeof buf,
+                "record epoch=%u seq=%u @lba %llu (track %u): %u payload sector%s, %s\n",
+                record.header.epoch, record.header.sequence_id,
+                static_cast<unsigned long long>(record.header_lba), record.track,
+                record.header.batch_size, record.header.batch_size == 1 ? "" : "s",
+                record.payload_intact ? "payload OK" : "payload TORN");
+  out += buf;
+  std::snprintf(buf, sizeof buf, "  prev_sect=%#x log_head=%#x\n", record.header.prev_sect,
+                record.header.log_head);
+  out += buf;
+  for (std::uint32_t i = 0; i < record.header.batch_size; ++i) {
+    const core::RecordEntry& e = record.header.entries[i];
+    if (e.data_major == core::kDirectLogMajor)
+      std::snprintf(buf, sizeof buf, "  [%2u] log_lba=%u  DIRECT cookie=%u first_byte=%02x\n",
+                    i, e.log_lba, e.data_lba, e.first_data_byte);
+    else
+      std::snprintf(buf, sizeof buf,
+                    "  [%2u] log_lba=%u -> dev(%u,%u) lba=%u first_byte=%02x\n", i, e.log_lba,
+                    e.data_major, e.data_minor, e.data_lba, e.first_data_byte);
+    out += buf;
+  }
+  return out;
 }
 
 }  // namespace trail::audit

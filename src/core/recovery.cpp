@@ -32,22 +32,19 @@ RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevi
 // ---------------------------------------------------------------------------
 // Locate + rebuild pipeline.
 //
-// One state machine serves every pipeline_depth. Reads are submitted
-// through a per-unit C-LOOK DeviceQueue and at most `depth` are kept in
-// flight per unit, so the elevator can order whatever the window holds.
-// depth == 1 degenerates to one-command-at-a-time in exactly the
-// historical serial order (probes in grid order, bisect step by step,
-// per-record windowed rebuild reads, units one after another), which is
-// the equivalence baseline. depth >= 2 additionally:
-//   - keeps a sliding window of anchor probes in flight per unit and runs
-//     all units' locate machines concurrently;
-//   - streams the rebuild arc with whole-track reads: a cache miss fetches
-//     the demanded track plus up to depth-1 ring-backward neighbours
-//     (bounded by readahead_sectors), which C-LOOK serves as one ascending
-//     forward sweep — the fast direction — while the chain walk consumes
-//     parsed records out of the cache at zero cost.
-// Either way the locate *result* (per-unit youngest key) and the rebuilt
-// chain are identical: the anchor is defined as the first present probe in
+// One algorithm serves every pipeline_depth; the depth only sizes windows.
+// Reads are submitted through a per-unit C-LOOK DeviceQueue and at most
+// `depth` are kept in flight per unit, so the elevator can order whatever
+// the window holds:
+//   - locate keeps a sliding window of up to `depth` anchor probes in
+//     flight per unit and runs all units' locate machines concurrently;
+//   - rebuild walks the chain out of a track cache: a miss fetches the
+//     demanded record window plus up to depth-1 ring-backward neighbour
+//     tracks (bounded by readahead_sectors), which C-LOOK serves as one
+//     ascending forward sweep — the fast direction — while the chain walk
+//     consumes parsed records out of the cache at zero cost.
+// The locate *result* (per-unit youngest key) and the rebuilt chain are
+// depth-invariant: the anchor is defined as the first present probe in
 // grid order regardless of completion order, the bisect is deterministic,
 // and the walk consumes the same sectors.
 // ---------------------------------------------------------------------------
@@ -58,7 +55,6 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
   std::uint32_t target_epoch = 0;
   Options opts;
   std::uint32_t depth = 1;
-  bool streaming = false;  // depth >= 2: whole-track rebuild reads
   std::function<void(Outcome)> done;
   Outcome outcome;
   bool failed = false;
@@ -85,7 +81,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     std::size_t anchor_idx = 0;
     TrackKey anchor_key;
     std::uint32_t unit_inflight = 0;
-    // rotated binary search (outer) + gap bisect, as in the serial code
+    // rotated binary search (outer) + gap bisect
     std::size_t lo = 0, hi = 0, mid = 0;
     TrackKey lo_key;
     std::size_t slo = 0, shi = 0;
@@ -211,13 +207,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
             std::min<std::size_t>(opts.anchor_probes == 0 ? 1 : opts.anchor_probes, L.n);
       }
     }
-    // depth 1 walks the units one after another (the serial order); the
-    // pipeline runs every unit's machine concurrently.
-    if (depth == 1) {
-      pump_locate(0);
-    } else {
-      for (std::size_t u = 0; u < loc.size(); ++u) pump_locate(static_cast<std::uint8_t>(u));
-    }
+    for (std::size_t u = 0; u < loc.size(); ++u) pump_locate(static_cast<std::uint8_t>(u));
   }
 
   void pump_locate(std::uint8_t u) {
@@ -295,8 +285,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
   }
 
   // Rotated binary search for the last clockwise offset from the anchor
-  // whose track key is >= the anchor's — step for step the serial
-  // locate_binary, driven by completions.
+  // whose track key is >= the anchor's, driven by completions.
   void step_outer(std::uint8_t u) {
     Loc& L = loc[u];
     if (L.hi - L.lo <= 1) {
@@ -377,13 +366,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     Loc& L = loc[u];
     L.stage = Loc::Stage::kDone;
     L.result = key;
-    ++loc_units_done;
-    if (loc_units_done == loc.size()) {
-      finish_locate();
-    } else if (depth == 1) {
-      // Serial order: units complete 0, 1, 2, ... — start the next one.
-      pump_locate(static_cast<std::uint8_t>(loc_units_done));
-    }
+    if (++loc_units_done == loc.size()) finish_locate();
   }
 
   void finish_locate() {
@@ -408,15 +391,11 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     unit = youngest.unit;
     lba = youngest.header_lba;
     walk_track.assign(m.units_.size(), kNoTrack);
-    if (streaming)
-      resume_streaming();
-    else
-      step_windowed();
+    resume_walk();
   }
 
-  /// Shared chain-walk step: validate + classify one record, push it when
-  /// intact, and advance (unit, lba) or mark the walk done. Exactly the
-  /// serial per-record logic.
+  /// One chain-walk step: validate + classify one record, push it when
+  /// intact, and advance (unit, lba) or mark the walk done.
   void step_record(const RecordHeader& hdr, std::vector<std::byte> payload,
                    std::uint32_t payload_crc) {
     RecoveryStats& stats = outcome.stats;
@@ -465,7 +444,6 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     lba = log_ptr_lba(hdr.prev_sect);
   }
 
-  /// Validate a chain header (both rebuild modes share the error).
   RecordHeader parse_chain_header(std::span<const std::byte> sector) {
     const auto hdr = parse_record_header(sector);
     if (!hdr || hdr->epoch > target_epoch)
@@ -473,59 +451,10 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     return *hdr;
   }
 
-  // depth == 1: the historical per-record windowed read (header plus an
-  // optimistic payload window, clamped to the record's track, with a
-  // defensive tail read when the payload overflows the window).
-  void step_windowed() {
-    const disk::Geometry& geom = m.units_.at(unit).device->geometry();
-    const disk::TrackId lba_track = geom.track_of_lba(lba);
-    const disk::Lba track_end =
-        geom.first_lba_of_track(lba_track) + geom.spt_of_track(lba_track);
-    const auto window =
-        static_cast<std::uint32_t>(std::min<disk::Lba>(1 + kMaxTrailBatch, track_end - lba));
-    auto wbuf = std::make_shared<std::vector<std::byte>>(
-        static_cast<std::size_t>(window) * disk::kSectorSize);
-    std::span<std::byte> out(*wbuf);
-    issue_read(unit, lba, window, out, wbuf, [this, wbuf, window] {
-      const RecordHeader hdr =
-          parse_chain_header(std::span<const std::byte>(wbuf->data(), disk::kSectorSize));
-      auto payload = std::make_shared<std::vector<std::byte>>(
-          static_cast<std::size_t>(hdr.batch_size) * disk::kSectorSize);
-      if (1 + hdr.batch_size <= window) {
-        std::memcpy(payload->data(), wbuf->data() + disk::kSectorSize, payload->size());
-        const std::uint32_t crc = crc32(*payload);
-        step_record(hdr, std::move(*payload), crc);
-        advance_windowed();
-        return;
-      }
-      const std::size_t head_bytes = static_cast<std::size_t>(window - 1) * disk::kSectorSize;
-      std::memcpy(payload->data(), wbuf->data() + disk::kSectorSize, head_bytes);
-      const std::span<std::byte> tail = std::span<std::byte>(*payload).subspan(head_bytes);
-      issue_read(unit, lba + window, hdr.batch_size - (window - 1), tail, payload,
-                 [this, hdr, payload, head_bytes] {
-                   const std::span<std::byte> tail2 =
-                       std::span<std::byte>(*payload).subspan(head_bytes);
-                   const std::uint32_t crc = crc32_combine(
-                       crc32(std::span<const std::byte>(payload->data(), head_bytes)),
-                       crc32(tail2), tail2.size());
-                   step_record(hdr, std::move(*payload), crc);
-                   advance_windowed();
-                 });
-    });
-  }
-
-  void advance_windowed() {
-    if (walk_done)
-      finish_rebuild();
-    else
-      step_windowed();
-  }
-
-  // depth >= 2: whole-track streaming. The walk consumes parsed records
-  // out of the track cache; a miss fetches the demanded track plus a
-  // ring-backward prefetch batch that C-LOOK serves as one ascending
-  // forward sweep.
-  void resume_streaming() {
+  // The walk consumes parsed records out of the track cache; a miss
+  // fetches the demanded record window plus a ring-backward prefetch batch
+  // that C-LOOK serves as one ascending forward sweep.
+  void resume_walk() {
     for (;;) {
       if (walk_done) {
         if (inflight == 0) finish_rebuild();  // else: prefetch stragglers drain first
@@ -581,7 +510,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
                        crc32(std::span<const std::byte>(pay->data(), head_bytes)), crc32(tail2),
                        tail2.size());
                    step_record(hdr, std::move(*pay), crc);
-                   resume_streaming();
+                   resume_walk();
                  });
       return;
     }
@@ -591,7 +520,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     const Unit& un = m.units_[u];
     const disk::Geometry& geom = un.device->geometry();
     // Trail stamps records at rotationally chosen offsets, so there is no
-    // anchored range cheaper than the serial header window that is still
+    // anchored range cheaper than the header window that is still
     // guaranteed to hold the demanded record: read [record, record +
     // payload bound), clamped to the track (a payload overflow spills).
     const disk::Lba tbase = geom.first_lba_of_track(track);
@@ -601,7 +530,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     // Ring-backward prefetch of *full* older tracks pays one transfer-
     // rate sweep to avoid a rotational wait per record — worth it only
     // when tracks actually hold several records. Gate it on the observed
-    // density so a one-record-per-track log stays at the serial cost.
+    // density so a one-record-per-track log pays one window per record.
     const std::uint64_t records_seen = chain.size() + outcome.stats.records_dropped_torn;
     const bool prefetch = records_seen >= 2 * tracks_streamed;
     {
@@ -622,7 +551,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
         }
         const auto ct = cache.find(std::make_pair(u, track));
         if (ct != cache.end()) ct->second.ready = true;
-        resume_streaming();
+        resume_walk();
       });
     }
     if (!prefetch) return;
@@ -698,7 +627,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
                               m.units_[u].device->geometry().spt_of_track(t)) *
                           disk::kSectorSize;
                  }
-                 resume_streaming();
+                 resume_walk();
                });
   }
 
@@ -726,7 +655,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
       }
     }
     if (opts.write_back && !outcome.pending.empty()) {
-      m.write_back_async(&outcome.pending, &outcome.stats, depth,
+      m.write_back_async(&outcome.pending, &outcome.stats,
                          [self = shared_from_this()] { self->complete(); });
     } else {
       complete();
@@ -756,52 +685,10 @@ struct RecoveryManager::WbState : std::enable_shared_from_this<RecoveryManager::
   bool failed = false;
   bool finished = false;
 
-  // depth == 1: sequential replay in record order (the serial baseline)
-  std::size_t rec = 0;
-  std::uint32_t entry = 0;
-
-  // depth >= 2: concurrent overlay runs
   std::size_t outstanding = 0;
   bool submitted_all = false;
 
-  void step_serial() {
-    const std::vector<RecoveredRecord>& recs = *pending;
-    while (rec < recs.size()) {
-      const RecoveredRecord& r = recs[rec];
-      // Direct-log records have no data-disk home; the mounting driver
-      // re-adopts them and the client replays from their payloads.
-      if (r.header.entries[0].data_major == kDirectLogMajor || entry >= r.header.batch_size) {
-        ++rec;
-        entry = 0;
-        continue;
-      }
-      // Group entries into contiguous runs per device.
-      const std::uint32_t i = entry;
-      std::uint32_t j = i + 1;
-      const RecordEntry& e0 = r.header.entries[i];
-      while (j < r.header.batch_size) {
-        const RecordEntry& e = r.header.entries[j];
-        if (e.data_major != e0.data_major || e.data_minor != e0.data_minor ||
-            e.data_lba != e0.data_lba + (j - i))
-          break;
-        ++j;
-      }
-      const std::span<const std::byte> run(
-          r.payload.data() + static_cast<std::size_t>(i) * disk::kSectorSize,
-          static_cast<std::size_t>(j - i) * disk::kSectorSize);
-      m.data_write_(io::DeviceId{e0.data_major, e0.data_minor}, e0.data_lba, run,
-                    [self = shared_from_this(), j] {
-                      if (self->failed) return;
-                      self->stats->sectors_written_back += j - self->entry;
-                      self->entry = j;
-                      self->step_serial();
-                    });
-      return;
-    }
-    finish();
-  }
-
-  void start_overlapped() {
+  void start() {
     // Newest-content overlay: `pending` is ascending by key, so a later
     // record's sector image supersedes an earlier one's — each data
     // sector is written exactly once, with its final content.
@@ -889,7 +776,6 @@ void RecoveryManager::start(std::uint32_t target_epoch, const Options& options,
   p.target_epoch = target_epoch;
   p.opts = options;
   p.depth = std::max<std::uint32_t>(1, options.pipeline_depth);
-  p.streaming = p.depth >= 2;
   p.done = std::move(done);
   // Recreate the read queues per start: a previous aborted recovery may
   // have left dead entries (whose weak Pipe references no longer lock).
@@ -902,19 +788,8 @@ void RecoveryManager::start(std::uint32_t target_epoch, const Options& options,
   p.start_locate();
 }
 
-RecoveryManager::Outcome RecoveryManager::run(std::uint32_t target_epoch,
-                                              const Options& options) {
-  std::optional<Outcome> result;
-  start(target_epoch, options, [&](Outcome outcome) { result.emplace(std::move(outcome)); });
-  while (!result) {
-    if (!sim_.step()) throw std::runtime_error("RecoveryManager: simulation stalled");
-  }
-  return std::move(*result);
-}
-
 void RecoveryManager::write_back_async(const std::vector<RecoveredRecord>* pending,
-                                       RecoveryStats* stats, std::uint32_t pipeline_depth,
-                                       std::function<void()> done) {
+                                       RecoveryStats* stats, std::function<void()> done) {
   if (pending->empty()) {
     done();
     return;
@@ -928,19 +803,7 @@ void RecoveryManager::write_back_async(const std::vector<RecoveredRecord>* pendi
   w.wb_start = sim_.now();
   w.span.emplace(obs_ != nullptr ? &obs_->tracer : nullptr, "recovery.writeback", "recovery",
                  tid_);
-  if (pipeline_depth <= 1)
-    w.step_serial();
-  else
-    w.start_overlapped();
-}
-
-void RecoveryManager::write_back(const std::vector<RecoveredRecord>& pending,
-                                 RecoveryStats& stats, std::uint32_t pipeline_depth) {
-  bool done = false;
-  write_back_async(&pending, &stats, pipeline_depth, [&] { done = true; });
-  while (!done) {
-    if (!sim_.step()) throw std::runtime_error("recovery: simulation stalled");
-  }
+  w.start();
 }
 
 }  // namespace trail::core

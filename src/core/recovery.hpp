@@ -22,16 +22,17 @@
 //     as live state and resume service immediately, since a persistent
 //     copy already exists on the log disk.
 //
-// All three phases run as a bounded-depth asynchronous pipeline
-// (DESIGN.md §12). Reads go through a per-unit io::DeviceQueue so the
-// elevator can order the outstanding window; with pipeline_depth >= 2
-// the locate phase keeps a sliding window of anchor probes in flight,
-// the rebuild phase streams the live arc with whole-track reads parsed
-// out of a read-ahead cache, and the write-back phase dispatches
-// deduplicated contiguous runs concurrently. pipeline_depth == 1
-// reproduces the historical serial recovery command-for-command and is
-// the equivalence baseline: both depths must recover identical pending
-// sets and leave byte-identical images.
+// All three phases run as one bounded-depth asynchronous pipeline
+// (DESIGN.md §12), the same algorithm at every depth. Reads go through a
+// per-unit io::DeviceQueue so the elevator can order the outstanding
+// window: the locate phase keeps a sliding window of up to
+// pipeline_depth anchor probes in flight per unit, the rebuild phase
+// walks the live arc out of a track cache whose misses prefetch up to
+// pipeline_depth - 1 older tracks, and the write-back phase dispatches
+// the newest-content overlay of the pending records as deduplicated
+// contiguous runs. Depth 1 is the same pipeline with a window of one:
+// every depth recovers the same pending set and leaves byte-identical
+// images.
 #pragma once
 
 #include <cstdint>
@@ -92,10 +93,10 @@ class RecoveryManager {
     bool sequential_locate = false;
     /// Probes used to find a binary-search anchor before falling back.
     std::uint32_t anchor_probes = 64;
-    /// Bounded in-flight read window per log unit. 1 reproduces the
-    /// pre-pipeline serial recovery command-for-command (the equivalence
-    /// baseline); >= 2 overlaps anchor probes, streams the rebuild arc
-    /// with whole-track reads, and overlaps write-back runs.
+    /// Bounded in-flight read window per log unit: the number of anchor
+    /// probes in flight during locate, and the rebuild prefetch breadth
+    /// (the demanded track plus up to depth - 1 older ones). 1 keeps one
+    /// read in flight per unit and never prefetches.
     std::uint32_t pipeline_depth = 8;
     /// Rebuild read-ahead budget in sectors per demand miss
     /// (0 = auto: pipeline_depth whole tracks).
@@ -134,35 +135,27 @@ class RecoveryManager {
     std::vector<RecoveredRecord> pending;
   };
 
-  /// Run recovery for the crashed epoch (records of *earlier* epochs can
+  /// Start recovery for the crashed epoch (records of *earlier* epochs can
   /// also be pending when a previous recovery adopted them instead of
   /// writing them back, so the epoch is an upper bound and ordering uses
-  /// record_key). Drives the simulator until the selected phases complete
-  /// (recovery owns the machine at boot).
-  Outcome run(std::uint32_t target_epoch, const Options& options);
-
-  /// Asynchronous form of run(): starts the pipeline and returns; `done`
-  /// fires (from a device completion) when the selected phases finish.
-  /// Never steps the simulator itself, so a sharded mount can start every
-  /// shard's recovery and let them interleave on virtual time.
+  /// record_key) and return; `done` fires (from a device completion) when
+  /// the selected phases finish. Never steps the simulator itself, so a
+  /// sharded mount can start every shard's recovery and let them
+  /// interleave on virtual time.
   void start(std::uint32_t target_epoch, const Options& options,
              std::function<void(Outcome)> done);
 
-  /// Phase 3 alone: write `pending` back to the data disks in order,
-  /// accumulating into `stats`. Public so a sharded mount can locate +
-  /// rebuild on every shard first (run with write_back=false), apply the
-  /// cross-shard consistency cut, and only then write back the survivors.
-  void write_back(const std::vector<RecoveredRecord>& pending, RecoveryStats& stats,
-                  std::uint32_t pipeline_depth = 1);
-
-  /// Asynchronous phase 3. With pipeline_depth >= 2 the records collapse
-  /// into a newest-content overlay first (each sector written once) and
-  /// the resulting contiguous runs dispatch concurrently through the
-  /// DataWriteFn; depth 1 replays runs one at a time in record order,
-  /// exactly like the serial path. `pending` and `stats` must stay alive
-  /// until `done` fires.
+  /// Phase 3 alone: write `pending` back to the data disks, accumulating
+  /// into `stats`; `done` fires when every run is durable. Public so a
+  /// mount can locate + rebuild first (run with write_back=false), apply
+  /// the cross-shard consistency cut, and only then write back the
+  /// survivors. The records collapse into a newest-content overlay first
+  /// (each data sector written once, with its final content) and the
+  /// resulting contiguous runs dispatch concurrently through the
+  /// DataWriteFn. `pending` and `stats` must stay alive until `done`
+  /// fires.
   void write_back_async(const std::vector<RecoveredRecord>* pending, RecoveryStats* stats,
-                        std::uint32_t pipeline_depth, std::function<void()> done);
+                        std::function<void()> done);
 
  private:
   struct Unit {

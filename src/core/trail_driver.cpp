@@ -128,7 +128,7 @@ void TrailDriver::attach_obs(obs::Obs* obs, ObsScope scope) {
   h_wb_ranges_ = &obs_->metrics.histogram(p + "wb.batch_ranges");
   h_wb_sectors_ = &obs_->metrics.histogram(p + "wb.batch_sectors");
   g_log_queue_ = &obs_->metrics.gauge(p + "trail.log_queue_depth");
-  trace_queue_depth_name_ = p + "trail.log_queue_depth";
+  trace_queue_depth_name_ = obs_->tracer.own_name(p + "trail.log_queue_depth");
   if (scope_.request_attribution) {
     obs::ReqTracker::Options opts;
     opts.metric_prefix = p;
@@ -332,11 +332,10 @@ void TrailDriver::mf_after_cut(std::shared_ptr<MountFinishState> st) {
       recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
     }
     recovery_->set_data_write(make_recovery_data_write());
-    recovery_->write_back_async(&st->kept, &last_recovery_, config_.recovery_pipeline_depth,
-                                [this, st, alive = alive_]() mutable {
-                                  if (!*alive) return;
-                                  mf_adopt(std::move(st));
-                                });
+    recovery_->write_back_async(&st->kept, &last_recovery_, [this, st, alive = alive_]() mutable {
+      if (!*alive) return;
+      mf_adopt(std::move(st));
+    });
     return;
   }
   mf_adopt(std::move(st));
@@ -418,23 +417,9 @@ void TrailDriver::mf_position(std::shared_ptr<MountFinishState> st) {
 }
 
 RecoveryManager::DataWriteFn TrailDriver::make_recovery_data_write() {
-  if (config_.recovery_pipeline_depth <= 1) {
-    // Serial baseline: plain priority-0 writes, one awaited at a time.
-    return [this](io::DeviceId dev, disk::Lba lba, std::span<const std::byte> data,
-                  std::function<void()> done) {
-      io::PendingIo io;
-      io.is_write = true;
-      io.lba = lba;
-      io.count = static_cast<std::uint32_t>(data.size() / disk::kSectorSize);
-      io.data.assign(data.begin(), data.end());
-      io.priority = 0;
-      io.on_complete = std::move(done);
-      data_queue(dev).submit(std::move(io));
-    };
-  }
-  // Pipelined: single-range priority-1 batches, so the write-back
-  // scheduler coalesces adjacent recovery runs into one device command
-  // and CSCAN-orders the sweep across the platter.
+  // Single-range priority-1 batches, so the write-back scheduler coalesces
+  // adjacent recovery runs into one device command and CSCAN-orders the
+  // sweep across the platter.
   return [this](io::DeviceId dev, disk::Lba lba, std::span<const std::byte> data,
                 std::function<void()> done) {
     const auto count = static_cast<std::uint32_t>(data.size() / disk::kSectorSize);
@@ -776,7 +761,7 @@ void TrailDriver::note_log_queue_depth() {
   const auto depth = static_cast<std::int64_t>(pending_.size());
   g_log_queue_->set(depth);
   if (obs_->tracer.enabled())
-    obs_->tracer.counter(trace_queue_depth_name_.c_str(), "log", depth, scope_.driver_tid);
+    obs_->tracer.counter(trace_queue_depth_name_, "log", depth, scope_.driver_tid);
 }
 
 void TrailDriver::release_direct_before(std::uint64_t cookie) {

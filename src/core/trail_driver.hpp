@@ -81,10 +81,10 @@ struct TrailConfig {
   /// Force the O(N) sequential locate during recovery (ablation).
   bool recovery_sequential_locate = false;
   /// Bounded in-flight read window per log unit during recovery
-  /// (RecoveryManager::Options::pipeline_depth). 1 reproduces the serial
-  /// one-command-at-a-time recovery exactly; >= 2 overlaps locate probes,
-  /// streams the rebuild arc with whole-track reads, and dispatches
-  /// write-back runs through the batched CSCAN scheduler.
+  /// (RecoveryManager::Options::pipeline_depth): anchor probes in flight
+  /// during locate and the rebuild prefetch breadth. Every depth runs the
+  /// same algorithm and writes back through the batched CSCAN scheduler;
+  /// 1 keeps one read in flight per unit.
   std::uint32_t recovery_pipeline_depth = 8;
   /// Rebuild read-ahead budget in sectors per demand miss
   /// (0 = auto: recovery_pipeline_depth whole tracks).
@@ -431,10 +431,9 @@ class TrailDriver final : public io::BlockDriver {
   void mf_adopt(std::shared_ptr<MountFinishState> st);
   void mf_stamp(std::shared_ptr<MountFinishState> st);
   void mf_position(std::shared_ptr<MountFinishState> st);
-  /// Phase-3 sink bound to the data-disk queues. Depth 1 submits plain
-  /// priority-0 writes (the serial baseline); depth >= 2 submits
-  /// single-range priority-1 batches so the PR-5 write-back scheduler
-  /// coalesces adjacent runs and CSCAN-orders the sweep.
+  /// Phase-3 sink bound to the data-disk queues: single-range priority-1
+  /// batches, so the write-back scheduler coalesces adjacent runs and
+  /// CSCAN-orders the sweep.
   [[nodiscard]] RecoveryManager::DataWriteFn make_recovery_data_write();
   /// TRAIL_AUDIT hook: run_audit(quiescent=true), dump counters into the
   /// attached metrics, throw on errors.
@@ -493,9 +492,9 @@ class TrailDriver final : public io::BlockDriver {
   /// Request-scoped phase attribution (obs/req.hpp); created by
   /// attach_obs when the scope asks for it.
   std::unique_ptr<obs::ReqTracker> req_tracker_;
-  /// Stable storage for the scoped queue-depth counter-lane name (the
-  /// tracer keeps interned pointers, so the string must outlive it).
-  std::string trace_queue_depth_name_ = "trail.log_queue_depth";
+  /// Scoped queue-depth counter-lane name, owned by the tracer (which
+  /// keeps interned pointers past this driver's lifetime).
+  const char* trace_queue_depth_name_ = "trail.log_queue_depth";
 
 
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

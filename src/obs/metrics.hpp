@@ -4,8 +4,7 @@
 // counters; this module provides the HdrHistogram-style substrate for
 // them: named counters, gauges, and fixed-bucket log-scale histograms
 // with O(1) record, exact count/sum/min/max, and p50/p90/p99 without
-// retaining samples (sim::Summary keeps every value and stays for
-// small-n test assertions only).
+// retaining samples.
 //
 // Thread safety: the MPSC submission front-end records admission
 // metrics from real producer threads, so every primitive here is safe

@@ -1,9 +1,10 @@
 #include "obs/req.hpp"
 
 #include <algorithm>
-#include <cassert>
+#include <stdexcept>
 
 #include "obs/obs.hpp"
+#include "obs/ring_codec.hpp"
 
 namespace trail::obs {
 
@@ -34,6 +35,11 @@ const char* req_phase_name(ReqPhase phase) {
 // from one shard differ only in id (+1), submit delta, total, and a few
 // phase values — a handful of bytes per record.
 
+using ring::get_varint;
+using ring::put_varint;
+using ring::unzigzag;
+using ring::zigzag;
+
 namespace {
 
 constexpr std::uint8_t kMaskId = 1 << 0;      // id delta != +1
@@ -41,34 +47,6 @@ constexpr std::uint8_t kMaskShard = 1 << 1;   // shard changed
 constexpr std::uint8_t kMaskSectors = 1 << 2; // sector count changed
 constexpr std::uint8_t kMaskFlags = 1 << 3;   // flags changed
 constexpr std::uint8_t kMaskSubmit = 1 << 4;  // submit delta != 0
-
-std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
-}
-
-std::int64_t unzigzag(std::uint64_t u) {
-  return static_cast<std::int64_t>((u >> 1) ^ (~(u & 1) + 1));
-}
-
-void put_varint(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  while (v >= 0x80) {
-    buf.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t get_varint(const std::vector<std::uint8_t>& buf, std::size_t& off) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    const std::uint8_t b = buf[off++];
-    v |= static_cast<std::uint64_t>(b & 0x7f) << shift;
-    if ((b & 0x80) == 0) break;
-    shift += 7;
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -78,7 +56,6 @@ void FlightRecorder::set_capacity(std::size_t capacity) {
   sync::MutexLock lock(mu_);
   cap_ = capacity == 0 ? 1 : capacity;
   while (count_ > cap_) drop_oldest();
-  compact();
 }
 
 void FlightRecorder::push(const FlightRecord& r) {
@@ -148,21 +125,12 @@ void FlightRecorder::drop_oldest() {
   (void)decode(head_off_, head_state_);
   --count_;
   ++dropped_;
-  compact();
-}
-
-void FlightRecorder::compact() {
-  // Amortized: reclaim the dead prefix only once it dominates the
-  // buffer, so each byte is moved O(1) times across the ring's life.
-  if (head_off_ > 4096 && head_off_ > buf_.size() / 2) {
-    buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_off_));
-    head_off_ = 0;
-  }
+  (void)ring::compact(buf_, head_off_);
 }
 
 FlightRecord FlightRecorder::at(std::size_t i) const {
   sync::MutexLock lock(mu_);
-  assert(i < count_);
+  if (i >= count_) throw std::out_of_range("FlightRecorder::at");
   std::size_t off = head_off_;
   FieldState state = head_state_;
   FlightRecord r;

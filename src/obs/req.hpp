@@ -115,8 +115,9 @@ class FlightRecorder {
     return buf_.size() - head_off_;
   }
 
-  /// Oldest-first record access, i in [0, size()). Decodes forward from
-  /// the oldest retained record — O(i); reporting/test path only.
+  /// Oldest-first record access, i in [0, size()); throws
+  /// std::out_of_range otherwise. Decodes forward from the oldest
+  /// retained record — O(i); reporting/test path only.
   [[nodiscard]] FlightRecord at(std::size_t i) const TRAIL_EXCLUDES(mu_);
 
   void clear() TRAIL_EXCLUDES(mu_);
@@ -139,7 +140,6 @@ class FlightRecorder {
   };
 
   void drop_oldest() TRAIL_REQUIRES(mu_);
-  void compact() TRAIL_REQUIRES(mu_);
   FlightRecord decode(std::size_t& off, FieldState& state) const TRAIL_REQUIRES(mu_);
 
   mutable sync::Mutex mu_;  // one capability over the whole codec state

@@ -3,7 +3,14 @@
 #include <cstdio>
 #include <stdexcept>
 
+#include "obs/ring_codec.hpp"
+
 namespace trail::obs {
+
+using ring::get_varint;
+using ring::put_varint;
+using ring::unzigzag;
+using ring::zigzag;
 
 namespace {
 
@@ -21,33 +28,6 @@ constexpr std::uint8_t kNameChanged = 0x08;
 constexpr std::uint8_t kCatChanged = 0x10;
 constexpr std::uint8_t kTidChanged = 0x20;
 
-void put_varint(std::vector<std::uint8_t>& buf, std::uint64_t v) {
-  while (v >= 0x80) {
-    buf.push_back(static_cast<std::uint8_t>(v) | 0x80);
-    v >>= 7;
-  }
-  buf.push_back(static_cast<std::uint8_t>(v));
-}
-
-std::uint64_t get_varint(const std::vector<std::uint8_t>& buf, std::size_t& off) {
-  std::uint64_t v = 0;
-  int shift = 0;
-  for (;;) {
-    const std::uint8_t b = buf[off++];
-    v |= static_cast<std::uint64_t>(b & 0x7F) << shift;
-    if ((b & 0x80) == 0) return v;
-    shift += 7;
-  }
-}
-
-constexpr std::uint64_t zigzag(std::int64_t v) {
-  return (static_cast<std::uint64_t>(v) << 1) ^ static_cast<std::uint64_t>(v >> 63);
-}
-
-constexpr std::int64_t unzigzag(std::uint64_t v) {
-  return static_cast<std::int64_t>(v >> 1) ^ -static_cast<std::int64_t>(v & 1);
-}
-
 }  // namespace
 
 EventTracer::EventTracer(const sim::Simulator& sim, std::size_t capacity)
@@ -56,6 +36,11 @@ EventTracer::EventTracer(const sim::Simulator& sim, std::size_t capacity)
 void EventTracer::set_track_name(std::uint32_t tid, std::string name) {
   sync::MutexLock lock(mu_);
   track_names_[tid] = std::move(name);
+}
+
+const char* EventTracer::own_name(std::string name) {
+  sync::MutexLock lock(mu_);
+  return owned_names_.insert(std::move(name)).first->c_str();
 }
 
 std::uint32_t EventTracer::intern(const char* s) {
@@ -135,16 +120,8 @@ void EventTracer::drop_oldest() {
     else
       --cursor_index_;
   }
-  compact();
-}
-
-void EventTracer::compact() {
-  // Reclaim the decoded prefix once it dominates the buffer, so memory
-  // tracks the retained events rather than everything ever captured.
-  if (head_off_ < (1u << 16) || head_off_ * 2 < buf_.size()) return;
-  buf_.erase(buf_.begin(), buf_.begin() + static_cast<std::ptrdiff_t>(head_off_));
-  if (cursor_valid_) cursor_off_ -= head_off_;
-  head_off_ = 0;
+  const std::size_t removed = ring::compact(buf_, head_off_);
+  if (cursor_valid_) cursor_off_ -= removed;
 }
 
 TraceEvent EventTracer::at(std::size_t i) const {

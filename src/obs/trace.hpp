@@ -25,6 +25,7 @@
 //
 // Names and categories are `const char*` and must be string literals
 // (or otherwise outlive the tracer): events store interned pointers.
+// Names built at run time go through own_name() first.
 // When the tracer is disabled every emit call is a single predictable
 // branch; ScopedSpan degenerates to storing one null pointer.
 //
@@ -41,6 +42,7 @@
 #include <atomic>
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -76,6 +78,11 @@ class EventTracer {
   /// Name a presentation lane ("log0", "data1", "wal", ...). Metadata
   /// only; survives clear().
   void set_track_name(std::uint32_t tid, std::string name) TRAIL_EXCLUDES(mu_);
+
+  /// A tracer-owned copy of a name built at run time (e.g. under a
+  /// shard's metric prefix). The pointer stays valid for the tracer's
+  /// lifetime, so retained events never outlive their name's storage.
+  [[nodiscard]] const char* own_name(std::string name) TRAIL_EXCLUDES(mu_);
 
   /// A span [begin, begin+dur), emitted at completion time.
   void complete(const char* name, const char* cat, sim::TimePoint begin, sim::Duration dur,
@@ -132,7 +139,6 @@ class EventTracer {
 
   void push(const TraceEvent& e) TRAIL_REQUIRES(mu_);
   void drop_oldest() TRAIL_REQUIRES(mu_);
-  void compact() TRAIL_REQUIRES(mu_);
   [[nodiscard]] std::uint32_t intern(const char* s) TRAIL_REQUIRES(mu_);
   /// Decode the event at byte offset `off` given the prior state; both
   /// advance past it.
@@ -154,6 +160,7 @@ class EventTracer {
   // Name/category interning (pointer identity; literals repeat).
   std::vector<const char*> interned_ TRAIL_GUARDED_BY(mu_){nullptr};  // id 0 == none yet
   std::map<const char*, std::uint32_t> intern_ids_ TRAIL_GUARDED_BY(mu_);
+  std::set<std::string> owned_names_ TRAIL_GUARDED_BY(mu_);  // own_name() storage
 
   // Sequential-access cursor for at(): the state needed to decode event
   // index cursor_index_ at byte offset cursor_off_.

@@ -1,66 +1,9 @@
 #include "sim/stats.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
-#include <stdexcept>
 
 namespace trail::sim {
-
-void Summary::add(double v) {
-  values_.push_back(v);
-  sorted_ = false;
-  sum_ += v;
-  sumsq_ += v * v;
-}
-
-double Summary::mean() const {
-  if (values_.empty()) throw std::logic_error("Summary::mean on empty summary");
-  return sum_ / static_cast<double>(values_.size());
-}
-
-double Summary::min() const {
-  if (values_.empty()) throw std::logic_error("Summary::min on empty summary");
-  return *std::min_element(values_.begin(), values_.end());
-}
-
-double Summary::max() const {
-  if (values_.empty()) throw std::logic_error("Summary::max on empty summary");
-  return *std::max_element(values_.begin(), values_.end());
-}
-
-double Summary::stddev() const {
-  if (values_.size() < 2) return 0.0;
-  const double n = static_cast<double>(values_.size());
-  const double var = (sumsq_ - sum_ * sum_ / n) / (n - 1);
-  return var > 0.0 ? std::sqrt(var) : 0.0;
-}
-
-double Summary::percentile(double p) const {
-  if (values_.empty()) throw std::logic_error("Summary::percentile on empty summary");
-  if (std::isnan(p)) throw std::invalid_argument("Summary::percentile: p is NaN");
-  if (!sorted_) {
-    std::sort(values_.begin(), values_.end());
-    sorted_ = true;
-  }
-  const std::size_t n = values_.size();
-  const double clamped = std::clamp(p, 0.0, 100.0);
-  if (clamped <= 0.0) return values_.front();  // nearest-rank p0 = minimum
-  // Nearest-rank: smallest rank with at least p% of samples at or below
-  // it, clamped to [1, n] so p=100 and single-sample summaries always
-  // index in range regardless of float rounding in the product.
-  const auto rank = static_cast<std::size_t>(
-      std::clamp(std::ceil(clamped / 100.0 * static_cast<double>(n)), 1.0,
-                 static_cast<double>(n)));
-  return values_[rank - 1];
-}
-
-void Summary::clear() {
-  values_.clear();
-  sorted_ = false;
-  sum_ = 0.0;
-  sumsq_ = 0.0;
-}
 
 TablePrinter::TablePrinter(std::vector<std::string> headers) : headers_(std::move(headers)) {}
 

@@ -1,37 +1,11 @@
-// Small statistics helpers shared by tests and benchmark harnesses.
+// Table printer shared by the benchmark harnesses.
 #pragma once
 
 #include <cstdint>
 #include <string>
 #include <vector>
 
-#include "sim/time.hpp"
-
 namespace trail::sim {
-
-/// Accumulates scalar samples; keeps all values for exact percentiles.
-class Summary {
- public:
-  void add(double v);
-  void add(Duration d) { add(d.ms()); }  // durations summarise in ms
-
-  [[nodiscard]] std::size_t count() const { return values_.size(); }
-  [[nodiscard]] double sum() const { return sum_; }
-  [[nodiscard]] double mean() const;
-  [[nodiscard]] double min() const;
-  [[nodiscard]] double max() const;
-  [[nodiscard]] double stddev() const;
-  /// Exact percentile by nearest-rank; p in [0,100].
-  [[nodiscard]] double percentile(double p) const;
-
-  void clear();
-
- private:
-  mutable std::vector<double> values_;
-  mutable bool sorted_ = false;
-  double sum_ = 0.0;
-  double sumsq_ = 0.0;
-};
 
 /// Fixed-width table printer for bench harnesses that mirror the paper's
 /// tables/figures. Columns are right-aligned; the first column is left-

@@ -42,12 +42,12 @@ BenchResult Driver::run_internal(std::uint64_t total_txns, bool record) {
                          record, clients, i, t0](TxnResult r) {
         if (record) {
           const sim::Duration response = sim.now() - t0;
-          result.response_ms.add(response);
+          result.response.record(response);
           if (r.committed) {
             ++result.committed;
             if (r.type == TxnType::kNewOrder) {
               ++result.new_order_commits;
-              result.new_order_response_ms.add(response);
+              result.new_order_response.record(response);
             }
           } else if (r.user_abort) {
             ++result.user_aborts;

@@ -12,7 +12,7 @@
 #include <memory>
 #include <vector>
 
-#include "sim/stats.hpp"
+#include "obs/metrics.hpp"
 #include "tpcc/transactions.hpp"
 
 namespace trail::tpcc {
@@ -23,8 +23,8 @@ struct BenchResult {
   std::uint64_t aborted = 0;       // lock timeouts etc.
   std::uint64_t user_aborts = 0;   // NEW-ORDER's intentional 1%
   sim::Duration wall;              // virtual time of the measured window
-  sim::Summary response_ms;        // per-transaction response time (ms)
-  sim::Summary new_order_response_ms;
+  obs::Histogram response;         // per-transaction response time (ns)
+  obs::Histogram new_order_response;
 
   [[nodiscard]] double tpmc() const {
     const double minutes = wall.sec() / 60.0;

@@ -1,12 +1,12 @@
 // trail::audit tests: the Check/Report substrate, the offline log
-// verifier (fsck.trail) against clean and deliberately corrupted images,
-// the hardened log_format bounds checks, and the runtime quiesce-point
-// audits on the driver and the database engine.
+// verifier (fsck.trail) and its census against clean and deliberately
+// corrupted images, the hardened log_format bounds checks, and the
+// runtime quiesce-point audits on the driver and the database engine.
 //
 // The corruption table bit-flips every §3.2 header field class — magic
 // byte, signature, epoch, prev_sect, log_head, entry array, payload — and
 // asserts both that verify_log attributes the damage to the right check
-// and that LogScanner/recovery reject the image cleanly (a thrown
+// and that recovery rejects the image cleanly (a thrown
 // std::runtime_error or a reduced record count; never silent adoption).
 #include <gtest/gtest.h>
 
@@ -16,7 +16,6 @@
 #include "audit/check.hpp"
 #include "audit/log_verifier.hpp"
 #include "core/log_format.hpp"
-#include "core/log_scanner.hpp"
 #include "db/database.hpp"
 #include "io/standard_driver.hpp"
 #include "trail_fixture.hpp"
@@ -25,6 +24,8 @@ namespace trail::testing {
 namespace {
 
 using audit::Finding;
+using audit::LogCensus;
+using audit::LogRecord;
 using audit::Report;
 using audit::Severity;
 using audit::VerifyOptions;
@@ -110,6 +111,133 @@ TEST(LogFormatBounds, ParsersRejectShortSectors) {
   }
 }
 
+// ------------------------------------------------------ offline census
+
+/// The census of verify_log's pass over `device`.
+LogCensus census_of(const disk::DiskDevice& device) {
+  LogCensus census;
+  (void)audit::verify_log(device, {}, &census);
+  return census;
+}
+
+/// The census's records of `epoch`, ascending by key.
+std::vector<LogRecord> records_of_epoch(const LogCensus& census, std::uint32_t epoch) {
+  std::vector<LogRecord> out;
+  for (const LogRecord& rec : census.records)
+    if (rec.header.epoch == epoch) out.push_back(rec);
+  return out;
+}
+
+class LogScannerTest : public TrailFixture {
+ protected:
+  LogScannerTest() : TrailFixture(2) {}
+};
+
+TEST_F(LogScannerTest, FreshFormatScansClean) {
+  const LogCensus census = census_of(*log_disk);
+  EXPECT_EQ(census.intact_header_replicas, 3);
+  EXPECT_EQ(census.disk_header.epoch, 0u);
+  EXPECT_EQ(census.disk_header.crash_var, 1u);
+  EXPECT_EQ(census.record_headers, 0u);
+  EXPECT_EQ(census.chain_length, 0u);
+  EXPECT_FALSE(census.youngest.has_value());
+}
+
+TEST_F(LogScannerTest, UnformattedDiskReported) {
+  disk::DiskDevice raw(sim, disk::small_test_disk());
+  EXPECT_EQ(census_of(raw).intact_header_replicas, 0);
+}
+
+TEST_F(LogScannerTest, CensusCountsRecordsAndPayloads) {
+  start();
+  for (auto& d : data_disks) d->crash_halt();
+  for (int i = 0; i < 5; ++i)
+    write_sync({devices[0], static_cast<disk::Lba>(i * 4)}, make_pattern(2, i));
+  driver->crash();
+  driver.reset();
+
+  LogCensus census;
+  Report report = audit::verify_log(*log_disk, {}, &census);
+  EXPECT_GT(census.intact_header_replicas, 0);
+  EXPECT_EQ(census.disk_header.crash_var, 0u) << "crashed mount: dirty flag";
+  EXPECT_EQ(census.records_per_epoch.at(1), 5u);
+  EXPECT_GE(census.payload_sectors, 10u);
+  EXPECT_TRUE(report.check("log.chain").ok()) << report.to_string();
+  EXPECT_EQ(census.chain_length, 5u);
+  ASSERT_TRUE(census.youngest.has_value());
+  EXPECT_EQ(census.youngest->header.sequence_id, 5u);
+  EXPECT_TRUE(census.youngest->payload_intact);
+}
+
+TEST_F(LogScannerTest, RecordsOfEpochAscending) {
+  start();
+  for (auto& d : data_disks) d->crash_halt();
+  for (int i = 0; i < 4; ++i)
+    write_sync({devices[1], static_cast<disk::Lba>(i * 2)}, make_pattern(1, 10 + i));
+  driver->crash();
+  driver.reset();
+
+  const auto records = records_of_epoch(census_of(*log_disk), 1);
+  ASSERT_EQ(records.size(), 4u);
+  for (std::size_t i = 1; i < records.size(); ++i)
+    EXPECT_LT(core::record_key(records[i - 1].header), core::record_key(records[i].header));
+  // Each record's entries point at device (3,1).
+  for (const auto& rec : records) {
+    EXPECT_EQ(rec.header.entries[0].data_major, 3);
+    EXPECT_EQ(rec.header.entries[0].data_minor, 1);
+  }
+  EXPECT_FALSE(audit::describe(records[0]).empty());
+}
+
+TEST_F(LogScannerTest, DetectsTornYoungestPayload) {
+  start();
+  for (auto& d : data_disks) d->crash_halt();
+  write_sync({devices[0], 0}, make_pattern(2, 1));
+  write_sync({devices[0], 8}, make_pattern(2, 2));
+  driver->crash();
+  driver.reset();
+
+  // Corrupt the youngest record's payload.
+  const auto records = records_of_epoch(census_of(*log_disk), 1);
+  ASSERT_EQ(records.size(), 2u);
+  disk::SectorBuf sector{};
+  log_disk->store().read(records[1].header_lba + 1, 1, sector);
+  sector[50] ^= std::byte{0xFF};
+  log_disk->store().write(records[1].header_lba + 1, 1, sector);
+
+  // The torn record is the youngest (an unacknowledged tear is legal): the
+  // census still names it, flagged torn, and the chain still verifies.
+  LogCensus census;
+  Report report = audit::verify_log(*log_disk, {}, &census);
+  ASSERT_TRUE(census.youngest.has_value());
+  EXPECT_EQ(census.youngest->header_lba, records[1].header_lba);
+  EXPECT_FALSE(census.youngest->payload_intact);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  EXPECT_EQ(census.chain_length, 1u);
+}
+
+TEST_F(LogScannerTest, UtilizationMatchesAllocatorAccounting) {
+  core::TrailConfig cfg;
+  cfg.track_utilization_threshold = 0.0;  // one batch per track
+  start(cfg);
+  for (auto& d : data_disks) d->crash_halt();
+  for (int i = 0; i < 6; ++i)
+    write_sync({devices[0], static_cast<disk::Lba>(i * 8)}, make_pattern(4, i));
+  driver->crash();
+  driver.reset();
+
+  const LogCensus census = census_of(*log_disk);
+  int touched = 0;
+  for (double u : census.track_utilization)
+    if (u > 0) ++touched;
+  EXPECT_EQ(touched, 6) << "one record per track at threshold 0";
+  for (double u : census.track_utilization) {
+    if (u > 0) {
+      EXPECT_NEAR(u, 5.0 / 20.0, 0.08);  // 1 hdr + 4 payload on ~16-24 spt
+    }
+  }
+}
+
 // ---------------------------------------------------- offline verifier
 
 class AuditVerifierTest : public TrailFixture {
@@ -119,7 +247,7 @@ class AuditVerifierTest : public TrailFixture {
   AuditVerifierTest() : TrailFixture(2) {}
 
   /// Run kRecords writes in epoch 1, crash with them pending, and return
-  /// the scanned records sorted oldest -> youngest.
+  /// the census's records sorted oldest -> youngest.
   auto prepare_crashed_log() {
     start();
     for (auto& d : data_disks) d->crash_halt();
@@ -127,8 +255,7 @@ class AuditVerifierTest : public TrailFixture {
       write_sync({devices[0], static_cast<disk::Lba>(i * 4)}, make_pattern(2, i));
     driver->crash();
     driver.reset();
-    const core::LogScanner scanner(*log_disk);
-    auto records = scanner.records_of_epoch(1);
+    auto records = records_of_epoch(census_of(*log_disk), 1);
     EXPECT_EQ(records.size(), static_cast<std::size_t>(kRecords));
     return records;
   }
@@ -153,11 +280,9 @@ class AuditVerifierTest : public TrailFixture {
     log_disk->store().write(lba, 1, sector);
   }
 
-  /// The image must scan without throwing, whatever state it is in.
-  void expect_scanner_survives() {
-    const core::LogScanner scanner(*log_disk);
-    EXPECT_NO_THROW((void)scanner.scan());
-  }
+  /// The census must survive the image without throwing, whatever state
+  /// it is in.
+  void expect_census_survives() { EXPECT_NO_THROW((void)census_of(*log_disk)); }
 
   /// Reboot + mount. Returns the recovered record count, or nullopt if
   /// recovery rejected the image with std::runtime_error.
@@ -215,7 +340,7 @@ TEST_F(AuditVerifierTest, CorruptMagicByteDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.sector_classes").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // The chain from the youngest runs into the destroyed header.
   EXPECT_EQ(remount_records(), std::nullopt);
 }
@@ -226,7 +351,7 @@ TEST_F(AuditVerifierTest, CorruptSignatureDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.sector_classes").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   EXPECT_EQ(remount_records(), std::nullopt);
 }
 
@@ -237,7 +362,7 @@ TEST_F(AuditVerifierTest, CorruptEpochDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.chain").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // The walk from the youngest epoch-1 record meets an epoch-8 header.
   EXPECT_EQ(remount_records(), std::nullopt);
 }
@@ -251,7 +376,7 @@ TEST_F(AuditVerifierTest, CorruptPrevSectDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.chain").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   EXPECT_EQ(remount_records(), std::nullopt);
 }
 
@@ -264,7 +389,7 @@ TEST_F(AuditVerifierTest, CorruptLogHeadDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.chain").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // Recovery walks to the prev_sect sentinel and stops: it still finds
   // every record, it just could not use the bound. Legal, if untidy.
   const auto found = remount_records();
@@ -279,7 +404,7 @@ TEST_F(AuditVerifierTest, CorruptEntryArrayDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.record_entries").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // Replay applies payload bytes it already read contiguously, so the
   // poisoned pointer array does not break recovery itself.
   const auto found = remount_records();
@@ -293,7 +418,7 @@ TEST_F(AuditVerifierTest, CorruptChainPayloadDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.payload_crc").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // A torn record below an intact one is impossible in a legal crash.
   EXPECT_EQ(remount_records(), std::nullopt);
 }
@@ -325,7 +450,7 @@ TEST_F(AuditVerifierTest, DuplicateRecordKeyDetected) {
 
   Report report = audit::verify_log(*log_disk);
   EXPECT_GT(report.check("log.record_keys").errors(), 0u) << report.to_string();
-  expect_scanner_survives();
+  expect_census_survives();
   // Depending on which duplicate the locator anchors on, recovery either
   // trips the key-monotonicity guard or truncates the chain early; it
   // must never adopt all records as if the image were healthy.

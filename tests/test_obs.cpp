@@ -310,5 +310,34 @@ TEST(ObsDeterminism, DifferentSeedsDivergeInTrace) {
   EXPECT_NE(a.trace_json, b.trace_json);
 }
 
+TEST(ObsDeterminism, TraceOutlivesTheDriverThatEmittedIt) {
+  // Counter lanes named at run time (under a scope's metric prefix) stay
+  // valid after the driver that emitted them is gone, as they are after
+  // a crash and remount.
+  sim::Simulator sim;
+  disk::DiskDevice log_disk(sim, disk::small_test_disk());
+  disk::DiskDevice data_disk(sim, disk::small_test_disk());
+  core::format_log_disk(log_disk);
+  obs::Obs obs(sim, 1 << 12);
+  obs.tracer.set_enabled(true);
+  {
+    core::TrailDriver driver(sim, log_disk);
+    core::ObsScope scope;
+    scope.metric_prefix = "shard.3.";
+    driver.attach_obs(&obs, scope);
+    const io::DeviceId dev = driver.add_data_disk(data_disk);
+    driver.mount();
+    const std::vector<std::byte> data(disk::kSectorSize, std::byte{1});
+    bool acked = false;
+    driver.submit_write(io::BlockAddr{dev, 8}, 1, data, [&] { acked = true; });
+    while (!acked) ASSERT_TRUE(sim.step());
+    driver.crash();
+  }
+  const std::string trace = obs.tracer.export_chrome_json();
+  EXPECT_NE(trace.find("{\"name\":\"shard.3.trail.log_queue_depth\",\"cat\":\"log\""),
+            std::string::npos);
+  EXPECT_EQ(obs.tracer.own_name("x.y"), obs.tracer.own_name(std::string("x.") + "y"));
+}
+
 }  // namespace
 }  // namespace trail::obs

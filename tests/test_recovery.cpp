@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
+#include <optional>
 #include <set>
+#include <string>
 
 #include "audit/log_verifier.hpp"
 #include "trail_fixture.hpp"
@@ -357,11 +360,11 @@ TEST_F(RecoveryTest, SplitRequestSupersededMidFlight) {
 }
 
 // ---------------------------------------------------------------------------
-// Pipelined-recovery equivalence: the depth knob is a pure performance
-// lever. For the same crashed image, depth 8 (streamed reads, batched
-// write-back) must recover the exact same state as depth 1 (the serial
-// reference walk) — same record counts, same surviving keys, and
-// byte-identical disk images.
+// Recovery equivalence: the depth knob is a pure performance lever. Every
+// depth runs one algorithm, so instead of comparing depths against each
+// other alone, each run is held to references that share no code with
+// recovery: the live chain read off the crashed image by the offline
+// verifier, and a shadow of the last acknowledged pattern per address.
 // ---------------------------------------------------------------------------
 
 /// Full snapshot of a platter, with unwritten sectors distinguished from
@@ -387,21 +390,69 @@ DiskSnapshot snapshot_disk(const disk::DiskDevice& dev) {
   return snap;
 }
 
+/// The live chain of a crashed image as the offline verifier sees it:
+/// every log disk's census, joined on encoded log pointers and walked
+/// back along prev_sect from the youngest intact record to its log_head
+/// bound.
+struct ReferenceChain {
+  std::set<std::uint64_t> keys;  // record keys on the live chain
+  std::uint32_t torn = 0;        // torn records newer than the youngest intact
+};
+
+ReferenceChain reference_chain(const std::vector<std::unique_ptr<disk::DiskDevice>>& log_disks) {
+  std::map<std::uint32_t, audit::LogRecord> by_ptr;
+  for (std::size_t u = 0; u < log_disks.size(); ++u) {
+    audit::LogCensus census;
+    (void)audit::verify_log(*log_disks[u], {}, &census);
+    for (const audit::LogRecord& rec : census.records)
+      by_ptr.emplace(core::encode_log_ptr(static_cast<std::uint8_t>(u),
+                                          static_cast<std::uint32_t>(rec.header_lba)),
+                     rec);
+  }
+  ReferenceChain ref;
+  std::optional<std::uint32_t> youngest;
+  for (const auto& [ptr, rec] : by_ptr)
+    if (rec.payload_intact && (!youngest || core::record_key(rec.header) >
+                                                core::record_key(by_ptr.at(*youngest).header)))
+      youngest = ptr;
+  if (!youngest) return ref;
+  const audit::LogRecord& top = by_ptr.at(*youngest);
+  for (const auto& [ptr, rec] : by_ptr)
+    if (!rec.payload_intact && core::record_key(rec.header) > core::record_key(top.header))
+      ++ref.torn;
+  for (std::uint32_t ptr = *youngest;;) {
+    const audit::LogRecord& rec = by_ptr.at(ptr);
+    ref.keys.insert(core::record_key(rec.header));
+    if (ptr == top.header.log_head || rec.header.prev_sect == core::kNoPrevRecord) break;
+    ptr = rec.header.prev_sect;
+  }
+  return ref;
+}
+
 struct EquivOutcome {
   core::RecoveryStats stats;
   std::set<std::uint64_t> live_keys;
-  DiskSnapshot log_image;
+  std::vector<DiskSnapshot> log_images;
   std::vector<DiskSnapshot> data_images;
 };
 
-/// Deterministic workload -> crash -> remount at `depth`; everything up
-/// to the remount is identical across calls, so any divergence in the
-/// outcome is the recovery pipeline's doing.
-EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back) {
+/// Deterministic workload -> crash -> remount at `depth` over
+/// `log_disk_count` log disks; everything up to the remount is identical
+/// across calls. Checks the run against the references and returns the
+/// outcome for cross-depth comparison.
+EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
+                                      std::size_t log_disk_count = 1) {
+  SCOPED_TRACE("depth " + std::to_string(depth) + ", " + std::to_string(log_disk_count) +
+               " log disk(s), write_back " + std::to_string(write_back));
   sim::Simulator sim;
   const disk::DiskProfile profile = disk::small_test_disk();
-  disk::DiskDevice log_disk(sim, profile);
-  core::format_log_disk(log_disk);
+  std::vector<std::unique_ptr<disk::DiskDevice>> log_disks;
+  std::vector<disk::DiskDevice*> log_ptrs;
+  for (std::size_t i = 0; i < log_disk_count; ++i) {
+    log_disks.push_back(std::make_unique<disk::DiskDevice>(sim, profile));
+    core::format_log_disk(*log_disks.back());
+    log_ptrs.push_back(log_disks.back().get());
+  }
   std::vector<std::unique_ptr<disk::DiskDevice>> data_disks;
   for (int i = 0; i < 2; ++i)
     data_disks.push_back(std::make_unique<disk::DiskDevice>(sim, profile));
@@ -411,66 +462,104 @@ EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back) {
       if (!sim.step()) throw std::runtime_error("equivalence scenario stalled");
   };
 
-  auto driver = std::make_unique<core::TrailDriver>(sim, log_disk, core::TrailConfig{});
+  auto driver = std::make_unique<core::TrailDriver>(sim, log_ptrs, core::TrailConfig{});
   std::vector<io::DeviceId> devices;
   for (auto& d : data_disks) devices.push_back(driver->add_data_disk(*d));
   driver->mount();
 
   // All writes stay pending (data disks halted), with same-address
   // rewrites so write-back ordering is observable, then one torn tail.
+  // `shadow` keeps the last acknowledged pattern per (data disk, lba).
+  std::map<std::pair<std::size_t, disk::Lba>, std::vector<std::byte>> shadow;
   for (auto& d : data_disks) d->crash_halt();
   for (int i = 0; i < 24; ++i) {
     bool acked = false;
+    const std::size_t disk_index = static_cast<std::size_t>(i) % 2;
+    const auto lba = static_cast<disk::Lba>((i % 6) * 4);
     const auto data = make_pattern(2, 1000 + static_cast<std::uint64_t>(i));
-    driver->submit_write({devices[static_cast<std::size_t>(i) % 2],
-                          static_cast<disk::Lba>((i % 6) * 4)},
-                         2, data, [&] { acked = true; });
+    driver->submit_write({devices[disk_index], lba}, 2, data, [&] { acked = true; });
     pump(acked);
+    for (std::uint32_t s = 0; s < 2; ++s)
+      shadow[{disk_index, lba + s}].assign(data.begin() + s * kSectorSize,
+                                           data.begin() + (s + 1) * kSectorSize);
   }
   const auto torn = make_pattern(8, 4242);
   driver->submit_write({devices[0], 900}, 8, torn, [] {});
   sim.run_until(sim.now() + profile.command_overhead + profile.sector_time(0) * 3);
   driver->crash();
   driver.reset();
-  log_disk.restart();
-  for (auto& d : data_disks) d->restart();
 
+  const ReferenceChain ref = reference_chain(log_disks);
+  EXPECT_FALSE(ref.keys.empty());
+  if (log_disk_count == 1) {
+    audit::LogCensus census;
+    (void)audit::verify_log(*log_disks[0], {}, &census);
+    EXPECT_EQ(census.chain_length, ref.keys.size());
+  }
+
+  for (auto& d : log_disks) d->restart();
+  for (auto& d : data_disks) d->restart();
   core::TrailConfig rcfg;
   rcfg.recovery_pipeline_depth = depth;
   rcfg.recovery_write_back = write_back;
-  driver = std::make_unique<core::TrailDriver>(sim, log_disk, rcfg);
+  driver = std::make_unique<core::TrailDriver>(sim, log_ptrs, rcfg);
   devices.clear();
   for (auto& d : data_disks) devices.push_back(driver->add_data_disk(*d));
-  driver->mount();
-
+  // mount() in its two halves, to see the recovered set in between.
+  core::TrailDriver::MountPrep prep = driver->mount_begin();
   EquivOutcome out;
+  for (const core::RecoveredRecord& rec : prep.pending)
+    out.live_keys.insert(core::record_key(rec.header));
+  driver->mount_finish(std::move(prep));
   out.stats = driver->last_recovery();
-  for (const std::uint64_t key : driver->live_record_keys()) out.live_keys.insert(key);
-  out.log_image = snapshot_disk(log_disk);
-  for (auto& d : data_disks) out.data_images.push_back(snapshot_disk(*d));
-  const audit::Report fsck = audit::verify_log(log_disk);
-  EXPECT_TRUE(fsck.ok()) << "depth " << depth << " fsck:\n" << fsck.to_string();
+  EXPECT_EQ(out.stats.records_found, ref.keys.size());
+  EXPECT_EQ(out.stats.records_dropped_torn, ref.torn);
+  EXPECT_EQ(out.live_keys, ref.keys);
+  for (auto& d : log_disks) out.log_images.push_back(snapshot_disk(*d));
+  if (log_disk_count == 1) {  // verify_log walks a single disk's chain
+    const audit::Report fsck = audit::verify_log(*log_disks[0]);
+    EXPECT_TRUE(fsck.ok()) << fsck.to_string();
+  }
   driver->unmount();
+
+  // Drained: each data disk holds exactly the shadow — every acknowledged
+  // address with its last pattern, and nothing else (so the torn,
+  // unacknowledged 8-sector write never appears).
+  for (std::size_t i = 0; i < data_disks.size(); ++i) {
+    out.data_images.push_back(snapshot_disk(*data_disks[i]));
+    const DiskSnapshot& img = out.data_images.back();
+    for (std::size_t l = 0; l < img.written.size(); ++l) {
+      const auto it = shadow.find({i, static_cast<disk::Lba>(l)});
+      if (it == shadow.end()) {
+        EXPECT_FALSE(img.written[l]) << "data disk " << i << " lba " << l << " never acked";
+        continue;
+      }
+      EXPECT_TRUE(img.written[l]) << "data disk " << i << " lba " << l << " lost";
+      EXPECT_EQ(std::memcmp(img.bytes.data() + l * kSectorSize, it->second.data(), kSectorSize),
+                0)
+          << "data disk " << i << " lba " << l << " stale";
+    }
+  }
   return out;
+}
+
+void expect_same_outcome(const EquivOutcome& a, const EquivOutcome& b) {
+  EXPECT_EQ(a.stats.records_found, b.stats.records_found);
+  EXPECT_EQ(a.stats.records_dropped_torn, b.stats.records_dropped_torn);
+  EXPECT_EQ(a.stats.oldest_torn_key, b.stats.oldest_torn_key);
+  EXPECT_EQ(a.stats.sectors_written_back, b.stats.sectors_written_back);
+  EXPECT_EQ(a.live_keys, b.live_keys);
+  EXPECT_EQ(a.log_images, b.log_images) << "log images diverged";
+  EXPECT_EQ(a.data_images, b.data_images) << "data images diverged";
 }
 
 TEST(RecoveryEquivalence, PipelinedRebuildAndWritebackMatchSerial) {
   const EquivOutcome serial = run_equivalence_scenario(1, /*write_back=*/true);
   const EquivOutcome pipelined = run_equivalence_scenario(8, /*write_back=*/true);
-  EXPECT_EQ(serial.stats.records_found, pipelined.stats.records_found);
-  EXPECT_EQ(serial.stats.records_dropped_torn, pipelined.stats.records_dropped_torn);
-  EXPECT_EQ(serial.stats.oldest_torn_key, pipelined.stats.oldest_torn_key);
-  // Batched write-back coalesces superseded versions of the same block,
-  // so it may write FEWER physical sectors — never more, and the final
-  // images (checked below) must still agree.
-  EXPECT_LE(pipelined.stats.sectors_written_back, serial.stats.sectors_written_back);
-  EXPECT_GT(pipelined.stats.sectors_written_back, 0u);
-  EXPECT_EQ(serial.live_keys, pipelined.live_keys);
-  EXPECT_EQ(serial.log_image, pipelined.log_image) << "log images diverged";
-  ASSERT_EQ(serial.data_images.size(), pipelined.data_images.size());
-  for (std::size_t i = 0; i < serial.data_images.size(); ++i)
-    EXPECT_EQ(serial.data_images[i], pipelined.data_images[i])
-        << "data disk " << i << " images diverged";
+  // The newest-content overlay writes each data sector once: the 24
+  // writes cover 6 distinct 2-sector blocks.
+  EXPECT_EQ(pipelined.stats.sectors_written_back, 12u);
+  expect_same_outcome(serial, pipelined);
 }
 
 TEST(RecoveryEquivalence, PipelinedAdoptionMatchesSerial) {
@@ -478,10 +567,18 @@ TEST(RecoveryEquivalence, PipelinedAdoptionMatchesSerial) {
   // pending — the pending set itself must be depth-invariant.
   const EquivOutcome serial = run_equivalence_scenario(1, /*write_back=*/false);
   const EquivOutcome pipelined = run_equivalence_scenario(8, /*write_back=*/false);
-  EXPECT_EQ(serial.stats.records_found, pipelined.stats.records_found);
-  EXPECT_EQ(serial.stats.records_dropped_torn, pipelined.stats.records_dropped_torn);
-  EXPECT_EQ(serial.live_keys, pipelined.live_keys);
-  EXPECT_EQ(serial.log_image, pipelined.log_image);
+  EXPECT_EQ(pipelined.stats.sectors_written_back, 0u);
+  expect_same_outcome(serial, pipelined);
+}
+
+TEST(RecoveryEquivalence, TwoLogDisksMatchReferenceAtEveryDepth) {
+  // Two log units run their locate machines concurrently at every depth,
+  // and the chain crosses between disks.
+  for (const bool write_back : {true, false}) {
+    const EquivOutcome shallow = run_equivalence_scenario(1, write_back, 2);
+    const EquivOutcome deep = run_equivalence_scenario(8, write_back, 2);
+    expect_same_outcome(shallow, deep);
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -173,6 +174,17 @@ TEST(FlightRecorder, ShrinkingCapacityDropsOldest) {
   ring.set_capacity(4);
   ASSERT_EQ(ring.size(), 4u);
   for (std::size_t i = 0; i < 4; ++i) EXPECT_EQ(ring.at(i), sample_record(12 + i));
+}
+
+TEST(FlightRecorder, AtRejectsOutOfRangeIndex) {
+  // Bounds are checked in every build: an index past the retained window
+  // must not decode beyond the end of the byte stream.
+  FlightRecorder ring(4);
+  EXPECT_THROW((void)ring.at(0), std::out_of_range);
+  for (std::uint64_t i = 0; i < 6; ++i) ring.push(sample_record(i));
+  EXPECT_EQ(ring.at(3), sample_record(5));
+  EXPECT_THROW((void)ring.at(4), std::out_of_range);
+  EXPECT_THROW((void)ring.at(1000), std::out_of_range);
 }
 
 TEST(FlightRecorder, DumpIsDeterministicIntegerText) {

@@ -1,13 +1,10 @@
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
-#include <stdexcept>
 #include <vector>
 
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
-#include "sim/stats.hpp"
 #include "sim/time.hpp"
 
 namespace trail::sim {
@@ -286,55 +283,6 @@ TEST(Rng, NurandStaysInRange) {
     EXPECT_GE(v, 1);
     EXPECT_LE(v, 3000);
   }
-}
-
-TEST(Summary, BasicStatistics) {
-  Summary s;
-  for (double v : {1.0, 2.0, 3.0, 4.0, 5.0}) s.add(v);
-  EXPECT_EQ(s.count(), 5u);
-  EXPECT_DOUBLE_EQ(s.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(s.min(), 1.0);
-  EXPECT_DOUBLE_EQ(s.max(), 5.0);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 3.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 5.0);
-  EXPECT_NEAR(s.stddev(), 1.5811, 1e-3);
-}
-
-TEST(Summary, ThrowsOnEmpty) {
-  Summary s;
-  EXPECT_THROW((void)s.mean(), std::logic_error);
-  EXPECT_THROW((void)s.percentile(50), std::logic_error);
-}
-
-TEST(Summary, PercentileNearestRankEdgeCases) {
-  Summary s;
-  for (double v : {10.0, 20.0, 30.0, 40.0}) s.add(v);
-  // p=0 is the minimum, p=100 the maximum — both exact, never an index
-  // off either end of the sorted sample vector.
-  EXPECT_DOUBLE_EQ(s.percentile(0), 10.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 40.0);
-  // Out-of-range p clamps rather than indexing out of bounds.
-  EXPECT_DOUBLE_EQ(s.percentile(-5), 10.0);
-  EXPECT_DOUBLE_EQ(s.percentile(250), 40.0);
-  // Nearest-rank interior points: ceil(p/100 * 4) picks the sample.
-  EXPECT_DOUBLE_EQ(s.percentile(25), 10.0);
-  EXPECT_DOUBLE_EQ(s.percentile(26), 20.0);
-  EXPECT_DOUBLE_EQ(s.percentile(75), 30.0);
-  EXPECT_DOUBLE_EQ(s.percentile(76), 40.0);
-  EXPECT_THROW((void)s.percentile(std::numeric_limits<double>::quiet_NaN()),
-               std::invalid_argument);
-}
-
-TEST(Summary, PercentileSingleSample) {
-  Summary s;
-  s.add(7.5);
-  for (double p : {0.0, 0.001, 50.0, 99.0, 100.0}) EXPECT_DOUBLE_EQ(s.percentile(p), 7.5);
-}
-
-TEST(Summary, AddDurationUsesMilliseconds) {
-  Summary s;
-  s.add(millis(2));
-  EXPECT_DOUBLE_EQ(s.mean(), 2.0);
 }
 
 }  // namespace

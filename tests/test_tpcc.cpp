@@ -126,7 +126,7 @@ TEST_F(TpccTest, SingleClientRunsTransactionsToCompletion) {
   EXPECT_GT(result.committed, 100u);
   EXPECT_GT(result.new_order_commits, 20u);
   EXPECT_GT(result.tpmc(), 0.0);
-  EXPECT_GT(result.response_ms.mean(), 0.0);
+  EXPECT_GT(result.response.mean_ms(), 0.0);
 
   auto report = tpcc->check_consistency(*sim);
   EXPECT_TRUE(report.ok) << report.detail;
