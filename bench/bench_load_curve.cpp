@@ -104,11 +104,14 @@ MpscPoint run_mpsc(int producers) {
   core::MpscFrontEnd front_end(stack.sim, *stack.driver, queue, &stack.obs.metrics);
   const disk::Lba device_sectors = stack.data_disks[0]->geometry().total_sectors();
 
-  auto latencies = std::make_shared<obs::Histogram>();  // atomic: producers record directly
+  // Per-producer samples, recorded after the join: obs cells are
+  // single-writer.
+  std::vector<std::vector<std::int64_t>> samples(static_cast<std::size_t>(producers));
   std::vector<std::thread> threads;
   threads.reserve(static_cast<std::size_t>(producers));
   for (int p = 0; p < producers; ++p) {
     threads.emplace_back([&, p] {
+      std::vector<std::int64_t>& mine = samples[static_cast<std::size_t>(p)];
       sim::Rng rng(0x10adcf00 + static_cast<std::uint64_t>(p));
       std::vector<std::byte> data(2 * disk::kSectorSize, std::byte{0x5C});
       core::SyncTicket ticket;
@@ -123,7 +126,7 @@ MpscPoint run_mpsc(int producers) {
           return;  // closed underneath us — bench teardown
         }
         ticket.wait();
-        if (i >= kWarmupPerProducer) latencies->record(ticket.latency_ns());
+        if (i >= kWarmupPerProducer) mine.push_back(ticket.latency_ns());
       }
     });
   }
@@ -134,14 +137,19 @@ MpscPoint run_mpsc(int producers) {
   front_end.run();  // this thread is the consumer / simulation thread
   closer.join();
 
+  obs::Histogram latencies;
+  for (const auto& s : samples) {
+    for (const std::int64_t ns : s) latencies.record(ns);
+  }
+
   const auto& stats = stack.driver->stats();
   MpscPoint pt;
   pt.producers = producers;
   const double span_sec = stack.sim.now().sec();
   pt.achieved_wps =
       span_sec > 0 ? static_cast<double>(front_end.acked()) / span_sec : 0.0;
-  pt.mean_ms = latencies->mean_ms();
-  pt.p99_ms = latencies->percentile_ms(99);
+  pt.mean_ms = latencies.mean_ms();
+  pt.p99_ms = latencies.percentile_ms(99);
   pt.mean_batch = stats.physical_log_writes > 0
                       ? static_cast<double>(stats.requests_logged) /
                             static_cast<double>(stats.physical_log_writes)

@@ -27,11 +27,12 @@ Five checks, each encoding a convention the compiler cannot see:
 
 5. thread-safety wall, coverage: inside any class that declares a
    sync::Mutex member, every mutable data member must carry
-   TRAIL_GUARDED_BY/TRAIL_PT_GUARDED_BY. Exempt: std::atomic members,
-   const/static/constexpr members, sync primitives themselves, and
-   members annotated with an `// unguarded: <reason>` comment (the
-   reviewed escape hatch — e.g. pointers set once in the constructor
-   whose pointees are internally atomic).
+   TRAIL_GUARDED_BY/TRAIL_PT_GUARDED_BY (the latter for pointers whose
+   pointee the mutex protects, e.g. the SubmissionQueue's mpsc.* metric
+   cells). Exempt: std::atomic members, const/static/constexpr members,
+   sync primitives themselves, and members annotated with an
+   `// unguarded: <reason>` comment (the reviewed escape hatch; src/
+   has no such member).
 
 Exit status 0 = clean, 1 = findings (printed one per line).
 """

@@ -9,8 +9,10 @@
 // thread drains batches into the BlockDriver and steps the simulator.
 // The split keeps the determinism argument trivial:
 //
-//   * producers touch ONLY the SubmissionQueue, their SyncTicket, and
-//     lock-free metric atomics — never the simulator, driver, or tracer;
+//   * producers touch ONLY the SubmissionQueue (including its mpsc.*
+//     metric cells, written under the queue's mutex) and their
+//     SyncTicket — never the simulator, driver, tracer, or any other
+//     metric;
 //   * the consumer thread EXCLUSIVELY owns the simulator: it is the only
 //     thread that calls sim.step(), submit_write(), or emits trace
 //     events, so virtual time stays a single-threaded total order.
@@ -35,7 +37,9 @@
 // counters, mpsc.blocked_ns histogram (REAL steady-clock nanoseconds a
 // producer spent in backpressure — the only wall-clock metric in the
 // tree), mpsc.depth gauge (+ high watermark), mpsc.batch_requests
-// histogram (requests per consumer drain).
+// histogram (requests per consumer drain, the consumer's alone). obs
+// cells have no lock of their own: read the five producer-written ones
+// after joining the producers, or under mu_ (blocked()).
 #pragma once
 
 #include <cstdint>
@@ -159,6 +163,12 @@ class SubmissionQueue {
     sync::MutexLock lock(mu_);
     return ring_.size();
   }
+  /// mpsc.blocked, read under the lock so any thread may poll it while
+  /// producers run; 0 without a registry.
+  [[nodiscard]] std::uint64_t blocked() const TRAIL_EXCLUDES(mu_) {
+    sync::MutexLock lock(mu_);
+    return c_blocked_ != nullptr ? c_blocked_->value() : 0;
+  }
   [[nodiscard]] std::size_t capacity() const { return cap_; }
 
  private:
@@ -173,12 +183,12 @@ class SubmissionQueue {
   std::vector<Request> ring_ TRAIL_GUARDED_BY(mu_);
   bool closed_ TRAIL_GUARDED_BY(mu_) = false;
 
-  // Atomic metric primitives: poked outside mu_ (recording never locks).
-  obs::Counter* c_enqueued_ = nullptr;      // unguarded: set once in ctor, target is atomic
-  obs::Counter* c_rejected_ = nullptr;      // unguarded: set once in ctor, target is atomic
-  obs::Counter* c_blocked_ = nullptr;       // unguarded: set once in ctor, target is atomic
-  obs::Histogram* h_blocked_ns_ = nullptr;  // unguarded: set once in ctor, target is atomic
-  obs::Gauge* g_depth_ = nullptr;           // unguarded: set once in ctor, target is atomic
+  // The mpsc.* cells (set once in the ctor; null without a registry).
+  obs::Counter* c_enqueued_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;
+  obs::Counter* c_rejected_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;
+  obs::Counter* c_blocked_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;
+  obs::Histogram* h_blocked_ns_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;
+  obs::Gauge* g_depth_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;
 };
 
 /// The single consumer: drains the queue into a BlockDriver and steps

@@ -40,25 +40,11 @@ std::int64_t Histogram::bucket_mid(int index) {
 
 void Histogram::record(std::int64_t v) {
   if (v < 0) v = 0;
-  std::int64_t m = min_.load(std::memory_order_relaxed);
-  while (v < m && !min_.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
-  }
-  m = max_.load(std::memory_order_relaxed);
-  while (v > m && !max_.compare_exchange_weak(m, v, std::memory_order_relaxed)) {
-  }
-  count_.fetch_add(1, std::memory_order_relaxed);
-  sum_.fetch_add(v, std::memory_order_relaxed);
-  counts_[bucket_index(v)].fetch_add(1, std::memory_order_relaxed);
-}
-
-void Histogram::copy_from(const Histogram& o) {
-  for (int i = 0; i < kBucketCount; ++i) {
-    counts_[i].store(o.counts_[i].load(std::memory_order_relaxed), std::memory_order_relaxed);
-  }
-  count_.store(o.count_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  sum_.store(o.sum_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  min_.store(o.min_.load(std::memory_order_relaxed), std::memory_order_relaxed);
-  max_.store(o.max_.load(std::memory_order_relaxed), std::memory_order_relaxed);
+  min_ = std::min(min_, v);
+  max_ = std::max(max_, v);
+  ++count_;
+  sum_ += v;
+  ++counts_[bucket_index(v)];
 }
 
 double Histogram::percentile(double p) const {
@@ -73,7 +59,7 @@ double Histogram::percentile(double p) const {
   rank = std::clamp<std::uint64_t>(rank, 1, n);
   std::uint64_t seen = 0;
   for (int i = 0; i < kBucketCount; ++i) {
-    seen += counts_[i].load(std::memory_order_relaxed);
+    seen += counts_[i];
     if (seen >= rank) {
       const auto mid = static_cast<double>(bucket_mid(i));
       // The representative never escapes the observed range.
@@ -83,34 +69,23 @@ double Histogram::percentile(double p) const {
   return static_cast<double>(max());  // unreachable: counts_ sums to count_
 }
 
-void Histogram::reset() {
-  for (auto& c : counts_) c.store(0, std::memory_order_relaxed);
-  count_.store(0, std::memory_order_relaxed);
-  sum_.store(0, std::memory_order_relaxed);
-  min_.store(INT64_MAX, std::memory_order_relaxed);
-  max_.store(INT64_MIN, std::memory_order_relaxed);
-}
-
 // ---------------------------------------------------------------------------
 // MetricsRegistry
 // ---------------------------------------------------------------------------
 
 Counter& MetricsRegistry::counter(std::string_view name) {
-  sync::MutexLock lock(mu_);
   auto it = counters_.find(name);
   if (it == counters_.end()) it = counters_.try_emplace(std::string(name)).first;
   return it->second;
 }
 
 Gauge& MetricsRegistry::gauge(std::string_view name) {
-  sync::MutexLock lock(mu_);
   auto it = gauges_.find(name);
   if (it == gauges_.end()) it = gauges_.try_emplace(std::string(name)).first;
   return it->second;
 }
 
 Histogram& MetricsRegistry::histogram(std::string_view name) {
-  sync::MutexLock lock(mu_);
   auto it = histograms_.find(name);
   if (it == histograms_.end()) it = histograms_.try_emplace(std::string(name)).first;
   return it->second;
@@ -146,7 +121,6 @@ void append_fmt(std::string& out, const char* fmt, ...) {
 }  // namespace
 
 std::string MetricsRegistry::to_json() const {
-  sync::MutexLock lock(mu_);
   std::string out = "{\"counters\":{";
   bool first = true;
   for (const auto& [name, c] : counters_) {
@@ -239,7 +213,6 @@ std::map<std::string, std::map<int, const T*>> group_families(
 }  // namespace
 
 std::string MetricsRegistry::to_openmetrics() const {
-  sync::MutexLock lock(mu_);
   std::string out;
   for (const auto& [fam, samples] : group_families(counters_)) {
     append_fmt(out, "# TYPE %s counter\n", fam.c_str());
@@ -293,7 +266,6 @@ std::string MetricsRegistry::to_openmetrics() const {
 }
 
 void MetricsRegistry::reset() {
-  sync::MutexLock lock(mu_);
   for (auto& [name, c] : counters_) c.reset();
   for (auto& [name, g] : gauges_) g.reset();
   for (auto& [name, h] : histograms_) h.reset();

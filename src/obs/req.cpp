@@ -53,13 +53,11 @@ constexpr std::uint8_t kMaskSubmit = 1 << 4;  // submit delta != 0
 FlightRecorder::FlightRecorder(std::size_t capacity) : cap_(capacity == 0 ? 1 : capacity) {}
 
 void FlightRecorder::set_capacity(std::size_t capacity) {
-  sync::MutexLock lock(mu_);
   cap_ = capacity == 0 ? 1 : capacity;
   while (count_ > cap_) drop_oldest();
 }
 
 void FlightRecorder::push(const FlightRecord& r) {
-  sync::MutexLock lock(mu_);
   while (count_ >= cap_) drop_oldest();
 
   std::uint8_t mask = 0;
@@ -129,7 +127,6 @@ void FlightRecorder::drop_oldest() {
 }
 
 FlightRecord FlightRecorder::at(std::size_t i) const {
-  sync::MutexLock lock(mu_);
   if (i >= count_) throw std::out_of_range("FlightRecorder::at");
   std::size_t off = head_off_;
   FieldState state = head_state_;
@@ -139,7 +136,6 @@ FlightRecord FlightRecorder::at(std::size_t i) const {
 }
 
 void FlightRecorder::clear() {
-  sync::MutexLock lock(mu_);
   buf_.clear();
   head_off_ = 0;
   count_ = 0;
@@ -149,7 +145,6 @@ void FlightRecorder::clear() {
 }
 
 std::string FlightRecorder::dump_tail(std::size_t n) const {
-  sync::MutexLock lock(mu_);
   // Plain integers only — the dump is diffable across identical seeds.
   if (n > count_) n = count_;
   std::string out = "flight: " + std::to_string(count_) + " records retained, " +

@@ -31,6 +31,9 @@
 // `log_inspector --flightdump` — and a stall watchdog that counts
 // requests exceeding a configurable age bound per phase
 // (`req.stalls.<phase>`).
+//
+// Thread safety: none inside. Trackers and the recorder belong to the
+// simulation thread, where every request is admitted and acknowledged.
 #pragma once
 
 #include <cstdint>
@@ -40,7 +43,6 @@
 
 #include "obs/metrics.hpp"
 #include "sim/time.hpp"
-#include "sync/sync.hpp"
 
 namespace trail::obs {
 
@@ -84,49 +86,35 @@ struct FlightRecord {
 /// idiom — a steady-state record costs a handful of bytes), and dumped
 /// as deterministic text by `trail::audit` failures, recovery, and
 /// `log_inspector --flightdump`. The oldest record is evicted when a
-/// push would exceed the capacity. One sync::Mutex guards the codec
-/// state, so trackers on different threads (and a post-mortem dumper)
-/// can share the recorder safely.
+/// push would exceed the capacity.
 class FlightRecorder {
  public:
   explicit FlightRecorder(std::size_t capacity = 1 << 12);
 
   /// Re-bound the ring (drops oldest records if shrinking below size()).
-  void set_capacity(std::size_t capacity) TRAIL_EXCLUDES(mu_);
+  void set_capacity(std::size_t capacity);
 
-  void push(const FlightRecord& record) TRAIL_EXCLUDES(mu_);
+  void push(const FlightRecord& record);
 
-  [[nodiscard]] std::size_t size() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return count_;
-  }
-  [[nodiscard]] std::size_t capacity() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return cap_;
-  }
+  [[nodiscard]] std::size_t size() const { return count_; }
+  [[nodiscard]] std::size_t capacity() const { return cap_; }
   /// Records evicted because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return dropped_;
-  }
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Bytes currently held by the delta/mask-encoded stream.
-  [[nodiscard]] std::size_t encoded_bytes() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return buf_.size() - head_off_;
-  }
+  [[nodiscard]] std::size_t encoded_bytes() const { return buf_.size() - head_off_; }
 
   /// Oldest-first record access, i in [0, size()); throws
   /// std::out_of_range otherwise. Decodes forward from the oldest
   /// retained record — O(i); reporting/test path only.
-  [[nodiscard]] FlightRecord at(std::size_t i) const TRAIL_EXCLUDES(mu_);
+  [[nodiscard]] FlightRecord at(std::size_t i) const;
 
-  void clear() TRAIL_EXCLUDES(mu_);
+  void clear();
 
   /// Deterministic text dump, oldest record first: one header line plus
   /// one line per record (integer nanoseconds — no float formatting).
-  [[nodiscard]] std::string dump() const TRAIL_EXCLUDES(mu_) { return dump_tail(SIZE_MAX); }
+  [[nodiscard]] std::string dump() const { return dump_tail(SIZE_MAX); }
   /// Like dump(), but only the newest `n` records.
-  [[nodiscard]] std::string dump_tail(std::size_t n) const TRAIL_EXCLUDES(mu_);
+  [[nodiscard]] std::string dump_tail(std::size_t n) const;
 
  private:
   /// Absolute field values at a point in the stream (the codec's
@@ -139,17 +127,16 @@ class FlightRecorder {
     std::int64_t submit_ns = 0;
   };
 
-  void drop_oldest() TRAIL_REQUIRES(mu_);
-  FlightRecord decode(std::size_t& off, FieldState& state) const TRAIL_REQUIRES(mu_);
+  void drop_oldest();
+  FlightRecord decode(std::size_t& off, FieldState& state) const;
 
-  mutable sync::Mutex mu_;  // one capability over the whole codec state
-  std::size_t cap_ TRAIL_GUARDED_BY(mu_);
-  std::vector<std::uint8_t> buf_ TRAIL_GUARDED_BY(mu_);  // delta/mask record stream
-  std::size_t head_off_ TRAIL_GUARDED_BY(mu_) = 0;  // byte offset of the oldest record
-  std::size_t count_ TRAIL_GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ TRAIL_GUARDED_BY(mu_) = 0;
-  FieldState tail_state_ TRAIL_GUARDED_BY(mu_);  // encoder ref: the last pushed record
-  FieldState head_state_ TRAIL_GUARDED_BY(mu_);  // decoder ref: before the oldest
+  std::size_t cap_;
+  std::vector<std::uint8_t> buf_;  // delta/mask record stream
+  std::size_t head_off_ = 0;       // byte offset of the oldest record
+  std::size_t count_ = 0;
+  std::uint64_t dropped_ = 0;
+  FieldState tail_state_;  // encoder ref: the last pushed record
+  FieldState head_state_;  // decoder ref: before the oldest
 };
 
 /// Per-driver request attribution: open() at submit, stamp() at each

@@ -34,12 +34,10 @@ EventTracer::EventTracer(const sim::Simulator& sim, std::size_t capacity)
     : sim_(&sim), cap_events_(capacity == 0 ? 1 : capacity) {}
 
 void EventTracer::set_track_name(std::uint32_t tid, std::string name) {
-  sync::MutexLock lock(mu_);
   track_names_[tid] = std::move(name);
 }
 
 const char* EventTracer::own_name(std::string name) {
-  sync::MutexLock lock(mu_);
   return owned_names_.insert(std::move(name)).first->c_str();
 }
 
@@ -125,7 +123,6 @@ void EventTracer::drop_oldest() {
 }
 
 TraceEvent EventTracer::at(std::size_t i) const {
-  sync::MutexLock lock(mu_);
   if (i >= count_) throw std::out_of_range("EventTracer::at");
   if (!cursor_valid_ || i < cursor_index_) {
     cursor_index_ = 0;
@@ -151,7 +148,6 @@ void EventTracer::complete(const char* name, const char* cat, sim::TimePoint beg
   e.dur_ns = dur.ns();
   e.tid = tid;
   e.ph = TracePhase::kComplete;
-  sync::MutexLock lock(mu_);
   push(e);
 }
 
@@ -163,7 +159,6 @@ void EventTracer::instant(const char* name, const char* cat, std::uint32_t tid) 
   e.ts_ns = sim_->now().ns();
   e.tid = tid;
   e.ph = TracePhase::kInstant;
-  sync::MutexLock lock(mu_);
   push(e);
 }
 
@@ -178,7 +173,6 @@ void EventTracer::instant_value(const char* name, const char* cat, std::int64_t 
   e.has_value = true;
   e.tid = tid;
   e.ph = TracePhase::kInstant;
-  sync::MutexLock lock(mu_);
   push(e);
 }
 
@@ -193,12 +187,10 @@ void EventTracer::counter(const char* name, const char* cat, std::int64_t value,
   e.has_value = true;
   e.tid = tid;
   e.ph = TracePhase::kCounter;
-  sync::MutexLock lock(mu_);
   push(e);
 }
 
 void EventTracer::clear() {
-  sync::MutexLock lock(mu_);
   buf_.clear();
   buf_.shrink_to_fit();
   head_off_ = 0;
@@ -224,7 +216,6 @@ void append_us(std::string& out, std::int64_t ns) {
 }  // namespace
 
 std::string EventTracer::export_chrome_json() const {
-  sync::MutexLock lock(mu_);
   std::string out = "{\"traceEvents\":[";
   bool first = true;
   char buf[256];

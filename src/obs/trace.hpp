@@ -29,17 +29,11 @@
 // When the tracer is disabled every emit call is a single predictable
 // branch; ScopedSpan degenerates to storing one null pointer.
 //
-// Thread safety: the delta codec's state (tail/head references, intern
-// table, decode cursor) is one capability — a sync::Mutex guards the
-// whole ring, so concurrent producers may emit events and a reader may
-// export while they do. The enabled gate stays a lock-free atomic so a
-// disabled tracer still costs one predictable branch per call site.
-// Note that `now()` reads SIMULATED time: events emitted off the
-// simulation thread should pass an explicit begin time (complete()) —
-// the MPSC front-end's producers never emit, only the consumer does.
+// Thread safety: none inside. The tracer belongs to the simulation
+// thread — `now()` reads SIMULATED time, and the MPSC front-end's
+// producers never emit, only its consumer does.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <set>
@@ -48,7 +42,6 @@
 
 #include "sim/simulator.hpp"
 #include "sim/time.hpp"
-#include "sync/sync.hpp"
 
 namespace trail::obs {
 
@@ -71,58 +64,48 @@ class EventTracer {
   /// evicted when a push would exceed it, exactly as the old fixed ring.
   explicit EventTracer(const sim::Simulator& sim, std::size_t capacity = 1 << 16);
 
-  void set_enabled(bool on) { enabled_.store(on, std::memory_order_relaxed); }
-  [[nodiscard]] bool enabled() const { return enabled_.load(std::memory_order_relaxed); }
+  void set_enabled(bool on) { enabled_ = on; }
+  [[nodiscard]] bool enabled() const { return enabled_; }
   [[nodiscard]] sim::TimePoint now() const { return sim_->now(); }
 
   /// Name a presentation lane ("log0", "data1", "wal", ...). Metadata
   /// only; survives clear().
-  void set_track_name(std::uint32_t tid, std::string name) TRAIL_EXCLUDES(mu_);
+  void set_track_name(std::uint32_t tid, std::string name);
 
   /// A tracer-owned copy of a name built at run time (e.g. under a
   /// shard's metric prefix). The pointer stays valid for the tracer's
   /// lifetime, so retained events never outlive their name's storage.
-  [[nodiscard]] const char* own_name(std::string name) TRAIL_EXCLUDES(mu_);
+  [[nodiscard]] const char* own_name(std::string name);
 
   /// A span [begin, begin+dur), emitted at completion time.
   void complete(const char* name, const char* cat, sim::TimePoint begin, sim::Duration dur,
-                std::uint32_t tid = 0) TRAIL_EXCLUDES(mu_);
-  void instant(const char* name, const char* cat, std::uint32_t tid = 0) TRAIL_EXCLUDES(mu_);
+                std::uint32_t tid = 0);
+  void instant(const char* name, const char* cat, std::uint32_t tid = 0);
   void instant_value(const char* name, const char* cat, std::int64_t value,
-                     std::uint32_t tid = 0) TRAIL_EXCLUDES(mu_);
-  void counter(const char* name, const char* cat, std::int64_t value, std::uint32_t tid = 0)
-      TRAIL_EXCLUDES(mu_);
+                     std::uint32_t tid = 0);
+  void counter(const char* name, const char* cat, std::int64_t value, std::uint32_t tid = 0);
 
   /// Events currently retained (<= capacity).
-  [[nodiscard]] std::size_t size() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return count_;
-  }
+  [[nodiscard]] std::size_t size() const { return count_; }
   [[nodiscard]] std::size_t capacity() const { return cap_events_; }
   /// Events evicted because the ring was full.
-  [[nodiscard]] std::uint64_t dropped() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return dropped_;
-  }
+  [[nodiscard]] std::uint64_t dropped() const { return dropped_; }
   /// Oldest-first event access (i in [0, size())). Sequential access is
   /// O(1) amortized via an internal decode cursor; random access decodes
   /// forward from the oldest retained event.
-  [[nodiscard]] TraceEvent at(std::size_t i) const TRAIL_EXCLUDES(mu_);
+  [[nodiscard]] TraceEvent at(std::size_t i) const;
 
   /// Bytes currently held by the delta/mask-encoded event stream — the
   /// compression the capture path buys (compare against
   /// size() * sizeof(TraceEvent) for the fixed-slot cost).
-  [[nodiscard]] std::size_t encoded_bytes() const TRAIL_EXCLUDES(mu_) {
-    sync::MutexLock lock(mu_);
-    return buf_.size() - head_off_;
-  }
+  [[nodiscard]] std::size_t encoded_bytes() const { return buf_.size() - head_off_; }
 
-  void clear() TRAIL_EXCLUDES(mu_);
+  void clear();
 
   /// Chrome trace-event JSON ({"traceEvents":[...]}), oldest event
   /// first, lane-name metadata first of all. Deterministic: equal event
   /// sequences serialize to equal bytes.
-  [[nodiscard]] std::string export_chrome_json() const TRAIL_EXCLUDES(mu_);
+  [[nodiscard]] std::string export_chrome_json() const;
 
  private:
   /// Absolute field values at a point in the stream; the delta codec's
@@ -137,39 +120,38 @@ class EventTracer {
     std::int64_t value = 0;
   };
 
-  void push(const TraceEvent& e) TRAIL_REQUIRES(mu_);
-  void drop_oldest() TRAIL_REQUIRES(mu_);
-  [[nodiscard]] std::uint32_t intern(const char* s) TRAIL_REQUIRES(mu_);
+  void push(const TraceEvent& e);
+  void drop_oldest();
+  [[nodiscard]] std::uint32_t intern(const char* s);
   /// Decode the event at byte offset `off` given the prior state; both
   /// advance past it.
-  TraceEvent decode(std::size_t& off, FieldState& state) const TRAIL_REQUIRES(mu_);
+  TraceEvent decode(std::size_t& off, FieldState& state) const;
 
   const sim::Simulator* const sim_;  // set at construction, never reseated
   const std::size_t cap_events_;
-  std::atomic<bool> enabled_{false};
+  bool enabled_ = false;
 
-  mutable sync::Mutex mu_;  // one capability over the whole codec state
-  std::vector<std::uint8_t> buf_ TRAIL_GUARDED_BY(mu_);  // delta/mask event stream
-  std::size_t head_off_ TRAIL_GUARDED_BY(mu_) = 0;  // byte offset of the oldest event
-  std::size_t count_ TRAIL_GUARDED_BY(mu_) = 0;
-  std::uint64_t dropped_ TRAIL_GUARDED_BY(mu_) = 0;
+  std::vector<std::uint8_t> buf_;  // delta/mask event stream
+  std::size_t head_off_ = 0;       // byte offset of the oldest event
+  std::size_t count_ = 0;
+  std::uint64_t dropped_ = 0;
 
-  FieldState tail_state_ TRAIL_GUARDED_BY(mu_);  // encoder ref: the last captured event
-  FieldState head_state_ TRAIL_GUARDED_BY(mu_);  // decoder ref: before the oldest event
+  FieldState tail_state_;  // encoder ref: the last captured event
+  FieldState head_state_;  // decoder ref: before the oldest event
 
   // Name/category interning (pointer identity; literals repeat).
-  std::vector<const char*> interned_ TRAIL_GUARDED_BY(mu_){nullptr};  // id 0 == none yet
-  std::map<const char*, std::uint32_t> intern_ids_ TRAIL_GUARDED_BY(mu_);
-  std::set<std::string> owned_names_ TRAIL_GUARDED_BY(mu_);  // own_name() storage
+  std::vector<const char*> interned_{nullptr};  // id 0 == none yet
+  std::map<const char*, std::uint32_t> intern_ids_;
+  std::set<std::string> owned_names_;  // own_name() storage
 
   // Sequential-access cursor for at(): the state needed to decode event
   // index cursor_index_ at byte offset cursor_off_.
-  mutable bool cursor_valid_ TRAIL_GUARDED_BY(mu_) = false;
-  mutable std::size_t cursor_index_ TRAIL_GUARDED_BY(mu_) = 0;
-  mutable std::size_t cursor_off_ TRAIL_GUARDED_BY(mu_) = 0;
-  mutable FieldState cursor_state_ TRAIL_GUARDED_BY(mu_);
+  mutable bool cursor_valid_ = false;
+  mutable std::size_t cursor_index_ = 0;
+  mutable std::size_t cursor_off_ = 0;
+  mutable FieldState cursor_state_;
 
-  std::map<std::uint32_t, std::string> track_names_ TRAIL_GUARDED_BY(mu_);
+  std::map<std::uint32_t, std::string> track_names_;
 };
 
 /// RAII span for synchronous scopes (recovery phases, bench phases):

@@ -13,7 +13,9 @@
 //   * every first-party mutex is a trail::sync type — raw std::mutex /
 //     std::condition_variable never appear outside src/sync/;
 //   * every mutable member of a class that owns a sync::Mutex is either
-//     TRAIL_GUARDED_BY(that mutex), a std::atomic, or const.
+//     TRAIL_GUARDED_BY(that mutex), TRAIL_PT_GUARDED_BY(that mutex) for
+//     a pointer whose pointee the mutex protects, a std::atomic, or
+//     const.
 #pragma once
 
 #if defined(__clang__) && !defined(SWIG)
@@ -35,29 +37,11 @@
 /// Pointer members whose *pointee* is protected by the capability.
 #define TRAIL_PT_GUARDED_BY(x) TRAIL_THREAD_ANNOTATION(pt_guarded_by(x))
 
-/// Lock-ordering declarations.
-#define TRAIL_ACQUIRED_BEFORE(...) TRAIL_THREAD_ANNOTATION(acquired_before(__VA_ARGS__))
-#define TRAIL_ACQUIRED_AFTER(...) TRAIL_THREAD_ANNOTATION(acquired_after(__VA_ARGS__))
-
 /// Function attributes: the function must be called with / without the
 /// capability held.
 #define TRAIL_REQUIRES(...) TRAIL_THREAD_ANNOTATION(requires_capability(__VA_ARGS__))
-#define TRAIL_REQUIRES_SHARED(...) \
-  TRAIL_THREAD_ANNOTATION(requires_shared_capability(__VA_ARGS__))
 #define TRAIL_EXCLUDES(...) TRAIL_THREAD_ANNOTATION(locks_excluded(__VA_ARGS__))
 
 /// Function attributes: the function acquires / releases the capability.
 #define TRAIL_ACQUIRE(...) TRAIL_THREAD_ANNOTATION(acquire_capability(__VA_ARGS__))
-#define TRAIL_ACQUIRE_SHARED(...) \
-  TRAIL_THREAD_ANNOTATION(acquire_shared_capability(__VA_ARGS__))
 #define TRAIL_RELEASE(...) TRAIL_THREAD_ANNOTATION(release_capability(__VA_ARGS__))
-#define TRAIL_RELEASE_SHARED(...) \
-  TRAIL_THREAD_ANNOTATION(release_shared_capability(__VA_ARGS__))
-#define TRAIL_TRY_ACQUIRE(...) TRAIL_THREAD_ANNOTATION(try_acquire_capability(__VA_ARGS__))
-
-/// Returns a reference to the capability protecting the returned data.
-#define TRAIL_RETURN_CAPABILITY(x) TRAIL_THREAD_ANNOTATION(lock_returned(x))
-
-/// Escape hatch for functions the analysis cannot model; every use needs
-/// a comment saying why.
-#define TRAIL_NO_THREAD_SAFETY_ANALYSIS TRAIL_THREAD_ANNOTATION(no_thread_safety_analysis)

@@ -44,7 +44,6 @@ class TRAIL_CAPABILITY("mutex") Mutex {
 
   void lock() TRAIL_ACQUIRE() { m_.lock(); }
   void unlock() TRAIL_RELEASE() { m_.unlock(); }
-  [[nodiscard]] bool try_lock() TRAIL_TRY_ACQUIRE(true) { return m_.try_lock(); }
 
  private:
   friend class CondVar;
