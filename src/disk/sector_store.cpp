@@ -19,20 +19,24 @@ void SectorStore::read(Lba lba, std::uint32_t count, std::span<std::byte> out) c
   if (out.size() < static_cast<std::size_t>(count) * kSectorSize)
     throw std::invalid_argument("SectorStore::read: output buffer too small");
   std::byte* dst = out.data();
-  std::uint32_t left = count;
-  Lba cur = lba;
-  while (left > 0) {
-    const std::uint32_t off = static_cast<std::uint32_t>(cur % kChunkSectors);
-    const std::uint32_t run = std::min(left, kChunkSectors - off);
-    const std::size_t bytes = static_cast<std::size_t>(run) * kSectorSize;
-    const Chunk* chunk = find_chunk(cur / kChunkSectors);
-    if (chunk == nullptr)
-      std::memset(dst, 0, bytes);
-    else
-      std::memcpy(dst, chunk->data.data() + static_cast<std::size_t>(off) * kSectorSize, bytes);
-    dst += bytes;
-    cur += run;
-    left -= run;
+  while (count > 0) {
+    // One hash probe per chunk run, then one copy per page piece.
+    auto off = static_cast<std::uint32_t>(lba % kChunkSectors);
+    const std::uint32_t end = off + std::min(count, kChunkSectors - off);
+    const Chunk* chunk = find_chunk(lba / kChunkSectors);
+    lba += end - off;
+    count -= end - off;
+    for (std::uint32_t run = 0; off < end; off += run) {
+      run = std::min(end, (off / kPageSectors + 1) * kPageSectors) - off;
+      const Page* page = chunk == nullptr ? nullptr : chunk->pages[off / kPageSectors].get();
+      const std::size_t bytes = static_cast<std::size_t>(run) * kSectorSize;
+      if (page == nullptr)
+        std::memset(dst, 0, bytes);
+      else
+        std::memcpy(dst, page->data() + static_cast<std::size_t>(off % kPageSectors) * kSectorSize,
+                    bytes);
+      dst += bytes;
+    }
   }
 }
 
@@ -41,28 +45,31 @@ void SectorStore::write(Lba lba, std::uint32_t count, std::span<const std::byte>
   if (data.size() < static_cast<std::size_t>(count) * kSectorSize)
     throw std::invalid_argument("SectorStore::write: input buffer too small");
   const std::byte* src = data.data();
-  std::uint32_t left = count;
-  Lba cur = lba;
-  while (left > 0) {
-    const std::uint32_t off = static_cast<std::uint32_t>(cur % kChunkSectors);
-    const std::uint32_t run = std::min(left, kChunkSectors - off);
-    const std::size_t bytes = static_cast<std::size_t>(run) * kSectorSize;
-    Chunk& chunk = get_or_create_chunk(cur / kChunkSectors);
-    std::memcpy(chunk.data.data() + static_cast<std::size_t>(off) * kSectorSize, src, bytes);
-    // Mark [off, off+run) written, counting only newly-set bits.
-    for (std::uint32_t bit = off; bit < off + run;) {
-      const std::uint32_t word = bit / 64;
-      const std::uint32_t lo = bit % 64;
-      const std::uint32_t span = std::min(off + run - bit, 64 - lo);
-      const std::uint64_t mask =
-          (span == 64 ? ~std::uint64_t{0} : ((std::uint64_t{1} << span) - 1)) << lo;
-      written_count_ += static_cast<std::size_t>(std::popcount(mask & ~chunk.written[word]));
-      chunk.written[word] |= mask;
-      bit += span;
+  while (count > 0) {
+    auto off = static_cast<std::uint32_t>(lba % kChunkSectors);
+    const std::uint32_t end = off + std::min(count, kChunkSectors - off);
+    Chunk& chunk = get_or_create_chunk(lba / kChunkSectors);
+    lba += end - off;
+    count -= end - off;
+    for (std::uint32_t run = 0; off < end; off += run) {
+      run = std::min(end, (off / kPageSectors + 1) * kPageSectors) - off;
+      std::unique_ptr<Page>& page = chunk.pages[off / kPageSectors];
+      if (page == nullptr) {
+        page = std::make_unique<Page>();
+        ++pages_;
+      }
+      const std::size_t bytes = static_cast<std::size_t>(run) * kSectorSize;
+      std::memcpy(page->data() + static_cast<std::size_t>(off % kPageSectors) * kSectorSize, src,
+                  bytes);
+      src += bytes;
+      // A page's sectors share one bitmap word: mark [off, off+run)
+      // written, counting only newly-set bits.
+      static_assert(64 % kPageSectors == 0);
+      std::uint64_t& word = chunk.written[off / 64];
+      const std::uint64_t mask = ((std::uint64_t{1} << run) - 1) << (off % 64);
+      written_count_ += static_cast<std::size_t>(std::popcount(mask & ~word));
+      word |= mask;
     }
-    src += bytes;
-    cur += run;
-    left -= run;
   }
 }
 
@@ -70,13 +77,20 @@ void SectorStore::audit(audit::Report& report) const {
   audit::Check& check = report.check("store.chunks");
   const std::uint64_t chunk_count = (total_sectors_ + kChunkSectors - 1) / kChunkSectors;
   std::size_t written = 0;
+  std::size_t pages = 0;
   for (const auto& [index, chunk] : chunks_) {
     check.require(index < chunk_count, "chunk index beyond end of disk",
                   index * kChunkSectors);
-    std::size_t bits = 0;
-    for (const std::uint64_t word : chunk.written)
-      bits += static_cast<std::size_t>(std::popcount(word));
-    written += bits;
+    for (std::uint32_t p = 0; p < kChunkPages; ++p) {
+      const std::uint32_t first = p * kPageSectors;
+      const std::uint64_t bits =
+          (chunk.written[first / 64] >> (first % 64)) & ((std::uint64_t{1} << kPageSectors) - 1);
+      written += static_cast<std::size_t>(std::popcount(bits));
+      if (chunk.pages[p] != nullptr)
+        ++pages;
+      else if (bits != 0)
+        check.fail("written sectors in an unallocated page", index * kChunkSectors + first);
+    }
     // The final chunk of a disk whose size is not a multiple of 256 must
     // not mark out-of-range sectors written.
     if (index == chunk_count - 1 && total_sectors_ % kChunkSectors != 0) {
@@ -90,6 +104,7 @@ void SectorStore::audit(audit::Report& report) const {
   }
   check.require(written == written_count_,
                 "written-sector count disagrees with the chunk bitmaps");
+  check.require(pages == pages_, "page count disagrees with the allocated pages");
   if (cached_index_ != kNoChunk) {
     const auto it = chunks_.find(cached_index_);
     check.require(it != chunks_.end() && &it->second == cached_chunk_,

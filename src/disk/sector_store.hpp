@@ -4,17 +4,20 @@
 // discards queued commands and driver state, never the store). Unwritten
 // sectors read back as zeroes, like a freshly formatted drive.
 //
-// Storage is organised as lazily-allocated 256-sector extents (chunks):
-// a multi-sector access touches one hash probe plus one bulk memcpy per
-// chunk run instead of one probe and one 512-byte copy per sector. A
-// per-chunk bitmap keeps is_written()/written_sector_count() exact at
-// sector granularity, and a one-entry chunk cache makes the sequential
-// single-sector probes of the recovery scanner near-free.
+// Storage is organised as 256-sector extents (chunks), each backed by 32
+// lazily-allocated 4 KB pages: a multi-sector access touches one hash
+// probe per chunk run and one bulk memcpy per page piece, and a sparse
+// write allocates (and zero-fills) only the pages it touches, not the
+// whole 128 KB extent. A missing page reads as zeroes. A per-chunk bitmap
+// keeps is_written()/written_sector_count() exact at sector granularity,
+// and a one-entry chunk cache makes the sequential single-sector probes of
+// the recovery scanner near-free.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <span>
 #include <unordered_map>
 
@@ -28,8 +31,10 @@ namespace trail::disk {
 
 class SectorStore {
  public:
-  /// Sectors per lazily-allocated extent (128 KB of payload).
+  /// Sectors per extent (128 KB of payload): one hash entry.
   static constexpr std::uint32_t kChunkSectors = 256;
+  /// Sectors per lazily-allocated page of an extent (4 KB of payload).
+  static constexpr std::uint32_t kPageSectors = 8;
 
   explicit SectorStore(Lba total_sectors) : total_sectors_(total_sectors) {}
 
@@ -53,28 +58,33 @@ class SectorStore {
   /// Number of distinct sectors ever written (storage footprint metric).
   [[nodiscard]] std::size_t written_sector_count() const { return written_count_; }
 
-  /// Bytes of backing memory currently allocated for chunk payloads
+  /// Bytes of backing memory currently allocated for page payloads
   /// (observability: wipe() must return this to zero).
-  [[nodiscard]] std::size_t allocated_bytes() const { return chunks_.size() * sizeof(Chunk); }
+  [[nodiscard]] std::size_t allocated_bytes() const { return pages_ * sizeof(Page); }
 
   /// Internal-consistency audit ("store.chunks"): chunk index bounds,
-  /// written-count vs bitmap popcounts, chunk-cache coherence. Cold path
-  /// used by trail::audit quiesce checks; see DESIGN.md §9.
+  /// written-count vs bitmap popcounts, written sectors backed by pages,
+  /// page count, chunk-cache coherence. Cold path used by trail::audit
+  /// quiesce checks; see DESIGN.md §9.
   void audit(audit::Report& report) const;
 
-  /// Reset every sector back to zeroes (reformat); reclaims all chunks.
+  /// Reset every sector back to zeroes (reformat); reclaims all pages.
   void wipe() {
     chunks_.clear();
+    pages_ = 0;
     written_count_ = 0;
     cached_index_ = kNoChunk;
     cached_chunk_ = nullptr;
   }
 
  private:
+  static constexpr std::uint32_t kChunkPages = kChunkSectors / kPageSectors;
+  using Page = std::array<std::byte, static_cast<std::size_t>(kPageSectors) * kSectorSize>;
+
   struct Chunk {
-    // Value-initialised: a fresh chunk reads back as zeroes, so unwritten
-    // sectors inside a written chunk need no per-sector handling on read.
-    std::array<std::byte, static_cast<std::size_t>(kChunkSectors) * kSectorSize> data{};
+    // Null until first written; a fresh page is value-initialised, so
+    // unwritten sectors inside a written page read back as zeroes.
+    std::array<std::unique_ptr<Page>, kChunkPages> pages;
     std::array<std::uint64_t, kChunkSectors / 64> written{};
   };
 
@@ -103,6 +113,7 @@ class SectorStore {
 
   Lba total_sectors_;
   std::unordered_map<std::uint64_t, Chunk> chunks_;
+  std::size_t pages_ = 0;
   std::size_t written_count_ = 0;
   mutable std::uint64_t cached_index_ = kNoChunk;
   mutable const Chunk* cached_chunk_ = nullptr;

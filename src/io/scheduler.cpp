@@ -1,88 +1,15 @@
 #include "io/scheduler.hpp"
 
 #include <algorithm>
-#include <list>
+#include <cstdint>
+#include <deque>
+#include <limits>
 #include <map>
+#include <utility>
 
 namespace trail::io {
 
 namespace {
-
-/// Shared base: requests bucketed by priority class; subclasses define the
-/// in-class pick rule.
-class SchedulerBase : public IoScheduler {
- public:
-  void push(PendingIo io) override {
-    classes_[io.priority].push_back(std::move(io));
-    ++size_;
-  }
-  [[nodiscard]] bool empty() const override { return size_ == 0; }
-  [[nodiscard]] std::size_t size() const override { return size_; }
-
-  PendingIo pop_next(disk::Lba head_position) override {
-    auto it = classes_.begin();
-    while (it != classes_.end() && it->second.empty()) it = classes_.erase(it);
-    PendingIo io = pick(it->first, it->second, head_position);
-    --size_;
-    return io;
-  }
-
- protected:
-  using Bucket = std::list<PendingIo>;
-  virtual PendingIo pick(int priority, Bucket& bucket, disk::Lba head_position) = 0;
-
-  static PendingIo pick_fifo(Bucket& bucket) {
-    auto it = std::min_element(bucket.begin(), bucket.end(),
-                               [](const PendingIo& a, const PendingIo& b) { return a.seq < b.seq; });
-    PendingIo io = std::move(*it);
-    bucket.erase(it);
-    return io;
-  }
-
-  static PendingIo pick_cscan(Bucket& bucket, disk::Lba head_position) {
-    // Next LBA at or beyond the head, else wrap to the smallest LBA.
-    Bucket::iterator best = bucket.end();
-    Bucket::iterator smallest = bucket.begin();
-    for (auto it = bucket.begin(); it != bucket.end(); ++it) {
-      if (it->lba < smallest->lba) smallest = it;
-      if (it->lba >= head_position && (best == bucket.end() || it->lba < best->lba)) best = it;
-    }
-    if (best == bucket.end()) best = smallest;
-    PendingIo io = std::move(*best);
-    bucket.erase(best);
-    return io;
-  }
-
-  [[nodiscard]] Bucket* bucket_for(int priority) {
-    auto it = classes_.find(priority);
-    return it == classes_.end() ? nullptr : &it->second;
-  }
-
-  [[nodiscard]] const std::map<int, Bucket>& classes() const { return classes_; }
-
-  void drop_queued(Bucket& bucket, Bucket::iterator it) {
-    bucket.erase(it);
-    --size_;
-  }
-
- private:
-  std::map<int, Bucket> classes_;
-  std::size_t size_ = 0;
-};
-
-class FifoScheduler final : public SchedulerBase {
- protected:
-  PendingIo pick(int /*priority*/, Bucket& bucket, disk::Lba /*head_position*/) override {
-    return pick_fifo(bucket);
-  }
-};
-
-class ClookScheduler final : public SchedulerBase {
- protected:
-  PendingIo pick(int /*priority*/, Bucket& bucket, disk::Lba head_position) override {
-    return pick_cscan(bucket, head_position);
-  }
-};
 
 /// Batch envelopes touch or overlap, and the merged batch would respect
 /// both caps. Adjacency (a.end == b.lba) is enough: the merged sub-range
@@ -106,68 +33,137 @@ void merge_into(PendingIo& target, PendingIo io) {
   if (!target.on_dispatch) target.on_dispatch = std::move(io.on_dispatch);
 }
 
-/// Trail data-disk policy: reads (and recovery writes) at class 0 drain in
-/// arrival order before any write-back; write-back classes are CSCAN-swept
-/// by envelope LBA and coalesce in-queue.
-class WritebackScheduler final : public SchedulerBase {
+/// The one scheduler behind every policy. Classes below `first_sorted`
+/// are FIFO deques (DeviceQueue stamps `seq` in push order, so the front
+/// is the oldest request); the others are CSCAN-ordered maps. With
+/// `writeback` set, the sorted classes coalesce batched write-backs and
+/// pacing_view() reports their volume; otherwise every request counts as
+/// urgent and nothing merges.
+class IndexedScheduler final : public IoScheduler {
  public:
+  IndexedScheduler(std::int64_t first_sorted, bool writeback)
+      : first_sorted_(first_sorted), writeback_(writeback) {}
+
+  void push(PendingIo io) override {
+    Class& c = classes_[io.priority];
+    ++size_;
+    if (io.priority < first_sorted_) {
+      ++fifo_size_;
+      c.fifo.push_back(std::move(io));
+      return;
+    }
+    sorted_sectors_ += io.count;
+    c.widest = std::max(c.widest, io.count);
+    const Key key{io.lba, next_stamp_++};
+    c.sorted.emplace(key, std::move(io));
+  }
+
+  [[nodiscard]] bool empty() const override { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const override { return size_; }
+
+  PendingIo pop_next(disk::Lba head_position) override {
+    // Classes are erased as they drain, so the first one holds work.
+    const auto cls = classes_.begin();
+    Class& c = cls->second;
+    PendingIo io;
+    if (!c.fifo.empty()) {
+      io = std::move(c.fifo.front());
+      c.fifo.pop_front();
+      --fifo_size_;
+    } else {
+      // Next envelope at or beyond the head, else wrap to the lowest.
+      auto it = c.sorted.lower_bound(Key{head_position, 0});
+      if (it == c.sorted.end()) it = c.sorted.begin();
+      io = std::move(it->second);
+      c.sorted.erase(it);
+      sorted_sectors_ -= io.count;
+    }
+    if (c.fifo.empty() && c.sorted.empty()) classes_.erase(cls);
+    --size_;
+    return io;
+  }
+
   bool try_merge(PendingIo& io) override {
-    if (io.ranges.empty() || io.merge_cap <= 1) return false;
-    Bucket* bucket = bucket_for(io.priority);
-    if (bucket == nullptr) return false;
-    Bucket::iterator target = bucket->end();
-    for (auto it = bucket->begin(); it != bucket->end(); ++it) {
-      if (mergeable(*it, io)) {
-        target = it;
-        break;
-      }
-    }
-    if (target == bucket->end()) return false;
-    merge_into(*target, std::move(io));
+    if (!writeback_ || io.ranges.empty() || io.merge_cap <= 1 || io.priority < first_sorted_)
+      return false;
+    const auto cls = classes_.find(io.priority);
+    if (cls == classes_.end()) return false;
+    Class& c = cls->second;
+    auto target = c.earliest_mergeable(io, c.sorted.end());
+    if (target == c.sorted.end()) return false;
+    sorted_sectors_ -= target->second.count;
+    merge_into(target->second, std::move(io));
     // Cascade: the grown envelope may now bridge to further queued batches.
-    bool merged = true;
-    while (merged) {
-      merged = false;
-      for (auto it = bucket->begin(); it != bucket->end(); ++it) {
-        if (it == target || !mergeable(*target, *it)) continue;
-        PendingIo other = std::move(*it);
-        drop_queued(*bucket, it);
-        merge_into(*target, std::move(other));
-        merged = true;
-        break;
-      }
+    for (auto other = c.earliest_mergeable(target->second, target); other != c.sorted.end();
+         other = c.earliest_mergeable(target->second, target)) {
+      PendingIo absorbed = std::move(other->second);
+      c.sorted.erase(other);
+      --size_;
+      sorted_sectors_ -= absorbed.count;
+      merge_into(target->second, std::move(absorbed));
     }
+    // Re-key under the grown envelope's LBA; the stamp (queue position)
+    // stays, as a merge target keeps its place in line.
+    auto node = c.sorted.extract(target);
+    node.key().first = node.mapped().lba;
+    c.widest = std::max(c.widest, node.mapped().count);
+    sorted_sectors_ += node.mapped().count;
+    c.sorted.insert(std::move(node));
     return true;
   }
 
   [[nodiscard]] PacingView pacing_view() const override {
-    // Priority 0 is urgent (reads, recovery writes); everything above is
-    // deferrable write-back, measured in envelope sectors so the pacing
-    // watermark tracks dirty volume, not request count.
-    PacingView view;
-    for (const auto& [priority, bucket] : classes()) {
-      if (priority <= 0) {
-        view.has_urgent = view.has_urgent || !bucket.empty();
-        continue;
-      }
-      for (const PendingIo& io : bucket) view.writeback_sectors += io.count;
-    }
-    return view;
+    // FIFO classes are urgent (reads, recovery writes); sorted classes
+    // are deferrable write-back, measured in envelope sectors so the
+    // pacing watermark tracks dirty volume, not request count.
+    if (!writeback_) return PacingView{!empty(), 0};
+    return PacingView{fifo_size_ > 0, sorted_sectors_};
   }
 
- protected:
-  PendingIo pick(int priority, Bucket& bucket, disk::Lba head_position) override {
-    if (priority <= 0) return pick_fifo(bucket);
-    return pick_cscan(bucket, head_position);
-  }
+ private:
+  using Key = std::pair<disk::Lba, std::uint64_t>;  // (envelope LBA, stamp)
+  using Sorted = std::map<Key, PendingIo>;
+
+  struct Class {
+    std::deque<PendingIo> fifo;
+    Sorted sorted;
+    /// Largest envelope queued since the class was created: every
+    /// envelope overlapping or touching [lba, lba + count) starts in
+    /// [lba - widest, lba + count].
+    std::uint32_t widest = 0;
+
+    /// The earliest-queued batch mergeable with `io`, other than `self`.
+    Sorted::iterator earliest_mergeable(const PendingIo& io, Sorted::iterator self) {
+      const disk::Lba lo = io.lba > widest ? io.lba - widest : 0;
+      auto best = sorted.end();
+      for (auto it = sorted.lower_bound(Key{lo, 0});
+           it != sorted.end() && it->first.first <= io.lba + io.count; ++it) {
+        if (it == self || !mergeable(it->second, io)) continue;
+        if (best == sorted.end() || it->first.second < best->first.second) best = it;
+      }
+      return best;
+    }
+  };
+
+  std::int64_t first_sorted_;
+  bool writeback_;
+  std::map<int, Class> classes_;
+  std::uint64_t next_stamp_ = 0;
+  std::size_t size_ = 0;
+  std::size_t fifo_size_ = 0;
+  std::uint64_t sorted_sectors_ = 0;
 };
 
 }  // namespace
 
-std::unique_ptr<IoScheduler> make_fifo_scheduler() { return std::make_unique<FifoScheduler>(); }
-std::unique_ptr<IoScheduler> make_clook_scheduler() { return std::make_unique<ClookScheduler>(); }
+std::unique_ptr<IoScheduler> make_fifo_scheduler() {
+  return std::make_unique<IndexedScheduler>(std::numeric_limits<std::int64_t>::max(), false);
+}
+std::unique_ptr<IoScheduler> make_clook_scheduler() {
+  return std::make_unique<IndexedScheduler>(std::numeric_limits<std::int64_t>::min(), false);
+}
 std::unique_ptr<IoScheduler> make_writeback_scheduler() {
-  return std::make_unique<WritebackScheduler>();
+  return std::make_unique<IndexedScheduler>(1, true);
 }
 
 }  // namespace trail::io

@@ -7,6 +7,14 @@
 // class, coalescing adjacent/overlapping queued write-backs into one
 // multi-range device command (§4.2). Priority classes are part of the
 // scheduler interface so all policies fall out of one mechanism.
+//
+// One indexed implementation serves every policy, so no operation scans
+// a whole class: an arrival-order class is a deque served from its
+// front; a CSCAN-ordered class is a map keyed by (envelope LBA, queue
+// position), so dispatch is one lower_bound from the head and equal LBAs
+// go to the earliest-queued request. Coalescing examines only the
+// envelopes that start within one largest-queued-envelope of the
+// arrival, and the pacing view is a running sum.
 #pragma once
 
 #include <cstdint>
@@ -27,7 +35,7 @@ struct PendingIo {
   std::vector<std::byte> data;        // write payload (owned)
   std::span<std::byte> out;           // read destination (caller-owned)
   int priority = 0;                   // lower value = dispatched first
-  std::uint64_t seq = 0;              // submission order (FIFO tie-break)
+  std::uint64_t seq = 0;              // submission order (DeviceQueue stamps it)
   std::function<void()> on_complete;
   std::function<bool()> cancelled;    // optional: skip at dispatch if true
   /// Optional: produce the write payload at dispatch time instead of
@@ -90,25 +98,22 @@ class IoScheduler {
   /// Try to fold `io` (a batched write-back) into a queued batch of the
   /// same priority class whose envelope is adjacent or overlapping,
   /// respecting both batches' merge caps; cascades if the grown envelope
-  /// now touches further queued batches. Returns true when `io` was
-  /// consumed. The default implementation never merges.
-  virtual bool try_merge(PendingIo& io) {
-    (void)io;
-    return false;
-  }
+  /// now touches further queued batches. Each step joins the
+  /// earliest-queued mergeable batch, and the target keeps its queue
+  /// position. Returns true when `io` was consumed. Only the write-back
+  /// policy's CSCAN-ordered classes merge.
+  virtual bool try_merge(PendingIo& io) = 0;
 
   /// What the queue holds, seen through the write-back pacing gate's
   /// eyes: does any urgent (priority 0 — reads, recovery writes) request
   /// wait, and how many deferrable write-back sectors are queued? The
-  /// default (everything urgent) disables pacing for policies that don't
-  /// distinguish the classes.
+  /// FIFO and C-LOOK policies report everything urgent, which disables
+  /// pacing for policies that don't distinguish the classes.
   struct PacingView {
     bool has_urgent = false;
     std::uint64_t writeback_sectors = 0;
   };
-  [[nodiscard]] virtual PacingView pacing_view() const {
-    return PacingView{!empty(), 0};
-  }
+  [[nodiscard]] virtual PacingView pacing_view() const = 0;
 };
 
 /// Strict arrival order within each priority class.

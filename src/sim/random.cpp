@@ -40,13 +40,17 @@ std::uint64_t Rng::next() {
 
 std::int64_t Rng::uniform(std::int64_t lo, std::int64_t hi) {
   if (lo > hi) throw std::invalid_argument("Rng::uniform: lo > hi");
-  const auto range = static_cast<std::uint64_t>(hi - lo) + 1;
-  if (range == 0) return static_cast<std::int64_t>(next());  // full 64-bit range
-  // Unbiased rejection sampling (Lemire-style threshold).
-  const std::uint64_t threshold = (0 - range) % range;
+  // Unsigned throughout: hi - lo overflows int64 for ranges wider than
+  // 2^63, and range wraps to 0 exactly for the full 64-bit range.
+  const std::uint64_t base = static_cast<std::uint64_t>(lo);
+  const std::uint64_t range = static_cast<std::uint64_t>(hi) - base + 1;
+  if (range == 0) return static_cast<std::int64_t>(next());
+  // Unbiased rejection sampling (Lemire-style threshold). The threshold
+  // 2^64 mod range is below range, so only r < range needs it.
   for (;;) {
     const std::uint64_t r = next();
-    if (r >= threshold) return lo + static_cast<std::int64_t>(r % range);
+    if (r >= range || r >= (0 - range) % range)
+      return static_cast<std::int64_t>(base + r % range);
   }
 }
 

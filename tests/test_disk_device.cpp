@@ -308,6 +308,27 @@ TEST(SectorStore, UnwrittenSectorsInsideWrittenChunkReadZero) {
   EXPECT_EQ(out[kSectorSize - 1], std::byte{0});
   EXPECT_EQ(out[kSectorSize], std::byte{0xEE});
   EXPECT_EQ(out[2 * kSectorSize], std::byte{0});
+  // A read spanning written pages and the unallocated page between them
+  // (same chunk): the unallocated part reads as zeroes.
+  constexpr std::uint32_t kPage = SectorStore::kPageSectors;
+  store.write(2 * kPage + 1, 1, data);
+  std::vector<std::byte> across(3 * kPage * kSectorSize, std::byte{0x55});
+  store.read(0, 3 * kPage, across);
+  for (std::uint32_t s = 0; s < 3 * kPage; ++s) {
+    const std::byte want = s == 7 || s == 2 * kPage + 1 ? std::byte{0xEE} : std::byte{0};
+    EXPECT_EQ(across[static_cast<std::size_t>(s) * kSectorSize], want) << "sector " << s;
+    EXPECT_EQ(across[(s + 1) * kSectorSize - 1], want) << "sector " << s;
+  }
+}
+
+TEST(SectorStore, SparseWritesAllocateTouchedPagesOnly) {
+  constexpr std::uint32_t kChunk = SectorStore::kChunkSectors;
+  constexpr std::uint32_t kExtents = 16;
+  SectorStore store(kChunk * kExtents);
+  std::vector<std::byte> data(kSectorSize, std::byte{0x42});
+  for (Lba lba = 3; lba < kChunk * kExtents; lba += kChunk) store.write(lba, 1, data);
+  // One 4 KB page per sparse write, not a whole 128 KB extent.
+  EXPECT_LE(store.allocated_bytes(), kExtents * kChunk * kSectorSize / 16);
 }
 
 TEST(SectorStore, WrittenSectorCountIsExactUnderOverwrites) {
@@ -330,7 +351,8 @@ TEST(SectorStore, WipeReclaimsMemory) {
   EXPECT_EQ(store.allocated_bytes(), 0u);
   std::vector<std::byte> data(kSectorSize, std::byte{0x42});
   for (Lba lba = 0; lba < kChunk * 8; lba += kChunk) store.write(lba, 1, data);
-  EXPECT_GE(store.allocated_bytes(), 8u * kChunk * kSectorSize);
+  // One page per single-sector write.
+  EXPECT_EQ(store.allocated_bytes(), 8u * SectorStore::kPageSectors * kSectorSize);
   EXPECT_EQ(store.written_sector_count(), 8u);
   store.wipe();
   EXPECT_EQ(store.allocated_bytes(), 0u);

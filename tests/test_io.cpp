@@ -1,7 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <list>
+#include <map>
 #include <memory>
+#include <vector>
 
 #include "disk/disk_device.hpp"
 #include "disk/profile.hpp"
@@ -66,6 +70,282 @@ TEST(ClookScheduler, ExactHeadPositionIncluded) {
   sched->push(make_write(39));
   EXPECT_EQ(sched->pop_next(40).lba, 40u);
   EXPECT_EQ(sched->pop_next(40).lba, 39u);
+}
+
+// ---------------------------------------------------------------------------
+// Differential check: the indexed schedulers against the list-scan model
+// ---------------------------------------------------------------------------
+
+/// The list-scan scheduler the indexed implementation replaced, kept as
+/// the reference model. Requests sit in one std::list per priority class;
+/// a FIFO pick takes the minimum seq, a CSCAN pick scans the whole class,
+/// and try_merge joins the first mergeable batch in list order, then
+/// cascades by rescanning. `writeback` selects the write-back policy
+/// (class 0 FIFO, classes >= 1 CSCAN with coalescing and pacing);
+/// otherwise C-LOOK in every class.
+class ListScheduler final : public IoScheduler {
+ public:
+  explicit ListScheduler(bool writeback) : writeback_(writeback) {}
+
+  void push(PendingIo io) override {
+    classes_[io.priority].push_back(std::move(io));
+    ++size_;
+  }
+  [[nodiscard]] bool empty() const override { return size_ == 0; }
+  [[nodiscard]] std::size_t size() const override { return size_; }
+
+  PendingIo pop_next(disk::Lba head_position) override {
+    auto cls = classes_.begin();
+    while (cls->second.empty()) cls = classes_.erase(cls);
+    Bucket& bucket = cls->second;
+    auto pick = bucket.begin();
+    if (writeback_ && cls->first <= 0) {
+      for (auto it = bucket.begin(); it != bucket.end(); ++it)
+        if (it->seq < pick->seq) pick = it;
+    } else {
+      auto best = bucket.end();
+      for (auto it = bucket.begin(); it != bucket.end(); ++it) {
+        if (it->lba < pick->lba) pick = it;
+        if (it->lba >= head_position && (best == bucket.end() || it->lba < best->lba)) best = it;
+      }
+      if (best != bucket.end()) pick = best;
+    }
+    PendingIo io = std::move(*pick);
+    bucket.erase(pick);
+    --size_;
+    return io;
+  }
+
+  bool try_merge(PendingIo& io) override {
+    if (!writeback_ || io.ranges.empty() || io.merge_cap <= 1) return false;
+    auto cls = classes_.find(io.priority);
+    if (cls == classes_.end()) return false;
+    Bucket& bucket = cls->second;
+    auto target = std::find_if(bucket.begin(), bucket.end(),
+                               [&](const PendingIo& q) { return mergeable(q, io); });
+    if (target == bucket.end()) return false;
+    merge_into(*target, std::move(io));
+    for (bool merged = true; merged;) {
+      merged = false;
+      for (auto it = bucket.begin(); it != bucket.end(); ++it) {
+        if (it == target || !mergeable(*target, *it)) continue;
+        PendingIo other = std::move(*it);
+        bucket.erase(it);
+        --size_;
+        merge_into(*target, std::move(other));
+        merged = true;
+        break;
+      }
+    }
+    return true;
+  }
+
+  [[nodiscard]] PacingView pacing_view() const override {
+    if (!writeback_) return PacingView{!empty(), 0};
+    PacingView view;
+    for (const auto& [priority, bucket] : classes_) {
+      if (priority <= 0) {
+        view.has_urgent = view.has_urgent || !bucket.empty();
+        continue;
+      }
+      for (const PendingIo& io : bucket) view.writeback_sectors += io.count;
+    }
+    return view;
+  }
+
+  /// Queued batch envelopes of class `priority` (situation coverage).
+  [[nodiscard]] std::vector<const PendingIo*> batches(int priority) const {
+    std::vector<const PendingIo*> out;
+    const auto cls = classes_.find(priority);
+    if (cls != classes_.end())
+      for (const PendingIo& io : cls->second)
+        if (!io.ranges.empty()) out.push_back(&io);
+    return out;
+  }
+
+ private:
+  using Bucket = std::list<PendingIo>;
+
+  static bool mergeable(const PendingIo& a, const PendingIo& b) {
+    if (a.ranges.empty() || b.ranges.empty()) return false;
+    if (a.ranges.size() + b.ranges.size() > std::min(a.merge_cap, b.merge_cap)) return false;
+    return a.lba <= b.lba + b.count && b.lba <= a.lba + a.count;
+  }
+
+  static void merge_into(PendingIo& target, PendingIo io) {
+    const disk::Lba end = std::max(target.lba + target.count, io.lba + io.count);
+    target.lba = std::min(target.lba, io.lba);
+    target.count = static_cast<std::uint32_t>(end - target.lba);
+    target.seq = std::min(target.seq, io.seq);
+    for (auto& r : io.ranges) target.ranges.push_back(std::move(r));
+    if (!target.on_dispatch) target.on_dispatch = std::move(io.on_dispatch);
+  }
+
+  bool writeback_;
+  std::map<int, Bucket> classes_;
+  std::size_t size_ = 0;
+};
+
+/// Drives the indexed scheduler and the list-scan model through one
+/// seeded random sequence of submit (try_merge, else push) / pop_next /
+/// pacing_view calls over a narrow LBA space, asserting identical results
+/// after every call. Each write-back range logs its id through its
+/// `skipped` closure, which the checker invokes on pop to compare the
+/// per-batch range order.
+class SchedulerDiff {
+ public:
+  struct Coverage {
+    int equal_lba_pushes = 0;    // arrived with a queued envelope at the same LBA
+    int capped_overlaps = 0;     // arrived touching a batch the caps keep apart
+    int cascades = 0;            // merges that also absorbed a queued batch
+    int heads_past_end = 0;      // pops with the head beyond every queued LBA
+    int merges = 0;
+  };
+
+  SchedulerDiff(std::unique_ptr<IoScheduler> indexed, bool writeback, std::uint64_t seed)
+      : indexed_(std::move(indexed)), model_(writeback), writeback_(writeback), rng_(seed) {}
+
+  void run(int ops) {
+    for (int i = 0; i < ops; ++i) {
+      // Bias toward submits early so a backlog builds, then drain.
+      const bool filling = i < ops / 2;
+      const std::int64_t roll = rng_.uniform(0, 99);
+      if (indexed_->empty() || roll < (filling ? 65 : 35))
+        submit();
+      else
+        pop();
+      const IoScheduler::PacingView a = indexed_->pacing_view();
+      const IoScheduler::PacingView b = model_.pacing_view();
+      ASSERT_EQ(a.has_urgent, b.has_urgent) << "op " << i;
+      ASSERT_EQ(a.writeback_sectors, b.writeback_sectors) << "op " << i;
+      ASSERT_EQ(indexed_->size(), model_.size()) << "op " << i;
+      ASSERT_EQ(indexed_->empty(), model_.empty()) << "op " << i;
+    }
+    while (!model_.empty()) pop();
+    EXPECT_TRUE(indexed_->empty());
+  }
+
+  [[nodiscard]] const Coverage& coverage() const { return cov_; }
+
+ private:
+  static constexpr std::int64_t kLbaSpace = 160;
+
+  PendingIo make_request() {
+    PendingIo io;
+    io.seq = next_seq_++;
+    io.is_write = true;
+    io.lba = static_cast<disk::Lba>(rng_.uniform(0, kLbaSpace));
+    io.count = static_cast<std::uint32_t>(rng_.uniform(1, 8));
+    const std::int64_t kind = rng_.uniform(0, 9);
+    if (kind < 2) {
+      // Urgent plain request (reads, recovery writes) at class 0.
+      io.is_write = kind == 0;
+      return io;
+    }
+    if (!writeback_ || kind == 2) {
+      io.priority = writeback_ ? 1 : static_cast<int>(rng_.uniform(0, 2));
+      return io;  // plain request: never merges
+    }
+    io.priority = 1;
+    static constexpr std::uint32_t kCaps[] = {1, 2, 3, 4, 32};
+    io.merge_cap = kCaps[rng_.uniform(0, 4)];
+    PendingIo::WbRange range;
+    range.lba = io.lba;
+    range.count = io.count;
+    const int id = next_range_id_++;
+    range.skipped = [this, id] { popped_ranges_.push_back(id); };
+    io.ranges.push_back(std::move(range));
+    return io;
+  }
+
+  void submit() {
+    PendingIo io = make_request();
+    if (!io.ranges.empty()) {
+      for (const PendingIo* q : model_.batches(io.priority)) {
+        if (q->lba == io.lba) ++cov_.equal_lba_pushes;
+        const bool touches = q->lba <= io.lba + io.count && io.lba <= q->lba + q->count;
+        const bool capped =
+            q->ranges.size() + io.ranges.size() > std::min(q->merge_cap, io.merge_cap);
+        if (touches && capped) ++cov_.capped_overlaps;
+      }
+    }
+    const std::size_t before = model_.size();
+    PendingIo copy = io;
+    const bool merged_model = model_.try_merge(io);
+    const bool merged_indexed = indexed_->try_merge(copy);
+    ASSERT_EQ(merged_indexed, merged_model) << "seq " << copy.seq;
+    if (merged_model) {
+      ++cov_.merges;
+      if (model_.size() < before) ++cov_.cascades;
+      return;
+    }
+    model_.push(std::move(io));
+    indexed_->push(std::move(copy));
+  }
+
+  void pop() {
+    disk::Lba head = 0;
+    const std::int64_t where = rng_.uniform(0, 9);
+    if (where == 0) {
+      head = kLbaSpace + 100;  // past the highest LBA: wrap to the lowest
+      ++cov_.heads_past_end;
+    } else {
+      head = static_cast<disk::Lba>(rng_.uniform(0, kLbaSpace + 8));
+    }
+    PendingIo a = indexed_->pop_next(head);
+    PendingIo b = model_.pop_next(head);
+    ASSERT_EQ(a.seq, b.seq) << "head " << head;
+    ASSERT_EQ(a.priority, b.priority);
+    ASSERT_EQ(a.is_write, b.is_write);
+    ASSERT_EQ(a.lba, b.lba);
+    ASSERT_EQ(a.count, b.count);
+    ASSERT_EQ(a.ranges.size(), b.ranges.size());
+    popped_ranges_.clear();
+    for (auto& r : a.ranges) r.skipped();
+    const std::vector<int> order_a = popped_ranges_;
+    popped_ranges_.clear();
+    for (auto& r : b.ranges) r.skipped();
+    ASSERT_EQ(order_a, popped_ranges_) << "range order of batch seq " << a.seq;
+  }
+
+  std::unique_ptr<IoScheduler> indexed_;
+  ListScheduler model_;
+  bool writeback_;
+  sim::Rng rng_;
+  std::uint64_t next_seq_ = 0;
+  int next_range_id_ = 0;
+  std::vector<int> popped_ranges_;
+  Coverage cov_;
+};
+
+TEST(SchedulerDiff, WritebackMatchesListScanModel) {
+  SchedulerDiff::Coverage total;
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    SchedulerDiff diff(make_writeback_scheduler(), /*writeback=*/true, seed);
+    diff.run(1500);
+    if (HasFatalFailure()) return;
+    const SchedulerDiff::Coverage& c = diff.coverage();
+    total.equal_lba_pushes += c.equal_lba_pushes;
+    total.capped_overlaps += c.capped_overlaps;
+    total.cascades += c.cascades;
+    total.heads_past_end += c.heads_past_end;
+    total.merges += c.merges;
+  }
+  // The sequences reach every situation the index must reproduce.
+  EXPECT_GT(total.equal_lba_pushes, 100);
+  EXPECT_GT(total.capped_overlaps, 100);
+  EXPECT_GT(total.cascades, 100);
+  EXPECT_GT(total.heads_past_end, 100);
+  EXPECT_GT(total.merges, 1000);
+}
+
+TEST(SchedulerDiff, ClookMatchesListScanModel) {
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    SchedulerDiff diff(make_clook_scheduler(), /*writeback=*/false, seed);
+    diff.run(1500);
+    if (HasFatalFailure()) return;
+    EXPECT_GT(diff.coverage().heads_past_end, 10);
+  }
 }
 
 class DeviceQueueTest : public ::testing::Test {

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -230,6 +231,20 @@ TEST(Rng, UniformStaysInRange) {
     const auto v = rng.uniform(-5, 17);
     EXPECT_GE(v, -5);
     EXPECT_LE(v, 17);
+  }
+}
+
+TEST(Rng, UniformFullRangeIsDefined) {
+  // Ranges wider than 2^63 overflow a signed hi - lo; the full 64-bit
+  // range returns next() unchanged.
+  constexpr auto kMin = std::numeric_limits<std::int64_t>::min();
+  constexpr auto kMax = std::numeric_limits<std::int64_t>::max();
+  Rng rng(11), twin(11);
+  for (int i = 0; i < 100; ++i)
+    EXPECT_EQ(rng.uniform(kMin, kMax), static_cast<std::int64_t>(twin.next()));
+  for (int i = 0; i < 1000; ++i) {
+    EXPECT_GE(rng.uniform(-1, kMax), -1);
+    EXPECT_LE(rng.uniform(kMin, 1), 1);
   }
 }
 
