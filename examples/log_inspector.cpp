@@ -3,6 +3,8 @@
 // offline log verifier: sector census, per-epoch record counts,
 // utilization histogram, chain verification, and a dump of the live
 // records. A guided tour of the self-describing on-disk format of §3.2.
+// The tour then reboots the deployment and exits non-zero unless recovery
+// replays exactly the live chain the verifier counted.
 //
 // With `--fsck [report-path]` it instead runs the trail::audit log
 // verifier over the same scenario: once on the crashed image (torn-tail
@@ -81,7 +83,8 @@ void run_workload(Deployment& dep, obs::Obs* obs = nullptr) {
 
 // Reboot the crashed deployment, let recovery replay the chain, then
 // unmount cleanly so the image reaches its post-recovery steady state.
-void reboot_and_recover(Deployment& dep, bool verbose, obs::Obs* obs = nullptr) {
+// Returns the number of records recovery replayed.
+std::uint32_t reboot_and_recover(Deployment& dep, bool verbose, obs::Obs* obs = nullptr) {
   dep.log_disk.restart();
   dep.data_disk.restart();
   core::TrailDriver rebooted(dep.simulator, dep.log_disk);
@@ -94,6 +97,7 @@ void reboot_and_recover(Deployment& dep, bool verbose, obs::Obs* obs = nullptr) 
                 rebooted.last_recovery().tracks_scanned,
                 rebooted.last_recovery().locate_time.ms());
   rebooted.unmount();
+  return rebooted.last_recovery().records_found;
 }
 
 int run_fsck(const char* report_path) {
@@ -205,8 +209,11 @@ int run_tour() {
 
   // Boot a fresh driver: recovery replays the chain we just inspected.
   std::printf("\n*** rebooting: recovery should find the same chain ***\n");
-  reboot_and_recover(dep, /*verbose=*/true);
-  return 0;
+  const std::uint32_t recovered = reboot_and_recover(dep, /*verbose=*/true);
+  if (recovered == census.chain_length) return 0;
+  std::printf("MISMATCH: the verifier's live chain holds %u records, recovery replayed %u\n",
+              census.chain_length, recovered);
+  return 1;
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <string>
 #include <vector>
 
-#include "core/crc32.hpp"
 #include "core/format_tool.hpp"
 #include "core/log_format.hpp"
 
@@ -86,7 +85,13 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
     metadata_lbas.insert(layout.geometry_lba(r));
   }
 
+  // A written sector inside the payload extent of a record parsed at a
+  // lower LBA is judged by the chain-aware escape check below, whatever
+  // its first byte: a crash shears the sector under the head mid-payload,
+  // and track reuse overwrites stale payloads.
   std::vector<LogRecord> records;
+  std::vector<std::byte> span((1 + core::kMaxTrailBatch) * disk::kSectorSize);
+  disk::Lba extent_end = 0;
   for (disk::Lba lba = 0; lba < geometry.total_sectors(); ++lba) {
     if (!store.is_written(lba)) continue;
     store.read(lba, 1, sector);
@@ -114,39 +119,33 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
       continue;
     }
 
+    const bool in_extent = lba < extent_end;
     if (sector[0] == core::kHeaderFirstByte) {
-      auto hdr = core::parse_record_header(sector);
-      if (!hdr) {
+      // read_record's span: to the end of the track, at most one record.
+      const disk::Lba track_end = geometry.first_lba_of_track(track) + geometry.spt_of_track(track);
+      const auto sectors = static_cast<std::uint32_t>(
+          std::min<disk::Lba>(track_end - lba, 1 + core::kMaxTrailBatch));
+      const auto window = std::span<std::byte>(span).first(sectors * disk::kSectorSize);
+      store.read(lba, sectors, window);
+      auto rec = core::read_record(window);
+      if (!rec) {
         ++seen.other_sectors;
-        c_class.fail("0xFF first byte but the sector is not an intact record header", lba);
+        if (!in_extent)
+          c_class.fail("0xFF first byte but the sector is not an intact record header", lba);
         continue;
       }
       ++seen.record_headers;
       c_class.pass();
-      LogRecord rec;
-      rec.header_lba = lba;
-      rec.track = track;
-      rec.header = std::move(*hdr);
-      if (lba + 1 + rec.header.batch_size <= geometry.total_sectors()) {
-        // Stream the payload one sector at a time through the incremental
-        // CRC instead of staging the whole image in a temporary vector.
-        core::Crc32 crc;
-        disk::SectorBuf payload_sector{};
-        for (std::uint32_t s = 0; s < rec.header.batch_size; ++s) {
-          store.read(lba + 1 + s, 1, payload_sector);
-          crc.update(payload_sector);
-        }
-        rec.payload_intact = crc.value() == rec.header.payload_crc;
-      } else {
-        c_entries.fail("record payload extends past the end of the disk", lba);
-      }
-      records.push_back(std::move(rec));
+      if (rec->payload.empty()) c_entries.fail("record payload crosses the end of its track", lba);
+      extent_end = std::max(extent_end, lba + 1 + rec->header.batch_size);
+      records.push_back(LogRecord{std::move(rec->header), lba, track, rec->intact});
     } else if (sector[0] == core::kDataFirstByte) {
       ++seen.payload_sectors;
       c_class.pass();  // escaped payload (or zero fill)
     } else {
       ++seen.other_sectors;
-      c_class.fail("written sector violates the 0xFF/0x00 first-byte discipline", lba);
+      if (!in_extent)
+        c_class.fail("written sector violates the 0xFF/0x00 first-byte discipline", lba);
     }
   }
 
@@ -199,7 +198,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
       c_keys.fail("duplicate (epoch, sequence_id) record key", rec.header_lba);
   }
 
-  // ---- chain walk from the youngest intact record (§3.3 rebuild) ----
+  // ---- the §3.3 chain walk, as recovery's rebuild runs it ----
   std::uint32_t stamped_epoch = 0;
   for (const core::LogDiskHeader& h : headers) stamped_epoch = std::max(stamped_epoch, h.epoch);
   if (!headers.empty()) {
@@ -212,101 +211,79 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
   std::map<disk::Lba, const LogRecord*> by_lba;
   for (const LogRecord& rec : records) by_lba[rec.header_lba] = &rec;
 
+  // The same start rule as recovery's locate: the youngest record at or
+  // below the stamped epoch, torn or not.
   const LogRecord* youngest = nullptr;
-  for (const LogRecord& rec : records) {
-    if (!rec.payload_intact) continue;
-    if (youngest == nullptr ||
-        core::record_key(rec.header) > core::record_key(youngest->header))
+  for (const LogRecord& rec : records)
+    if (rec.header.epoch <= stamped_epoch &&
+        (youngest == nullptr ||
+         core::record_key(rec.header) > core::record_key(youngest->header)))
       youngest = &rec;
-  }
 
-  std::set<disk::Lba> on_chain;
-  if (youngest == nullptr) {
-    c_chain.pass();  // empty (or fully torn) log: nothing to verify
-  } else {
-    const std::uint32_t bound = youngest->header.log_head;
+  std::set<disk::Lba> on_chain;   // at or after the walk's first intact record
+  std::set<disk::Lba> torn_tail;  // walked before it
+  bool chain_ok = true;
+  if (youngest != nullptr) {
+    core::ChainWalk walk(core::encode_log_ptr(0, static_cast<std::uint32_t>(youngest->header_lba)),
+                         headers.empty() ? 0 : core::oldest_pending_epoch(seen.disk_header));
     disk::Lba lba = youngest->header_lba;
-    std::uint64_t prev_key = 0;
-    bool first = true;
-    bool ok = true;
-    while (true) {
-      if (on_chain.size() > records.size()) {
-        c_chain.fail("prev_sect chain longer than the record census (cycle)", lba);
-        ok = false;
-        break;
-      }
-      const auto it = by_lba.find(lba);
-      if (it == by_lba.end()) {
-        c_chain.fail("prev_sect points at a non-record sector", lba);
-        ok = false;
-        break;
-      }
-      const LogRecord& rec = *it->second;
-      const std::uint64_t key = core::record_key(rec.header);
-      if (!first && key >= prev_key) {
-        c_chain.fail("(epoch, sequence_id) not strictly decreasing along prev_sect",
-                     rec.header_lba);
-        ok = false;
-        break;
-      }
-      prev_key = key;
-      first = false;
-      if (!on_chain.insert(rec.header_lba).second) {
-        c_chain.fail("prev_sect chain revisits a record (cycle)", rec.header_lba);
-        ok = false;
-        break;
-      }
-      const std::uint32_t self =
-          core::encode_log_ptr(0, static_cast<std::uint32_t>(rec.header_lba));
-      if (self == bound) break;  // reached the oldest live record
-      if (rec.header.prev_sect == core::kNoPrevRecord) {
-        c_chain.fail("chain ended (prev_sect sentinel) before reaching the log_head bound",
-                     rec.header_lba);
-        ok = false;
-        break;
-      }
-      if (core::log_ptr_unit(rec.header.prev_sect) != 0) {
+    while (!walk.done()) {
+      if (core::log_ptr_unit(walk.next()) != 0) {
         // Multi-log-disk chain: out of a single-disk verifier's scope.
-        c_chain.fail("chain crosses to another log disk (verify that disk too)",
-                     rec.header_lba, Severity::kWarning);
+        c_chain.fail("chain crosses to another log disk (verify that disk too)", lba,
+                     Severity::kWarning);
         break;
       }
-      lba = core::log_ptr_lba(rec.header.prev_sect);
+      lba = core::log_ptr_lba(walk.next());
+      const auto it = by_lba.find(lba);
+      const LogRecord* rec = it == by_lba.end() ? nullptr : it->second;
+      using V = core::ChainWalk::Verdict;
+      const V verdict = walk.step(rec != nullptr ? &rec->header : nullptr,
+                                  rec != nullptr && rec->payload_intact);
+      if (verdict == V::kNotRecord || verdict == V::kKeyOrder) {
+        c_chain.fail(verdict == V::kNotRecord
+                         ? "prev_sect points at a non-record sector"
+                         : "(epoch, sequence_id) not strictly decreasing along prev_sect",
+                     lba);
+        chain_ok = false;
+      } else if (verdict == V::kTornTail) {
+        torn_tail.insert(lba);
+      } else if (verdict != V::kExpired) {
+        on_chain.insert(lba);
+      }
     }
-    if (ok) c_chain.pass(on_chain.size());
+    if (walk.bound_missed()) {
+      c_chain.fail("chain ended (prev_sect sentinel) before reaching the log_head bound", lba);
+      chain_ok = false;
+    }
   }
+  if (chain_ok) c_chain.pass(on_chain.empty() ? 1 : on_chain.size());  // empty chain: one pass
   seen.chain_length = static_cast<std::uint32_t>(on_chain.size());
 
-  // ---- payload CRCs, severity-classified by chain membership ----
-  const std::uint64_t youngest_key =
-      youngest != nullptr ? core::record_key(youngest->header) : 0;
-  for (const auto& [rec, payload_lba] : escape_violations) {
-    if (on_chain.contains(rec->header_lba)) {
-      c_entries.fail("payload sector escaped first byte is not 0x00", payload_lba);
-    } else if (core::record_key(rec->header) > youngest_key) {
-      c_entries.fail("torn-tail payload sector lost the 0x00 escape byte", payload_lba,
-                     options.allow_torn_tail ? Severity::kWarning : Severity::kError);
-    } else {
-      c_entries.fail("stale record payload overwritten by track reuse", payload_lba,
-                     Severity::kWarning);
-    }
-  }
+  // ---- escape bytes and payload CRCs, graded by walk membership ----
+  // On the chain = corruption; torn tail = the crash's unacknowledged
+  // final write, which recovery drops; never walked = a stale record
+  // partially overwritten by track reuse (legal).
+  const auto grade = [&](Check& check, disk::Lba header_lba, disk::Lba at, const char* chain_msg,
+                         const char* tail_msg, const char* stale_msg) {
+    if (on_chain.contains(header_lba))
+      check.fail(chain_msg, at);
+    else if (torn_tail.contains(header_lba))
+      check.fail(tail_msg, at, options.allow_torn_tail ? Severity::kWarning : Severity::kError);
+    else
+      check.fail(stale_msg, at, Severity::kWarning);
+  };
+  for (const auto& [rec, payload_lba] : escape_violations)
+    grade(c_entries, rec->header_lba, payload_lba, "payload sector escaped first byte is not 0x00",
+          "torn-tail payload sector lost the 0x00 escape byte",
+          "stale record payload overwritten by track reuse");
   for (const LogRecord& rec : records) {
-    if (rec.payload_intact) {
+    if (rec.payload_intact)
       c_crc.pass();
-      continue;
-    }
-    if (on_chain.contains(rec.header_lba)) {
-      c_crc.fail("torn payload on a live-chain record", rec.header_lba);
-    } else if (core::record_key(rec.header) > youngest_key) {
-      // The unacknowledged tail of a crashed epoch: recovery drops it.
-      c_crc.fail("torn tail record (crash cut the final physical write)", rec.header_lba,
-                 options.allow_torn_tail ? Severity::kWarning : Severity::kError);
-    } else {
-      // Stale record partially overwritten by track reuse: legal.
-      c_crc.fail("off-chain torn payload (stale / partially overwritten record)",
-                 rec.header_lba, Severity::kWarning);
-    }
+    else
+      grade(c_crc, rec.header_lba, rec.header_lba, "torn payload on a live-chain record",
+            "torn tail record (crash cut the final physical write)",
+            "off-chain torn payload (stale / partially overwritten record)");
   }
 
   if (census == nullptr) return report;
@@ -314,10 +291,8 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
   for (const LogRecord& rec : records) {
     ++seen.records_per_epoch[rec.header.epoch];
     if (rec.header.epoch == stamped_epoch) used_sectors[rec.track] += 1 + rec.header.batch_size;
-    if (rec.header.epoch <= stamped_epoch &&
-        (!seen.youngest || core::record_key(rec.header) > core::record_key(seen.youngest->header)))
-      seen.youngest = rec;
   }
+  if (youngest != nullptr) seen.youngest = *youngest;
   seen.track_utilization.resize(geometry.track_count());
   for (disk::TrackId t = 0; t < geometry.track_count(); ++t)
     seen.track_utilization[t] = static_cast<double>(used_sectors[t]) / geometry.spt_of_track(t);

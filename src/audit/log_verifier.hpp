@@ -7,18 +7,24 @@
 // maintenance tool that runs with the driver unmounted. It keeps going
 // past the first violation and reports *every* one it can attribute —
 // that is what makes it usable as a corruption tripwire in tests and CI.
+// Records are decoded by core::read_record and the live chain is walked
+// by core::ChainWalk, the same rules recovery runs, so the live chain is
+// by construction the set recovery replays.
 //
 // Checks (see DESIGN.md §9 for the invariant catalogue):
 //   log.disk_header     — replica parse + quorum agreement
 //   log.geometry_block  — geometry replicas parse + match the device
 //   log.sector_classes  — first-byte discipline over every written sector
-//   log.record_entries  — entry array / payload layout agreement
-//   log.payload_crc     — payload image CRCs (chain members are errors,
-//                         off-chain torn records are warnings: partial
-//                         overwrite by track reuse is legal)
+//                         outside a record's payload extent
+//   log.record_entries  — entry array / payload layout agreement; each
+//                         payload lies within its record's track
+//   log.payload_crc     — payload image CRCs by walk membership (on the
+//                         chain = error, torn tail = warning, never
+//                         visited = warning: track reuse is legal)
 //   log.record_keys     — global (epoch, sequence_id) uniqueness
-//   log.chain           — prev_sect walk: acyclic, key-monotone, bounded
-//                         by the youngest record's log_head
+//   log.chain           — the ChainWalk from the youngest record at or
+//                         below the stamped epoch: key-monotone, bounded
+//                         by the first intact record's log_head
 #pragma once
 
 #include <cstdint>
@@ -69,7 +75,8 @@ struct LogCensus {
   /// TrackId.
   std::vector<double> track_utilization;
 
-  /// Records on the live chain (the log.chain walk).
+  /// Records on the live chain (the log.chain walk from its first intact
+  /// record on): the set recovery replays.
   std::uint32_t chain_length = 0;
 
   /// Every record header on the platter, ascending by record_key.

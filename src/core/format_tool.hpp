@@ -46,7 +46,7 @@ void format_log_disk(disk::DiskDevice& device);
 
 /// Timed header update through the normal command path: writes the header
 /// sector of every replica in sequence, then invokes `done`. Used at
-/// mount (crash_var=0, epoch bumped) and clean unmount (crash_var=1).
+/// mount (crash_var=0 or 2, epoch bumped) and clean unmount (crash_var=1).
 void write_disk_headers(disk::DiskDevice& device, const LogDiskHeader& header,
                         std::function<void()> done);
 

@@ -310,4 +310,42 @@ std::uint32_t escape_payload_image(std::span<std::byte> payload,
   return crc.value();
 }
 
+std::optional<RecordRead> read_record(std::span<const std::byte> span) {
+  auto hdr = parse_record_header(span);
+  if (!hdr) return std::nullopt;
+  RecordRead rec{std::move(*hdr), {}, false};
+  const std::size_t bytes = static_cast<std::size_t>(rec.header.batch_size) * disk::kSectorSize;
+  if (span.size() - disk::kSectorSize >= bytes) {
+    rec.payload = span.subspan(disk::kSectorSize, bytes);
+    rec.intact = crc32(rec.payload) == rec.header.payload_crc;
+  }
+  return rec;
+}
+
+ChainWalk::Verdict ChainWalk::step(const RecordHeader* header, bool intact) {
+  const auto end = [this](Verdict v) {
+    done_ = true;
+    return v;
+  };
+  if (header == nullptr) return end(Verdict::kNotRecord);
+  const std::uint64_t key = record_key(*header);
+  if (prev_key_ && key >= *prev_key_) return end(Verdict::kKeyOrder);
+  if (header->epoch < oldest_pending_epoch_) return end(Verdict::kExpired);
+  prev_key_ = key;
+  Verdict verdict = Verdict::kLive;
+  if (!intact)
+    verdict = bound_ ? Verdict::kTornLive : Verdict::kTornTail;
+  else if (!bound_)
+    bound_ = header->log_head;
+  if (bound_ && next_ == *bound_) {
+    done_ = true;  // reached the oldest live record
+  } else if (header->prev_sect == kNoPrevRecord) {
+    done_ = true;  // first record of its epoch
+    bound_missed_ = bound_.has_value();
+  } else {
+    next_ = header->prev_sect;
+  }
+  return verdict;
+}
+
 }  // namespace trail::core

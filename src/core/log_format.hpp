@@ -18,6 +18,10 @@
 // fields, a CRC32 over the header sector, and a CRC32 over the escaped
 // payload image so torn multi-sector writes are detected and dropped
 // instead of replayed.
+//
+// Recovery and the offline verifier (fsck) read the log through the one
+// record decoder (read_record) and the one §3.3 walk (ChainWalk) below, so
+// fsck's live chain is by construction the set recovery replays.
 #pragma once
 
 #include <cstdint>
@@ -80,11 +84,13 @@ inline constexpr std::uint32_t kMaxLogUnits = 15;  // unit 15 reserved for kNoPr
 
 /// The global log_disk_header (plus our mount-state interpretation):
 /// crash_var == 1 means the previous session unmounted cleanly; 0 means a
-/// mounted session is (or was, at a crash) in progress. resume_track is
-/// our extension: the ring position where the next mount continues
-/// appending, so the temporal order of track stamps always follows the
-/// circular track order — the invariant the recovery binary search rests
-/// on — even across epochs.
+/// mounted session is (or was, at a crash) in progress with nothing from
+/// earlier epochs pending; 2 means the same, after the mount adopted
+/// pending records of earlier epochs instead of writing them back.
+/// resume_track is our extension: the ring position where the next mount
+/// continues appending, so the temporal order of track stamps always
+/// follows the circular track order — the invariant the recovery binary
+/// search rests on — even across epochs.
 struct LogDiskHeader {
   std::uint32_t epoch = 0;
   std::uint32_t crash_var = 1;
@@ -92,6 +98,12 @@ struct LogDiskHeader {
 
   bool operator==(const LogDiskHeader&) const = default;
 };
+
+/// The oldest epoch whose records can still be pending under `hdr`: the
+/// stamped epoch when its mount adopted nothing (crash_var 0), else 0.
+[[nodiscard]] constexpr std::uint32_t oldest_pending_epoch(const LogDiskHeader& hdr) {
+  return hdr.crash_var == 0 ? hdr.epoch : 0;
+}
 
 /// Totally ordered write-record identity across epochs: sequence_ids
 /// restart at each mount, so temporal order is the (epoch, sequence_id)
@@ -173,5 +185,67 @@ void unescape_payload_sector(std::span<std::byte> sector, std::uint8_t original_
 /// hot path's form.
 [[nodiscard]] std::uint32_t escape_payload_image(std::span<std::byte> payload,
                                                  std::span<RecordEntry> entries);
+
+// ---- reading the log (§3.2 record decode, §3.3 chain walk) ----------------
+
+/// One record as read off the platter at its header sector.
+struct RecordRead {
+  RecordHeader header;
+  /// The escaped payload image (batch_size sectors) inside the span;
+  /// empty when the payload would run past the span's end.
+  std::span<const std::byte> payload;
+  /// The payload lies inside the span and matches header.payload_crc.
+  bool intact = false;
+};
+
+/// Decode the record whose header sector starts `span`, which runs no
+/// further than the end of the header's track: parse the header, bound the
+/// payload, check its CRC. The writer builds every record inside one free
+/// run of its track, so when the span reaches the track end (or holds
+/// 1 + kMaxTrailBatch sectors) a payload running past it is not intact.
+[[nodiscard]] std::optional<RecordRead> read_record(std::span<const std::byte> span);
+
+/// The §3.3 walk from the youngest record back along prev_sect, stated
+/// once. Start at the youngest record at or below the stamped epoch, torn
+/// or not, and step() the record at next() until done(). Keys strictly
+/// decrease along the walk. Torn records before the first intact one are
+/// the torn tail (the crash's unacknowledged final write); the first
+/// intact record's log_head is the bound. A prev_sect sentinel, or a
+/// record older than the oldest pending epoch, ends the walk. The walk
+/// reports what it sees and the caller decides: recovery throws on
+/// corruption, fsck records a finding and keeps going.
+class ChainWalk {
+ public:
+  enum class Verdict {
+    kTornTail,   // torn, before the first intact record: dropped
+    kLive,       // intact and pending: recovery replays it
+    kTornLive,   // torn after an intact record: no legal crash does this
+    kNotRecord,  // no record header at next(): the walk ends
+    kKeyOrder,   // key not below the previous record's: the walk ends
+    kExpired,    // older than the oldest pending epoch: the walk ends
+  };
+
+  ChainWalk(std::uint32_t start, std::uint32_t oldest_pending_epoch)
+      : next_(start), oldest_pending_epoch_(oldest_pending_epoch) {}
+
+  /// Feed the record at next(): its header and payload verdict, or
+  /// nullptr when no intact record header is there.
+  [[nodiscard]] Verdict step(const RecordHeader* header, bool intact);
+
+  [[nodiscard]] bool done() const { return done_; }
+  /// Log pointer of the record to feed next; meaningful while !done().
+  [[nodiscard]] std::uint32_t next() const { return next_; }
+  /// The walk met a prev_sect sentinel after an intact record without
+  /// reaching that record's log_head bound.
+  [[nodiscard]] bool bound_missed() const { return bound_missed_; }
+
+ private:
+  std::uint32_t next_;
+  std::uint32_t oldest_pending_epoch_;
+  std::optional<std::uint64_t> prev_key_;
+  std::optional<std::uint32_t> bound_;
+  bool done_ = false;
+  bool bound_missed_ = false;
+};
 
 }  // namespace trail::core

@@ -7,10 +7,15 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/crc32.hpp"
 #include "io/device_queue.hpp"
 
 namespace trail::core {
+
+namespace {
+/// Locate's anchor grid: probes spread over the ring before the
+/// binary search falls back to the sequential scan.
+constexpr std::uint32_t kAnchorProbes = 64;
+}  // namespace
 
 RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks,
                                  DataWriteFn data_write)
@@ -38,11 +43,11 @@ RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevi
 // the window holds:
 //   - locate keeps a sliding window of up to `depth` anchor probes in
 //     flight per unit and runs all units' locate machines concurrently;
-//   - rebuild walks the chain out of a track cache: a miss fetches the
-//     demanded record window plus up to depth-1 ring-backward neighbour
-//     tracks (bounded by readahead_sectors), which C-LOOK serves as one
-//     ascending forward sweep — the fast direction — while the chain walk
-//     consumes parsed records out of the cache at zero cost.
+//   - rebuild walks the chain (core::ChainWalk) out of a track cache: a
+//     miss fetches the demanded record window plus up to depth-1
+//     ring-backward neighbour tracks, which C-LOOK serves as one
+//     ascending forward sweep — the fast direction — while the walk
+//     decodes records (core::read_record) out of the cache at zero cost.
 // The locate *result* (per-unit youngest key) and the rebuilt chain are
 // depth-invariant: the anchor is defined as the first present probe in
 // grid order regardless of completion order, the bisect is deterministic,
@@ -53,6 +58,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
 
   RecoveryManager& m;
   std::uint32_t target_epoch = 0;
+  std::uint32_t oldest_pending_epoch = 0;
   Options opts;
   std::uint32_t depth = 1;
   std::function<void(Outcome)> done;
@@ -96,12 +102,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
   // ---- phase 2 state ----
   sim::TimePoint rebuild_start{};
   std::optional<obs::ScopedSpan> rebuild_span;
-  bool walk_done = false;
-  std::uint8_t unit = 0;
-  disk::Lba lba = 0;
-  bool have_bound = false;
-  std::uint32_t bound_ptr = 0;
-  std::uint64_t prev_key = 0;
+  std::optional<ChainWalk> walk;
   std::vector<RecoveredRecord> chain;  // youngest -> oldest
 
   static constexpr disk::TrackId kNoTrack = static_cast<disk::TrackId>(-1);
@@ -203,8 +204,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
         outcome.stats.sequential_fallback = true;
         L.stage = Loc::Stage::kSeq;
       } else {
-        L.probes =
-            std::min<std::size_t>(opts.anchor_probes == 0 ? 1 : opts.anchor_probes, L.n);
+        L.probes = std::min<std::size_t>(kAnchorProbes, L.n);
       }
     }
     for (std::size_t u = 0; u < loc.size(); ++u) pump_locate(static_cast<std::uint8_t>(u));
@@ -376,8 +376,8 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     for (const Loc& L : loc)
       if (L.result.present && (!youngest.present || L.result.key > youngest.key))
         youngest = L.result;
-    if (!youngest.present) {
-      complete();  // nothing was logged in the crashed epoch
+    if (!youngest.present || youngest.key < record_key(oldest_pending_epoch, 0)) {
+      complete();  // nothing logged, or all of it already written back
       return;
     }
     start_rebuild(youngest);
@@ -388,84 +388,58 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     rebuild_start = m.sim_.now();
     rebuild_span.emplace(m.obs_ != nullptr ? &m.obs_->tracer : nullptr, "recovery.rebuild",
                          "recovery", m.tid_);
-    unit = youngest.unit;
-    lba = youngest.header_lba;
+    walk.emplace(encode_log_ptr(youngest.unit, static_cast<std::uint32_t>(youngest.header_lba)),
+                 oldest_pending_epoch);
     walk_track.assign(m.units_.size(), kNoTrack);
     resume_walk();
   }
 
-  /// One chain-walk step: validate + classify one record, push it when
-  /// intact, and advance (unit, lba) or mark the walk done.
-  void step_record(const RecordHeader& hdr, std::vector<std::byte> payload,
-                   std::uint32_t payload_crc) {
-    RecoveryStats& stats = outcome.stats;
-    if (!chain.empty() || stats.records_dropped_torn > 0) {
-      if (record_key(hdr) >= prev_key) fail("recovery: record keys not decreasing along chain");
-    }
-    prev_key = record_key(hdr);
-    const bool intact = payload_crc == hdr.payload_crc;
-    if (!intact) {
-      // Only the final (unacknowledged) physical write can be torn; by
-      // then we must not have collected any intact newer record.
-      if (!chain.empty()) fail("recovery: torn record below an intact one");
-      ++stats.records_dropped_torn;
+  /// One chain-walk step: hand the record at (unit, lba) to the walk and
+  /// keep it when the walk says it is pending.
+  void step_record(std::uint8_t unit, disk::Lba lba, disk::TrackId track,
+                   const std::optional<RecordRead>& rec) {
+    using V = ChainWalk::Verdict;
+    const V verdict = walk->step(rec ? &rec->header : nullptr, rec && rec->intact);
+    if (verdict == V::kNotRecord)
+      fail("recovery: prev_sect chain reached an invalid record header");
+    if (verdict == V::kKeyOrder) fail("recovery: record keys not decreasing along chain");
+    // Only the final (unacknowledged) physical write can be torn.
+    if (verdict == V::kTornLive) fail("recovery: torn record below an intact one");
+    if (verdict == V::kTornTail) {
+      ++outcome.stats.records_dropped_torn;
       // Keys strictly decrease along the walk, so the last torn record
       // seen carries the oldest torn key.
-      stats.oldest_torn_key = record_key(hdr);
-    } else {
-      if (!have_bound) {
-        // The newest *intact* record's log_head bounds the backward walk.
-        have_bound = true;
-        bound_ptr = hdr.log_head;
-      }
-      RecoveredRecord rec;
-      rec.log_unit = unit;
-      rec.header_lba = lba;
-      rec.track = m.units_.at(unit).device->geometry().track_of_lba(lba);
-      // Restore the original first byte of every payload sector.
-      for (std::uint32_t i = 0; i < hdr.batch_size; ++i)
-        unescape_payload_sector(
-            std::span<std::byte>(payload.data() + static_cast<std::size_t>(i) * disk::kSectorSize,
-                                 disk::kSectorSize),
-            hdr.entries[i].first_data_byte);
-      rec.payload = std::move(payload);
-      rec.header = hdr;
-      chain.push_back(std::move(rec));
+      outcome.stats.oldest_torn_key = record_key(rec->header);
     }
-    const std::uint32_t self_ptr = encode_log_ptr(unit, static_cast<std::uint32_t>(lba));
-    if ((have_bound && self_ptr == bound_ptr)    // reached the oldest live record
-        || hdr.prev_sect == kNoPrevRecord) {     // first record of the epoch
-      walk_done = true;
-      return;
-    }
-    const std::uint8_t next_unit = log_ptr_unit(hdr.prev_sect);
-    if (next_unit >= m.units_.size()) fail("recovery: prev_sect names an unknown log disk");
-    unit = next_unit;
-    lba = log_ptr_lba(hdr.prev_sect);
+    if (verdict != V::kLive) return;
+    RecoveredRecord& out = chain.emplace_back(RecoveredRecord{
+        rec->header, unit, lba, track, {rec->payload.begin(), rec->payload.end()}});
+    // Restore the original first byte of every payload sector.
+    for (std::uint32_t i = 0; i < out.header.batch_size; ++i)
+      unescape_payload_sector(
+          std::span<std::byte>(out.payload).subspan(static_cast<std::size_t>(i) * disk::kSectorSize,
+                                                    disk::kSectorSize),
+          out.header.entries[i].first_data_byte);
   }
 
-  RecordHeader parse_chain_header(std::span<const std::byte> sector) {
-    const auto hdr = parse_record_header(sector);
-    if (!hdr || hdr->epoch > target_epoch)
-      fail("recovery: prev_sect chain reached an invalid record header");
-    return *hdr;
-  }
-
-  // The walk consumes parsed records out of the track cache; a miss
-  // fetches the demanded record window plus a ring-backward prefetch batch
-  // that C-LOOK serves as one ascending forward sweep.
+  // The walk decodes records out of the track cache; a miss fetches the
+  // demanded record window plus a ring-backward prefetch batch that
+  // C-LOOK serves as one ascending forward sweep.
   void resume_walk() {
     for (;;) {
-      if (walk_done) {
+      if (walk->done()) {
         if (inflight == 0) finish_rebuild();  // else: prefetch stragglers drain first
         return;
       }
-      const disk::Geometry& geom = m.units_.at(unit).device->geometry();
+      const std::uint8_t unit = log_ptr_unit(walk->next());
+      if (unit >= m.units_.size()) fail("recovery: prev_sect names an unknown log disk");
+      const disk::Lba lba = log_ptr_lba(walk->next());
+      const disk::Geometry& geom = m.units_[unit].device->geometry();
       const disk::TrackId track = geom.track_of_lba(lba);
       const auto key = std::make_pair(unit, track);
       auto it = cache.find(key);
       if (it == cache.end()) {
-        demand_fetch(unit, track);
+        demand_fetch(unit, track, lba);
         return;
       }
       if (!it->second.ready) return;  // fetch in flight; its completion resumes us
@@ -475,7 +449,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
         // in-track placement non-monotone, so a revisit can land on
         // either side. Refetch with a window anchored here.
         cache.erase(it);
-        demand_fetch(unit, track);
+        demand_fetch(unit, track, lba);
         return;
       }
       // The walk rarely returns to a consumed track (see above), so the
@@ -484,45 +458,27 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
         cache.erase(std::make_pair(unit, walk_track[unit]));
       walk_track[unit] = track;
       const TrackBuf& tb = it->second;
-      const std::size_t off = static_cast<std::size_t>(lba - tb.base) * disk::kSectorSize;
-      const RecordHeader hdr =
-          parse_chain_header(std::span<const std::byte>(tb.data->data() + off, disk::kSectorSize));
-      std::vector<std::byte> payload(static_cast<std::size_t>(hdr.batch_size) *
-                                     disk::kSectorSize);
-      if (lba + 1 + hdr.batch_size <= tb.base + tb.spt) {
-        std::memcpy(payload.data(), tb.data->data() + off + disk::kSectorSize, payload.size());
-        const std::uint32_t crc = crc32(payload);
-        step_record(hdr, std::move(payload), crc);
-        continue;
+      const auto rec = read_record(std::span<const std::byte>(*tb.data).subspan(
+          static_cast<std::size_t>(lba - tb.base) * disk::kSectorSize));
+      if (rec && rec->payload.empty() &&
+          tb.base + tb.spt < geom.first_lba_of_track(track) + geom.spt_of_track(track)) {
+        // The payload runs past a window anchored at an earlier record,
+        // not past the track: refetch with a window anchored here.
+        cache.erase(it);
+        demand_fetch(unit, track, lba);
+        return;
       }
-      // Defensive spill (the writer never splits a payload across its
-      // track): stream the in-track head, read the overflow directly.
-      const auto in_track = static_cast<std::uint32_t>(tb.base + tb.spt - lba - 1);
-      const std::size_t head_bytes = static_cast<std::size_t>(in_track) * disk::kSectorSize;
-      std::memcpy(payload.data(), tb.data->data() + off + disk::kSectorSize, head_bytes);
-      auto pay = std::make_shared<std::vector<std::byte>>(std::move(payload));
-      const std::span<std::byte> tail = std::span<std::byte>(*pay).subspan(head_bytes);
-      issue_read(unit, tb.base + tb.spt, hdr.batch_size - in_track, tail, pay,
-                 [this, hdr, pay, head_bytes] {
-                   const std::span<std::byte> tail2 =
-                       std::span<std::byte>(*pay).subspan(head_bytes);
-                   const std::uint32_t crc = crc32_combine(
-                       crc32(std::span<const std::byte>(pay->data(), head_bytes)), crc32(tail2),
-                       tail2.size());
-                   step_record(hdr, std::move(*pay), crc);
-                   resume_walk();
-                 });
-      return;
+      step_record(unit, lba, track, rec);
     }
   }
 
-  void demand_fetch(std::uint8_t u, disk::TrackId track) {
+  void demand_fetch(std::uint8_t u, disk::TrackId track, disk::Lba lba) {
     const Unit& un = m.units_[u];
     const disk::Geometry& geom = un.device->geometry();
     // Trail stamps records at rotationally chosen offsets, so there is no
     // anchored range cheaper than the header window that is still
     // guaranteed to hold the demanded record: read [record, record +
-    // payload bound), clamped to the track (a payload overflow spills).
+    // payload bound), clamped to the track (read_record's span).
     const disk::Lba tbase = geom.first_lba_of_track(track);
     const std::uint32_t tspt = geom.spt_of_track(track);
     const auto window = static_cast<std::uint32_t>(
@@ -556,23 +512,14 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     }
     if (!prefetch) return;
     std::vector<disk::TrackId> batch;
-    std::uint32_t spent = window;
-    const std::uint32_t budget = opts.readahead_sectors;  // 0 = auto: depth tracks
     const auto pos = std::lower_bound(un.usable.begin(), un.usable.end(), track);
     if (pos == un.usable.end() || *pos != track) return;  // defensive
     std::size_t back = static_cast<std::size_t>(pos - un.usable.begin());
     const std::size_t n = un.usable.size();
-    std::uint32_t issued = 1;
-    while (issued < depth && issued < n) {
+    for (std::uint32_t issued = 1; issued < depth && issued < n; ++issued) {
       back = (back + n - 1) % n;
-      const disk::TrackId t = un.usable[back];
-      const std::uint32_t pspt = geom.spt_of_track(t);
-      if (budget != 0 && spent + pspt > budget) break;
-      if (cache.find(std::make_pair(u, t)) == cache.end()) {
-        batch.push_back(t);
-        spent += pspt;
-      }
-      ++issued;
+      if (cache.find(std::make_pair(u, un.usable[back])) == cache.end())
+        batch.push_back(un.usable[back]);
     }
     // Ascending physical order, adjacent tracks fused into one command:
     // the sweep crosses track boundaries on the skew and streams at
@@ -769,11 +716,12 @@ RecoveryManager::~RecoveryManager() {
   if (wb_) wb_->failed = true;
 }
 
-void RecoveryManager::start(std::uint32_t target_epoch, const Options& options,
-                            std::function<void(Outcome)> done) {
+void RecoveryManager::start(std::uint32_t target_epoch, std::uint32_t oldest_pending_epoch,
+                            const Options& options, std::function<void(Outcome)> done) {
   pipe_ = std::make_shared<Pipe>(*this);
   Pipe& p = *pipe_;
   p.target_epoch = target_epoch;
+  p.oldest_pending_epoch = oldest_pending_epoch;
   p.opts = options;
   p.depth = std::max<std::uint32_t>(1, options.pipeline_depth);
   p.done = std::move(done);

@@ -11,11 +11,14 @@
 //     A sequential full scan exists both as the paper's baseline
 //     (ablation) and as a defensive fallback.
 //
-//  2. REBUILD the pending-record set: walk prev_sect back from the
-//     youngest record — across log disks via encoded log pointers — no
-//     further than the youngest record's log_head bound. Torn tail
-//     records (payload CRC mismatch — possible only for unacknowledged
-//     final physical writes) are dropped.
+//  2. REBUILD the pending-record set: core::ChainWalk back along
+//     prev_sect from the youngest record — across log disks via encoded
+//     log pointers — to the first intact record's log_head bound, each
+//     record decoded by core::read_record out of the track cache. Torn
+//     tail records (payload CRC mismatch — possible only for
+//     unacknowledged final physical writes) are dropped. A youngest
+//     record older than the oldest pending epoch (the previous session
+//     already wrote it back) means nothing is pending.
 //
 //  3. WRITE BACK pending records to the data disks in ascending key
 //     order. Optional (Fig. 4b): the driver may instead adopt the records
@@ -91,16 +94,11 @@ class RecoveryManager {
     bool write_back = true;
     /// Force the O(N) sequential locate instead of binary search (ablation).
     bool sequential_locate = false;
-    /// Probes used to find a binary-search anchor before falling back.
-    std::uint32_t anchor_probes = 64;
     /// Bounded in-flight read window per log unit: the number of anchor
     /// probes in flight during locate, and the rebuild prefetch breadth
     /// (the demanded track plus up to depth - 1 older ones). 1 keeps one
     /// read in flight per unit and never prefetches.
     std::uint32_t pipeline_depth = 8;
-    /// Rebuild read-ahead budget in sectors per demand miss
-    /// (0 = auto: pipeline_depth whole tracks).
-    std::uint32_t readahead_sectors = 0;
   };
 
   /// Writes one payload run to a data disk; invoke the completion when
@@ -135,15 +133,16 @@ class RecoveryManager {
     std::vector<RecoveredRecord> pending;
   };
 
-  /// Start recovery for the crashed epoch (records of *earlier* epochs can
-  /// also be pending when a previous recovery adopted them instead of
-  /// writing them back, so the epoch is an upper bound and ordering uses
-  /// record_key) and return; `done` fires (from a device completion) when
-  /// the selected phases finish. Never steps the simulator itself, so a
-  /// sharded mount can start every shard's recovery and let them
-  /// interleave on virtual time.
-  void start(std::uint32_t target_epoch, const Options& options,
-             std::function<void(Outcome)> done);
+  /// Start recovery for the crashed epoch and return; `done` fires (from
+  /// a device completion) when the selected phases finish. Records of
+  /// *earlier* epochs can also be pending when a previous recovery
+  /// adopted them instead of writing them back, so `target_epoch` is an
+  /// upper bound, `oldest_pending_epoch` (core::oldest_pending_epoch of
+  /// the disk headers) the lower one, and ordering uses record_key. Never
+  /// steps the simulator itself, so a sharded mount can start every
+  /// shard's recovery and let them interleave on virtual time.
+  void start(std::uint32_t target_epoch, std::uint32_t oldest_pending_epoch,
+             const Options& options, std::function<void(Outcome)> done);
 
   /// Phase 3 alone: write `pending` back to the data disks, accumulating
   /// into `stats`; `done` fires when every run is durable. Public so a

@@ -77,7 +77,7 @@ struct ShardedConfig {
 /// Cross-shard view of the last mount's recovery.
 struct ShardedRecoveryStats {
   std::vector<RecoveryStats> shards;   // per-shard phase stats
-  std::uint32_t crashed_shards = 0;    // shards that found crash_var == 0
+  std::uint32_t crashed_shards = 0;    // shards that found crash_var != 1
   std::uint32_t records_found = 0;     // sum across shards
   std::uint32_t records_dropped_torn = 0;
   std::uint32_t records_cut = 0;       // intact records above the cut

@@ -210,7 +210,7 @@ void TrailDriver::mount_begin_async(std::function<void(MountPrep)> done) {
                          st->bad = true;
                        } else {
                          st->prep.headers[u] = *header;
-                         st->prep.crashed |= header->crash_var == 0;
+                         st->prep.crashed |= header->crash_var != 1;
                          st->prep.max_epoch = std::max(st->prep.max_epoch, header->epoch);
                        }
                        if (--st->remaining > 0) return;
@@ -234,12 +234,15 @@ void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPre
   opts.write_back = false;
   opts.sequential_locate = config_.recovery_sequential_locate;
   opts.pipeline_depth = config_.recovery_pipeline_depth;
-  opts.readahead_sectors = config_.recovery_readahead_sectors;
+  // Units disagree after a crash mid-stamp: take the most lenient bound.
+  std::uint32_t oldest_pending = prep.max_epoch;
+  for (const LogDiskHeader& header : prep.headers)
+    oldest_pending = std::min(oldest_pending, oldest_pending_epoch(header));
   recovery_ =
       std::make_unique<RecoveryManager>(sim_, log_devices(), RecoveryManager::DataWriteFn{});
   recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
   auto shared_prep = std::make_shared<MountPrep>(std::move(prep));
-  recovery_->start(shared_prep->max_epoch, opts,
+  recovery_->start(shared_prep->max_epoch, oldest_pending, opts,
                    [shared_prep, done = std::move(done),
                     alive = alive_](RecoveryManager::Outcome outcome) mutable {
                      if (!*alive) return;
@@ -258,6 +261,7 @@ struct TrailDriver::MountFinishState {
   std::vector<RecoveredRecord> kept;
   std::vector<std::pair<std::uint8_t, disk::Lba>> cuts;  // headers to erase
   std::size_t cut_idx = 0;
+  bool adopted = false;  // stamped as crash_var 2: earlier epochs stay pending
   std::size_t stamp_idx = 0;
   std::size_t pos_idx = 0;
 };
@@ -355,7 +359,8 @@ void TrailDriver::mf_adopt(std::shared_ptr<MountFinishState> st) {
         adopt.push_back(std::move(rec));
       }
     }
-    if (!adopt.empty()) adopt_recovered(std::move(adopt));
+    st->adopted = !adopt.empty();
+    if (st->adopted) adopt_recovered(std::move(adopt));
   }
 
   epoch_ = std::max(st->prep.max_epoch, st->epoch_floor) + 1;
@@ -379,14 +384,16 @@ void TrailDriver::mf_adopt(std::shared_ptr<MountFinishState> st) {
   mf_stamp(std::move(st));
 }
 
-// Stamp the new epoch as mounted (crash_var = 0) on every unit.
+// Stamp the new epoch as mounted on every unit: crash_var = 2 when this
+// mount adopted records of earlier epochs, else 0 (nothing older pending).
 void TrailDriver::mf_stamp(std::shared_ptr<MountFinishState> st) {
   if (st->stamp_idx == units_.size()) {
     mf_position(std::move(st));
     return;
   }
   LogUnit& unit = units_[st->stamp_idx++];
-  write_disk_headers(*unit.device, LogDiskHeader{epoch_, 0, unit.allocator->current()},
+  const LogDiskHeader header{epoch_, st->adopted ? 2u : 0u, unit.allocator->current()};
+  write_disk_headers(*unit.device, header,
                      [this, st = std::move(st), alive = alive_]() mutable {
                        if (!*alive) return;
                        mf_stamp(std::move(st));
@@ -588,20 +595,6 @@ void TrailDriver::quiesce_audit(const char* where) const {
       msg += obs_->flight.dump_tail(16);
     }
     throw std::logic_error(msg);
-  }
-}
-
-void TrailDriver::position_heads_initial() {
-  for (std::size_t u = 0; u < units_.size(); ++u) {
-    LogUnit& unit = units_[u];
-    const disk::TrackId track = unit.allocator->current();
-    const disk::Lba lba = unit.device->geometry().first_lba_of_track(track);
-    bool done = false;
-    unit.device->read(lba, 1, unit.scratch, [&, track] {
-      unit.predictor->set_reference(sim_.now(), track, 0);
-      done = true;
-    });
-    run_sim_until([&] { return done; }, "initial head positioning");
   }
 }
 

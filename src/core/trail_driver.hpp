@@ -25,9 +25,10 @@
 // track ring, head predictor, and header replicas.
 //
 // Mount/unmount implement the crash_var protocol of §3.3: mount finds
-// crash_var == 0 => run recovery (write-back or adopt-pending per
-// config), then stamps a new epoch with crash_var = 0; a clean unmount
-// drains write-back and stamps crash_var = 1.
+// crash_var != 1 => run recovery (write-back or adopt-pending per
+// config), then stamps a new epoch with crash_var = 0, or 2 when it
+// adopted pending records of earlier epochs; a clean unmount drains
+// write-back and stamps crash_var = 1.
 #pragma once
 
 #include <cstdint>
@@ -86,9 +87,6 @@ struct TrailConfig {
   /// same algorithm and writes back through the batched CSCAN scheduler;
   /// 1 keeps one read in flight per unit.
   std::uint32_t recovery_pipeline_depth = 8;
-  /// Rebuild read-ahead budget in sectors per demand miss
-  /// (0 = auto: recovery_pipeline_depth whole tracks).
-  std::uint32_t recovery_readahead_sectors = 0;
   /// Write-back pacing (dirty high-watermark): when > 0, a data disk whose
   /// queue holds *only* write-back work defers dispatch until at least
   /// this many dirty sectors are queued, so bursts accumulate more
@@ -203,7 +201,7 @@ class TrailDriver final : public io::BlockDriver {
   // the global epoch floor and the cross-shard consistency cut from the
   // combined outcomes, then finishes each shard under that cut.
   struct MountPrep {
-    bool crashed = false;          // some replica had crash_var == 0
+    bool crashed = false;          // some unit's header had crash_var != 1
     std::uint32_t max_epoch = 0;   // newest epoch across header replicas
     std::vector<LogDiskHeader> headers;     // one per log unit
     std::vector<RecoveredRecord> pending;   // ascending key order
@@ -217,7 +215,7 @@ class TrailDriver final : public io::BlockDriver {
   /// (never adopted, never written back — their headers are erased so a
   /// later recovery cannot resurrect them), write back / adopt the
   /// survivors per config, stamp epoch max(prep.max_epoch, epoch_floor)+1
-  /// with crash_var = 0, and position the heads.
+  /// with crash_var = 0 (2 if it adopted records), and position the heads.
   void mount_finish(MountPrep prep, std::uint32_t epoch_floor = 0,
                     std::uint64_t cut_before = ~std::uint64_t{0});
 
@@ -408,7 +406,6 @@ class TrailDriver final : public io::BlockDriver {
   void on_record_durable(RecordId id);
   void enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32_t count);
   void arm_idle_timer();
-  void position_heads_initial();
   void attach_data_queue_obs(std::size_t index);
   void note_log_queue_depth();
   [[nodiscard]] io::DeviceQueue& data_queue(io::DeviceId dev);

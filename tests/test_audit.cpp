@@ -10,8 +10,10 @@
 // std::runtime_error or a reduced record count; never silent adoption).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
 #include <stdexcept>
+#include <string>
 
 #include "audit/check.hpp"
 #include "audit/log_verifier.hpp"
@@ -458,6 +460,96 @@ TEST_F(AuditVerifierTest, DuplicateRecordKeyDetected) {
   if (found.has_value()) {
     EXPECT_LT(*found, static_cast<std::uint32_t>(kRecords));
   }
+}
+
+// The writer builds every record inside one free run of its track, so a
+// payload that crosses into the next track is no record at all, however
+// valid its CRC: fsck flags it and recovery drops it as torn.
+TEST_F(AuditVerifierTest, RecordPayloadCrossingItsTrackIsRejected) {
+  start();
+  for (auto& d : data_disks) d->crash_halt();
+  for (int i = 0; i < 3; ++i)
+    write_sync({devices[0], static_cast<disk::Lba>(i * 4)}, make_pattern(1, i));
+  driver->crash();
+  driver.reset();
+  const LogCensus before = census_of(*log_disk);
+  ASSERT_TRUE(before.youngest.has_value());
+  const LogRecord& youngest = *before.youngest;
+
+  // A correctly serialized header in the last sector of the youngest
+  // record's track, chained as the new youngest, whose 2-sector payload
+  // (valid CRC) lies on the next track.
+  const disk::Geometry& geom = log_disk->geometry();
+  const disk::Lba lba =
+      geom.first_lba_of_track(youngest.track) + geom.spt_of_track(youngest.track) - 1;
+  for (disk::Lba l = lba; l < lba + 3; ++l) ASSERT_FALSE(log_disk->store().is_written(l)) << l;
+  const auto reserved = core::LogDiskLayout(geom).reserved_tracks();
+  ASSERT_EQ(std::count(reserved.begin(), reserved.end(), youngest.track + 1), 0);
+  core::RecordHeader hdr;
+  hdr.batch_size = 2;
+  hdr.epoch = youngest.header.epoch;
+  hdr.sequence_id = youngest.header.sequence_id + 1;
+  hdr.prev_sect = core::encode_log_ptr(0, static_cast<std::uint32_t>(youngest.header_lba));
+  hdr.log_head = youngest.header.log_head;
+  hdr.entries.resize(2);
+  for (std::uint32_t i = 0; i < 2; ++i) {
+    hdr.entries[i].log_lba = static_cast<std::uint32_t>(lba + 1 + i);
+    hdr.entries[i].data_lba = 600 + i;
+    hdr.entries[i].data_major = devices[0].major();
+    hdr.entries[i].data_minor = devices[0].minor();
+  }
+  auto payload = make_pattern(2, 777);
+  hdr.payload_crc = core::escape_payload_image(payload, hdr.entries);
+  disk::SectorBuf sector{};
+  core::serialize_record_header(hdr, sector);
+  log_disk->store().write(lba, 1, sector);
+  log_disk->store().write(lba + 1, 2, payload);
+
+  LogCensus census;
+  Report report = audit::verify_log(*log_disk, {}, &census);
+  EXPECT_GT(report.check("log.record_entries").errors(), 0u) << report.to_string();
+  const auto found = remount_records();
+  ASSERT_TRUE(found.has_value());
+  EXPECT_EQ(*found, 3u);
+  EXPECT_EQ(census.chain_length, *found);
+  EXPECT_FALSE(data_disks[0]->store().is_written(600));
+  EXPECT_FALSE(data_disks[0]->store().is_written(601));
+}
+
+// A power cut fills the sector under the head with garbage. Inside a
+// torn record's payload that is legal tail damage, not corruption: sweep
+// the cut across one 8-sector write behind 3 pending records and hold
+// every image with a torn record to a clean fsck.
+TEST_F(AuditVerifierTest, ShornSectorInTornTailIsNotCorruption) {
+  int torn_images = 0;
+  for (std::uint32_t k = 0; k < 40; ++k) {
+    SCOPED_TRACE("power cut " + std::to_string(k) + " sector times into the write");
+    log_disk = std::make_unique<disk::DiskDevice>(sim, log_profile_);
+    core::format_log_disk(*log_disk);
+    data_disks.clear();
+    for (int i = 0; i < 2; ++i)
+      data_disks.push_back(std::make_unique<disk::DiskDevice>(sim, data_profile_));
+    start();
+    for (auto& d : data_disks) d->crash_halt();
+    for (int i = 0; i < 3; ++i)
+      write_sync({devices[0], static_cast<disk::Lba>(i * 4)}, make_pattern(2, 10 + i));
+    driver->submit_write({devices[0], 900}, 8, make_pattern(8, 99), [] {});
+    sim.run_until(sim.now() + log_profile_.command_overhead + log_profile_.sector_time(0) * k);
+    driver->crash();
+    driver.reset();
+
+    LogCensus census;
+    const Report report = audit::verify_log(*log_disk, {}, &census);
+    if (std::any_of(census.records.begin(), census.records.end(),
+                    [](const LogRecord& rec) { return !rec.payload_intact; })) {
+      ++torn_images;
+      EXPECT_TRUE(report.ok()) << report.to_string();
+    }
+    const auto found = remount_records();
+    ASSERT_TRUE(found.has_value());
+    EXPECT_EQ(census.chain_length, *found);
+  }
+  EXPECT_GT(torn_images, 0);
 }
 
 // ------------------------------------------------------ runtime audits

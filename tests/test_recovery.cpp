@@ -331,6 +331,38 @@ TEST_F(RecoveryTest, ManyMountCyclesKeepRingSearchable) {
   verify_expected_on_data_disks();
 }
 
+// Regression: a clean unmount leaves the previous epoch's records on the
+// tail track the next mount resumes on. A power cut before the new epoch
+// logs an intact record must replay nothing: those records were already
+// written back, and replaying a chain whose newest header the torn write
+// destroyed would put an older version over an acknowledged write.
+TEST_F(RecoveryTest, PowerCutDuringFirstWriteAfterCleanRemountReplaysNothing) {
+  TrailConfig cfg;
+  cfg.track_utilization_threshold = 1.0;
+  start(cfg);
+  std::uint64_t seed = 1;
+  for (std::uint32_t k = 0; k <= 8; ++k) {
+    SCOPED_TRACE("power cut " + std::to_string(k) + " sector times into the write");
+    for (int i = 0; i < 8; ++i) write_sync({devices[0], 40}, make_pattern(2, seed++));
+    settle();
+    driver->unmount();
+    driver.reset();
+    start(cfg);
+    driver->submit_write({devices[1], 900}, 8, make_pattern(8, seed++), [] {});
+    sim.run_until(sim.now() + log_profile_.command_overhead + log_profile_.sector_time(0) * k);
+    driver->crash();
+    driver.reset();
+    audit::LogCensus census;
+    (void)audit::verify_log(*log_disk, {}, &census);
+    log_disk->restart();
+    for (auto& d : data_disks) d->restart();
+    start(cfg);
+    EXPECT_EQ(driver->last_recovery().records_found, 0u);
+    EXPECT_EQ(census.chain_length, driver->last_recovery().records_found);
+    verify_expected_on_data_disks();
+  }
+}
+
 // Regression: a request split across physical writes could have its early
 // parts superseded (and unpinned) before the full-range write-back was
 // enqueued, tripping the pin bookkeeping (found by examples/torture).
