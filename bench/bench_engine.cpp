@@ -382,67 +382,6 @@ void BM_WritebackCoalesce(benchmark::State& state) {
 }
 BENCHMARK(BM_WritebackCoalesce)->Arg(1)->Arg(32)->Unit(benchmark::kMillisecond);
 
-// Paced variant on a *sparse* write stream (10 ms think time between
-// writes): without pacing every write-back reaches an idle data disk and
-// dispatches alone (wb_coalesce = 1.0); the dirty watermark + age bound
-// hold them back so whole accumulation windows flush as single
-// commands. The paced wb_coalesce must beat both its own unpaced
-// baseline and the saturated BM_WritebackCoalesce/32 figure
-// (~4.2 ranges/command) — the bench summary floors it.
-// Arg = writeback_dirty_age in ms (0 = pacing off).
-void BM_WritebackCoalescePaced(benchmark::State& state) {
-  const auto age_ms = static_cast<std::int64_t>(state.range(0));
-  constexpr int kWrites = 256;
-  double commands = 0.0, coalesce = 0.0;
-  for (auto _ : state) {
-    state.PauseTiming();
-    sim::Simulator simulator;
-    disk::DiskDevice log_disk(simulator, disk::small_test_disk());
-    disk::DiskDevice data_disk(simulator, disk::small_test_disk());
-    core::format_log_disk(log_disk);
-    core::TrailConfig config;
-    if (age_ms > 0) {
-      config.writeback_dirty_watermark = 64;
-      config.writeback_dirty_age = sim::millis(age_ms);
-    }
-    core::TrailDriver driver(simulator, log_disk, config);
-    const io::DeviceId dev = driver.add_data_disk(data_disk);
-    driver.mount();
-    std::vector<std::byte> payload(disk::kSectorSize, std::byte{0x5A});
-    int issued = 0;
-    std::function<void()> next;
-    next = [&] {
-      if (issued >= kWrites) return;
-      const auto lba = static_cast<disk::Lba>(issued);
-      ++issued;
-      driver.submit_write(io::BlockAddr{dev, lba}, 1, payload,
-                          [&] { simulator.schedule(sim::millis(10), [&] { next(); }); });
-    };
-    bool drained = false;
-    state.ResumeTiming();
-    simulator.schedule(sim::micros(1), [&] { next(); });
-    while (issued < kWrites || driver.stats().requests_logged < kWrites) {
-      if (!simulator.step()) break;
-    }
-    driver.drain([&] { drained = true; });
-    while (!drained) {
-      if (!simulator.step()) break;
-    }
-    state.PauseTiming();
-    const auto& s = driver.stats();
-    commands = static_cast<double>(s.writeback_commands);
-    coalesce = s.writeback_commands == 0
-                   ? 0.0
-                   : static_cast<double>(s.writebacks_dispatched) /
-                         static_cast<double>(s.writeback_commands);
-    state.ResumeTiming();
-  }
-  state.SetItemsProcessed(state.iterations() * kWrites);
-  state.counters["wb_commands"] = commands;
-  state.counters["wb_coalesce"] = coalesce;
-}
-BENCHMARK(BM_WritebackCoalescePaced)->Arg(0)->Arg(200)->Unit(benchmark::kMillisecond);
-
 // The write-back queue's host cost per request under a standing backlog
 // of random-LBA write-backs: each iteration submits one single-range
 // batch (try_merge, else push, as DeviceQueue::submit does) and

@@ -99,8 +99,7 @@ MpscPoint run_mpsc(int producers) {
   constexpr std::uint32_t kWarmupPerProducer = 20;
 
   TrailStack stack(3);
-  core::SubmissionQueue queue({.capacity = 64, .policy = core::AdmissionPolicy::kBlock},
-                              &stack.obs.metrics);
+  core::SubmissionQueue queue(64, &stack.obs.metrics);
   core::MpscFrontEnd front_end(stack.sim, *stack.driver, queue, &stack.obs.metrics);
   const disk::Lba device_sectors = stack.data_disks[0]->geometry().total_sectors();
 

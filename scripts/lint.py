@@ -8,12 +8,16 @@ Five checks, each encoding a convention the compiler cannot see:
    kDataDiskTidBase + 256, so a maximally wide stack (256 data-disk
    minors) can never alias a per-device lane onto a fixed lane.
 
-2. metric registry: every metric name literal registered through
-   MetricsRegistry (metrics.counter("...") / gauge / histogram) must be
-   documented in the DESIGN.md §8 registry block between the
+2. metric registry, both ways: every metric name literal registered
+   through MetricsRegistry (metrics.counter("...") / gauge / histogram)
+   must be documented in the DESIGN.md §8 registry block between the
    `metric-registry:begin/end` markers. Wildcard entries (`audit.*`)
    cover dynamically composed names; a literal-prefix concatenation like
-   counter("audit." + name) is checked as `audit.*`.
+   counter("audit." + name) is checked as `audit.*`. Conversely, every
+   name or wildcard at the head of a registry bullet (the backticked
+   names before its ` — `) must match a string literal under src/ —
+   exactly, or as a prefix for a wildcard — so a deleted metric cannot
+   leave a stale row behind.
 
 3. no naked new/delete under src/: ownership goes through containers and
    smart pointers. The one deliberate exception is the type-erasure
@@ -103,9 +107,13 @@ METRIC_CALL = re.compile(
 TRACER_FILES = {"obs/trace.hpp", "obs/trace.cpp"}
 
 
-def registry_patterns() -> list[str]:
-    design = REPO / "DESIGN.md"
-    text = design.read_text()
+REGISTRY_NAME = re.compile(r"`([a-z0-9_.*]+)`")
+STRING_LITERAL = re.compile(r'"((?:[^"\\]|\\.)*)"')
+
+
+def registry_block() -> tuple[str, int] | None:
+    """The registry block's text and the DESIGN.md line it starts on."""
+    text = (REPO / "DESIGN.md").read_text()
     m = re.search(
         r"<!--\s*metric-registry:begin\s*-->(.*?)<!--\s*metric-registry:end\s*-->",
         text,
@@ -113,11 +121,8 @@ def registry_patterns() -> list[str]:
     )
     if m is None:
         findings.append("DESIGN.md: metric-registry:begin/end block not found")
-        return []
-    names = re.findall(r"`([a-z0-9_.*]+)`", m.group(1))
-    if not names:
-        findings.append("DESIGN.md: metric registry block lists no metric names")
-    return names
+        return None
+    return m.group(1), text.count("\n", 0, m.start(1)) + 1
 
 
 def name_documented(name: str, patterns: list[str]) -> bool:
@@ -130,8 +135,12 @@ def name_documented(name: str, patterns: list[str]) -> bool:
 
 
 def check_metric_registry() -> None:
-    patterns = registry_patterns()
+    block = registry_block()
+    if block is None:
+        return
+    patterns = REGISTRY_NAME.findall(block[0])
     if not patterns:
+        findings.append("DESIGN.md: metric registry block lists no metric names")
         return
     for path in source_files():
         rel = str(path.relative_to(SRC))
@@ -153,6 +162,30 @@ def check_metric_registry() -> None:
                         f"metric '{name}' is not in the DESIGN.md §8 metric "
                         f"registry block — document it (or fix the name)",
                     )
+    check_registry_rows_registered(*block)
+
+
+def check_registry_rows_registered(text: str, first_line: int) -> None:
+    literals: set[str] = set()
+    for path in source_files():
+        literals.update(STRING_LITERAL.findall(path.read_text()))
+    for offset, line in enumerate(text.splitlines()):
+        bullet = re.match(r"\s*-\s+(.*)", line)
+        if bullet is None:
+            continue
+        head = bullet.group(1).split(" — ", 1)[0]
+        for name in REGISTRY_NAME.findall(head):
+            if name.endswith("*"):
+                found = any(lit.startswith(name[:-1]) for lit in literals)
+            else:
+                found = name in literals
+            if not found:
+                fail(
+                    REPO / "DESIGN.md",
+                    first_line + offset,
+                    f"registry row '{name}' matches no string literal under src/ "
+                    f"— delete the row (or fix the name)",
+                )
 
 
 # ---------------------------------------------------------------- check 3

@@ -81,8 +81,7 @@ EOF
 # The multilog/sharded sweep ships its own JSON summary; inject it under
 # a top-level "multilog" key in BENCH_engine.json so the shard scale-out
 # trajectory (throughput, speedup_vs_1, routing imbalance) is committed
-# alongside the engine benches. Also floors the paced write-back
-# coalescing figure against the unpaced baseline while both are at hand.
+# alongside the engine benches.
 inject_multilog() {
   local summary="$1" target="$2"
   python3 - "$summary" "$target" <<'EOF'
@@ -97,17 +96,6 @@ with open(sys.argv[2], "w") as f:
     f.write("\n")
 print("sharded sync-write speedup at 4 shards: %.2fx (reposition-bound)"
       % multilog["speedup_4_shards"])
-def coalesce(name):
-    rows = [b for b in doc.get("benchmarks", []) if b.get("run_name", b["name"]) == name]
-    for b in rows:
-        if b.get("aggregate_name") == "median":
-            return b.get("wb_coalesce")
-    return rows[0].get("wb_coalesce") if rows else None
-paced = coalesce("BM_WritebackCoalescePaced/200")
-unpaced = coalesce("BM_WritebackCoalesce/32")
-if paced is not None and unpaced is not None:
-    print("wb pacing: %.2f ranges/command paced vs %.2f unpaced baseline" % (paced, unpaced))
-    assert paced > unpaced, "paced write-back coalescing regressed below the unpaced baseline"
 EOF
 }
 

@@ -106,19 +106,6 @@ bool BufferManager::covers(io::DeviceId dev, disk::Lba lba, std::uint32_t count)
   return true;
 }
 
-bool BufferManager::covers_any(io::DeviceId dev, disk::Lba lba, std::uint32_t count) const {
-  std::uint32_t i = 0;
-  while (i < count) {
-    const disk::Lba cur = lba + i;
-    const auto off = static_cast<std::uint32_t>(cur % kGroupSectors);
-    const std::uint32_t run = std::min(count - i, kGroupSectors - off);
-    auto it = groups_.find(Key{dev.index(), cur / kGroupSectors});
-    if (it != groups_.end() && (it->second.live_mask & run_mask(off, run)) != 0) return true;
-    i += run;
-  }
-  return false;
-}
-
 void BufferManager::overlay(io::DeviceId dev, disk::Lba lba, std::uint32_t count,
                             std::span<std::byte> buf) const {
   if (buf.size() < static_cast<std::size_t>(count) * disk::kSectorSize)

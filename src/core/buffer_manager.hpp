@@ -61,8 +61,6 @@ class BufferManager {
 
   /// True if every sector of the range is pinned (read served from memory).
   [[nodiscard]] bool covers(io::DeviceId dev, disk::Lba lba, std::uint32_t count) const;
-  /// True if at least one sector of the range is pinned.
-  [[nodiscard]] bool covers_any(io::DeviceId dev, disk::Lba lba, std::uint32_t count) const;
   /// Copy pinned sectors of the range over `buf` (other sectors untouched).
   void overlay(io::DeviceId dev, disk::Lba lba, std::uint32_t count,
                std::span<std::byte> buf) const;

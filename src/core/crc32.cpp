@@ -234,21 +234,6 @@ const Dispatch& dispatch() {
   return d;
 }
 
-// ---- crc32_combine helpers (GF(2) matrix application, zlib scheme) ---------
-
-std::uint32_t gf2_times(const std::array<std::uint32_t, 32>& mat, std::uint32_t vec) {
-  std::uint32_t sum = 0;
-  for (int i = 0; vec != 0; ++i, vec >>= 1)
-    if ((vec & 1) != 0) sum ^= mat[static_cast<std::size_t>(i)];
-  return sum;
-}
-
-std::array<std::uint32_t, 32> gf2_square(const std::array<std::uint32_t, 32>& mat) {
-  std::array<std::uint32_t, 32> sq{};
-  for (std::size_t i = 0; i < 32; ++i) sq[i] = gf2_times(mat, mat[i]);
-  return sq;
-}
-
 }  // namespace
 
 std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
@@ -258,27 +243,6 @@ std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed) {
 
 void Crc32::update(std::span<const std::byte> data) {
   state_ = dispatch().fn(state_, data.data(), data.size());
-}
-
-std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b, std::uint64_t len_b) {
-  if (len_b == 0) return crc_a;
-  // odd = the operator advancing a CRC past one zero bit.
-  std::array<std::uint32_t, 32> odd{};
-  odd[0] = kPoly;
-  for (std::size_t i = 1; i < 32; ++i) odd[i] = 1u << (i - 1);
-  std::array<std::uint32_t, 32> even = gf2_square(odd);  // two zero bits
-  odd = gf2_square(even);                                // four zero bits
-  // Apply len_b zero BYTES to crc_a by squaring up through len_b's bits.
-  do {
-    even = gf2_square(odd);  // first pass: eight zero bits (one byte)
-    if ((len_b & 1) != 0) crc_a = gf2_times(even, crc_a);
-    len_b >>= 1;
-    if (len_b == 0) break;
-    odd = gf2_square(even);
-    if ((len_b & 1) != 0) crc_a = gf2_times(odd, crc_a);
-    len_b >>= 1;
-  } while (len_b != 0);
-  return crc_a ^ crc_b;
 }
 
 CrcImpl crc32_impl() { return dispatch().impl; }

@@ -25,13 +25,6 @@ namespace trail::core {
 /// CRC of `data`, chained: crc32(a || b) == crc32(b, crc32(a)).
 [[nodiscard]] std::uint32_t crc32(std::span<const std::byte> data, std::uint32_t seed = 0);
 
-/// Combine CRCs of two adjacent spans without touching their bytes:
-/// crc32_combine(crc32(a), crc32(b), b.size()) == crc32(a || b). Lets
-/// scattered payload ranges be checksummed independently (even out of
-/// order) and stitched in O(log len_b). len_b == 0 returns crc_a.
-[[nodiscard]] std::uint32_t crc32_combine(std::uint32_t crc_a, std::uint32_t crc_b,
-                                          std::uint64_t len_b);
-
 /// Incremental accumulator for checksumming a logical byte stream that is
 /// not contiguous in memory (header fields around a zeroed CRC slot,
 /// payload sectors streamed one at a time). Equivalent to crc32() over

@@ -180,7 +180,6 @@ void ShardedDriver::crash() {
 
 std::size_t ShardedDriver::shard_of(io::DeviceId dev, disk::Lba lba) const {
   const std::uint64_t extent = lba / config_.extent_sectors;
-  if (config_.routing == ShardRouting::kStriped) return extent % shards_.size();
   // splitmix64 finalizer over (device, extent): cheap, well-mixed, and
   // stable across mounts — routing must be a pure function of the
   // address so recovery-time ownership matches run-time ownership.
@@ -237,6 +236,8 @@ void ShardedDriver::submit_write(io::BlockAddr addr, std::uint32_t count,
   if (crashed_) return;
   if (!mounted_) throw std::logic_error("ShardedDriver: not mounted");
   if (count == 0) throw std::invalid_argument("ShardedDriver: zero-sector write");
+  if (data.size() < static_cast<std::size_t>(count) * disk::kSectorSize)
+    throw std::invalid_argument("ShardedDriver: write data shorter than count sectors");
 
   const std::vector<Chunk> chunks = route(addr.device, addr.lba, count);
   if (chunks.size() > 1) {
@@ -273,11 +274,6 @@ void ShardedDriver::submit_write(io::BlockAddr addr, std::uint32_t count,
               t->finish(req_id, sim_.now());
             }
           };
-          if (!config_.watermark_acks) {
-            finish_ctx();
-            part_done();
-            return;
-          }
           // The shard's durability hook already ran for the physical
           // write that carried this chunk, so shard_durable_high_[k]
           // covers its records. Release once the global watermark has
@@ -304,6 +300,8 @@ void ShardedDriver::submit_read(io::BlockAddr addr, std::uint32_t count,
   if (crashed_) return;
   if (!mounted_) throw std::logic_error("ShardedDriver: not mounted");
   if (count == 0) throw std::invalid_argument("ShardedDriver: zero-sector read");
+  if (out.size() < static_cast<std::size_t>(count) * disk::kSectorSize)
+    throw std::invalid_argument("ShardedDriver: read buffer shorter than count sectors");
 
   const std::vector<Chunk> chunks = route(addr.device, addr.lba, count);
   auto remaining = std::make_shared<std::uint32_t>(static_cast<std::uint32_t>(chunks.size()));
@@ -392,7 +390,7 @@ void ShardedDriver::run_audit(audit::Report& report, bool quiescent) const {
     for (const std::uint64_t key : shards_[k]->live_record_keys())
       seq.require(owner.emplace(key, k).second,
                   "record key live on two shards (global sequence not unique)");
-  if (quiescent && config_.watermark_acks && !crashed_) {
+  if (quiescent && !crashed_) {
     seq.require(durable_beyond_.empty(),
                 "durable sequences beyond the watermark at a quiesce point");
     seq.require(watermark_ + 1 == next_seq_,

@@ -3,10 +3,10 @@
 // own log disk, head predictor, track allocator and write-back
 // scheduler. Where TrailDriver's multi-log mode steers batches from one
 // shared log queue onto whichever disk is idle, the ShardedDriver
-// partitions the *address space*: every data-disk extent is owned by
-// exactly one shard, so shards accept, batch and acknowledge writes
-// fully concurrently and clustered sync-write throughput scales
-// near-linearly with the shard count.
+// partitions the *address space*: a hash of (device, extent) assigns
+// every data-disk extent to exactly one shard, so shards accept, batch
+// and acknowledge writes fully concurrently and clustered sync-write
+// throughput scales near-linearly with the shard count.
 //
 // Cross-shard total order. Each shard stamps records with sequence ids
 // drawn from one monotonic global counter (TrailConfig::sequence_source),
@@ -24,10 +24,7 @@
 // largest W with sequences 1..W all durable on their shards — has
 // reached the acked write's records. A torn record's sequence never
 // became durable, so the watermark never passed it, so nothing at or
-// above the cut was ever acknowledged. (Set
-// ShardedConfig::watermark_acks = false to trade this guarantee for
-// per-shard ack latency; recovery then still merges by sequence but an
-// acked suffix may be cut.)
+// above the cut was ever acknowledged.
 #pragma once
 
 #include <cstdint>
@@ -45,24 +42,10 @@
 
 namespace trail::core {
 
-/// How data-disk extents map to shards.
-enum class ShardRouting : std::uint8_t {
-  /// Hash (device, extent) — spreads any access pattern, including
-  /// sequential scans of one device, across all shards.
-  kExtentHash,
-  /// extent % shard_count per device — deterministic round-robin;
-  /// adjacent extents land on adjacent shards.
-  kStriped,
-};
-
 struct ShardedConfig {
-  ShardRouting routing = ShardRouting::kExtentHash;
   /// Extent granularity in sectors: [lba, lba+count) writes that stay
   /// inside one extent never split across shards. Must be >= 1.
   std::uint32_t extent_sectors = 64;
-  /// Gate client acknowledgements on the global commit watermark (see
-  /// file comment). Off: acks fire at per-shard durability.
-  bool watermark_acks = true;
   /// Overlap every shard's mount recovery on virtual time (each shard
   /// owns an independent log disk), so array recovery cost approaches
   /// the max over shards instead of the sum. Off: shards mount strictly
@@ -132,7 +115,9 @@ class ShardedDriver final : public io::BlockDriver {
   [[nodiscard]] const TrailDriver& shard(std::size_t k) const { return *shards_.at(k); }
   [[nodiscard]] const ShardedConfig& config() const { return config_; }
 
-  /// The shard owning (device, lba)'s extent.
+  /// The shard owning (device, lba)'s extent: a hash of (device, extent),
+  /// which spreads any access pattern, sequential scans of one device
+  /// included, across all shards.
   [[nodiscard]] std::size_t shard_of(io::DeviceId dev, disk::Lba lba) const;
 
   /// Largest W such that sequences 1..W are all durable on their shards.

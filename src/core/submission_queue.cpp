@@ -8,11 +8,10 @@ namespace trail::core {
 // SubmissionQueue
 // ---------------------------------------------------------------------------
 
-SubmissionQueue::SubmissionQueue(Options options, obs::MetricsRegistry* metrics)
-    : cap_(options.capacity == 0 ? 1 : options.capacity), policy_(options.policy) {
+SubmissionQueue::SubmissionQueue(std::size_t capacity, obs::MetricsRegistry* metrics)
+    : cap_(capacity == 0 ? 1 : capacity) {
   if (metrics != nullptr) {
     c_enqueued_ = &metrics->counter("mpsc.enqueued");
-    c_rejected_ = &metrics->counter("mpsc.rejected");
     c_blocked_ = &metrics->counter("mpsc.blocked");
     h_blocked_ns_ = &metrics->histogram("mpsc.blocked_ns");
     g_depth_ = &metrics->gauge("mpsc.depth");
@@ -23,10 +22,6 @@ Admission SubmissionQueue::submit(const Request& request) {
   sync::MutexLock lock(mu_);
   if (closed_) return Admission::kClosed;
   if (ring_.size() >= cap_) {
-    if (policy_ == AdmissionPolicy::kReject) {
-      if (c_rejected_ != nullptr) c_rejected_->inc();
-      return Admission::kRejected;
-    }
     // Backpressure: park until the consumer drains (or close() fires).
     // The wait is REAL time — the only wall-clock measurement in the
     // tree, and it never feeds back into simulated behaviour.
@@ -39,20 +34,6 @@ Admission SubmissionQueue::submit(const Request& request) {
                                 .count());
     }
     if (closed_) return Admission::kClosed;
-  }
-  ring_.push_back(request);
-  if (c_enqueued_ != nullptr) c_enqueued_->inc();
-  if (g_depth_ != nullptr) g_depth_->set(static_cast<std::int64_t>(ring_.size()));
-  not_empty_.notify_one();
-  return Admission::kOk;
-}
-
-Admission SubmissionQueue::try_submit(const Request& request) {
-  sync::MutexLock lock(mu_);
-  if (closed_) return Admission::kClosed;
-  if (ring_.size() >= cap_) {
-    if (c_rejected_ != nullptr) c_rejected_->inc();
-    return Admission::kRejected;
   }
   ring_.push_back(request);
   if (c_enqueued_ != nullptr) c_enqueued_->inc();

@@ -5,8 +5,8 @@
 // point — but real clients live on real threads. This module puts a
 // bounded multi-producer/single-consumer ring IN FRONT of the
 // simulation: N producer threads enqueue synchronous-write requests
-// (with admission control and backpressure), and exactly one consumer
-// thread drains batches into the BlockDriver and steps the simulator.
+// (with backpressure), and exactly one consumer thread drains batches
+// into the BlockDriver and steps the simulator.
 // The split keeps the determinism argument trivial:
 //
 //   * producers touch ONLY the SubmissionQueue (including its mpsc.*
@@ -17,10 +17,8 @@
 //     thread that calls sim.step(), submit_write(), or emits trace
 //     events, so virtual time stays a single-threaded total order.
 //
-// Admission control: the ring holds at most `capacity` requests. A full
-// ring either blocks the producer until the consumer drains
-// (AdmissionPolicy::kBlock — backpressure, the default) or turns the
-// request away immediately (kReject — load-shedding). Closing the queue
+// Backpressure: the ring holds at most `capacity` requests, and a full
+// ring blocks the producer until the consumer drains. Closing the queue
 // wakes every blocked producer with kClosed; requests already admitted
 // still drain.
 //
@@ -33,12 +31,12 @@
 // which tests/test_mpsc.cpp asserts.
 //
 // Metrics (registered lazily iff a registry is attached; see DESIGN.md
-// metric registry): mpsc.enqueued / mpsc.rejected / mpsc.blocked
-// counters, mpsc.blocked_ns histogram (REAL steady-clock nanoseconds a
-// producer spent in backpressure — the only wall-clock metric in the
-// tree), mpsc.depth gauge (+ high watermark), mpsc.batch_requests
+// metric registry): mpsc.enqueued / mpsc.blocked counters,
+// mpsc.blocked_ns histogram (REAL steady-clock nanoseconds a producer
+// spent in backpressure — the only wall-clock metric in the tree),
+// mpsc.depth gauge (+ high watermark), mpsc.batch_requests
 // histogram (requests per consumer drain, the consumer's alone). obs
-// cells have no lock of their own: read the five producer-written ones
+// cells have no lock of their own: read the four producer-written ones
 // after joining the producers, or under mu_ (blocked()).
 #pragma once
 
@@ -98,15 +96,8 @@ class SyncTicket {
 
 /// What happened to a submission attempt.
 enum class Admission : std::uint8_t {
-  kOk = 0,        // admitted to the ring
-  kRejected = 1,  // ring full under AdmissionPolicy::kReject
-  kClosed = 2,    // queue closed (before or while blocked)
-};
-
-/// Full-ring behaviour for submit().
-enum class AdmissionPolicy : std::uint8_t {
-  kBlock = 0,   // backpressure: wait for the consumer to drain
-  kReject = 1,  // load-shedding: return kRejected immediately
+  kOk = 0,      // admitted to the ring
+  kClosed = 1,  // queue closed (before or while blocked)
 };
 
 /// Bounded MPSC ring of synchronous-write requests. Mutex+condvar, not
@@ -122,25 +113,17 @@ class SubmissionQueue {
     SyncTicket* ticket = nullptr;           // optional; completed at ack
   };
 
-  struct Options {
-    std::size_t capacity = 64;  // max queued requests (>= 1 enforced)
-    AdmissionPolicy policy = AdmissionPolicy::kBlock;
-  };
-
-  /// `metrics` may be null (no mpsc.* series registered). The registry
-  /// must outlive the queue.
-  explicit SubmissionQueue(Options options, obs::MetricsRegistry* metrics = nullptr);
+  /// `capacity` bounds the queued requests (>= 1 enforced). `metrics` may
+  /// be null (no mpsc.* series registered). The registry must outlive the
+  /// queue.
+  explicit SubmissionQueue(std::size_t capacity, obs::MetricsRegistry* metrics = nullptr);
 
   SubmissionQueue(const SubmissionQueue&) = delete;
   SubmissionQueue& operator=(const SubmissionQueue&) = delete;
 
-  /// Producer side, policy-driven: admit, block (kBlock + full ring), or
-  /// reject (kReject + full ring). Returns kClosed once close() ran.
+  /// Producer side: admit, blocking while the ring is full. Returns
+  /// kClosed once close() ran.
   Admission submit(const Request& request) TRAIL_EXCLUDES(mu_);
-
-  /// Producer side, never blocks: a full ring rejects regardless of
-  /// policy (poll-style producers).
-  Admission try_submit(const Request& request) TRAIL_EXCLUDES(mu_);
 
   /// Consumer side: append every queued request to `out` (clearing the
   /// ring) and return how many. Never blocks.
@@ -175,17 +158,15 @@ class SubmissionQueue {
   std::size_t drain_locked(std::vector<Request>& out) TRAIL_REQUIRES(mu_);
 
   const std::size_t cap_;
-  const AdmissionPolicy policy_;
 
   mutable sync::Mutex mu_;
-  sync::CondVar not_full_;   // producers park here under kBlock
+  sync::CondVar not_full_;   // producers park here on a full ring
   sync::CondVar not_empty_;  // the consumer parks here in drain_wait
   std::vector<Request> ring_ TRAIL_GUARDED_BY(mu_);
   bool closed_ TRAIL_GUARDED_BY(mu_) = false;
 
   // The mpsc.* cells (set once in the ctor; null without a registry).
   obs::Counter* c_enqueued_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;
-  obs::Counter* c_rejected_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;
   obs::Counter* c_blocked_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;
   obs::Histogram* h_blocked_ns_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;
   obs::Gauge* g_depth_ TRAIL_PT_GUARDED_BY(mu_) = nullptr;

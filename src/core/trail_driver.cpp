@@ -56,9 +56,6 @@ TrailDriver::TrailDriver(sim::Simulator& sim, std::vector<disk::DiskDevice*> log
     throw std::invalid_argument("TrailDriver: 1..15 log disks required");
   if (config_.max_writeback_ranges < 1)
     throw std::invalid_argument("TrailDriver: max_writeback_ranges must be >= 1");
-  if (config_.writeback_dirty_watermark > 0 && config_.writeback_dirty_age <= sim::Duration{0})
-    throw std::invalid_argument(
-        "TrailDriver: writeback_dirty_watermark needs a positive writeback_dirty_age");
   for (disk::DiskDevice* device : log_disks) {
     if (device == nullptr) throw std::invalid_argument("TrailDriver: null log disk");
     if (!is_trail_log_disk(*device))
@@ -87,11 +84,8 @@ io::DeviceId TrailDriver::add_data_disk(disk::DiskDevice& device) {
   if (mounted_) throw std::logic_error("TrailDriver: add data disks before mount()");
   // Reads drain first in arrival order; write-backs are CSCAN-ordered and
   // coalesce in-queue (§4.2–§4.3).
-  auto queue = std::make_unique<io::DeviceQueue>(device, io::make_writeback_scheduler());
-  if (config_.writeback_dirty_watermark > 0)
-    queue->set_pacing(&sim_, io::DeviceQueue::WritebackPacing{config_.writeback_dirty_watermark,
-                                                              config_.writeback_dirty_age});
-  data_queues_.push_back(std::move(queue));
+  data_queues_.push_back(
+      std::make_unique<io::DeviceQueue>(device, io::make_writeback_scheduler()));
   data_disks_.push_back(&device);
   const auto minor = static_cast<std::uint8_t>(data_queues_.size() - 1);
   if (obs_ != nullptr) attach_data_queue_obs(minor);
@@ -705,6 +699,8 @@ void TrailDriver::submit_write_attributed(io::BlockAddr addr, std::uint32_t coun
   if (crashed_) return;
   if (!mounted_) throw std::logic_error("TrailDriver: not mounted");
   if (count == 0) throw std::invalid_argument("TrailDriver: zero-sector write");
+  if (data.size() < static_cast<std::size_t>(count) * disk::kSectorSize)
+    throw std::invalid_argument("TrailDriver: write data shorter than count sectors");
   (void)data_queue(addr.device);  // validate device
   PendingWrite req;
   req.addr = addr;
@@ -1196,6 +1192,9 @@ void TrailDriver::submit_read(io::BlockAddr addr, std::uint32_t count, std::span
                               Completion cb) {
   if (crashed_) return;
   if (!mounted_) throw std::logic_error("TrailDriver: not mounted");
+  if (count == 0) throw std::invalid_argument("TrailDriver: zero-sector read");
+  if (out.size() < static_cast<std::size_t>(count) * disk::kSectorSize)
+    throw std::invalid_argument("TrailDriver: read buffer shorter than count sectors");
   ++stats_.reads;
   if (buffers_->covers(addr.device, addr.lba, count)) {
     ++stats_.read_buffer_hits;

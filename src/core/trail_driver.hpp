@@ -87,17 +87,6 @@ struct TrailConfig {
   /// same algorithm and writes back through the batched CSCAN scheduler;
   /// 1 keeps one read in flight per unit.
   std::uint32_t recovery_pipeline_depth = 8;
-  /// Write-back pacing (dirty high-watermark): when > 0, a data disk whose
-  /// queue holds *only* write-back work defers dispatch until at least
-  /// this many dirty sectors are queued, so bursts accumulate more
-  /// mergeable ranges before the first command goes out. 0 keeps the
-  /// work-conserving behaviour. Reads (and recovery writes) always
-  /// dispatch immediately and flush the accumulated writes with them.
-  std::uint32_t writeback_dirty_watermark = 0;
-  /// Age bound on pacing: the oldest held write-back dispatches no later
-  /// than this after it was queued, watermark reached or not. Must be > 0
-  /// when the watermark is set.
-  sim::Duration writeback_dirty_age = sim::millis(2);
   /// External global-sequence source (sharding): when set, record
   /// sequence ids come from this callback instead of the driver's own
   /// per-epoch counter. Ids must be strictly increasing per driver; a

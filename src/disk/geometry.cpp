@@ -74,10 +74,6 @@ Lba Geometry::first_lba_of_track(TrackId track) const {
   return to_lba(Chs{cyl, surf, 0});
 }
 
-Lba Geometry::first_lba_of_cylinder(std::uint32_t cylinder) const {
-  return to_lba(Chs{cylinder, 0, 0});
-}
-
 double Geometry::skew_of_track(TrackId track) const {
   const double raw = static_cast<double>(track) * skew_fraction_;
   return raw - std::floor(raw);

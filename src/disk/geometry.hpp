@@ -66,7 +66,6 @@ class Geometry {
   [[nodiscard]] Lba to_lba(const Chs& chs) const;
   [[nodiscard]] TrackId track_of_lba(Lba lba) const;
   [[nodiscard]] Lba first_lba_of_track(TrackId track) const;
-  [[nodiscard]] Lba first_lba_of_cylinder(std::uint32_t cylinder) const;
 
   /// Angular position, in [0, 1) of a revolution, of the *leading edge* of
   /// `sector` on `track`, accounting for track skew.

@@ -1,29 +1,11 @@
 #include "io/device_queue.hpp"
 
-#include <stdexcept>
 #include <utility>
 
 namespace trail::io {
 
 DeviceQueue::DeviceQueue(disk::DiskDevice& device, std::unique_ptr<IoScheduler> scheduler)
     : device_(device), scheduler_(std::move(scheduler)) {}
-
-DeviceQueue::~DeviceQueue() {
-  if (pacing_sim_ != nullptr && pace_timer_.valid()) pacing_sim_->cancel(pace_timer_);
-}
-
-void DeviceQueue::set_pacing(sim::Simulator* sim, WritebackPacing pacing) {
-  if (pacing.dirty_watermark_sectors > 0 &&
-      (sim == nullptr || pacing.max_age <= sim::Duration{0}))
-    throw std::invalid_argument("DeviceQueue: pacing needs a simulator and a positive max_age");
-  pacing_sim_ = sim;
-  pacing_ = pacing;
-  if (obs_ != nullptr && pacing_.dirty_watermark_sectors > 0) {
-    pacing_holds_ = &obs_->metrics.counter("wb.pacing_holds");
-    pacing_release_watermark_ = &obs_->metrics.counter("wb.pacing_release_watermark");
-    pacing_release_age_ = &obs_->metrics.counter("wb.pacing_release_age");
-  }
-}
 
 void DeviceQueue::attach_obs(obs::Obs* obs, std::uint32_t tid,
                              std::string_view depth_gauge_name,
@@ -35,16 +17,10 @@ void DeviceQueue::attach_obs(obs::Obs* obs, std::uint32_t tid,
     skip_counter_ = &obs_->metrics.counter("io.dispatch_skips");
     h_service_ =
         service_hist_name.empty() ? nullptr : &obs_->metrics.histogram(service_hist_name);
-    if (pacing_.dirty_watermark_sectors > 0) {
-      pacing_holds_ = &obs_->metrics.counter("wb.pacing_holds");
-      pacing_release_watermark_ = &obs_->metrics.counter("wb.pacing_release_watermark");
-      pacing_release_age_ = &obs_->metrics.counter("wb.pacing_release_age");
-    }
   } else {
     depth_gauge_ = nullptr;
     skip_counter_ = nullptr;
     h_service_ = nullptr;
-    pacing_holds_ = pacing_release_watermark_ = pacing_release_age_ = nullptr;
   }
 }
 
@@ -59,11 +35,6 @@ void DeviceQueue::update_depth() {
 
 void DeviceQueue::submit(PendingIo io) {
   io.seq = next_seq_++;
-  // Pacing age bound: remember when the oldest write-back of the current
-  // accumulation arrived (the queue was write-back-empty before this one).
-  if (pacing_sim_ != nullptr && pacing_.dirty_watermark_sectors > 0 && io.priority >= 1 &&
-      scheduler_->pacing_view().writeback_sectors == 0)
-    wb_oldest_since_ = pacing_sim_->now();
   // Batched write-backs coalesce into an already-queued adjacent/
   // overlapping batch instead of occupying their own queue slot (§4.2).
   if (!scheduler_->try_merge(io)) scheduler_->push(std::move(io));
@@ -71,51 +42,8 @@ void DeviceQueue::submit(PendingIo io) {
   update_depth();
 }
 
-void DeviceQueue::clear() {
-  while (!scheduler_->empty()) (void)scheduler_->pop_next(0);
-  update_depth();
-}
-
-bool DeviceQueue::paced_hold() {
-  if (pacing_sim_ == nullptr || pacing_.dirty_watermark_sectors == 0) return false;
-  const IoScheduler::PacingView view = scheduler_->pacing_view();
-  if (view.writeback_sectors == 0) {
-    pacing_open_ = false;  // accumulation drained: close the gate again
-    return false;
-  }
-  // Urgent work dispatches immediately (pop_next serves priority 0
-  // first) and latches the gate open: the accumulated writes flush
-  // behind it instead of re-gating once the urgent command completes.
-  if (view.has_urgent || pacing_open_) {
-    pacing_open_ = true;
-    return false;
-  }
-  if (view.writeback_sectors >= pacing_.dirty_watermark_sectors) {
-    pacing_open_ = true;
-    if (pacing_release_watermark_ != nullptr) pacing_release_watermark_->inc();
-    return false;
-  }
-  if (pacing_sim_->now() - wb_oldest_since_ >= pacing_.max_age) {
-    pacing_open_ = true;
-    if (pacing_release_age_ != nullptr) pacing_release_age_->inc();
-    return false;
-  }
-  // Hold, and make sure the age bound eventually releases us.
-  if (pacing_holds_ != nullptr) pacing_holds_->inc();
-  if (!pace_timer_.valid()) {
-    const sim::Duration until_deadline = wb_oldest_since_ + pacing_.max_age - pacing_sim_->now();
-    pace_timer_ = pacing_sim_->schedule(until_deadline, [this] {
-      pace_timer_ = sim::EventId{};
-      pump();
-      update_depth();
-    });
-  }
-  return true;
-}
-
 void DeviceQueue::pump() {
   if (dispatched_) return;
-  if (paced_hold()) return;
   while (!scheduler_->empty()) {
     const disk::Lba head =
         device_.geometry().first_lba_of_track(device_.current_track());
@@ -123,16 +51,6 @@ void DeviceQueue::pump() {
     if (!io.ranges.empty()) {
       if (begin_batch(std::move(io))) return;
       continue;  // every sub-range skipped; nothing reached the device
-    }
-    if (io.cancelled && io.cancelled()) {
-      // Superseded while queued (Trail §4.2 skips such write-backs). Its
-      // completion still fires so bookkeeping can release resources.
-      if (skip_counter_ != nullptr) {
-        skip_counter_->inc();
-        if (obs_->tracer.enabled()) obs_->tracer.instant("io.skip", "io", obs_tid_);
-      }
-      if (io.on_complete) io.on_complete();
-      continue;
     }
     dispatched_ = true;
     const bool is_write = io.is_write;
@@ -161,7 +79,6 @@ void DeviceQueue::pump() {
       }
     };
     if (io.is_write) {
-      if (io.materialize) io.data = io.materialize();
       device_.write(io.lba, io.count, io.data, std::move(finish));
     } else {
       device_.read(io.lba, io.count, io.out, std::move(finish));

@@ -3,8 +3,10 @@
 // The DiskDevice itself services commands strictly FIFO; the DeviceQueue
 // holds requests back and releases exactly one at a time so the chosen
 // IoScheduler policy (elevator, priority classes) actually controls
-// service order. Both the standard baseline driver and Trail's write-back
-// engine are built on it.
+// service order. Dispatch is work-conserving: whenever the device goes
+// idle, the next queued request goes out. A batched write-back drops its
+// redundant or already-settled ranges at dispatch (§4.2). Both the
+// standard baseline driver and Trail's write-back engine are built on it.
 #pragma once
 
 #include <cstdint>
@@ -22,25 +24,9 @@ namespace trail::io {
 class DeviceQueue {
  public:
   DeviceQueue(disk::DiskDevice& device, std::unique_ptr<IoScheduler> scheduler);
-  ~DeviceQueue();
 
   DeviceQueue(const DeviceQueue&) = delete;
   DeviceQueue& operator=(const DeviceQueue&) = delete;
-
-  /// Write-back pacing (dirty high-watermark + age bound). While the
-  /// queue holds *only* deferrable write-back work (per the scheduler's
-  /// pacing_view), dispatch waits until either `dirty_watermark_sectors`
-  /// write-back sectors are queued or the oldest held write-back has
-  /// waited `max_age`; then the whole accumulation drains. Urgent work
-  /// (reads, recovery writes) is never held and opens the gate for the
-  /// writes queued behind it.
-  struct WritebackPacing {
-    std::uint32_t dirty_watermark_sectors = 0;  // 0 = work-conserving
-    sim::Duration max_age{};
-  };
-  /// Enable pacing. `sim` schedules the age-bound release timer and must
-  /// outlive the queue.
-  void set_pacing(sim::Simulator* sim, WritebackPacing pacing);
 
   /// Enqueue; dispatches immediately if the device is idle.
   void submit(PendingIo io);
@@ -55,13 +41,10 @@ class DeviceQueue {
   /// Invoked whenever the queue becomes idle (used by drain logic).
   void set_idle_callback(std::function<void()> cb) { on_idle_ = std::move(cb); }
 
-  /// Drop all queued requests (crash path). The in-flight one, if any, is
-  /// the DiskDevice's to forget.
-  void clear();
-
   /// Optional observability: per-command service spans ("io.read" /
   /// "io.write") on lane `tid`, queue-depth gauge + counter lane, and a
-  /// skipped-dispatch counter. Near-zero cost while the tracer is off.
+  /// counter of write-back ranges dropped at dispatch. Near-zero cost
+  /// while the tracer is off.
   /// `service_hist_name`, when non-empty, names a histogram recording
   /// every command's device service time in ns (always on, tracer or
   /// not — the attribution layer's view of data-disk service cost).
@@ -87,9 +70,6 @@ class DeviceQueue {
   };
 
   void pump();
-  /// True when pacing holds the queued write-backs back (arms the age
-  /// timer as a side effect). False whenever anything urgent is queued.
-  bool paced_hold();
   void update_depth();
   /// Skip-filter a popped batch, assemble its runs, and start writing.
   /// Returns false when every sub-range was skipped (nothing dispatched).
@@ -107,19 +87,6 @@ class DeviceQueue {
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Counter* skip_counter_ = nullptr;
   obs::Histogram* h_service_ = nullptr;  // per-command service time, ns
-
-  // Write-back pacing state. `pacing_open_` latches once the gate opens
-  // (watermark or age) and resets when the write-back queue drains, so an
-  // opened accumulation flushes completely instead of re-gating after
-  // every command.
-  sim::Simulator* pacing_sim_ = nullptr;
-  WritebackPacing pacing_{};
-  bool pacing_open_ = false;
-  sim::TimePoint wb_oldest_since_{};  // enqueue time of the oldest held wb
-  sim::EventId pace_timer_{};
-  obs::Counter* pacing_holds_ = nullptr;
-  obs::Counter* pacing_release_watermark_ = nullptr;
-  obs::Counter* pacing_release_age_ = nullptr;
 };
 
 }  // namespace trail::io

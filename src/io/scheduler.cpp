@@ -36,9 +36,8 @@ void merge_into(PendingIo& target, PendingIo io) {
 /// The one scheduler behind every policy. Classes below `first_sorted`
 /// are FIFO deques (DeviceQueue stamps `seq` in push order, so the front
 /// is the oldest request); the others are CSCAN-ordered maps. With
-/// `writeback` set, the sorted classes coalesce batched write-backs and
-/// pacing_view() reports their volume; otherwise every request counts as
-/// urgent and nothing merges.
+/// `writeback` set, the sorted classes coalesce batched write-backs;
+/// otherwise nothing merges.
 class IndexedScheduler final : public IoScheduler {
  public:
   IndexedScheduler(std::int64_t first_sorted, bool writeback)
@@ -48,11 +47,9 @@ class IndexedScheduler final : public IoScheduler {
     Class& c = classes_[io.priority];
     ++size_;
     if (io.priority < first_sorted_) {
-      ++fifo_size_;
       c.fifo.push_back(std::move(io));
       return;
     }
-    sorted_sectors_ += io.count;
     c.widest = std::max(c.widest, io.count);
     const Key key{io.lba, next_stamp_++};
     c.sorted.emplace(key, std::move(io));
@@ -69,14 +66,12 @@ class IndexedScheduler final : public IoScheduler {
     if (!c.fifo.empty()) {
       io = std::move(c.fifo.front());
       c.fifo.pop_front();
-      --fifo_size_;
     } else {
       // Next envelope at or beyond the head, else wrap to the lowest.
       auto it = c.sorted.lower_bound(Key{head_position, 0});
       if (it == c.sorted.end()) it = c.sorted.begin();
       io = std::move(it->second);
       c.sorted.erase(it);
-      sorted_sectors_ -= io.count;
     }
     if (c.fifo.empty() && c.sorted.empty()) classes_.erase(cls);
     --size_;
@@ -91,7 +86,6 @@ class IndexedScheduler final : public IoScheduler {
     Class& c = cls->second;
     auto target = c.earliest_mergeable(io, c.sorted.end());
     if (target == c.sorted.end()) return false;
-    sorted_sectors_ -= target->second.count;
     merge_into(target->second, std::move(io));
     // Cascade: the grown envelope may now bridge to further queued batches.
     for (auto other = c.earliest_mergeable(target->second, target); other != c.sorted.end();
@@ -99,7 +93,6 @@ class IndexedScheduler final : public IoScheduler {
       PendingIo absorbed = std::move(other->second);
       c.sorted.erase(other);
       --size_;
-      sorted_sectors_ -= absorbed.count;
       merge_into(target->second, std::move(absorbed));
     }
     // Re-key under the grown envelope's LBA; the stamp (queue position)
@@ -107,17 +100,8 @@ class IndexedScheduler final : public IoScheduler {
     auto node = c.sorted.extract(target);
     node.key().first = node.mapped().lba;
     c.widest = std::max(c.widest, node.mapped().count);
-    sorted_sectors_ += node.mapped().count;
     c.sorted.insert(std::move(node));
     return true;
-  }
-
-  [[nodiscard]] PacingView pacing_view() const override {
-    // FIFO classes are urgent (reads, recovery writes); sorted classes
-    // are deferrable write-back, measured in envelope sectors so the
-    // pacing watermark tracks dirty volume, not request count.
-    if (!writeback_) return PacingView{!empty(), 0};
-    return PacingView{fifo_size_ > 0, sorted_sectors_};
   }
 
  private:
@@ -150,8 +134,6 @@ class IndexedScheduler final : public IoScheduler {
   std::map<int, Class> classes_;
   std::uint64_t next_stamp_ = 0;
   std::size_t size_ = 0;
-  std::size_t fifo_size_ = 0;
-  std::uint64_t sorted_sectors_ = 0;
 };
 
 }  // namespace

@@ -14,7 +14,7 @@
 // position), so dispatch is one lower_bound from the head and equal LBAs
 // go to the earliest-queued request. Coalescing examines only the
 // envelopes that start within one largest-queued-envelope of the
-// arrival, and the pacing view is a running sum.
+// arrival.
 #pragma once
 
 #include <cstdint>
@@ -37,12 +37,6 @@ struct PendingIo {
   int priority = 0;                   // lower value = dispatched first
   std::uint64_t seq = 0;              // submission order (DeviceQueue stamps it)
   std::function<void()> on_complete;
-  std::function<bool()> cancelled;    // optional: skip at dispatch if true
-  /// Optional: produce the write payload at dispatch time instead of
-  /// submission time. Trail's write-back path uses this to write the
-  /// *latest* buffered content of a page, which is how superseded queued
-  /// write-backs collapse into one physical write (§4.2).
-  std::function<std::vector<std::byte>()> materialize;
 
   /// One constituent dirty range of a batched write-back. Each range
   /// keeps its own lifecycle closures so a merged device command still
@@ -59,9 +53,9 @@ struct PendingIo {
     /// absorbed by overlapping survivors of the same batch): release the
     /// enqueue's pins and count the skip.
     std::function<void()> skipped;
-    /// Snapshot the *latest* buffered content of the range into `out`
-    /// (dispatch-time materialize, the batched analogue of
-    /// PendingIo::materialize).
+    /// Snapshot the *latest* buffered content of the range into `out` at
+    /// dispatch, which is how superseded queued write-backs collapse into
+    /// one physical write (§4.2).
     std::function<void(std::span<std::byte> out)> fill;
     /// The platter write covering the range completed: mark durable,
     /// release pins, count the dispatch.
@@ -71,9 +65,9 @@ struct PendingIo {
   /// Non-empty marks this request as a batched write-back. `lba`/`count`
   /// then describe the *envelope* of the batch; the union of the ranges is
   /// contiguous and equals the envelope (merging only ever joins
-  /// adjacent/overlapping envelopes). `data`/`out`/`cancelled`/
-  /// `materialize`/`on_complete` are unused on this path — DeviceQueue
-  /// dispatches via the per-range closures instead.
+  /// adjacent/overlapping envelopes). `data`/`out`/`on_complete` are
+  /// unused on this path — DeviceQueue dispatches via the per-range
+  /// closures instead.
   std::vector<WbRange> ranges;
   /// Max constituent ranges a batch may grow to via in-queue merging;
   /// 1 disables coalescing for this request.
@@ -103,17 +97,6 @@ class IoScheduler {
   /// position. Returns true when `io` was consumed. Only the write-back
   /// policy's CSCAN-ordered classes merge.
   virtual bool try_merge(PendingIo& io) = 0;
-
-  /// What the queue holds, seen through the write-back pacing gate's
-  /// eyes: does any urgent (priority 0 — reads, recovery writes) request
-  /// wait, and how many deferrable write-back sectors are queued? The
-  /// FIFO and C-LOOK policies report everything urgent, which disables
-  /// pacing for policies that don't distinguish the classes.
-  struct PacingView {
-    bool has_urgent = false;
-    std::uint64_t writeback_sectors = 0;
-  };
-  [[nodiscard]] virtual PacingView pacing_view() const = 0;
 };
 
 /// Strict arrival order within each priority class.

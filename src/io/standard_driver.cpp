@@ -21,6 +21,9 @@ std::size_t StandardDriver::index_of(DeviceId id) const {
 
 void StandardDriver::submit_write(BlockAddr addr, std::uint32_t count,
                                   std::span<const std::byte> data, Completion cb) {
+  if (count == 0) throw std::invalid_argument("StandardDriver: zero-sector write");
+  if (data.size() < static_cast<std::size_t>(count) * disk::kSectorSize)
+    throw std::invalid_argument("StandardDriver: write data shorter than count sectors");
   PendingIo io;
   io.is_write = true;
   io.lba = addr.lba;
@@ -32,6 +35,9 @@ void StandardDriver::submit_write(BlockAddr addr, std::uint32_t count,
 
 void StandardDriver::submit_read(BlockAddr addr, std::uint32_t count, std::span<std::byte> out,
                                  Completion cb) {
+  if (count == 0) throw std::invalid_argument("StandardDriver: zero-sector read");
+  if (out.size() < static_cast<std::size_t>(count) * disk::kSectorSize)
+    throw std::invalid_argument("StandardDriver: read buffer shorter than count sectors");
   PendingIo io;
   io.is_write = false;
   io.lba = addr.lba;

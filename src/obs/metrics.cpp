@@ -265,10 +265,4 @@ std::string MetricsRegistry::to_openmetrics() const {
   return out;
 }
 
-void MetricsRegistry::reset() {
-  for (auto& [name, c] : counters_) c.reset();
-  for (auto& [name, g] : gauges_) g.reset();
-  for (auto& [name, h] : histograms_) h.reset();
-}
-
 }  // namespace trail::obs

@@ -36,14 +36,13 @@ class Counter {
  public:
   void inc(std::uint64_t n = 1) { value_ += n; }
   [[nodiscard]] std::uint64_t value() const { return value_; }
-  void reset() { value_ = 0; }
 
  private:
   std::uint64_t value_ = 0;
 };
 
 /// Instantaneous level (queue depth, resident pages); tracks the high
-/// watermark since the last reset.
+/// watermark.
 class Gauge {
  public:
   void set(std::int64_t v) {
@@ -53,7 +52,6 @@ class Gauge {
   void add(std::int64_t d) { set(value_ + d); }
   [[nodiscard]] std::int64_t value() const { return value_; }
   [[nodiscard]] std::int64_t max() const { return max_; }
-  void reset() { *this = Gauge{}; }
 
  private:
   std::int64_t value_ = 0;
@@ -90,8 +88,6 @@ class Histogram {
   [[nodiscard]] double min_ms() const { return static_cast<double>(min()) / 1e6; }
   [[nodiscard]] double max_ms() const { return static_cast<double>(max()) / 1e6; }
   [[nodiscard]] double percentile_ms(double p) const { return percentile(p) / 1e6; }
-
-  void reset() { *this = Histogram{}; }
 
   /// Bucket index for a value (exposed for boundary tests).
   [[nodiscard]] static int bucket_index(std::int64_t v);
@@ -134,9 +130,6 @@ class MetricsRegistry {
   /// `_sum`/`_count`). Families and samples are name-ordered (shard
   /// label numerically), so equal registries export equal bytes.
   [[nodiscard]] std::string to_openmetrics() const;
-
-  /// Zero every metric (between bench phases); names stay registered.
-  void reset();
 
  private:
   std::map<std::string, Counter, std::less<>> counters_;

@@ -72,19 +72,6 @@ double Rng::exponential(double mean) {
   return -mean * std::log(u);
 }
 
-std::size_t Rng::weighted(const std::vector<double>& weights) {
-  double total = 0.0;
-  for (double w : weights) total += (w > 0.0 ? w : 0.0);
-  if (total <= 0.0) throw std::invalid_argument("Rng::weighted: no positive weight");
-  double pick = uniform01() * total;
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    const double w = weights[i] > 0.0 ? weights[i] : 0.0;
-    if (pick < w) return i;
-    pick -= w;
-  }
-  return weights.size() - 1;  // numerical tail
-}
-
 Rng Rng::split() { return Rng{next() ^ 0xd2b74407b1ce6e93ULL}; }
 
 std::int64_t nurand(Rng& rng, std::int64_t a, std::int64_t x, std::int64_t y, std::int64_t c) {

@@ -31,10 +31,6 @@ class Rng {
   /// Exponentially distributed value with the given mean (> 0).
   double exponential(double mean);
 
-  /// Pick an index in [0, weights.size()) with probability proportional to
-  /// the weight. Requires at least one positive weight.
-  std::size_t weighted(const std::vector<double>& weights);
-
   /// Fisher-Yates shuffle.
   template <typename T>
   void shuffle(std::vector<T>& v) {

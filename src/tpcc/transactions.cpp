@@ -48,17 +48,6 @@ class Flow {
 
 }  // namespace
 
-const char* txn_type_name(TxnType type) {
-  switch (type) {
-    case TxnType::kNewOrder: return "new-order";
-    case TxnType::kPayment: return "payment";
-    case TxnType::kOrderStatus: return "order-status";
-    case TxnType::kDelivery: return "delivery";
-    case TxnType::kStockLevel: return "stock-level";
-  }
-  return "?";
-}
-
 TxnType pick_txn_type(sim::Rng& rng) {
   const auto roll = rng.uniform(1, 100);
   if (roll <= 45) return TxnType::kNewOrder;

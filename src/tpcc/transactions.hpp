@@ -16,8 +16,6 @@ namespace trail::tpcc {
 
 enum class TxnType { kNewOrder, kPayment, kOrderStatus, kDelivery, kStockLevel };
 
-[[nodiscard]] const char* txn_type_name(TxnType type);
-
 /// Pick a transaction type according to the standard mix.
 [[nodiscard]] TxnType pick_txn_type(sim::Rng& rng);
 

@@ -29,8 +29,6 @@ TEST_F(BufferManagerTest, RegisterPinsAndCovers) {
   EXPECT_TRUE(bm.covers(dev, 101, 2));
   EXPECT_FALSE(bm.covers(dev, 100, 5));
   EXPECT_FALSE(bm.covers(dev2, 100, 1));
-  EXPECT_TRUE(bm.covers_any(dev, 103, 3));
-  EXPECT_FALSE(bm.covers_any(dev, 104, 3));
   EXPECT_EQ(bm.pending_records(), 1u);
   EXPECT_FALSE(bm.record_settled(1));
 }

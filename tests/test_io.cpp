@@ -81,7 +81,7 @@ TEST(ClookScheduler, ExactHeadPositionIncluded) {
 /// a FIFO pick takes the minimum seq, a CSCAN pick scans the whole class,
 /// and try_merge joins the first mergeable batch in list order, then
 /// cascades by rescanning. `writeback` selects the write-back policy
-/// (class 0 FIFO, classes >= 1 CSCAN with coalescing and pacing);
+/// (class 0 FIFO, classes >= 1 CSCAN with coalescing);
 /// otherwise C-LOOK in every class.
 class ListScheduler final : public IoScheduler {
  public:
@@ -140,19 +140,6 @@ class ListScheduler final : public IoScheduler {
     return true;
   }
 
-  [[nodiscard]] PacingView pacing_view() const override {
-    if (!writeback_) return PacingView{!empty(), 0};
-    PacingView view;
-    for (const auto& [priority, bucket] : classes_) {
-      if (priority <= 0) {
-        view.has_urgent = view.has_urgent || !bucket.empty();
-        continue;
-      }
-      for (const PendingIo& io : bucket) view.writeback_sectors += io.count;
-    }
-    return view;
-  }
-
   /// Queued batch envelopes of class `priority` (situation coverage).
   [[nodiscard]] std::vector<const PendingIo*> batches(int priority) const {
     std::vector<const PendingIo*> out;
@@ -187,11 +174,10 @@ class ListScheduler final : public IoScheduler {
 };
 
 /// Drives the indexed scheduler and the list-scan model through one
-/// seeded random sequence of submit (try_merge, else push) / pop_next /
-/// pacing_view calls over a narrow LBA space, asserting identical results
-/// after every call. Each write-back range logs its id through its
-/// `skipped` closure, which the checker invokes on pop to compare the
-/// per-batch range order.
+/// seeded random sequence of submit (try_merge, else push) / pop_next
+/// calls over a narrow LBA space, asserting identical results after every
+/// call. Each write-back range logs its id through its `skipped` closure,
+/// which the checker invokes on pop to compare the per-batch range order.
 class SchedulerDiff {
  public:
   struct Coverage {
@@ -214,10 +200,6 @@ class SchedulerDiff {
         submit();
       else
         pop();
-      const IoScheduler::PacingView a = indexed_->pacing_view();
-      const IoScheduler::PacingView b = model_.pacing_view();
-      ASSERT_EQ(a.has_urgent, b.has_urgent) << "op " << i;
-      ASSERT_EQ(a.writeback_sectors, b.writeback_sectors) << "op " << i;
       ASSERT_EQ(indexed_->size(), model_.size()) << "op " << i;
       ASSERT_EQ(indexed_->empty(), model_.empty()) << "op " << i;
     }
@@ -365,35 +347,6 @@ TEST_F(DeviceQueueTest, DispatchesOneAtATime) {
   EXPECT_TRUE(queue.idle());
 }
 
-TEST_F(DeviceQueueTest, CancelledRequestSkippedButCompletes) {
-  DeviceQueue queue(dev, make_fifo_scheduler());
-  bool blocker_done = false, skipped_done = false;
-  queue.submit(make_write(0, [&] { blocker_done = true; }));
-  PendingIo io = make_write(50, [&] { skipped_done = true; });
-  io.cancelled = [] { return true; };
-  queue.submit(std::move(io));
-  sim.run();
-  EXPECT_TRUE(blocker_done);
-  EXPECT_TRUE(skipped_done) << "skip path must still fire the completion";
-  EXPECT_FALSE(dev.store().is_written(50)) << "cancelled write must not reach the disk";
-}
-
-TEST_F(DeviceQueueTest, MaterializeProvidesDataAtDispatch) {
-  DeviceQueue queue(dev, make_fifo_scheduler());
-  PendingIo io;
-  io.is_write = true;
-  io.lba = 7;
-  io.count = 1;
-  io.materialize = [] {
-    return std::vector<std::byte>(disk::kSectorSize, std::byte{0xAB});
-  };
-  queue.submit(std::move(io));
-  sim.run();
-  std::vector<std::byte> got(disk::kSectorSize);
-  dev.store().read(7, 1, got);
-  EXPECT_EQ(got[10], std::byte{0xAB});
-}
-
 TEST_F(DeviceQueueTest, IdleCallbackFires) {
   DeviceQueue queue(dev, make_fifo_scheduler());
   int idle_calls = 0;
@@ -435,6 +388,25 @@ TEST_F(StandardDriverTest, UnknownDeviceThrows) {
   std::vector<std::byte> buf(disk::kSectorSize);
   EXPECT_THROW(driver.submit_write({DeviceId{3, 9}, 0}, 1, buf, {}), std::out_of_range);
   EXPECT_THROW(driver.submit_read({DeviceId{7, 0}, 0}, 1, buf, {}), std::out_of_range);
+}
+
+TEST_F(StandardDriverTest, ShortOrEmptyRequestRejectedAtSubmit) {
+  const DeviceId id = driver.add_device(d0);
+  std::vector<std::byte> one_sector(disk::kSectorSize, std::byte{0x11});
+  bool fired = false;
+  // A one-sector span submitted as two sectors: the write must not copy
+  // past the span's end, and the read must not reach the device.
+  EXPECT_THROW(driver.submit_write({id, 0}, 2, one_sector, [&] { fired = true; }),
+               std::invalid_argument);
+  EXPECT_THROW(driver.submit_read({id, 0}, 2, one_sector, [&] { fired = true; }),
+               std::invalid_argument);
+  EXPECT_THROW(driver.submit_write({id, 0}, 0, one_sector, {}), std::invalid_argument);
+  EXPECT_THROW(driver.submit_read({id, 0}, 0, one_sector, {}), std::invalid_argument);
+  EXPECT_TRUE(driver.queue(id).idle());
+  sim.run();
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(d0.stats().writes, 0u);
+  EXPECT_EQ(d0.stats().reads, 0u);
 }
 
 TEST_F(StandardDriverTest, DrainWaitsForAllQueues) {

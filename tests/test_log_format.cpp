@@ -87,22 +87,6 @@ TEST(Crc32Property, ChainingAndAccumulatorAgree) {
   }
 }
 
-TEST(Crc32Property, CombineIdentities) {
-  sim::Rng rng(11);
-  std::vector<std::byte> data(2048);
-  for (auto& b : data) b = std::byte(static_cast<std::uint8_t>(rng.next()));
-  for (int trial = 0; trial < 100; ++trial) {
-    const auto cut = static_cast<std::size_t>(rng.uniform(0, static_cast<std::int64_t>(data.size())));
-    const std::span<const std::byte> a(data.data(), cut);
-    const std::span<const std::byte> b(data.data() + cut, data.size() - cut);
-    EXPECT_EQ(crc32_combine(crc32(a), crc32(b), b.size()), crc32(data)) << "cut=" << cut;
-  }
-  // Empty-span neutrality on both sides.
-  const std::uint32_t c = crc32(data);
-  EXPECT_EQ(crc32_combine(c, crc32(std::span<const std::byte>{}), 0), c);
-  EXPECT_EQ(crc32_combine(crc32(std::span<const std::byte>{}), c, data.size()), c);
-}
-
 TEST(Crc32Property, DispatchReportsConsistentTier) {
   const CrcImpl impl = crc32_impl();
   const std::string name = crc32_impl_name();

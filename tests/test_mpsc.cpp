@@ -1,5 +1,5 @@
-// The MPSC submission front-end (core/submission_queue.hpp): admission
-// control, backpressure, shutdown, the single-producer determinism
+// The MPSC submission front-end (core/submission_queue.hpp):
+// backpressure, shutdown, the single-producer determinism
 // parity argument, and the multi-producer stress shape the TSan CI job
 // runs under -fsanitize=thread.
 
@@ -19,7 +19,6 @@ namespace trail {
 namespace {
 
 using core::Admission;
-using core::AdmissionPolicy;
 using core::MpscFrontEnd;
 using core::SubmissionQueue;
 using core::SyncTicket;
@@ -33,43 +32,18 @@ SubmissionQueue::Request req(SyncTicket* ticket = nullptr) {
 }
 
 // ---------------------------------------------------------------------------
-// Admission control (single-threaded shapes)
+// Shutdown (single-threaded shapes)
 // ---------------------------------------------------------------------------
 
-TEST(SubmissionQueue, RejectPolicyTurnsAwayWhenFull) {
-  obs::MetricsRegistry metrics;
-  SubmissionQueue q({.capacity = 2, .policy = AdmissionPolicy::kReject}, &metrics);
-
-  EXPECT_EQ(q.submit(req()), Admission::kOk);
-  EXPECT_EQ(q.submit(req()), Admission::kOk);
-  EXPECT_EQ(q.submit(req()), Admission::kRejected);
-  EXPECT_EQ(q.depth(), 2u);
-  EXPECT_EQ(metrics.counter("mpsc.enqueued").value(), 2u);
-  EXPECT_EQ(metrics.counter("mpsc.rejected").value(), 1u);
-  EXPECT_EQ(metrics.gauge("mpsc.depth").max(), 2);
-
-  // Draining reopens admission.
-  std::vector<SubmissionQueue::Request> batch;
-  EXPECT_EQ(q.drain(batch), 2u);
-  EXPECT_EQ(q.submit(req()), Admission::kOk);
-}
-
-TEST(SubmissionQueue, TrySubmitNeverBlocksRegardlessOfPolicy) {
-  SubmissionQueue q({.capacity = 1, .policy = AdmissionPolicy::kBlock});
-  EXPECT_EQ(q.try_submit(req()), Admission::kOk);
-  EXPECT_EQ(q.try_submit(req()), Admission::kRejected);  // full; would block via submit()
-}
-
 TEST(SubmissionQueue, SubmitAfterCloseReturnsClosed) {
-  SubmissionQueue q({.capacity = 4, .policy = AdmissionPolicy::kBlock});
+  SubmissionQueue q(4);
   q.close();
   EXPECT_TRUE(q.closed());
   EXPECT_EQ(q.submit(req()), Admission::kClosed);
-  EXPECT_EQ(q.try_submit(req()), Admission::kClosed);
 }
 
 TEST(SubmissionQueue, DrainWaitReturnsZeroOnlyWhenClosedAndEmpty) {
-  SubmissionQueue q({.capacity = 4, .policy = AdmissionPolicy::kBlock});
+  SubmissionQueue q(4);
   ASSERT_EQ(q.submit(req()), Admission::kOk);
   q.close();
 
@@ -86,7 +60,7 @@ TEST(SubmissionQueue, DrainWaitReturnsZeroOnlyWhenClosedAndEmpty) {
 
 TEST(SubmissionQueue, BlockingBackpressureUnblocksOnDrain) {
   obs::MetricsRegistry metrics;
-  SubmissionQueue q({.capacity = 1, .policy = AdmissionPolicy::kBlock}, &metrics);
+  SubmissionQueue q(1, &metrics);
   ASSERT_EQ(q.submit(req()), Admission::kOk);  // ring now full
 
   std::atomic<bool> admitted{false};
@@ -109,7 +83,7 @@ TEST(SubmissionQueue, BlockingBackpressureUnblocksOnDrain) {
 }
 
 TEST(SubmissionQueue, ShutdownWakesBlockedProducers) {
-  SubmissionQueue q({.capacity = 1, .policy = AdmissionPolicy::kBlock});
+  SubmissionQueue q(1);
   ASSERT_EQ(q.submit(req()), Admission::kOk);
 
   constexpr int kProducers = 4;
@@ -161,7 +135,7 @@ obs::Histogram run_scripted(bench::TrailStack& stack, const ParityParams& p) {
 /// The MPSC side: one REAL producer thread re-rolling the workload's
 /// exact RNG sequence, synchronously (submit → wait ticket → repeat).
 obs::Histogram run_mpsc(bench::TrailStack& stack, const ParityParams& p) {
-  SubmissionQueue queue({.capacity = 8, .policy = AdmissionPolicy::kBlock});  // no mpsc.* series:
+  SubmissionQueue queue(8);  // no mpsc.* series:
   MpscFrontEnd front_end(stack.sim, *stack.driver, queue);  // registries must stay comparable
   const disk::Lba device_sectors = stack.data_disks[0]->geometry().total_sectors();
 
@@ -229,8 +203,7 @@ TEST(MpscStress, FourProducersThroughBoundedRing) {
   constexpr std::size_t kCapacity = 2;
 
   bench::TrailStack stack(3);
-  SubmissionQueue queue({.capacity = kCapacity, .policy = AdmissionPolicy::kBlock},
-                        &stack.obs.metrics);
+  SubmissionQueue queue(kCapacity, &stack.obs.metrics);
   MpscFrontEnd front_end(stack.sim, *stack.driver, queue, &stack.obs.metrics);
   const disk::Lba device_sectors = stack.data_disks[0]->geometry().total_sectors();
 
@@ -278,7 +251,6 @@ TEST(MpscStress, FourProducersThroughBoundedRing) {
   // The producer-written mpsc.* cells lose no update: the queue's mutex
   // serializes every write into them.
   EXPECT_EQ(stack.obs.metrics.counter("mpsc.enqueued").value(), kTotal);
-  EXPECT_EQ(stack.obs.metrics.counter("mpsc.rejected").value(), 0u);
   EXPECT_EQ(stack.obs.metrics.counter("mpsc.blocked").value(),
             stack.obs.metrics.histogram("mpsc.blocked_ns").count());
   EXPECT_LE(stack.obs.metrics.gauge("mpsc.depth").max(), static_cast<std::int64_t>(kCapacity));

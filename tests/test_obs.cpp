@@ -92,7 +92,7 @@ TEST(Histogram, ExactAggregatesAndEndpoints) {
   EXPECT_DOUBLE_EQ(h.mean_ms(), 5.0);
   EXPECT_DOUBLE_EQ(h.percentile(0), 1'000'000.0);    // exact min
   EXPECT_DOUBLE_EQ(h.percentile(100), 9'000'000.0);  // exact max
-  h.reset();
+  h = Histogram{};
   EXPECT_EQ(h.count(), 0u);
   EXPECT_DOUBLE_EQ(h.percentile(50), 0.0);
 }

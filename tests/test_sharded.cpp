@@ -1,4 +1,4 @@
-// ShardedDriver: extent routing (hash + striped), request splitting,
+// ShardedDriver: extent routing, request splitting,
 // watermark-gated acknowledgements, cross-shard recovery with the
 // consistency cut, and the array-level audit invariants.
 #include <gtest/gtest.h>
@@ -25,7 +25,6 @@ namespace {
 
 using core::ShardedConfig;
 using core::ShardedDriver;
-using core::ShardRouting;
 using disk::kSectorSize;
 
 /// A sharded stack over small test disks: one log disk per shard plus
@@ -168,16 +167,6 @@ TEST(ShardedRouting, ExtentHashIsDeterministicAndCoversAllShards) {
   EXPECT_GT(diffs, 0u);
 }
 
-TEST(ShardedRouting, StripedRoutingIsRoundRobinPerDevice) {
-  ShardedRig rig(4);
-  ShardedConfig cfg;
-  cfg.routing = ShardRouting::kStriped;
-  rig.start(cfg);
-  const std::uint32_t ext = cfg.extent_sectors;
-  for (std::uint32_t e = 0; e < 16; ++e)
-    EXPECT_EQ(rig.driver->shard_of(rig.devices[0], static_cast<disk::Lba>(e) * ext), e % 4);
-}
-
 TEST(ShardedRouting, RejectsBadConfig) {
   sim::Simulator sim;
   ShardedConfig cfg;
@@ -191,6 +180,31 @@ TEST(ShardedRouting, RejectsBadConfig) {
 // ---------------------------------------------------------------------------
 // Write / read paths
 // ---------------------------------------------------------------------------
+
+TEST(ShardedIo, ShortSpanRejectedAtSubmit) {
+  ShardedRig rig(2);
+  rig.start();
+  const std::string before = rig.driver->combined_stats().to_json();
+  std::vector<std::byte> one_sector(kSectorSize, std::byte{0x33});
+  bool fired = false;
+  // A one-sector span submitted as two sectors, inside one extent and
+  // across an extent boundary: no chunk may take a subspan past the
+  // span's end, and nothing may reach a shard.
+  const disk::Lba within = 10;
+  const disk::Lba spanning = rig.driver->config().extent_sectors - 1;
+  for (const disk::Lba lba : {within, spanning}) {
+    EXPECT_THROW(rig.driver->submit_write({rig.devices[0], lba}, 2, one_sector,
+                                          [&] { fired = true; }),
+                 std::invalid_argument);
+    EXPECT_THROW(rig.driver->submit_read({rig.devices[0], lba}, 2, one_sector,
+                                         [&] { fired = true; }),
+                 std::invalid_argument);
+  }
+  rig.sim.run_until(rig.sim.now() + sim::millis(100));  // long enough for any to complete
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(rig.driver->combined_stats().to_json(), before);
+  EXPECT_EQ(rig.driver->routed_sectors(0) + rig.driver->routed_sectors(1), 0u);
+}
 
 TEST(ShardedIo, WriteWithinOneExtentStaysOnOneShard) {
   ShardedRig rig(2);
@@ -208,10 +222,14 @@ TEST(ShardedIo, WriteWithinOneExtentStaysOnOneShard) {
 
 TEST(ShardedIo, WriteSpanningExtentsSplitsAndReadsBack) {
   ShardedRig rig(2);
-  ShardedConfig cfg;
-  cfg.routing = ShardRouting::kStriped;  // extents 0 and 1 on different shards
-  rig.start(cfg);
-  const disk::Lba lba = cfg.extent_sectors - 1;  // last sector of extent 0
+  rig.start();
+  // The last sector of the first extent whose successor lives on the
+  // other shard.
+  const std::uint32_t ext = rig.driver->config().extent_sectors;
+  disk::Lba lba = ext - 1;
+  while (rig.driver->shard_of(rig.devices[0], lba) ==
+         rig.driver->shard_of(rig.devices[0], lba + 1))
+    lba += ext;
   const auto pattern = make_pattern(2, 7);
   rig.write_sync(io::BlockAddr{rig.devices[0], lba}, pattern);
 
@@ -262,39 +280,42 @@ TEST(ShardedIo, AckedWritesSurviveDrainToDataDisks) {
 TEST(ShardedGating, AckWaitsForGlobalWatermark) {
   disk::DiskProfile slow = disk::small_test_disk();
   slow.command_overhead = sim::millis_f(40.0);
-  for (const bool gated : {true, false}) {
-    ShardedRig rig(2, 1, {slow, disk::small_test_disk()});
-    ShardedConfig cfg;
-    cfg.routing = ShardRouting::kStriped;
-    cfg.watermark_acks = gated;
-    rig.start(cfg);
+  ShardedRig rig(2, 1, {slow, disk::small_test_disk()});
+  rig.start();
+  const std::uint32_t ext = rig.driver->config().extent_sectors;
+  const auto first_extent_on = [&](std::size_t k) {
+    disk::Lba lba = 0;
+    while (rig.driver->shard_of(rig.devices[0], lba) != k) lba += ext;
+    return lba;
+  };
 
-    const auto p1 = make_pattern(1, 1);
-    const auto p2 = make_pattern(1, 2);
-    sim::TimePoint ack1{}, ack2{};
-    bool done1 = false, done2 = false;
-    // Extent 0 -> shard 0 (slow), extent 1 -> shard 1 (fast).
-    rig.driver->submit_write(io::BlockAddr{rig.devices[0], 0}, 1, p1, [&] {
-      ack1 = rig.sim.now();
-      done1 = true;
-    });
-    rig.driver->submit_write(io::BlockAddr{rig.devices[0], cfg.extent_sectors}, 1, p2, [&] {
-      ack2 = rig.sim.now();
-      done2 = true;
-    });
-    rig.pump(done1);
-    rig.pump(done2);
-    if (gated) {
-      // W2 could not overtake W1 in the global commit order.
-      EXPECT_GE(ack2, ack1);
-      EXPECT_EQ(rig.driver->committed_watermark(), 2u);
-    } else {
-      // Ungated: the fast shard acknowledges long before the slow one.
-      EXPECT_LT(ack2, ack1);
-    }
-    rig.settle();
-    rig.expect_clean_audit(/*quiescent=*/true);
-  }
+  const auto p1 = make_pattern(1, 1);
+  const auto p2 = make_pattern(1, 2);
+  sim::TimePoint ack1{}, ack2{};
+  bool done1 = false, done2 = false;
+  rig.driver->submit_write(io::BlockAddr{rig.devices[0], first_extent_on(0)}, 1, p1, [&] {
+    ack1 = rig.sim.now();
+    done1 = true;
+  });
+  rig.driver->submit_write(io::BlockAddr{rig.devices[0], first_extent_on(1)}, 1, p2, [&] {
+    ack2 = rig.sim.now();
+    done2 = true;
+  });
+  // The fast shard makes W2 durable while W1 is still on the slow disk:
+  // the gate, not the disks, is what holds W2's ack back.
+  while (rig.driver->gated_acks_pending() == 0 && !done1 && !done2)
+    ASSERT_TRUE(rig.sim.step()) << "simulation stalled";
+  EXPECT_FALSE(done1);
+  EXPECT_FALSE(done2);
+  EXPECT_EQ(rig.driver->gated_acks_pending(), 1u);
+
+  rig.pump(done1);
+  rig.pump(done2);
+  // W2 could not overtake W1 in the global commit order.
+  EXPECT_GE(ack2, ack1);
+  EXPECT_EQ(rig.driver->committed_watermark(), 2u);
+  rig.settle();
+  rig.expect_clean_audit(/*quiescent=*/true);
 }
 
 // ---------------------------------------------------------------------------

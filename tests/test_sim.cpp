@@ -272,16 +272,6 @@ TEST(Rng, ExponentialHasRequestedMean) {
   EXPECT_NEAR(sum / n, 4.0, 0.1);
 }
 
-TEST(Rng, WeightedRespectsWeights) {
-  Rng rng(5);
-  std::vector<double> weights{1.0, 3.0, 0.0};
-  std::vector<int> counts(3, 0);
-  const int n = 40'000;
-  for (int i = 0; i < n; ++i) ++counts[rng.weighted(weights)];
-  EXPECT_EQ(counts[2], 0);
-  EXPECT_NEAR(static_cast<double>(counts[1]) / counts[0], 3.0, 0.3);
-}
-
 TEST(Rng, SplitProducesIndependentStream) {
   Rng a(42);
   Rng b = a.split();

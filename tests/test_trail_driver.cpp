@@ -34,6 +34,26 @@ TEST_F(TrailDriverTest, UnformattedDiskRejected) {
   EXPECT_THROW(core::TrailDriver(sim, raw), std::invalid_argument);
 }
 
+TEST_F(TrailDriverTest, ShortSpanRejectedAtSubmit) {
+  start();
+  const std::string before = driver->stats().to_json();
+  std::vector<std::byte> one_sector(disk::kSectorSize, std::byte{0x22});
+  bool fired = false;
+  // A one-sector span submitted as two sectors: the write must not copy
+  // past the span's end, and the read must fail here rather than from a
+  // later simulator step when the data disk fills the buffer.
+  EXPECT_THROW(driver->submit_write({devices[0], 64}, 2, one_sector, [&] { fired = true; }),
+               std::invalid_argument);
+  EXPECT_THROW(driver->submit_read({devices[0], 64}, 2, one_sector, [&] { fired = true; }),
+               std::invalid_argument);
+  // A zero-sector read is rejected too, not counted as a buffer hit.
+  EXPECT_THROW(driver->submit_read({devices[0], 64}, 0, one_sector, [&] { fired = true; }),
+               std::invalid_argument);
+  sim.run_until(sim.now() + sim::millis(100));  // long enough for either to complete
+  EXPECT_FALSE(fired);
+  EXPECT_EQ(driver->stats().to_json(), before);
+}
+
 TEST_F(TrailDriverTest, WriteAckThenReadBack) {
   start();
   const auto data = make_pattern(4, 42);

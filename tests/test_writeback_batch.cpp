@@ -156,78 +156,5 @@ TEST_F(WritebackBatchTest, RejectsZeroMergeCap) {
   EXPECT_THROW(core::TrailDriver(sim, *log_disk, cfg), std::invalid_argument);
 }
 
-// ---------------------------------------------------------------------------
-// Write-back pacing (dirty high-watermark + age bound)
-// ---------------------------------------------------------------------------
-
-TEST_F(WritebackBatchTest, PacingAccumulatesUntilWatermarkThenDispatchesOnce) {
-  TrailConfig cfg;
-  cfg.writeback_dirty_watermark = 8;  // sectors
-  cfg.writeback_dirty_age = sim::millis(1000);  // never the release reason here
-  start(cfg);
-  // Without pacing the first write-back dispatches alone (device idle)
-  // and only the trailing seven coalesce. Pacing holds the first one, so
-  // the full burst accumulates into one envelope and one device command.
-  for (std::uint32_t i = 0; i < 8; ++i)
-    write_sync(io::BlockAddr{devices[0], 100 + i}, make_pattern(1, 5000 + i));
-  settle();
-
-  const auto& s = driver->stats();
-  EXPECT_EQ(s.writebacks, 8u);
-  EXPECT_EQ(s.writebacks_dispatched, 8u);
-  EXPECT_EQ(s.writeback_commands, 1u);  // the whole paced burst at once
-  verify_expected_on_data_disks();
-  EXPECT_EQ(driver->buffers().pinned_sectors(), 0u);
-  expect_clean_audit();
-}
-
-TEST_F(WritebackBatchTest, PacingAgeBoundReleasesShortAccumulation) {
-  TrailConfig cfg;
-  cfg.writeback_dirty_watermark = 1000;  // unreachable: age must release
-  cfg.writeback_dirty_age = sim::millis(50);
-  start(cfg);
-  for (std::uint32_t i = 0; i < 3; ++i)
-    write_sync(io::BlockAddr{devices[0], 200 + i}, make_pattern(1, 6000 + i));
-  // Nothing may dispatch before the age deadline.
-  EXPECT_EQ(driver->stats().writebacks_dispatched, 0u);
-  settle();  // the age timer fires during the drain
-
-  const auto& s = driver->stats();
-  EXPECT_EQ(s.writebacks_dispatched, 3u);
-  EXPECT_EQ(s.writeback_commands, 1u);  // aged accumulation flushes together
-  verify_expected_on_data_disks();
-  expect_clean_audit();
-}
-
-TEST_F(WritebackBatchTest, UrgentReadFlushesPacedAccumulation) {
-  TrailConfig cfg;
-  cfg.writeback_dirty_watermark = 1000;
-  cfg.writeback_dirty_age = sim::millis(500);
-  start(cfg);
-  const sim::TimePoint t0 = sim.now();
-  for (std::uint32_t i = 0; i < 4; ++i)
-    write_sync(io::BlockAddr{devices[0], 300 + i}, make_pattern(1, 7000 + i));
-  EXPECT_EQ(driver->stats().writebacks_dispatched, 0u);  // held by the gate
-  // A read to an unbuffered LBA is never held; it latches the gate open
-  // and the accumulated writes flush behind it — long before watermark
-  // or age would have released them.
-  (void)read_sync(io::BlockAddr{devices[0], 1200}, 1);
-  settle();
-  EXPECT_LT(sim.now() - t0, cfg.writeback_dirty_age);
-
-  const auto& s = driver->stats();
-  EXPECT_EQ(s.writebacks_dispatched, 4u);
-  EXPECT_EQ(s.writeback_commands, 1u);
-  verify_expected_on_data_disks();
-  expect_clean_audit();
-}
-
-TEST_F(WritebackBatchTest, RejectsPacingWithoutAgeBound) {
-  TrailConfig cfg;
-  cfg.writeback_dirty_watermark = 16;
-  cfg.writeback_dirty_age = sim::Duration{0};
-  EXPECT_THROW(core::TrailDriver(sim, *log_disk, cfg), std::invalid_argument);
-}
-
 }  // namespace
 }  // namespace trail::testing
