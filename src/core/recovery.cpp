@@ -17,9 +17,8 @@ namespace {
 constexpr std::uint32_t kAnchorProbes = 64;
 }  // namespace
 
-RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks,
-                                 DataWriteFn data_write)
-    : sim_(sim), data_write_(std::move(data_write)) {
+RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks)
+    : sim_(sim) {
   if (log_disks.empty() || log_disks.size() > kMaxLogUnits)
     throw std::invalid_argument("RecoveryManager: 1..15 log disks required");
   for (disk::DiskDevice* device : log_disks) {
@@ -601,12 +600,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
         m.obs_->flight.push(fr);
       }
     }
-    if (opts.write_back && !outcome.pending.empty()) {
-      m.write_back_async(&outcome.pending, &outcome.stats,
-                         [self = shared_from_this()] { self->complete(); });
-    } else {
-      complete();
-    }
+    complete();
   }
 
   void complete() {
@@ -618,102 +612,14 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
 };
 
 // ---------------------------------------------------------------------------
-// Write-back pipeline (phase 3).
-// ---------------------------------------------------------------------------
-struct RecoveryManager::WbState : std::enable_shared_from_this<RecoveryManager::WbState> {
-  explicit WbState(RecoveryManager& mgr) : m(mgr) {}
-
-  RecoveryManager& m;
-  const std::vector<RecoveredRecord>* pending = nullptr;
-  RecoveryStats* stats = nullptr;
-  std::function<void()> done;
-  sim::TimePoint wb_start{};
-  std::optional<obs::ScopedSpan> span;
-  bool failed = false;
-  bool finished = false;
-
-  std::size_t outstanding = 0;
-  bool submitted_all = false;
-
-  void start() {
-    // Newest-content overlay: `pending` is ascending by key, so a later
-    // record's sector image supersedes an earlier one's — each data
-    // sector is written exactly once, with its final content.
-    std::map<std::uint16_t, std::map<disk::Lba, const std::byte*>> latest;
-    std::map<std::uint16_t, io::DeviceId> ids;
-    for (const RecoveredRecord& r : *pending) {
-      if (r.header.entries[0].data_major == kDirectLogMajor) continue;
-      for (std::uint32_t i = 0; i < r.header.batch_size; ++i) {
-        const RecordEntry& e = r.header.entries[i];
-        const io::DeviceId dev(e.data_major, e.data_minor);
-        ids.emplace(dev.index(), dev);
-        latest[dev.index()][e.data_lba] =
-            r.payload.data() + static_cast<std::size_t>(i) * disk::kSectorSize;
-      }
-    }
-    // Carve contiguous runs and snapshot them (the DataWriteFn may defer
-    // the actual device write past `pending`'s lifetime).
-    struct Run {
-      io::DeviceId dev;
-      disk::Lba lba = 0;
-      std::shared_ptr<std::vector<std::byte>> image;
-    };
-    std::vector<Run> runs;
-    for (auto& [devidx, sectors] : latest) {
-      auto it = sectors.begin();
-      while (it != sectors.end()) {
-        Run run;
-        run.dev = ids.at(devidx);
-        run.lba = it->first;
-        run.image = std::make_shared<std::vector<std::byte>>();
-        disk::Lba next = it->first;
-        while (it != sectors.end() && it->first == next) {
-          run.image->insert(run.image->end(), it->second, it->second + disk::kSectorSize);
-          ++next;
-          ++it;
-        }
-        runs.push_back(std::move(run));
-      }
-    }
-    if (runs.empty()) {
-      finish();
-      return;
-    }
-    outstanding = runs.size();
-    for (Run& run : runs) {
-      stats->sectors_written_back += run.image->size() / disk::kSectorSize;
-      m.data_write_(run.dev, run.lba, std::span<const std::byte>(*run.image),
-                    [self = shared_from_this(), image = run.image] {
-                      if (self->failed) return;
-                      --self->outstanding;
-                      if (self->outstanding == 0 && self->submitted_all) self->finish();
-                    });
-    }
-    submitted_all = true;
-    if (outstanding == 0) finish();
-  }
-
-  void finish() {
-    if (finished) return;
-    finished = true;
-    stats->writeback_time += m.sim_.now() - wb_start;
-    if (span) span->finish();
-    auto d = std::move(done);
-    m.wb_.reset();  // the caller's shared_ptr keeps us alive through d()
-    d();
-  }
-};
-
-// ---------------------------------------------------------------------------
 // Public entry points.
 // ---------------------------------------------------------------------------
 
-// The pipelines reference the manager back; if the manager dies with reads
-// or writes still in flight, the orphaned completions (which keep the
-// state blocks alive via shared_ptr) must become no-ops.
+// The pipeline references the manager back; if the manager dies with reads
+// still in flight, the orphaned completions (which keep the state block
+// alive via shared_ptr) must become no-ops.
 RecoveryManager::~RecoveryManager() {
   if (pipe_) pipe_->failed = true;
-  if (wb_) wb_->failed = true;
 }
 
 void RecoveryManager::start(std::uint32_t target_epoch, std::uint32_t oldest_pending_epoch,
@@ -734,24 +640,6 @@ void RecoveryManager::start(std::uint32_t target_epoch, std::uint32_t oldest_pen
   if (obs_ != nullptr)
     obs_->metrics.gauge(metric_prefix_ + "recovery.pipeline_depth").set(p.depth);
   p.start_locate();
-}
-
-void RecoveryManager::write_back_async(const std::vector<RecoveredRecord>* pending,
-                                       RecoveryStats* stats, std::function<void()> done) {
-  if (pending->empty()) {
-    done();
-    return;
-  }
-  if (!data_write_) throw std::logic_error("recovery: write-back requested without DataWriteFn");
-  wb_ = std::make_shared<WbState>(*this);
-  WbState& w = *wb_;
-  w.pending = pending;
-  w.stats = stats;
-  w.done = std::move(done);
-  w.wb_start = sim_.now();
-  w.span.emplace(obs_ != nullptr ? &obs_->tracer : nullptr, "recovery.writeback", "recovery",
-                 tid_);
-  w.start();
 }
 
 }  // namespace trail::core

@@ -1,6 +1,7 @@
-// Crash recovery (§3.3, Fig. 4).
+// Crash recovery (§3.3, Fig. 4): the log reader.
 //
-// Three phases, each timed separately for the Fig. 4 breakdown:
+// §3.3 recovers in three phases. This pipeline runs the first two, each
+// timed separately for the Fig. 4 breakdown:
 //
 //  1. LOCATE the youngest active write record: per-track scans driven by
 //     a binary search over each log disk's circular track ring. FIFO
@@ -20,22 +21,19 @@
 //     record older than the oldest pending epoch (the previous session
 //     already wrote it back) means nothing is pending.
 //
-//  3. WRITE BACK pending records to the data disks in ascending key
-//     order. Optional (Fig. 4b): the driver may instead adopt the records
-//     as live state and resume service immediately, since a persistent
-//     copy already exists on the log disk.
+// Phase 3 belongs to the mount (TrailDriver::mount_finish_async): after
+// a sharded mount's cross-shard cut, it writes the surviving records back
+// to the data disks, or adopts them as live state (Fig. 4b), since a
+// persistent copy already exists on the log disk.
 //
-// All three phases run as one bounded-depth asynchronous pipeline
+// Both phases run as one bounded-depth asynchronous pipeline
 // (DESIGN.md §12), the same algorithm at every depth. Reads go through a
 // per-unit io::DeviceQueue so the elevator can order the outstanding
 // window: the locate phase keeps a sliding window of up to
-// pipeline_depth anchor probes in flight per unit, the rebuild phase
+// pipeline_depth anchor probes in flight per unit, and the rebuild phase
 // walks the live arc out of a track cache whose misses prefetch up to
-// pipeline_depth - 1 older tracks, and the write-back phase dispatches
-// the newest-content overlay of the pending records as deduplicated
-// contiguous runs. Depth 1 is the same pipeline with a window of one:
-// every depth recovers the same pending set and leaves byte-identical
-// images.
+// pipeline_depth - 1 older tracks. Depth 1 is the same pipeline with a
+// window of one: every depth recovers the same pending set.
 #pragma once
 
 #include <cstdint>
@@ -47,7 +45,6 @@
 #include "core/format_tool.hpp"
 #include "core/log_format.hpp"
 #include "disk/disk_device.hpp"
-#include "io/block.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 
@@ -80,9 +77,10 @@ struct RecoveryStats {
   /// shards as the global consistency cut.
   std::uint64_t oldest_torn_key = 0;
   /// Intact records discarded by a sharded mount's cross-shard
-  /// consistency cut (mount_finish's cut_before). Always 0 for a
+  /// consistency cut (mount_finish_async's cut_before). Always 0 for a
   /// standalone driver.
   std::uint32_t records_cut = 0;
+  /// Phase 3, filled by the mount that writes the survivors back.
   sim::Duration writeback_time;
   std::uint64_t sectors_written_back = 0;
 };
@@ -90,8 +88,6 @@ struct RecoveryStats {
 class RecoveryManager {
  public:
   struct Options {
-    /// Phase 3 on/off (Fig. 4b: recovery is much slower with write-back).
-    bool write_back = true;
     /// Force the O(N) sequential locate instead of binary search (ablation).
     bool sequential_locate = false;
     /// Bounded in-flight read window per log unit: the number of anchor
@@ -101,31 +97,20 @@ class RecoveryManager {
     std::uint32_t pipeline_depth = 8;
   };
 
-  /// Writes one payload run to a data disk; invoke the completion when
-  /// durable. Bound to the data-disk device queues by the driver.
-  using DataWriteFn = std::function<void(io::DeviceId, disk::Lba, std::span<const std::byte>,
-                                         std::function<void()>)>;
-
-  RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks,
-                  DataWriteFn data_write);
+  RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks);
   ~RecoveryManager();
 
   /// Optional observability: per-phase spans ("recovery.locate" /
-  /// "recovery.rebuild" / "recovery.writeback"), a per-track-scan probe
-  /// instant, and track/record counters on the recovery lane. The prefix
-  /// and lane let a sharded mount scope each shard's recovery (prefix
-  /// "shard.k.", a lane inside the shard's tid block).
+  /// "recovery.rebuild"), a per-track-scan probe instant, and
+  /// track/record counters on the recovery lane. The prefix and lane let
+  /// a sharded mount scope each shard's recovery (prefix "shard.k.", a
+  /// lane inside the shard's tid block).
   void attach_obs(obs::Obs* obs, std::string metric_prefix = "",
                   std::uint32_t tid = obs::kRecoveryTid) {
     obs_ = obs;
     metric_prefix_ = std::move(metric_prefix);
     tid_ = tid;
   }
-
-  /// Late-bind the phase-3 sink (a driver's mount_begin runs locate +
-  /// rebuild without one; its mount_finish wires the data queues in
-  /// before replaying the survivors).
-  void set_data_write(DataWriteFn data_write) { data_write_ = std::move(data_write); }
 
   struct Outcome {
     RecoveryStats stats;
@@ -134,7 +119,7 @@ class RecoveryManager {
   };
 
   /// Start recovery for the crashed epoch and return; `done` fires (from
-  /// a device completion) when the selected phases finish. Records of
+  /// a device completion) when locate + rebuild finish. Records of
   /// *earlier* epochs can also be pending when a previous recovery
   /// adopted them instead of writing them back, so `target_epoch` is an
   /// upper bound, `oldest_pending_epoch` (core::oldest_pending_epoch of
@@ -143,18 +128,6 @@ class RecoveryManager {
   /// shard's recovery and let them interleave on virtual time.
   void start(std::uint32_t target_epoch, std::uint32_t oldest_pending_epoch,
              const Options& options, std::function<void(Outcome)> done);
-
-  /// Phase 3 alone: write `pending` back to the data disks, accumulating
-  /// into `stats`; `done` fires when every run is durable. Public so a
-  /// mount can locate + rebuild first (run with write_back=false), apply
-  /// the cross-shard consistency cut, and only then write back the
-  /// survivors. The records collapse into a newest-content overlay first
-  /// (each data sector written once, with its final content) and the
-  /// resulting contiguous runs dispatch concurrently through the
-  /// DataWriteFn. `pending` and `stats` must stay alive until `done`
-  /// fires.
-  void write_back_async(const std::vector<RecoveredRecord>* pending, RecoveryStats* stats,
-                        std::function<void()> done);
 
  private:
   struct Unit {
@@ -167,17 +140,14 @@ class RecoveryManager {
     std::uint8_t unit = 0;
     disk::Lba header_lba = 0;
   };
-  struct Pipe;     // the locate + rebuild pipeline (defined in recovery.cpp)
-  struct WbState;  // the write-back pipeline
+  struct Pipe;  // the locate + rebuild pipeline (defined in recovery.cpp)
 
   sim::Simulator& sim_;
   std::vector<Unit> units_;
-  DataWriteFn data_write_;
   obs::Obs* obs_ = nullptr;
   std::string metric_prefix_;
   std::uint32_t tid_ = obs::kRecoveryTid;
   std::shared_ptr<Pipe> pipe_;
-  std::shared_ptr<WbState> wb_;
   /// Read queues for the locate/rebuild pipeline. Owned here, not by the
   /// Pipe: a queue completion may release the last Pipe reference while
   /// the queue's pump() is still on the stack, so the queue must outlive

@@ -1,7 +1,6 @@
 #include "core/sharded_driver.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -84,51 +83,53 @@ void ShardedDriver::mount() {
   if (crashed_)
     throw std::logic_error("ShardedDriver: driver instance crashed; build a new one");
 
+  // Each phase fans out over the shards' asynchronous halves. With
+  // overlapped_mount every shard starts before the simulator steps, so
+  // their recoveries overlap on virtual time (independent log spindles)
+  // and a phase costs the max over shards; without it each shard is
+  // stepped to completion before the next one starts.
+  std::size_t running = 0;
+  const auto settle = [&] {
+    while (running > 0)
+      if (!sim_.step()) throw std::runtime_error("ShardedDriver: mount stalled");
+  };
+
   // Phase A: begin recovery everywhere (locate + rebuild, no write-back)
   // and derive the array-wide mount parameters — the epoch floor that
   // re-aligns every shard onto one common epoch, and the consistency cut
   // (minimum torn key across shards; see the file comment for why
-  // nothing at or above it was ever acknowledged). With overlapped_mount
-  // every shard's recovery pipeline runs concurrently on virtual time
-  // (independent log spindles), so phase A costs the max over shards.
-  std::vector<std::optional<TrailDriver::MountPrep>> preps(shards_.size());
+  // nothing at or above it was ever acknowledged).
+  std::vector<TrailDriver::MountPrep> preps(shards_.size());
   last_recovery_ = ShardedRecoveryStats{};
-  if (config_.overlapped_mount) {
-    std::size_t pending = shards_.size();
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-      shards_[k]->mount_begin_async([&preps, &pending, k](TrailDriver::MountPrep prep) {
-        preps[k].emplace(std::move(prep));
-        --pending;
-      });
-    while (pending > 0)
-      if (!sim_.step()) throw std::runtime_error("ShardedDriver: mount begin stalled");
-  } else {
-    for (std::size_t k = 0; k < shards_.size(); ++k) preps[k].emplace(shards_[k]->mount_begin());
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    ++running;
+    shards_[k]->mount_begin_async([&preps, &running, k](TrailDriver::MountPrep prep) {
+      preps[k] = std::move(prep);
+      --running;
+    });
+    if (!config_.overlapped_mount) settle();
   }
+  settle();
   std::uint32_t epoch_floor = 0;
   std::uint64_t cut_before = ~std::uint64_t{0};
-  for (const auto& prep : preps) {
-    epoch_floor = std::max(epoch_floor, prep->max_epoch);
-    if (prep->crashed) ++last_recovery_.crashed_shards;
-    if (prep->stats.records_dropped_torn > 0)
-      cut_before = std::min(cut_before, prep->stats.oldest_torn_key);
+  for (const TrailDriver::MountPrep& prep : preps) {
+    epoch_floor = std::max(epoch_floor, prep.max_epoch);
+    if (prep.crashed) ++last_recovery_.crashed_shards;
+    if (prep.stats.records_dropped_torn > 0)
+      cut_before = std::min(cut_before, prep.stats.oldest_torn_key);
   }
 
   // Phase B: finish every shard's mount under the common cut. Write-back
   // targets the shared data disks, but extent routing keeps the shards'
   // runs disjoint, so overlapping them is image-equivalent to the serial
   // order.
-  if (config_.overlapped_mount) {
-    std::size_t pending = shards_.size();
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-      shards_[k]->mount_finish_async(std::move(*preps[k]), epoch_floor, cut_before,
-                                     [&pending] { --pending; });
-    while (pending > 0)
-      if (!sim_.step()) throw std::runtime_error("ShardedDriver: mount finish stalled");
-  } else {
-    for (std::size_t k = 0; k < shards_.size(); ++k)
-      shards_[k]->mount_finish(std::move(*preps[k]), epoch_floor, cut_before);
+  for (std::size_t k = 0; k < shards_.size(); ++k) {
+    ++running;
+    shards_[k]->mount_finish_async(std::move(preps[k]), epoch_floor, cut_before,
+                                   [&running] { --running; });
+    if (!config_.overlapped_mount) settle();
   }
+  settle();
 
   last_recovery_.cut_before = cut_before;
   for (const auto& s : shards_) {

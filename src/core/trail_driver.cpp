@@ -163,20 +163,17 @@ std::uint32_t TrailDriver::oldest_live_ptr_or(std::uint32_t fallback) const {
 // Mount / unmount / crash
 // ---------------------------------------------------------------------------
 
-void TrailDriver::mount() { mount_finish(mount_begin()); }
-
-TrailDriver::MountPrep TrailDriver::mount_begin() {
-  std::optional<MountPrep> prep;
-  mount_begin_async([&](MountPrep p) { prep.emplace(std::move(p)); });
-  run_sim_until([&] { return prep.has_value(); }, "mount begin");
-  return std::move(*prep);
-}
-
-void TrailDriver::mount_finish(MountPrep prep, std::uint32_t epoch_floor,
-                               std::uint64_t cut_before) {
-  bool done = false;
-  mount_finish_async(std::move(prep), epoch_floor, cut_before, [&] { done = true; });
-  run_sim_until([&] { return done; }, "mount finish");
+void TrailDriver::mount() {
+  bool begun = false;
+  MountPrep prep;
+  mount_begin_async([&](MountPrep p) {
+    prep = std::move(p);
+    begun = true;
+  });
+  run_sim_until([&] { return begun; }, "mount begin");
+  bool mounted = false;
+  mount_finish_async(std::move(prep), 0, ~std::uint64_t{0}, [&] { mounted = true; });
+  run_sim_until([&] { return mounted; }, "mount finish");
 }
 
 void TrailDriver::mount_begin_async(std::function<void(MountPrep)> done) {
@@ -222,18 +219,16 @@ void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPre
     return;
   }
   // The previous epoch did not unmount cleanly: locate + rebuild (§3.3).
-  // Phase 3 (write-back) waits for mount_finish so a sharded mount can
-  // apply its cross-shard cut first.
+  // Phase 3 (write-back) waits for mount_finish_async so a sharded mount
+  // can apply its cross-shard cut first.
   RecoveryManager::Options opts;
-  opts.write_back = false;
   opts.sequential_locate = config_.recovery_sequential_locate;
   opts.pipeline_depth = config_.recovery_pipeline_depth;
   // Units disagree after a crash mid-stamp: take the most lenient bound.
   std::uint32_t oldest_pending = prep.max_epoch;
   for (const LogDiskHeader& header : prep.headers)
     oldest_pending = std::min(oldest_pending, oldest_pending_epoch(header));
-  recovery_ =
-      std::make_unique<RecoveryManager>(sim_, log_devices(), RecoveryManager::DataWriteFn{});
+  recovery_ = std::make_unique<RecoveryManager>(sim_, log_devices());
   recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
   auto shared_prep = std::make_shared<MountPrep>(std::move(prep));
   recovery_->start(shared_prep->max_epoch, oldest_pending, opts,
@@ -255,6 +250,9 @@ struct TrailDriver::MountFinishState {
   std::vector<RecoveredRecord> kept;
   std::vector<std::pair<std::uint8_t, disk::Lba>> cuts;  // headers to erase
   std::size_t cut_idx = 0;
+  std::size_t wb_outstanding = 0;  // phase-3 runs not yet on a platter
+  sim::TimePoint wb_start{};
+  std::optional<obs::ScopedSpan> wb_span;
   bool adopted = false;  // stamped as crash_var 2: earlier epochs stay pending
   std::size_t stamp_idx = 0;
   std::size_t pos_idx = 0;
@@ -298,7 +296,7 @@ void TrailDriver::mount_finish_async(MountPrep prep, std::uint32_t epoch_floor,
 
 void TrailDriver::mf_erase_cut(std::shared_ptr<MountFinishState> st) {
   if (st->cut_idx == st->cuts.size()) {
-    mf_after_cut(std::move(st));
+    mf_write_back(std::move(st));
     return;
   }
   const auto [u, header_lba] = st->cuts[st->cut_idx++];
@@ -311,36 +309,77 @@ void TrailDriver::mf_erase_cut(std::shared_ptr<MountFinishState> st) {
                      });
 }
 
-void TrailDriver::mf_after_cut(std::shared_ptr<MountFinishState> st) {
-  if (st->kept.empty()) {
+// Recovery phase 3 (§3.3) under the write-back policy: the newest-content
+// overlay of the surviving block records goes straight to the data-disk
+// queues, each sector written once with its final content. Nothing reads
+// or writes through the driver until the mount finishes, so the runs need
+// none of the buffer manager's services.
+void TrailDriver::mf_write_back(std::shared_ptr<MountFinishState> st) {
+  if (st->kept.empty() || !config_.recovery_write_back) {
     mf_adopt(std::move(st));
     return;
   }
-  // Chain the global prev pointer after the youngest kept record.
-  const RecoveredRecord& youngest = st->kept.back();
-  last_record_ptr_ =
-      encode_log_ptr(youngest.log_unit, static_cast<std::uint32_t>(youngest.header_lba));
-  if (config_.recovery_write_back) {
-    // Deferred recovery phase 3 for the surviving block records. The
-    // manager usually already exists (mount_begin's recovery); a direct
-    // mount_finish with an externally built prep creates it here.
-    if (!recovery_) {
-      recovery_ =
-          std::make_unique<RecoveryManager>(sim_, log_devices(), RecoveryManager::DataWriteFn{});
-      recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
+  // `kept` ascends by key, so a later record's sector supersedes an
+  // earlier one's. Direct-log records have no data-disk home.
+  std::map<std::pair<io::DeviceId, disk::Lba>, const std::byte*> newest;
+  for (const RecoveredRecord& rec : st->kept) {
+    if (rec.header.entries[0].data_major == kDirectLogMajor) continue;
+    for (std::uint32_t i = 0; i < rec.header.batch_size; ++i) {
+      const RecordEntry& e = rec.header.entries[i];
+      newest[{io::DeviceId(e.data_major, e.data_minor), e.data_lba}] =
+          rec.payload.data() + static_cast<std::size_t>(i) * disk::kSectorSize;
     }
-    recovery_->set_data_write(make_recovery_data_write());
-    recovery_->write_back_async(&st->kept, &last_recovery_, [this, st, alive = alive_]() mutable {
-      if (!*alive) return;
-      mf_adopt(std::move(st));
-    });
+  }
+  st->wb_start = sim_.now();
+  st->wb_span.emplace(obs_ != nullptr ? &obs_->tracer : nullptr, "recovery.writeback",
+                      "recovery", scope_.recovery_tid);
+  // Contiguous runs, each a single-range priority-1 batch so the
+  // write-back scheduler coalesces and CSCAN-orders the sweep.
+  std::vector<std::pair<io::DeviceId, io::PendingIo>> runs;
+  for (auto it = newest.begin(); it != newest.end();) {
+    const auto [dev, lba] = it->first;
+    auto image = std::make_shared<std::vector<std::byte>>();
+    for (disk::Lba next = lba; it != newest.end() && it->first == std::make_pair(dev, next);
+         ++it, ++next)
+      image->insert(image->end(), it->second, it->second + disk::kSectorSize);
+    const auto count = static_cast<std::uint32_t>(image->size() / disk::kSectorSize);
+    last_recovery_.sectors_written_back += count;
+    io::PendingIo io;
+    io.is_write = true;
+    io.lba = lba;
+    io.count = count;
+    io.priority = 1;
+    io.merge_cap = config_.max_writeback_ranges;
+    io::PendingIo::WbRange range;
+    range.lba = lba;
+    range.count = count;
+    range.fill = [image](std::span<std::byte> out) {
+      std::memcpy(out.data(), image->data(), image->size());
+    };
+    range.done = [this, st, alive = alive_] {
+      if (!*alive || --st->wb_outstanding > 0) return;
+      last_recovery_.writeback_time = sim_.now() - st->wb_start;
+      st->wb_span->finish();
+      mf_adopt(st);
+    };
+    io.ranges.push_back(std::move(range));
+    runs.emplace_back(dev, std::move(io));
+  }
+  st->wb_outstanding = runs.size();
+  if (runs.empty()) {  // only direct-log records survived
+    st->wb_span->finish();
+    mf_adopt(std::move(st));
     return;
   }
-  mf_adopt(std::move(st));
+  for (auto& [dev, io] : runs) data_queue(dev).submit(std::move(io));
 }
 
 void TrailDriver::mf_adopt(std::shared_ptr<MountFinishState> st) {
   if (!st->kept.empty()) {
+    // Chain the global prev pointer after the youngest kept record.
+    const RecoveredRecord& youngest = st->kept.back();
+    last_record_ptr_ =
+        encode_log_ptr(youngest.log_unit, static_cast<std::uint32_t>(youngest.header_lba));
     // Direct-log records are always adopted (the client replays from
     // them and later releases); block records follow the policy.
     std::vector<RecoveredRecord> adopt;
@@ -415,32 +454,6 @@ void TrailDriver::mf_position(std::shared_ptr<MountFinishState> st) {
                       units_[u].predictor->set_reference(sim_.now(), track, 0);
                       mf_position(std::move(st));
                     });
-}
-
-RecoveryManager::DataWriteFn TrailDriver::make_recovery_data_write() {
-  // Single-range priority-1 batches, so the write-back scheduler coalesces
-  // adjacent recovery runs into one device command and CSCAN-orders the
-  // sweep across the platter.
-  return [this](io::DeviceId dev, disk::Lba lba, std::span<const std::byte> data,
-                std::function<void()> done) {
-    const auto count = static_cast<std::uint32_t>(data.size() / disk::kSectorSize);
-    auto image = std::make_shared<std::vector<std::byte>>(data.begin(), data.end());
-    io::PendingIo io;
-    io.is_write = true;
-    io.lba = lba;
-    io.count = count;
-    io.priority = 1;
-    io.merge_cap = std::max<std::uint32_t>(config_.max_writeback_ranges, 1);
-    io::PendingIo::WbRange range;
-    range.lba = lba;
-    range.count = count;
-    range.fill = [image](std::span<std::byte> out) {
-      std::memcpy(out.data(), image->data(), image->size());
-    };
-    range.done = std::move(done);
-    io.ranges.push_back(std::move(range));
-    data_queue(dev).submit(std::move(io));
-  };
 }
 
 void TrailDriver::run_audit(audit::Report& report, bool quiescent) const {
@@ -592,17 +605,18 @@ void TrailDriver::quiesce_audit(const char* where) const {
   }
 }
 
+bool TrailDriver::quiescent() const {
+  if (!pending_.empty() || buffers_->pending_records() != 0) return false;
+  for (const LogUnit& unit : units_)
+    if (unit.busy) return false;
+  for (const auto& q : data_queues_)
+    if (!q->idle()) return false;
+  return true;
+}
+
 void TrailDriver::unmount() {
   if (!mounted_) throw std::logic_error("TrailDriver: not mounted");
-  auto drained = [this] {
-    if (!pending_.empty() || buffers_->pending_records() != 0) return false;
-    for (const LogUnit& unit : units_)
-      if (unit.busy) return false;
-    for (const auto& q : data_queues_)
-      if (!q->idle()) return false;
-    return true;
-  };
-  run_sim_until(drained, "unmount drain");
+  run_sim_until([this] { return quiescent(); }, "unmount drain");
 #if defined(TRAIL_AUDIT)
   quiesce_audit("unmount");
 #endif
@@ -1226,19 +1240,11 @@ void TrailDriver::submit_read(io::BlockAddr addr, std::uint32_t count, std::span
 // ---------------------------------------------------------------------------
 
 void TrailDriver::drain(Completion cb) {
-  auto drained = [this] {
-    if (!pending_.empty() || buffers_->pending_records() != 0) return false;
-    for (const LogUnit& unit : units_)
-      if (unit.busy) return false;
-    for (const auto& q : data_queues_)
-      if (!q->idle()) return false;
-    return true;
-  };
   auto alive = alive_;
   auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, alive, drained, cb = std::move(cb), poll]() mutable {
+  *poll = [this, alive, cb = std::move(cb), poll]() mutable {
     if (!*alive) return;
-    if (drained()) {
+    if (quiescent()) {
 #if defined(TRAIL_AUDIT)
       quiesce_audit("drain");
 #endif

@@ -75,17 +75,18 @@ struct TrailConfig {
   /// 1 disables coalescing (one command per record run, the pre-batching
   /// behaviour); must be >= 1.
   std::uint32_t max_writeback_ranges = 32;
-  /// Recovery policy at mount (Fig. 4b): write pending records back to the
-  /// data disks before resuming, or adopt them as live state and let the
-  /// normal write-back path drain them.
+  /// Recovery policy at mount (Fig. 4b): write the recovered block
+  /// records' newest content back to the data disks before resuming
+  /// (recovery phase 3, run by the mount), or adopt them as live state and
+  /// let the normal write-back path drain them. Direct-log records are
+  /// always adopted.
   bool recovery_write_back = true;
   /// Force the O(N) sequential locate during recovery (ablation).
   bool recovery_sequential_locate = false;
   /// Bounded in-flight read window per log unit during recovery
   /// (RecoveryManager::Options::pipeline_depth): anchor probes in flight
   /// during locate and the rebuild prefetch breadth. Every depth runs the
-  /// same algorithm and writes back through the batched CSCAN scheduler;
-  /// 1 keeps one read in flight per unit.
+  /// same algorithm; 1 keeps one read in flight per unit.
   std::uint32_t recovery_pipeline_depth = 8;
   /// External global-sequence source (sharding): when set, record
   /// sequence ids come from this callback instead of the driver's own
@@ -181,14 +182,19 @@ class TrailDriver final : public io::BlockDriver {
 
   /// Boot the driver: read the disk headers, recover if the previous
   /// epoch crashed, stamp the new epoch, and position the heads. Drives
-  /// the simulator until complete (the machine is booting).
+  /// the simulator through mount_begin_async and mount_finish_async until
+  /// complete (the machine is booting).
   void mount();
 
-  // ---- two-phase mount (sharding) ----
-  // mount() is mount_finish(mount_begin()). A ShardedDriver runs
-  // mount_begin on every shard first (locate + rebuild only), computes
-  // the global epoch floor and the cross-shard consistency cut from the
-  // combined outcomes, then finishes each shard under that cut.
+  // ---- two-phase asynchronous mount (sharding) ----
+  // Neither half steps the simulator: `done` fires from a device
+  // completion when the half finishes. A ShardedDriver runs
+  // mount_begin_async on every shard first (locate + rebuild only),
+  // computes the global epoch floor and the cross-shard consistency cut
+  // from the combined outcomes, then finishes each shard under that cut.
+  // With overlapped mount it starts every shard's half at once, so all
+  // shards' recovery reads interleave on virtual time and array recovery
+  // cost approaches max-over-shards.
   struct MountPrep {
     bool crashed = false;          // some unit's header had crash_var != 1
     std::uint32_t max_epoch = 0;   // newest epoch across header replicas
@@ -197,25 +203,14 @@ class TrailDriver final : public io::BlockDriver {
     RecoveryStats stats;
   };
   /// Read the disk headers and, if the previous epoch crashed, locate and
-  /// rebuild the pending-record set (recovery phases 1–2; phase 3 waits
-  /// for mount_finish). Drives the simulator until complete.
-  [[nodiscard]] MountPrep mount_begin();
+  /// rebuild the pending-record set (recovery phases 1–2).
+  void mount_begin_async(std::function<void(MountPrep)> done);
   /// Complete the mount: discard pending records with key >= cut_before
   /// (never adopted, never written back — their headers are erased so a
-  /// later recovery cannot resurrect them), write back / adopt the
-  /// survivors per config, stamp epoch max(prep.max_epoch, epoch_floor)+1
-  /// with crash_var = 0 (2 if it adopted records), and position the heads.
-  void mount_finish(MountPrep prep, std::uint32_t epoch_floor = 0,
-                    std::uint64_t cut_before = ~std::uint64_t{0});
-
-  // ---- asynchronous two-phase mount (overlapped sharded recovery) ----
-  // Same semantics as mount_begin/mount_finish, but never steps the
-  // simulator: `done` fires from a device completion when the phase
-  // finishes. A ShardedDriver starts every shard's mount_begin_async at
-  // once so all shards' recovery reads interleave on virtual time and
-  // array recovery cost approaches max-over-shards; the sync forms are
-  // these plus a local spin.
-  void mount_begin_async(std::function<void(MountPrep)> done);
+  /// later recovery cannot resurrect them), write back (recovery phase 3)
+  /// or adopt the survivors per config, stamp epoch
+  /// max(prep.max_epoch, epoch_floor)+1 with crash_var = 0 (2 if it
+  /// adopted records), and position the heads.
   void mount_finish_async(MountPrep prep, std::uint32_t epoch_floor, std::uint64_t cut_before,
                           std::function<void()> done);
 
@@ -409,18 +404,17 @@ class TrailDriver final : public io::BlockDriver {
   /// detected, then hand the finished prep to `done`.
   void finish_mount_begin(MountPrep prep, std::function<void(MountPrep)> done);
   /// mount_finish_async stages, continuation-passing over one shared
-  /// state block: erase cut headers -> write back / adopt survivors ->
-  /// stamp epoch headers -> position heads -> done.
+  /// state block: erase cut headers -> write back survivors (phase 3) ->
+  /// adopt -> stamp epoch headers -> position heads -> done.
   struct MountFinishState;
   void mf_erase_cut(std::shared_ptr<MountFinishState> st);
-  void mf_after_cut(std::shared_ptr<MountFinishState> st);
+  void mf_write_back(std::shared_ptr<MountFinishState> st);
   void mf_adopt(std::shared_ptr<MountFinishState> st);
   void mf_stamp(std::shared_ptr<MountFinishState> st);
   void mf_position(std::shared_ptr<MountFinishState> st);
-  /// Phase-3 sink bound to the data-disk queues: single-range priority-1
-  /// batches, so the write-back scheduler coalesces adjacent runs and
-  /// CSCAN-orders the sweep.
-  [[nodiscard]] RecoveryManager::DataWriteFn make_recovery_data_write();
+  /// No synchronous write, physical log write, pinned record or data-disk
+  /// command is outstanding (drain() and unmount() wait for this).
+  [[nodiscard]] bool quiescent() const;
   /// TRAIL_AUDIT hook: run_audit(quiescent=true), dump counters into the
   /// attached metrics, throw on errors.
   void quiesce_audit(const char* where) const;

@@ -83,11 +83,7 @@ bool Simulator::step() { return dispatch_one(); }
 
 std::uint64_t Simulator::run() {
   std::uint64_t n = 0;
-  while (dispatch_one()) {
-    ++n;
-    if (event_limit_ != 0 && n > event_limit_)
-      throw SimulationOverrun("Simulator::run exceeded event limit");
-  }
+  while (dispatch_one()) ++n;
   return n;
 }
 
@@ -104,8 +100,6 @@ std::uint64_t Simulator::run_until(TimePoint deadline) {
     if (top.when > deadline) break;
     dispatch_one();
     ++n;
-    if (event_limit_ != 0 && n > event_limit_)
-      throw SimulationOverrun("Simulator::run_until exceeded event limit");
   }
   if (now_ < deadline) now_ = deadline;
   return n;

@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <stdexcept>
 #include <utility>
 #include <vector>
 
@@ -39,12 +38,6 @@ class EventId {
   constexpr EventId(std::uint32_t slot, std::uint64_t gen) : slot_(slot), gen_(gen) {}
   std::uint32_t slot_ = 0;
   std::uint64_t gen_ = 0;  // 0 = "no event"
-};
-
-/// Thrown when the simulation run limit is exceeded (runaway model).
-class SimulationOverrun : public std::runtime_error {
- public:
-  using std::runtime_error::runtime_error;
 };
 
 class Simulator {
@@ -81,10 +74,6 @@ class Simulator {
 
   /// Number of live pending events (cancelled ones excluded).
   [[nodiscard]] std::size_t pending_events() const { return queue_.size() - cancelled_count_; }
-
-  /// Guard against runaway simulations: run()/run_until() throw
-  /// SimulationOverrun after this many dispatches (0 disables the check).
-  void set_event_limit(std::uint64_t limit) { event_limit_ = limit; }
 
   /// Total events dispatched over the simulator's lifetime.
   [[nodiscard]] std::uint64_t events_dispatched() const { return dispatched_; }
@@ -182,7 +171,6 @@ class Simulator {
   std::size_t cancelled_count_ = 0;
   std::uint64_t next_seq_ = 1;
   std::uint64_t dispatched_ = 0;
-  std::uint64_t event_limit_ = 0;
 };
 
 }  // namespace trail::sim

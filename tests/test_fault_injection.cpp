@@ -155,42 +155,185 @@ TEST_F(FaultInjectionTest, TornPayloadMidChainThrows) {
   driver.reset();
 }
 
-TEST_F(FaultInjectionTest, CrashDuringRecoveryWriteBackIsRecoverable) {
-  // Power fails AGAIN while recovery is writing records back: the log
-  // disk still holds everything (write-back only reads it), so a third
-  // boot recovers cleanly.
-  start();
-  for (auto& d : data_disks) d->crash_halt();
-  for (int i = 0; i < 6; ++i)
-    write_sync({devices[0], static_cast<disk::Lba>(i * 4)}, make_pattern(2, 60 + i));
-  driver->crash();
-  driver.reset();
-  log_disk->restart();
-  for (auto& d : data_disks) d->restart();
+// ---------------------------------------------------------------------------
+// Power cuts inside a recovering mount, enumerated. The simulator is
+// deterministic, so instead of sampling crash points the tests below cut
+// the power after every simulator step of a recovering mount (locate,
+// rebuild, phase-3 write-back or adoption, the epoch stamp and the head
+// positioning), and nested, after every step of the mount that recovers
+// from that cut.
+// ---------------------------------------------------------------------------
 
-  // Second boot: crash it partway through mount's recovery write-back by
-  // bounding the simulator horizon.
-  auto boot2 = std::make_unique<core::TrailDriver>(sim, *log_disk);
-  for (auto& d : data_disks) (void)boot2->add_data_disk(*d);
-  bool mounted2 = false;
-  try {
-    // Drive mount but cut the power after a bounded number of events.
-    sim.set_event_limit(400);  // enough to start write-back, not finish
-    boot2->mount();
-    mounted2 = true;
-  } catch (const sim::SimulationOverrun&) {
-    // "power failed" mid-recovery.
+/// Every written sector of each disk of a machine, log disk first.
+using Image = std::vector<std::map<disk::Lba, disk::SectorBuf>>;
+/// Last acknowledged content per (data disk index, lba).
+using Acked = std::map<std::pair<std::size_t, disk::Lba>, disk::SectorBuf>;
+
+/// One log disk and two data disks on a private simulator.
+struct Machine {
+  static constexpr std::size_t kDataDisks = 2;
+
+  Machine() {
+    for (std::size_t i = 0; i <= kDataDisks; ++i)
+      disks.push_back(std::make_unique<disk::DiskDevice>(sim, disk::small_test_disk()));
   }
-  sim.set_event_limit(0);
-  boot2->crash();
-  boot2.reset();
-  log_disk->restart();
-  for (auto& d : data_disks) d->restart();
-  (void)mounted2;
+  /// Power a machine on from a saved image.
+  Machine(const Image& image, bool write_back) : Machine() {
+    config.recovery_write_back = write_back;
+    for (std::size_t d = 0; d < disks.size(); ++d)
+      for (const auto& [lba, sector] : image[d]) disks[d]->store().write(lba, 1, sector);
+  }
 
-  // Third boot: full recovery.
-  start();
-  verify_all_acknowledged_durable();
+  [[nodiscard]] disk::DiskDevice& data_disk(std::size_t i) { return *disks[1 + i]; }
+
+  [[nodiscard]] Image image() const {
+    Image out(disks.size());
+    for (std::size_t d = 0; d < disks.size(); ++d) {
+      const disk::SectorStore& store = disks[d]->store();
+      for (disk::Lba lba = 0; lba < store.total_sectors(); ++lba)
+        if (store.is_written(lba)) store.read(lba, 1, out[d][lba]);
+    }
+    return out;
+  }
+
+  /// Boot a driver and step its mount one simulator event at a time. Cut
+  /// the power after `steps` events and return false, unless the mount
+  /// finishes first.
+  bool mount_or_cut(std::uint64_t steps) {
+    driver = std::make_unique<core::TrailDriver>(sim, *disks[0], config);
+    devices.clear();
+    for (std::size_t i = 0; i < kDataDisks; ++i)
+      devices.push_back(driver->add_data_disk(data_disk(i)));
+    bool begun = false;
+    bool mounted = false;
+    core::TrailDriver::MountPrep prep;
+    driver->mount_begin_async([&](core::TrailDriver::MountPrep p) {
+      prep = std::move(p);
+      begun = true;
+    });
+    for (std::uint64_t k = 0;; ++k) {
+      if (begun) {
+        begun = false;
+        driver->mount_finish_async(std::move(prep), 0, ~std::uint64_t{0},
+                                   [&] { mounted = true; });
+      }
+      if (mounted) return true;
+      if (k == steps) break;
+      if (!sim.step()) throw std::runtime_error("mount stalled");
+    }
+    cut();
+    return false;
+  }
+
+  void cut() {
+    driver->crash();
+    driver.reset();
+    for (auto& d : disks) d->restart();
+  }
+
+  /// Acknowledged sectors whose content is on the data-disk platters.
+  [[nodiscard]] std::size_t acked_on_platters(const Acked& acked) {
+    std::size_t n = 0;
+    disk::SectorBuf got{};
+    for (const auto& [key, sector] : acked) {
+      data_disk(key.first).store().read(key.second, 1, got);
+      n += got == sector ? 1 : 0;
+    }
+    return n;
+  }
+
+  /// Mount fully, drain, and require every acknowledged sector on the
+  /// data-disk platters.
+  void recover_and_check(const Acked& acked) {
+    ASSERT_TRUE(mount_or_cut(~std::uint64_t{0}));
+    bool drained = false;
+    driver->drain([&] { drained = true; });
+    while (!drained) ASSERT_TRUE(sim.step()) << "drain stalled";
+    EXPECT_EQ(acked_on_platters(acked), acked.size());
+  }
+
+  sim::Simulator sim;
+  std::vector<std::unique_ptr<disk::DiskDevice>> disks;  // log disk first
+  core::TrailConfig config;
+  std::unique_ptr<core::TrailDriver> driver;
+  std::vector<io::DeviceId> devices;
+};
+
+/// Ten acknowledged two-sector writes that rewrite four blocks over two
+/// halted data disks, so every record is still pending at the power cut.
+void crash_with_pending_records(Image& image, Acked& acked) {
+  Machine m;
+  core::format_log_disk(*m.disks[0]);
+  ASSERT_TRUE(m.mount_or_cut(~std::uint64_t{0}));
+  for (std::size_t i = 0; i < Machine::kDataDisks; ++i) m.data_disk(i).crash_halt();
+  for (std::uint32_t i = 0; i < 10; ++i) {
+    const std::size_t d = i % 2;
+    const disk::Lba lba = (i / 2 % 2) * 4;
+    const auto data = make_pattern(2, 600 + i);
+    bool ok = false;
+    m.driver->submit_write({m.devices[d], lba}, 2, data, [&] { ok = true; });
+    while (!ok) ASSERT_TRUE(m.sim.step());
+    for (std::uint32_t s = 0; s < 2; ++s)
+      std::memcpy(acked[{d, lba + s}].data(), data.data() + s * kSectorSize, kSectorSize);
+  }
+  m.cut();
+  image = m.image();
+}
+
+struct CutCounts {
+  std::size_t single = 0;   // cuts inside the second boot's mount
+  std::size_t partial = 0;  // ... leaving some, not all, acked sectors on the platters
+  std::size_t nested = 0;   // cuts inside the third boot's mount
+};
+
+/// Cut the second boot's mount after each step k2, and the third boot's
+/// mount (recovering from that cut) after each step k3; after every cut,
+/// a last boot must recover every acknowledged sector. Each case powers a
+/// fresh machine on from a saved image, so no case replays the workload.
+CutCounts cut_power_inside_recovery(bool write_back) {
+  CutCounts counts;
+  Image crashed;
+  Acked acked;
+  crash_with_pending_records(crashed, acked);
+  if (::testing::Test::HasFatalFailure()) return counts;
+  for (std::uint64_t k2 = 0;; ++k2) {
+    SCOPED_TRACE("second boot cut after step " + std::to_string(k2));
+    Machine second(crashed, write_back);
+    if (second.mount_or_cut(k2)) break;
+    ++counts.single;
+    const std::size_t on_platters = second.acked_on_platters(acked);
+    if (on_platters > 0 && on_platters < acked.size()) ++counts.partial;
+    const Image cut2 = second.image();
+    second.recover_and_check(acked);
+    if (::testing::Test::HasFailure()) return counts;
+    for (std::uint64_t k3 = 0;; ++k3) {
+      SCOPED_TRACE("third boot cut after step " + std::to_string(k3));
+      Machine third(cut2, write_back);
+      if (third.mount_or_cut(k3)) break;
+      ++counts.nested;
+      third.recover_and_check(acked);
+      if (::testing::Test::HasFailure()) return counts;
+    }
+  }
+  ::testing::Test::RecordProperty("single_level_cuts", static_cast<int>(counts.single));
+  ::testing::Test::RecordProperty("partial_write_back_cuts", static_cast<int>(counts.partial));
+  ::testing::Test::RecordProperty("two_level_cuts", static_cast<int>(counts.nested));
+  return counts;
+}
+
+TEST(PowerCutInsideRecovery, EveryMountStepUnderWriteBack) {
+  const CutCounts counts = cut_power_inside_recovery(/*write_back=*/true);
+  EXPECT_GT(counts.single, 0u);
+  EXPECT_GT(counts.nested, 0u);
+  // Some cut lands inside phase 3 itself: part of the write-back is on
+  // the platters, the rest only on the log disk.
+  EXPECT_GT(counts.partial, 0u);
+}
+
+TEST(PowerCutInsideRecovery, EveryMountStepUnderAdoption) {
+  const CutCounts counts = cut_power_inside_recovery(/*write_back=*/false);
+  EXPECT_GT(counts.single, 0u);
+  EXPECT_GT(counts.nested, 0u);
 }
 
 }  // namespace

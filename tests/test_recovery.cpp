@@ -538,11 +538,19 @@ EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
   devices.clear();
   for (auto& d : data_disks) devices.push_back(driver->add_data_disk(*d));
   // mount() in its two halves, to see the recovered set in between.
-  core::TrailDriver::MountPrep prep = driver->mount_begin();
+  bool begun = false;
+  core::TrailDriver::MountPrep prep;
+  driver->mount_begin_async([&](core::TrailDriver::MountPrep p) {
+    prep = std::move(p);
+    begun = true;
+  });
+  pump(begun);
   EquivOutcome out;
   for (const core::RecoveredRecord& rec : prep.pending)
     out.live_keys.insert(core::record_key(rec.header));
-  driver->mount_finish(std::move(prep));
+  bool mounted = false;
+  driver->mount_finish_async(std::move(prep), 0, ~std::uint64_t{0}, [&] { mounted = true; });
+  pump(mounted);
   out.stats = driver->last_recovery();
   EXPECT_EQ(out.stats.records_found, ref.keys.size());
   EXPECT_EQ(out.stats.records_dropped_torn, ref.torn);

@@ -212,14 +212,6 @@ TEST(Simulator, NegativeDelayClampsToNow) {
   EXPECT_EQ(sim.now().ns(), 0);
 }
 
-TEST(Simulator, EventLimitThrows) {
-  Simulator sim;
-  sim.set_event_limit(10);
-  std::function<void()> loop = [&] { sim.schedule(millis(1), loop); };
-  sim.schedule(millis(1), loop);
-  EXPECT_THROW(sim.run(), SimulationOverrun);
-}
-
 TEST(Rng, DeterministicAcrossInstances) {
   Rng a(42), b(42);
   for (int i = 0; i < 100; ++i) EXPECT_EQ(a.next(), b.next());
