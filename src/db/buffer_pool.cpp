@@ -62,9 +62,19 @@ void BufferPool::fetch(std::uint32_t file_id, PageNo page,
     }
     ++stats_.hits;
     if (c_hits_ != nullptr) c_hits_->inc();
-    // Charge a tiny CPU cost; run asynchronously to bound stack depth.
-    Frame* fp = it->second.get();
-    sim_.schedule(kHitDelay, [fp, use = std::move(use)] { use(fp->data); });
+    // Charge a tiny CPU cost; run asynchronously to bound stack depth. An
+    // eviction write completing meanwhile may drop the frame, so look it
+    // up again and start over if it is gone or loading again.
+    auto alive = alive_;
+    sim_.schedule(kHitDelay, [this, alive, key, use = std::move(use)]() mutable {
+      if (!*alive) return;
+      const auto hit = frames_.find(key);
+      if (hit == frames_.end() || hit->second->loading) {
+        fetch(key.file, key.page, std::move(use));
+        return;
+      }
+      use(hit->second->data);
+    });
     return;
   }
 
@@ -101,6 +111,7 @@ void BufferPool::fetch(std::uint32_t file_id, PageNo page,
 void BufferPool::mark_dirty(std::uint32_t file_id, PageNo page) {
   Frame& f = frame_at(file_id, page);
   f.dirty = true;
+  ++f.version;
   // WAL rule bookkeeping: everything logged so far (including the record
   // for this change — transactions append before applying) must reach
   // disk before this page may.
@@ -112,7 +123,39 @@ void BufferPool::pin(std::uint32_t file_id, PageNo page) { ++frame_at(file_id, p
 void BufferPool::unpin(std::uint32_t file_id, PageNo page) {
   Frame& f = frame_at(file_id, page);
   if (f.pins == 0) throw std::logic_error("BufferPool: unpin of unpinned page");
-  --f.pins;
+  if (--f.pins == 0 && f.capture_pending) {
+    capture_if_idle(FrameKey{file_id, page}, f);
+    pump_checkpoint();
+  }
+}
+
+BufferPool::Copy BufferPool::take_copy(const FrameKey& key, Frame& frame) {
+  frame.flushing = true;
+  return Copy{key, frame.data, frame.version, frame.flush_lsn};
+}
+
+void BufferPool::write_copy(Copy copy, std::function<void(Frame&)> done) {
+  const Lsn flush_lsn = copy.flush_lsn;
+  auto alive = alive_;
+  auto write_page = [this, alive, copy = std::move(copy), done = std::move(done)]() mutable {
+    if (!*alive) return;
+    // The driver copies the image at submission.
+    files_.at(copy.key.file)
+        ->write_page(copy.key.page, copy.image,
+                     [this, alive, key = copy.key, version = copy.version,
+                      done = std::move(done)] {
+                       if (!*alive) return;
+                       // A flushing frame is never dropped.
+                       Frame& f = *frames_.at(key);
+                       f.flushing = false;
+                       if (f.version == version) f.dirty = false;
+                       done(f);
+                     });
+  };
+  if (wal_ != nullptr)
+    wal_->flush_until(flush_lsn, std::move(write_page));
+  else
+    write_page();
 }
 
 void BufferPool::maybe_evict() {
@@ -140,70 +183,70 @@ void BufferPool::maybe_evict() {
       if (g_resident_ != nullptr) g_resident_->set(static_cast<std::int64_t>(frames_.size()));
       continue;
     }
-    // Dirty victim: honour the WAL rule, write it back, then drop it.
+    // Dirty victim: write a copy back, then drop the frame if nothing
+    // changed it meanwhile.
     ++stats_.dirty_writebacks;
     if (c_dirty_wb_ != nullptr) {
       c_dirty_wb_->inc();
       if (obs_->tracer.enabled())
         obs_->tracer.instant("db.evict_dirty", "db", obs::kDbCacheTid);
     }
-    victim->flushing = true;
-    Frame* fp = victim;
-    const FrameKey key = victim_key;
-    auto alive = alive_;
-    auto write_page = [this, alive, fp, key] {
-      if (!*alive) return;
-      files_.at(key.file)->write_page(key.page, fp->data, [this, alive, fp, key] {
-        if (!*alive) return;
-        fp->flushing = false;
-        fp->dirty = false;
-        // Drop it now unless someone touched it meanwhile.
-        auto it = frames_.find(key);
-        if (it != frames_.end() && it->second.get() == fp && fp->pins == 0 && !fp->loading) {
-          lru_.erase(fp->lru_pos);
-          frames_.erase(it);
-          ++stats_.evictions;
-          if (c_evictions_ != nullptr) c_evictions_->inc();
-          if (g_resident_ != nullptr) g_resident_->set(static_cast<std::int64_t>(frames_.size()));
-        }
-        maybe_evict();
-      });
-    };
-    if (wal_ != nullptr)
-      wal_->flush_until(fp->flush_lsn, write_page);
-    else
-      write_page();
+    write_copy(take_copy(victim_key, *victim), [this, key = victim_key](Frame& f) {
+      capture_if_idle(key, f);
+      if (!f.dirty && f.pins == 0) {
+        lru_.erase(f.lru_pos);
+        frames_.erase(key);
+        ++stats_.evictions;
+        if (c_evictions_ != nullptr) c_evictions_->inc();
+        if (g_resident_ != nullptr) g_resident_->set(static_cast<std::int64_t>(frames_.size()));
+      }
+      pump_checkpoint();
+      maybe_evict();
+    });
     return;  // the rest of the eviction continues asynchronously
   }
 }
 
 void BufferPool::flush_dirty(std::function<void()> done) {
-  auto pending = std::make_shared<std::size_t>(0);
-  auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
+  if (ckpt_ != nullptr) throw std::logic_error("BufferPool: flush_dirty while one is running");
+  ckpt_ = std::make_unique<Checkpoint>();
+  ckpt_->done = std::move(done);
   for (auto& [key, frame] : frames_) {
-    if (!frame->dirty || frame->pins > 0 || frame->loading || frame->flushing) continue;
-    ++*pending;
-    ++stats_.checkpoint_writes;
-    Frame* fp = frame.get();
-    fp->flushing = true;
-    PageFile* file = files_.at(key.file);
-    const PageNo page_no = key.page;
-    auto alive = alive_;
-    auto write_page = [alive, file, page_no, fp, pending, done_shared] {
-      if (!*alive) return;
-      file->write_page(page_no, fp->data, [alive, fp, pending, done_shared] {
-        if (!*alive) return;
-        fp->flushing = false;
-        fp->dirty = false;
-        if (--*pending == 0 && *done_shared) (*done_shared)();
-      });
-    };
-    if (wal_ != nullptr)
-      wal_->flush_until(fp->flush_lsn, write_page);
-    else
-      write_page();
+    if (!frame->dirty) continue;
+    if (frame->pins > 0 || frame->flushing) {
+      frame->capture_pending = true;
+      ++ckpt_->uncaptured;
+    } else {
+      ckpt_->queue.push_back(take_copy(key, *frame));
+    }
   }
-  if (*pending == 0 && *done_shared) (*done_shared)();
+  pump_checkpoint();
+}
+
+void BufferPool::capture_if_idle(const FrameKey& key, Frame& frame) {
+  if (!frame.capture_pending || frame.pins > 0 || frame.flushing) return;
+  frame.capture_pending = false;
+  --ckpt_->uncaptured;
+  if (frame.dirty) ckpt_->queue.push_back(take_copy(key, frame));
+}
+
+void BufferPool::pump_checkpoint() {
+  if (ckpt_ == nullptr) return;
+  while (ckpt_->in_flight < kCheckpointWindow && !ckpt_->queue.empty()) {
+    Copy copy = std::move(ckpt_->queue.front());
+    ckpt_->queue.pop_front();
+    ++ckpt_->in_flight;
+    ++stats_.checkpoint_writes;
+    write_copy(std::move(copy), [this](Frame&) {
+      --ckpt_->in_flight;
+      pump_checkpoint();
+    });
+  }
+  if (ckpt_->in_flight == 0 && ckpt_->queue.empty() && ckpt_->uncaptured == 0) {
+    auto done = std::move(ckpt_->done);
+    ckpt_.reset();
+    if (done) done();
+  }
 }
 
 void BufferPool::reset() {
@@ -213,6 +256,7 @@ void BufferPool::reset() {
   alive_ = std::make_shared<bool>(true);
   frames_.clear();
   lru_.clear();
+  ckpt_.reset();
 }
 
 void BufferPool::audit(audit::Report& report, bool quiescent) const {
@@ -223,18 +267,26 @@ void BufferPool::audit(audit::Report& report, bool quiescent) const {
     if (!check.require(fit != frames_.end(), "LRU entry without a frame")) continue;
     check.require(fit->second->lru_pos == it, "frame's LRU position points elsewhere");
   }
+  std::size_t uncaptured = 0;
   for (const auto& [key, frame] : frames_) {
     if (frame->dirty && wal_ != nullptr)
       check.require(frame->flush_lsn <= wal_->next_lsn(),
                     "dirty frame's WAL flush LSN beyond the append point");
     if (!frame->loading)
       check.require(frame->waiters.empty(), "fetch waiters on a frame that is not loading");
+    if (frame->capture_pending) {
+      ++uncaptured;
+      check.require(frame->pins > 0 || frame->flushing,
+                    "frame awaiting capture is unpinned and idle");
+    }
     if (quiescent) {
       check.require(frame->pins == 0, "pinned frame at a quiesce point");
       check.require(!frame->loading && !frame->flushing,
                     "frame I/O still in flight at a quiesce point");
     }
   }
+  check.require(uncaptured == (ckpt_ != nullptr ? ckpt_->uncaptured : 0),
+                "frames awaiting capture disagree with the running checkpoint");
 }
 
 std::size_t BufferPool::dirty_pages() const {

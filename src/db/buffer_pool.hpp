@@ -8,10 +8,15 @@
 //  * NO-STEAL: frames pinned by an in-flight transaction are never
 //    evicted or checkpoint-flushed, so pages on disk only ever contain
 //    committed data and crash recovery is redo-only.
-//  * WAL rule: evicting a dirty frame flushes the WAL first.
+//  * WAL rule: writing a dirty frame flushes the WAL first.
+//  * Every page write is of a copy taken while the frame was unpinned,
+//    and a frame has at most one write in flight ("flushing"). A change
+//    made while the write is in flight bumps the frame's version, so the
+//    completion leaves the frame dirty instead of dropping the change.
 #pragma once
 
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <list>
 #include <memory>
@@ -63,16 +68,27 @@ class BufferPool {
   void pin(std::uint32_t file_id, PageNo page);
   void unpin(std::uint32_t file_id, PageNo page);
 
-  /// Write every dirty unpinned frame to disk; `done` fires when all are
-  /// on disk (checkpoint phase 2 — WAL must already be flushed).
+  /// Checkpoint page flush. At the call (the snapshot) copy every dirty
+  /// frame that is unpinned and idle; a dirty frame that is pinned or has
+  /// an eviction write in flight is copied the moment it becomes unpinned
+  /// and idle. The copies go to disk with at most kCheckpointWindow
+  /// writes outstanding, each after the WAL is durable to its flush LSN.
+  /// `done` fires once every frame dirty at the snapshot has been written.
+  /// One flush at a time.
   void flush_dirty(std::function<void()> done);
+
+  /// Page writes a checkpoint keeps outstanding: enough to keep the data
+  /// path busy, few enough that a commit's log write or a page read never
+  /// queues behind the whole snapshot in the block driver.
+  static constexpr std::size_t kCheckpointWindow = 8;
 
   /// Drop every frame (boot / after offline recovery rewrote the disk).
   void reset();
 
   /// Invariant audit ("pool.frames"): LRU <-> frame-map agreement, frame
-  /// sizing, WAL-rule flush LSNs. With `quiescent` (post-checkpoint, no
-  /// transaction active) additionally requires zero pins and no frame
+  /// sizing, WAL-rule flush LSNs, frames awaiting capture only while a
+  /// checkpoint runs. With `quiescent` (post-checkpoint, no transaction
+  /// active) additionally requires zero pins and no frame
   /// mid-load/mid-flush. See DESIGN.md §9.
   void audit(audit::Report& report, bool quiescent = false) const;
 
@@ -95,17 +111,43 @@ class BufferPool {
   struct Frame {
     std::vector<std::byte> data;
     bool dirty = false;
+    std::uint64_t version = 0;  // bumped by every mark_dirty
     Lsn flush_lsn = 0;  // WAL must be durable to here before page write
     bool loading = false;
-    bool flushing = false;
+    bool flushing = false;  // a write of a copy is in flight or queued
+    bool capture_pending = false;  // dirty at the running checkpoint's snapshot, not yet copied
     std::uint32_t pins = 0;
     std::vector<std::function<void(std::span<std::byte>)>> waiters;  // during load
     std::list<FrameKey>::iterator lru_pos;
+  };
+  /// A frame's image as of one moment, with the version and WAL bound it
+  /// had then: what a page write puts on disk.
+  struct Copy {
+    FrameKey key;
+    std::vector<std::byte> image;
+    std::uint64_t version;
+    Lsn flush_lsn;
+  };
+  struct Checkpoint {
+    std::deque<Copy> queue;  // copied, not yet submitted
+    std::size_t in_flight = 0;
+    std::size_t uncaptured = 0;  // frames with capture_pending
+    std::function<void()> done;
   };
 
   void touch(const FrameKey& key, Frame& frame);
   void maybe_evict();
   Frame& frame_at(std::uint32_t file_id, PageNo page);
+  /// Copy `frame` for a write; the frame is flushing until the write ends.
+  static Copy take_copy(const FrameKey& key, Frame& frame);
+  /// WAL rule, then write `copy`; `done` runs once it is on disk, after the
+  /// frame is idle again and clean unless it changed since the copy.
+  void write_copy(Copy copy, std::function<void(Frame&)> done);
+  /// Copy a frame awaiting capture once it is unpinned and idle (or just
+  /// release it, when an eviction write already covered the snapshot).
+  void capture_if_idle(const FrameKey& key, Frame& frame);
+  /// Keep the checkpoint's window full; fire `done` once nothing is left.
+  void pump_checkpoint();
 
   sim::Simulator& sim_;
   std::size_t capacity_;
@@ -120,6 +162,7 @@ class BufferPool {
   obs::Counter* c_evictions_ = nullptr;
   obs::Counter* c_dirty_wb_ = nullptr;
   obs::Gauge* g_resident_ = nullptr;
+  std::unique_ptr<Checkpoint> ckpt_;  // the running flush_dirty, if any
   /// Guards outstanding device completions across host-crash teardown.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

@@ -319,22 +319,23 @@ void Database::checkpoint(std::function<void()> done) {
   checkpoint_running_ = true;
   auto done_shared = std::make_shared<std::function<void()>>(std::move(done));
   auto alive = alive_;
-  // WAL rule first, then pages, then the checkpoint record + meta.
+  // WAL first, then the page snapshot, then the checkpoint record + meta.
   wal_->flush_all([this, alive, done_shared] {
     if (!*alive) return;
-    pool_->flush_dirty([this, alive, done_shared] {
+    // The snapshot is the replay point: flush_dirty finishes only once
+    // every page dirty now is on disk, pinned ones included (written when
+    // their transactions release them). Replay still starts at the first
+    // record of any transaction active now, so recovery sees it whole.
+    Lsn replay_from = wal_->next_lsn();
+    for (const auto& [id, txn] : active_txns_)
+      if (txn->first_lsn_ != kInvalidLsn) replay_from = std::min(replay_from, txn->first_lsn_);
+    pool_->flush_dirty([this, alive, replay_from, done_shared] {
       if (!*alive) return;
       WalRecord rec;
       rec.type = WalRecordType::kCheckpoint;
-      const Lsn ckpt_lsn = wal_->append(rec);
-      wal_->flush_all([this, alive, ckpt_lsn, done_shared] {
+      (void)wal_->append(rec);
+      wal_->flush_all([this, alive, replay_from, done_shared] {
         if (!*alive) return;
-        // Replay must start early enough to cover transactions that were
-        // in flight at the checkpoint (their pages were pinned, so their
-        // effects are only in the WAL).
-        Lsn replay_from = ckpt_lsn;
-        for (const auto& [id, txn] : active_txns_)
-          if (txn->first_lsn_ != kInvalidLsn) replay_from = std::min(replay_from, txn->first_lsn_);
         write_meta(replay_from, [this, alive, replay_from, done_shared] {
           if (!*alive) return;
           last_checkpoint_lsn_ = replay_from;

@@ -147,8 +147,11 @@ class Database {
   /// Roll back all of the transaction's effects.
   void abort(Txn& txn, std::function<void()> done);
 
-  /// Fuzzy checkpoint: flush WAL, flush unpinned dirty pages, write the
-  /// checkpoint record + meta page. Safe to run concurrently with txns.
+  /// Fuzzy checkpoint: flush the WAL, write every page dirty at the
+  /// snapshot (BufferPool::flush_dirty), then the checkpoint record + meta
+  /// page naming the snapshot as the replay point. Safe to run
+  /// concurrently with txns; it finishes after the transactions active at
+  /// the snapshot release their pages.
   void checkpoint(std::function<void()> done);
 
   /// Offline boot-time recovery: rebuild indexes from the platters, then

@@ -1,5 +1,6 @@
 #include "db/wal.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <stdexcept>
@@ -146,7 +147,11 @@ void LogManager::flush_until(Lsn target, std::function<void()> done) {
     if (done) done();
     return;
   }
-  waiters_.push_back(Waiter{target, std::move(done), sim_.now()});
+  // A page's WAL bound can lie below a commit already waiting: keep the
+  // waiters ordered by target so this one completes with the first flush
+  // that covers it.
+  const auto at = std::ranges::upper_bound(waiters_, target, {}, &Waiter::target);
+  waiters_.insert(at, Waiter{target, std::move(done), sim_.now()});
   start_flush();
 }
 

@@ -104,7 +104,7 @@ TEST_F(BufferPoolTest, PinnedPagesAreNotEvicted) {
   EXPECT_THROW(pool->unpin(fid, 1), std::logic_error);
 }
 
-TEST_F(BufferPoolTest, FlushDirtySkipsPinned) {
+TEST_F(BufferPoolTest, FlushDirtyWaitsForPinnedPages) {
   with_page(1, [&](std::span<std::byte> p) {
     p[0] = std::byte{0x11};
     pool->mark_dirty(fid, 1);
@@ -116,14 +116,54 @@ TEST_F(BufferPoolTest, FlushDirtySkipsPinned) {
   pool->pin(fid, 2);
   bool flushed = false;
   pool->flush_dirty([&] { flushed = true; });
-  while (!flushed) ASSERT_TRUE(sim.step());
-  EXPECT_EQ(pool->dirty_pages(), 1u) << "the pinned page stays dirty";
+  sim.run();
+  EXPECT_FALSE(flushed) << "the flush must wait for the page pinned at its snapshot";
   std::vector<std::byte> sector(disk::kSectorSize);
   dev->store().read(8, 1, sector);
   EXPECT_EQ(sector[0], std::byte{0x11});
   dev->store().read(16, 1, sector);
-  EXPECT_NE(sector[0], std::byte{0x22});
+  EXPECT_NE(sector[0], std::byte{0x22}) << "NO-STEAL: a pinned page is not written";
   pool->unpin(fid, 2);
+  while (!flushed) ASSERT_TRUE(sim.step());
+  dev->store().read(16, 1, sector);
+  EXPECT_EQ(sector[0], std::byte{0x22}) << "the page is written once unpinned";
+  EXPECT_EQ(pool->dirty_pages(), 0u);
+}
+
+TEST_F(BufferPoolTest, ChangeDuringCheckpointWriteSurvives) {
+  with_page(1, [&](std::span<std::byte> p) {
+    p[0] = std::byte{0x11};
+    pool->mark_dirty(fid, 1);
+  });
+  bool flushed = false;
+  pool->flush_dirty([&] { flushed = true; });  // page 1's write is now in flight
+  with_page(1, [&](std::span<std::byte> p) {
+    p[0] = std::byte{0x22};
+    pool->mark_dirty(fid, 1);
+  });
+  while (!flushed) ASSERT_TRUE(sim.step());
+  EXPECT_EQ(pool->dirty_pages(), 1u) << "the write carried the older image";
+  for (PageNo p = 10; p < 16; ++p) with_page(p, [](std::span<std::byte>) {});
+  sim.run();
+  with_page(1, [&](std::span<std::byte> p) { EXPECT_EQ(p[0], std::byte{0x22}); });
+}
+
+TEST_F(BufferPoolTest, ChangeDuringEvictionWriteSurvives) {
+  with_page(1, [&](std::span<std::byte> p) {
+    p[0] = std::byte{0xEE};
+    pool->mark_dirty(fid, 1);
+  });
+  for (PageNo p = 10; p < 13; ++p) with_page(p, [](std::span<std::byte>) {});
+  pool->fetch(fid, 13, [](std::span<std::byte>) {});  // evicts page 1
+  ASSERT_EQ(pool->stats().dirty_writebacks, 1u);
+  with_page(1, [&](std::span<std::byte> p) {  // a hit while the write is in flight
+    p[0] = std::byte{0xAB};
+    pool->mark_dirty(fid, 1);
+  });
+  sim.run();
+  for (PageNo p = 20; p < 26; ++p) with_page(p, [](std::span<std::byte>) {});
+  sim.run();
+  with_page(1, [&](std::span<std::byte> p) { EXPECT_EQ(p[0], std::byte{0xAB}); });
 }
 
 TEST_F(BufferPoolTest, ResetDropsEverything) {

@@ -3,6 +3,7 @@
 #include <cstring>
 #include <memory>
 
+#include "audit/check.hpp"
 #include "db/chain.hpp"
 #include "db/database.hpp"
 #include "disk/disk_device.hpp"
@@ -323,6 +324,29 @@ TEST_F(DbTest, CheckpointThenRecoverReplaysCommitted) {
   EXPECT_FALSE(get_sync(3).first) << "uncommitted txn must not survive";
 }
 
+TEST_F(DbTest, CheckpointWritesPagesPinnedAtItsSnapshot) {
+  open();
+  Txn& t1 = db->begin();
+  ASSERT_TRUE(put_sync(t1, 1, row_of(kRow, 1)));
+  ASSERT_TRUE(commit_sync(t1));
+  // t2 changes a row on the same page and keeps it pinned across the
+  // checkpoint's snapshot, so t1's committed change is not on disk yet.
+  Txn& t2 = db->begin();
+  ASSERT_TRUE(put_sync(t2, 2, row_of(kRow, 2)));
+  bool ckpt = false;
+  db->checkpoint([&] { ckpt = true; });
+  sim.run();
+  EXPECT_FALSE(ckpt) << "the checkpoint waits for the page pinned at its snapshot";
+  ASSERT_TRUE(commit_sync(t2));
+  pump(ckpt);
+
+  db.reset();
+  open();
+  (void)db->recover();
+  EXPECT_EQ(get_sync(1).second, row_of(kRow, 1)) << "committed before the checkpoint";
+  EXPECT_EQ(get_sync(2).second, row_of(kRow, 2));
+}
+
 TEST_F(DbTest, RecoverIsIdempotent) {
   open();
   Txn& t1 = db->begin();
@@ -411,6 +435,28 @@ TEST_F(DbTest, WalFlushUntilIsBounded) {
   wal.flush_until(second, [&] { done = true; });
   EXPECT_TRUE(done);
   EXPECT_EQ(wal.stats().flushes, flushes);
+}
+
+TEST_F(DbTest, WalFlushUntilBelowAWaitingCommitCompletesWithItsFlush) {
+  open();
+  LogManager& wal = db->wal();
+  WalRecord rec;
+  rec.type = WalRecordType::kUpdate;
+  rec.row = row_of(64, 1);
+  rec.txn = 1;
+  bool first_done = false, second_done = false, page_done = false;
+  wal.commit(wal.append(rec), [&] { first_done = true; });  // starts a flush
+  const Lsn second = wal.append(rec);
+  wal.commit(second, [&] { second_done = true; });  // waits for the next flush
+  // A page's WAL bound that the flush in flight already covers.
+  wal.flush_until(second, [&] { page_done = true; });
+  audit::Report report;
+  wal.audit(report);
+  EXPECT_TRUE(report.ok()) << report.to_string();
+  pump(page_done);
+  EXPECT_TRUE(first_done);
+  EXPECT_FALSE(second_done) << "the page write must not wait for the later commit's flush";
+  pump(second_done);
 }
 
 }  // namespace

@@ -7,6 +7,7 @@
 #include "core/trail_driver.hpp"
 #include "disk/profile.hpp"
 #include "io/standard_driver.hpp"
+#include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "tpcc/driver.hpp"
 
@@ -20,22 +21,25 @@ class TpccTest : public ::testing::Test {
   static constexpr double kScaleFactor = 0.02;  // 60 customers, 2k items
 
   void open(db::DbConfig cfg = db::DbConfig{}) {
-    sim = std::make_unique<sim::Simulator>();
-    log_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
-    main_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
-    item_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
+    fresh_disks();
     driver = std::make_unique<io::StandardDriver>();
     log_id = driver->add_device(*log_dev);
     main_id = driver->add_device(*main_dev);
     item_id = driver->add_device(*item_dev);
+    make_database(*driver, cfg);
+  }
 
-    cfg.buffer_pool_pages = 256;
-    database = std::make_unique<db::Database>(*sim, *driver, log_id, cfg);
-    database->attach_device(log_id, *log_dev);
-    database->attach_device(main_id, *main_dev);
-    database->attach_device(item_id, *item_dev);
-    tpcc = std::make_unique<TpccDatabase>(*database, Scale::reduced(kScaleFactor), main_id,
-                                          item_id);
+  /// The same rig behind the Trail driver, with an ST41601N log disk.
+  void open_on_trail(db::DbConfig cfg = db::DbConfig{}) {
+    fresh_disks();
+    trail_log = std::make_unique<disk::DiskDevice>(*sim, disk::st41601n());
+    core::format_log_disk(*trail_log);
+    trail = std::make_unique<core::TrailDriver>(*sim, *trail_log);
+    log_id = trail->add_data_disk(*log_dev);
+    main_id = trail->add_data_disk(*main_dev);
+    item_id = trail->add_data_disk(*item_dev);
+    trail->mount();
+    make_database(*trail, cfg);
   }
 
   void populate(std::uint64_t seed = 1) {
@@ -43,12 +47,60 @@ class TpccTest : public ::testing::Test {
     tpcc->populate(rng);
   }
 
+  /// Host crash: drop the database's memory, let the writes the driver
+  /// had accepted land, then reopen on the same disks and recover.
+  db::Database::RecoveryReport crash_and_recover() {
+    tpcc.reset();
+    database.reset();
+    sim->run();
+    make_database(*driver, db::DbConfig{});
+    const auto report = database->recover();
+    tpcc->rebuild_aux_indexes();
+    return report;
+  }
+
+  void drain_trail() {
+    bool drained = false;
+    trail->drain([&] { drained = true; });
+    while (!drained) ASSERT_TRUE(sim->step());
+    trail->unmount();
+  }
+
   std::unique_ptr<sim::Simulator> sim;
-  std::unique_ptr<disk::DiskDevice> log_dev, main_dev, item_dev;
+  std::unique_ptr<disk::DiskDevice> trail_log, log_dev, main_dev, item_dev;
   std::unique_ptr<io::StandardDriver> driver;
+  std::unique_ptr<core::TrailDriver> trail;
   io::DeviceId log_id, main_id, item_id;
   std::unique_ptr<db::Database> database;
   std::unique_ptr<TpccDatabase> tpcc;
+
+ private:
+  /// Tear down the previous rig, newest parts first, then start a new
+  /// simulator with three WD-class data disks.
+  void fresh_disks() {
+    tpcc.reset();
+    database.reset();
+    trail.reset();
+    driver.reset();
+    trail_log.reset();
+    item_dev.reset();
+    main_dev.reset();
+    log_dev.reset();
+    sim = std::make_unique<sim::Simulator>();
+    log_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
+    main_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
+    item_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
+  }
+
+  void make_database(io::BlockDriver& block, db::DbConfig cfg) {
+    cfg.buffer_pool_pages = 256;
+    database = std::make_unique<db::Database>(*sim, block, log_id, cfg);
+    database->attach_device(log_id, *log_dev);
+    database->attach_device(main_id, *main_dev);
+    database->attach_device(item_id, *item_dev);
+    tpcc = std::make_unique<TpccDatabase>(*database, Scale::reduced(kScaleFactor), main_id,
+                                          item_id);
+  }
 };
 
 TEST_F(TpccTest, LastNameSyllables) {
@@ -167,26 +219,7 @@ TEST_F(TpccTest, GroupCommitFlushesLessOften) {
 
 TEST_F(TpccTest, RunsOnTrailDriver) {
   // End-to-end: TPC-C over the Trail block driver.
-  sim = std::make_unique<sim::Simulator>();
-  auto trail_log = std::make_unique<disk::DiskDevice>(*sim, disk::st41601n());
-  log_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
-  main_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
-  item_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
-  core::format_log_disk(*trail_log);
-  auto trail = std::make_unique<core::TrailDriver>(*sim, *trail_log);
-  log_id = trail->add_data_disk(*log_dev);
-  main_id = trail->add_data_disk(*main_dev);
-  item_id = trail->add_data_disk(*item_dev);
-  trail->mount();
-
-  db::DbConfig cfg;
-  cfg.buffer_pool_pages = 256;
-  database = std::make_unique<db::Database>(*sim, *trail, log_id, cfg);
-  database->attach_device(log_id, *log_dev);
-  database->attach_device(main_id, *main_dev);
-  database->attach_device(item_id, *item_dev);
-  tpcc = std::make_unique<TpccDatabase>(*database, Scale::reduced(kScaleFactor), main_id,
-                                        item_id);
+  open_on_trail();
   populate();
 
   Driver bench(*tpcc, 2, sim::Rng(11));
@@ -194,11 +227,7 @@ TEST_F(TpccTest, RunsOnTrailDriver) {
   EXPECT_GT(result.committed, 120u);
   auto report = tpcc->check_consistency(*sim);
   EXPECT_TRUE(report.ok) << report.detail;
-
-  bool drained = false;
-  trail->drain([&] { drained = true; });
-  while (!drained) ASSERT_TRUE(sim->step());
-  trail->unmount();
+  drain_trail();
 }
 
 TEST_F(TpccTest, DbRecoveryPreservesCommittedTpccState) {
@@ -207,36 +236,12 @@ TEST_F(TpccTest, DbRecoveryPreservesCommittedTpccState) {
   Driver bench(*tpcc, 2, sim::Rng(3));
   (void)bench.run(80);
   // Force WAL durability of everything committed so far, then "crash" the
-  // host (drop DB memory), reopen, recover, re-check invariants.
+  // host, reopen, recover, re-check invariants.
   bool flushed = false;
   database->wal().flush_all([&] { flushed = true; });
   while (!flushed) ASSERT_TRUE(sim->step());
-
-  // Collect surviving devices; rebuild the database stack on them.
-  auto sim_keep = std::move(sim);
-  auto log_keep = std::move(log_dev);
-  auto main_keep = std::move(main_dev);
-  auto item_keep = std::move(item_dev);
-  auto driver_keep = std::move(driver);
-  tpcc.reset();
-  database.reset();
-  sim = std::move(sim_keep);
-  log_dev = std::move(log_keep);
-  main_dev = std::move(main_keep);
-  item_dev = std::move(item_keep);
-  driver = std::move(driver_keep);
-
-  db::DbConfig cfg;
-  cfg.buffer_pool_pages = 256;
-  database = std::make_unique<db::Database>(*sim, *driver, log_id, cfg);
-  database->attach_device(log_id, *log_dev);
-  database->attach_device(main_id, *main_dev);
-  database->attach_device(item_id, *item_dev);
-  tpcc = std::make_unique<TpccDatabase>(*database, Scale::reduced(kScaleFactor), main_id,
-                                        item_id);
-  const auto report = database->recover();
+  const auto report = crash_and_recover();
   EXPECT_GT(report.records_scanned, 0u);
-  tpcc->rebuild_aux_indexes();
 
   auto consistency = tpcc->check_consistency(*sim);
   EXPECT_TRUE(consistency.ok) << consistency.detail;
@@ -244,6 +249,54 @@ TEST_F(TpccTest, DbRecoveryPreservesCommittedTpccState) {
   Driver bench2(*tpcc, 2, sim::Rng(4));
   const BenchResult r2 = bench2.run(40);
   EXPECT_GT(r2.committed, 20u);
+}
+
+TEST_F(TpccTest, RecoveryFromFrequentCheckpointsKeepsCommittedState) {
+  // Checkpoints every 64 KiB of log run while four clients hold pages
+  // pinned and dirty more; each one's replay point must still cover every
+  // committed change that is not on disk.
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    SCOPED_TRACE(seed);
+    db::DbConfig cfg;
+    cfg.checkpoint_every_bytes = 64 * 1024;
+    open(cfg);
+    populate();
+    Driver bench(*tpcc, 4, sim::Rng(seed));
+    (void)bench.run(400);
+    ASSERT_GT(database->pool().stats().checkpoint_writes, 0u);
+    bool flushed = false;
+    database->wal().flush_all([&] { flushed = true; });
+    while (!flushed) ASSERT_TRUE(sim->step());
+    (void)crash_and_recover();
+    auto consistency = tpcc->check_consistency(*sim);
+    EXPECT_TRUE(consistency.ok) << consistency.detail;
+  }
+}
+
+TEST_F(TpccTest, CheckpointsDoNotStallCommitsOnTrail) {
+  // A checkpoint's page writes share Trail's FIFO log queue with commits;
+  // its bounded window keeps the worst commit wait near the
+  // checkpoint-free run's.
+  auto max_commit_wait = [&](std::uint64_t checkpoint_every_bytes) {
+    db::DbConfig cfg;
+    cfg.checkpoint_every_bytes = checkpoint_every_bytes;
+    open_on_trail(cfg);
+    populate();
+    obs::Obs obs(*sim);
+    database->wal().attach_obs(&obs);
+    Driver bench(*tpcc, 4, sim::Rng(11));
+    (void)bench.run(600);
+    database->wal().attach_obs(nullptr);
+    return obs.metrics.histogram("wal.commit_wait_ns").max();
+  };
+  const std::int64_t without = max_commit_wait(0);
+  const std::int64_t with = max_commit_wait(64 * 1024);
+  RecordProperty("max_commit_wait_us_without", static_cast<int>(without / 1000));
+  RecordProperty("max_commit_wait_us_with", static_cast<int>(with / 1000));
+  EXPECT_GT(database->pool().stats().checkpoint_writes, 0u);
+  EXPECT_GT(without, 0);
+  EXPECT_LE(with, 2 * without) << "max commit wait " << with / 1e6 << " ms with checkpoints, "
+                               << without / 1e6 << " ms without";
 }
 
 }  // namespace
@@ -255,28 +308,10 @@ namespace {
 TEST_F(TpccTest, GroupCommitOverTrailIsValid) {
   // Group commit layered ON Trail: legal, just redundant — the paper's
   // point is that Trail makes it unnecessary. Invariants must still hold.
-  sim = std::make_unique<sim::Simulator>();
-  auto trail_log = std::make_unique<disk::DiskDevice>(*sim, disk::st41601n());
-  main_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
-  item_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
-  log_dev = std::make_unique<disk::DiskDevice>(*sim, disk::wd_caviar_10g());
-  core::format_log_disk(*trail_log);
-  auto trail = std::make_unique<core::TrailDriver>(*sim, *trail_log);
-  log_id = trail->add_data_disk(*log_dev);
-  main_id = trail->add_data_disk(*main_dev);
-  item_id = trail->add_data_disk(*item_dev);
-  trail->mount();
-
   db::DbConfig cfg;
-  cfg.buffer_pool_pages = 256;
   cfg.group_commit = true;
   cfg.log_buffer_bytes = 20 * 1024;
-  database = std::make_unique<db::Database>(*sim, *trail, log_id, cfg);
-  database->attach_device(log_id, *log_dev);
-  database->attach_device(main_id, *main_dev);
-  database->attach_device(item_id, *item_dev);
-  tpcc = std::make_unique<TpccDatabase>(*database, Scale::reduced(kScaleFactor), main_id,
-                                        item_id);
+  open_on_trail(cfg);
   populate();
   Driver bench(*tpcc, 3, sim::Rng(9));
   const BenchResult result = bench.run(150);
@@ -284,10 +319,7 @@ TEST_F(TpccTest, GroupCommitOverTrailIsValid) {
   EXPECT_LT(database->wal().stats().flushes, 60u) << "group commit must batch";
   auto report = tpcc->check_consistency(*sim);
   EXPECT_TRUE(report.ok) << report.detail;
-  bool drained = false;
-  trail->drain([&] { drained = true; });
-  while (!drained) ASSERT_TRUE(sim->step());
-  trail->unmount();
+  drain_trail();
 }
 
 }  // namespace
