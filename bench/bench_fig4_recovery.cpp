@@ -3,16 +3,20 @@
 //  (a) Breakdown into locate / rebuild / write-back as the number of
 //      pending write records Q varies 32..256. The paper's locate phase
 //      costs ~450 ms: ~20 binary-search track scans of the 35,717-track
-//      log disk at 5400 RPM.
-//  (b) Recovery with vs without the write-back phase: skipping it (the
-//      records stay live and drain in the background) is >3.5x faster at
-//      Q = 256 because write-back does random data-disk I/O.
+//      log disk at 5400 RPM. Our write-back streams behind the rebuild
+//      walk, so the table shows both the mount's wait for it after the
+//      walk and the data disks' service time for it.
+//  (b) Recovery with vs without the write-back phase: in the paper,
+//      skipping it (the records stay live and drain in the background) is
+//      >3.5x faster at Q = 256 because write-back does random data-disk
+//      I/O after the rebuild.
 //
 // Setup mirrors the paper's steady state: the log ring is first stamped
 // by a long write workload (so the binary search sees a wrapped log),
 // then the data disks are halted so exactly Q acknowledged records are
 // pending at the crash.
 
+#include <algorithm>
 #include <fstream>
 
 #include "harness.hpp"
@@ -24,6 +28,10 @@ struct RecoveryRun {
   core::RecoveryStats stats;
   double total_ms;
   double mount_ms;  // full mount virtual time (headers + recovery + stamping)
+  /// Data-disk service time during the mount, busiest disk: phase 3's
+  /// writes, most of which overlap the walk (stats.writeback_time is only
+  /// the mount's wait for them after it).
+  double writeback_service_ms;
 };
 
 RecoveryRun run_recovery(std::uint32_t pending_records, bool write_back,
@@ -89,6 +97,8 @@ RecoveryRun run_recovery(std::uint32_t pending_records, bool write_back,
   recover_cfg.recovery_pipeline_depth = pipeline_depth;
   auto driver2 = std::make_unique<core::TrailDriver>(stack.sim, *stack.log_disk, recover_cfg);
   for (auto& d : stack.data_disks) (void)driver2->add_data_disk(*d);
+  std::vector<sim::Duration> busy0;
+  for (auto& d : stack.data_disks) busy0.push_back(d->stats().busy);
   const sim::TimePoint t0 = stack.sim.now();
   driver2->mount();
   RecoveryRun run;
@@ -96,6 +106,10 @@ RecoveryRun run_recovery(std::uint32_t pending_records, bool write_back,
   run.total_ms =
       (run.stats.locate_time + run.stats.rebuild_time + run.stats.writeback_time).ms();
   run.mount_ms = (stack.sim.now() - t0).ms();
+  run.writeback_service_ms = 0;
+  for (std::size_t i = 0; i < busy0.size(); ++i)
+    run.writeback_service_ms =
+        std::max(run.writeback_service_ms, (stack.data_disks[i]->stats().busy - busy0[i]).ms());
   return run;
 }
 
@@ -191,7 +205,7 @@ int main(int argc, char** argv) {
   print_heading("Figure 4(a): recovery-time breakdown vs pending records Q (prefill " +
                 std::to_string(prefill) + " tracks)");
   sim::TablePrinter table_a({"Q", "locate (ms)", "tracks scanned", "rebuild (ms)",
-                             "write-back (ms)", "total (ms)"});
+                             "write-back wait (ms)", "write-back service (ms)", "total (ms)"});
   bool first_row = true;
   for (const std::uint32_t q : {32u, 64u, 128u, 256u}) {
     const RecoveryRun run = run_recovery(q, /*write_back=*/true, false, prefill);
@@ -200,18 +214,22 @@ int main(int argc, char** argv) {
                      sim::TablePrinter::fmt_int(run.stats.tracks_scanned),
                      sim::TablePrinter::fmt(run.stats.rebuild_time.ms(), 0),
                      sim::TablePrinter::fmt(run.stats.writeback_time.ms(), 0),
+                     sim::TablePrinter::fmt(run.writeback_service_ms, 0),
                      sim::TablePrinter::fmt(run.total_ms, 0)});
     char row[256];
     std::snprintf(row, sizeof(row),
                   "%s\n    {\"q\": %u, \"locate_ms\": %.3f, \"rebuild_ms\": %.3f, "
-                  "\"writeback_ms\": %.3f, \"total_ms\": %.3f}",
+                  "\"writeback_ms\": %.3f, \"writeback_service_ms\": %.3f, \"total_ms\": %.3f}",
                   first_row ? "" : ",", q, run.stats.locate_time.ms(),
-                  run.stats.rebuild_time.ms(), run.stats.writeback_time.ms(), run.total_ms);
+                  run.stats.rebuild_time.ms(), run.stats.writeback_time.ms(),
+                  run.writeback_service_ms, run.total_ms);
     json += row;
     first_row = false;
   }
   table_a.print();
-  std::printf("(paper: locate ~450 ms via ~20 track scans of 35,717 tracks)\n");
+  std::printf("(paper: locate ~450 ms via ~20 track scans of 35,717 tracks; write-back "
+              "wait is the mount's wait for phase 3 after the walk, service the busiest "
+              "data disk's time, most of it under the walk)\n");
   json += "\n  ],\n";
 
   print_heading("Recovery pipeline: depth 1 (serial) vs depth 8, packed tracks (Q = 256)");
@@ -220,7 +238,7 @@ int main(int argc, char** argv) {
         run_recovery(256, /*write_back=*/true, false, prefill, 1, /*packed_tracks=*/true);
     const RecoveryRun d8 =
         run_recovery(256, /*write_back=*/true, false, prefill, 8, /*packed_tracks=*/true);
-    sim::TablePrinter t({"depth", "locate (ms)", "rebuild (ms)", "write-back (ms)",
+    sim::TablePrinter t({"depth", "locate (ms)", "rebuild (ms)", "write-back wait (ms)",
                          "mount (ms)"});
     t.add_row({"1", sim::TablePrinter::fmt(d1.stats.locate_time.ms(), 0),
                sim::TablePrinter::fmt(d1.stats.rebuild_time.ms(), 0),

@@ -80,8 +80,8 @@ int main(int argc, char** argv) {
               rs.tracks_scanned, rs.sequential_fallback ? ", sequential fallback" : "");
   std::printf("  rebuild pending set    : %8.1f ms (%u records, %u torn dropped)\n",
               rs.rebuild_time.ms(), rs.records_found, rs.records_dropped_torn);
-  std::printf("  write back to data disk: %8.1f ms (%llu sectors)\n", rs.writeback_time.ms(),
-              static_cast<unsigned long long>(rs.sectors_written_back));
+  std::printf("  wait for write-back    : %8.1f ms (%llu sectors written back)\n",
+              rs.writeback_time.ms(), static_cast<unsigned long long>(rs.sectors_written_back));
 
   if (!write_back) {
     std::printf("  (pending records adopted; background write-back will drain them)\n");

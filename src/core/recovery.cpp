@@ -60,6 +60,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
   std::uint32_t oldest_pending_epoch = 0;
   Options opts;
   std::uint32_t depth = 1;
+  RecordSink on_record;
   std::function<void(Outcome)> done;
   Outcome outcome;
   bool failed = false;
@@ -419,6 +420,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
           std::span<std::byte>(out.payload).subspan(static_cast<std::size_t>(i) * disk::kSectorSize,
                                                     disk::kSectorSize),
           out.header.entries[i].first_data_byte);
+    if (on_record) on_record(out);
   }
 
   // The walk decodes records out of the track cache; a miss fetches the
@@ -623,13 +625,15 @@ RecoveryManager::~RecoveryManager() {
 }
 
 void RecoveryManager::start(std::uint32_t target_epoch, std::uint32_t oldest_pending_epoch,
-                            const Options& options, std::function<void(Outcome)> done) {
+                            const Options& options, RecordSink on_record,
+                            std::function<void(Outcome)> done) {
   pipe_ = std::make_shared<Pipe>(*this);
   Pipe& p = *pipe_;
   p.target_epoch = target_epoch;
   p.oldest_pending_epoch = oldest_pending_epoch;
   p.opts = options;
   p.depth = std::max<std::uint32_t>(1, options.pipeline_depth);
+  p.on_record = std::move(on_record);
   p.done = std::move(done);
   // Recreate the read queues per start: a previous aborted recovery may
   // have left dead entries (whose weak Pipe references no longer lock).

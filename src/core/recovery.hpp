@@ -21,10 +21,14 @@
 //     record older than the oldest pending epoch (the previous session
 //     already wrote it back) means nothing is pending.
 //
-// Phase 3 belongs to the mount (TrailDriver::mount_finish_async): after
-// a sharded mount's cross-shard cut, it writes the surviving records back
-// to the data disks, or adopts them as live state (Fig. 4b), since a
-// persistent copy already exists on the log disk.
+// Phase 3 belongs to the mount: it writes the pending records back to
+// the data disks, or adopts them as live state (Fig. 4b), since a
+// persistent copy already exists on the log disk. The walk hands each
+// pending record to the caller as soon as it is decoded, youngest first,
+// so a standalone mount (TrailDriver::mount_async) streams the write-back
+// behind the walk while the log disk is still being read; a sharded mount
+// writes back only the survivors of its cross-shard cut, after every
+// shard's walk (TrailDriver::mount_finish_async).
 //
 // Both phases run as one bounded-depth asynchronous pipeline
 // (DESIGN.md §12), the same algorithm at every depth. Reads go through a
@@ -80,7 +84,10 @@ struct RecoveryStats {
   /// consistency cut (mount_finish_async's cut_before). Always 0 for a
   /// standalone driver.
   std::uint32_t records_cut = 0;
-  /// Phase 3, filled by the mount that writes the survivors back.
+  /// Phase 3, filled by the mount that writes the survivors back. The
+  /// mount's wait for phase 3 after the walk ends: a standalone mount
+  /// streams the write-back behind the walk, so this covers only its
+  /// last writes; a sharded mount starts it after the cut.
   sim::Duration writeback_time;
   std::uint64_t sectors_written_back = 0;
 };
@@ -117,6 +124,7 @@ class RecoveryManager {
     /// Pending records in ascending key order. Non-empty payloads.
     std::vector<RecoveredRecord> pending;
   };
+  using RecordSink = std::function<void(const RecoveredRecord&)>;
 
   /// Start recovery for the crashed epoch and return; `done` fires (from
   /// a device completion) when locate + rebuild finish. Records of
@@ -126,8 +134,11 @@ class RecoveryManager {
   /// the disk headers) the lower one, and ordering uses record_key. Never
   /// steps the simulator itself, so a sharded mount can start every
   /// shard's recovery and let them interleave on virtual time.
+  /// `on_record`, when set, receives each pending record the moment the
+  /// walk keeps it, youngest first; a walk that later fails has handed
+  /// over exactly the records above the failure.
   void start(std::uint32_t target_epoch, std::uint32_t oldest_pending_epoch,
-             const Options& options, std::function<void(Outcome)> done);
+             const Options& options, RecordSink on_record, std::function<void(Outcome)> done);
 
  private:
   struct Unit {

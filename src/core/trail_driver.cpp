@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <set>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -164,19 +165,52 @@ std::uint32_t TrailDriver::oldest_live_ptr_or(std::uint32_t fallback) const {
 // ---------------------------------------------------------------------------
 
 void TrailDriver::mount() {
-  bool begun = false;
-  MountPrep prep;
-  mount_begin_async([&](MountPrep p) {
-    prep = std::move(p);
-    begun = true;
-  });
-  run_sim_until([&] { return begun; }, "mount begin");
   bool mounted = false;
-  mount_finish_async(std::move(prep), 0, ~std::uint64_t{0}, [&] { mounted = true; });
-  run_sim_until([&] { return mounted; }, "mount finish");
+  mount_async([&] { mounted = true; });
+  run_sim_until([&] { return mounted; }, "mount");
+}
+
+/// One mount's state: the phase-3 stream and the finishing stages,
+/// continuation-passing from stage to stage.
+struct TrailDriver::MountFinishState {
+  MountPrep prep;
+  std::uint32_t epoch_floor = 0;
+  std::uint64_t cut_before = ~std::uint64_t{0};
+  std::function<void()> done;
+  std::vector<std::optional<disk::TrackId>> resume_after;
+  std::vector<RecoveredRecord> kept;
+  std::vector<std::pair<std::uint8_t, disk::Lba>> cuts;  // headers to erase
+  std::size_t cut_idx = 0;
+  std::set<std::pair<io::DeviceId, disk::Lba>> written_back;  // claimed by phase 3
+  std::size_t wb_outstanding = 0;  // phase-3 runs not yet on a platter
+  bool wb_waiting = false;         // the walk is over; the mount waits for phase 3
+  sim::TimePoint wb_start{};
+  std::optional<obs::ScopedSpan> wb_span;
+  bool adopted = false;  // stamped as crash_var 2: earlier epochs stay pending
+  std::size_t stamp_idx = 0;
+  std::size_t pos_idx = 0;
+};
+
+void TrailDriver::mount_async(std::function<void()> done) {
+  auto st = std::make_shared<MountFinishState>();
+  st->done = std::move(done);
+  // Nothing to cut, so phase 3 streams straight from the chain walk.
+  RecoveryManager::RecordSink on_record;
+  if (config_.recovery_write_back)
+    on_record = [this, st, alive = alive_](const RecoveredRecord& rec) {
+      if (*alive) mf_stream(st, rec);
+    };
+  begin_mount(std::move(on_record), [this, st](MountPrep prep) {
+    finish_mount(st, std::move(prep), 0, ~std::uint64_t{0});
+  });
 }
 
 void TrailDriver::mount_begin_async(std::function<void(MountPrep)> done) {
+  begin_mount({}, std::move(done));
+}
+
+void TrailDriver::begin_mount(RecoveryManager::RecordSink on_record,
+                              std::function<void(MountPrep)> done) {
   if (mounted_) throw std::logic_error("TrailDriver: already mounted");
   if (crashed_) throw std::logic_error("TrailDriver: driver instance crashed; build a new one");
   if (data_queues_.empty()) throw std::logic_error("TrailDriver: no data disks registered");
@@ -185,11 +219,13 @@ void TrailDriver::mount_begin_async(std::function<void(MountPrep)> done) {
     MountPrep prep;
     std::size_t remaining = 0;
     bool bad = false;
+    RecoveryManager::RecordSink on_record;
     std::function<void(MountPrep)> done;
   };
   auto st = std::make_shared<BeginState>();
   st->prep.headers.resize(units_.size());
   st->remaining = units_.size();
+  st->on_record = std::move(on_record);
   st->done = std::move(done);
   // Every unit's header read goes out at once (independent spindles,
   // timed, through the normal command path).
@@ -208,19 +244,21 @@ void TrailDriver::mount_begin_async(std::function<void(MountPrep)> done) {
                        if (st->bad)
                          throw std::runtime_error(
                              "TrailDriver: no valid log disk header replica");
-                       finish_mount_begin(std::move(st->prep), std::move(st->done));
+                       finish_mount_begin(std::move(st->prep), std::move(st->on_record),
+                                          std::move(st->done));
                      });
   }
 }
 
-void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPrep)> done) {
+void TrailDriver::finish_mount_begin(MountPrep prep, RecoveryManager::RecordSink on_record,
+                                     std::function<void(MountPrep)> done) {
   if (!prep.crashed) {
     done(std::move(prep));
     return;
   }
   // The previous epoch did not unmount cleanly: locate + rebuild (§3.3).
-  // Phase 3 (write-back) waits for mount_finish_async so a sharded mount
-  // can apply its cross-shard cut first.
+  // Without a sink, phase 3 waits for mount_finish_async, so a sharded
+  // mount can apply its cross-shard cut first.
   RecoveryManager::Options opts;
   opts.sequential_locate = config_.recovery_sequential_locate;
   opts.pipeline_depth = config_.recovery_pipeline_depth;
@@ -231,7 +269,7 @@ void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPre
   recovery_ = std::make_unique<RecoveryManager>(sim_, log_devices());
   recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
   auto shared_prep = std::make_shared<MountPrep>(std::move(prep));
-  recovery_->start(shared_prep->max_epoch, oldest_pending, opts,
+  recovery_->start(shared_prep->max_epoch, oldest_pending, opts, std::move(on_record),
                    [shared_prep, done = std::move(done),
                     alive = alive_](RecoveryManager::Outcome outcome) mutable {
                      if (!*alive) return;
@@ -241,32 +279,20 @@ void TrailDriver::finish_mount_begin(MountPrep prep, std::function<void(MountPre
                    });
 }
 
-struct TrailDriver::MountFinishState {
-  MountPrep prep;
-  std::uint32_t epoch_floor = 0;
-  std::uint64_t cut_before = ~std::uint64_t{0};
-  std::function<void()> done;
-  std::vector<std::optional<disk::TrackId>> resume_after;
-  std::vector<RecoveredRecord> kept;
-  std::vector<std::pair<std::uint8_t, disk::Lba>> cuts;  // headers to erase
-  std::size_t cut_idx = 0;
-  std::size_t wb_outstanding = 0;  // phase-3 runs not yet on a platter
-  sim::TimePoint wb_start{};
-  std::optional<obs::ScopedSpan> wb_span;
-  bool adopted = false;  // stamped as crash_var 2: earlier epochs stay pending
-  std::size_t stamp_idx = 0;
-  std::size_t pos_idx = 0;
-};
-
 void TrailDriver::mount_finish_async(MountPrep prep, std::uint32_t epoch_floor,
                                      std::uint64_t cut_before, std::function<void()> done) {
+  auto st = std::make_shared<MountFinishState>();
+  st->done = std::move(done);
+  finish_mount(std::move(st), std::move(prep), epoch_floor, cut_before);
+}
+
+void TrailDriver::finish_mount(std::shared_ptr<MountFinishState> st, MountPrep prep,
+                               std::uint32_t epoch_floor, std::uint64_t cut_before) {
   if (mounted_) throw std::logic_error("TrailDriver: already mounted");
 
-  auto st = std::make_shared<MountFinishState>();
   st->prep = std::move(prep);
   st->epoch_floor = epoch_floor;
   st->cut_before = cut_before;
-  st->done = std::move(done);
   st->resume_after.resize(units_.size());
   last_recovery_ = st->prep.stats;
 
@@ -309,41 +335,34 @@ void TrailDriver::mf_erase_cut(std::shared_ptr<MountFinishState> st) {
                      });
 }
 
-// Recovery phase 3 (§3.3) under the write-back policy: the newest-content
-// overlay of the surviving block records goes straight to the data-disk
-// queues, each sector written once with its final content. Nothing reads
-// or writes through the driver until the mount finishes, so the runs need
-// none of the buffer manager's services.
-void TrailDriver::mf_write_back(std::shared_ptr<MountFinishState> st) {
-  if (st->kept.empty() || !config_.recovery_write_back) {
-    mf_adopt(std::move(st));
-    return;
+// Recovery phase 3 (§3.3) under the write-back policy, one record at a
+// time, youngest first: each (device, LBA) goes to its data disk the
+// first time the stream meets it, so every sector is written once, with
+// its newest content. Inside a record a higher entry index is the later
+// write. Nothing reads or writes through the driver until the mount
+// finishes, so the runs go straight to the data-disk queues and need none
+// of the buffer manager's services. Direct-log records have no data-disk
+// home.
+void TrailDriver::mf_stream(const std::shared_ptr<MountFinishState>& st,
+                            const RecoveredRecord& rec) {
+  if (rec.header.entries[0].data_major == kDirectLogMajor) return;
+  std::map<std::pair<io::DeviceId, disk::Lba>, const std::byte*> fresh;
+  for (std::uint32_t i = rec.header.batch_size; i-- > 0;) {
+    const RecordEntry& e = rec.header.entries[i];
+    const std::pair<io::DeviceId, disk::Lba> sector{io::DeviceId(e.data_major, e.data_minor),
+                                                    e.data_lba};
+    if (st->written_back.insert(sector).second)
+      fresh.emplace(sector, rec.payload.data() + static_cast<std::size_t>(i) * disk::kSectorSize);
   }
-  // `kept` ascends by key, so a later record's sector supersedes an
-  // earlier one's. Direct-log records have no data-disk home.
-  std::map<std::pair<io::DeviceId, disk::Lba>, const std::byte*> newest;
-  for (const RecoveredRecord& rec : st->kept) {
-    if (rec.header.entries[0].data_major == kDirectLogMajor) continue;
-    for (std::uint32_t i = 0; i < rec.header.batch_size; ++i) {
-      const RecordEntry& e = rec.header.entries[i];
-      newest[{io::DeviceId(e.data_major, e.data_minor), e.data_lba}] =
-          rec.payload.data() + static_cast<std::size_t>(i) * disk::kSectorSize;
-    }
-  }
-  st->wb_start = sim_.now();
-  st->wb_span.emplace(obs_ != nullptr ? &obs_->tracer : nullptr, "recovery.writeback",
-                      "recovery", scope_.recovery_tid);
   // Contiguous runs, each a single-range priority-1 batch so the
   // write-back scheduler coalesces and CSCAN-orders the sweep.
-  std::vector<std::pair<io::DeviceId, io::PendingIo>> runs;
-  for (auto it = newest.begin(); it != newest.end();) {
+  for (auto it = fresh.begin(); it != fresh.end();) {
     const auto [dev, lba] = it->first;
     auto image = std::make_shared<std::vector<std::byte>>();
-    for (disk::Lba next = lba; it != newest.end() && it->first == std::make_pair(dev, next);
+    for (disk::Lba next = lba; it != fresh.end() && it->first == std::make_pair(dev, next);
          ++it, ++next)
       image->insert(image->end(), it->second, it->second + disk::kSectorSize);
     const auto count = static_cast<std::uint32_t>(image->size() / disk::kSectorSize);
-    last_recovery_.sectors_written_back += count;
     io::PendingIo io;
     io.is_write = true;
     io.lba = lba;
@@ -357,21 +376,35 @@ void TrailDriver::mf_write_back(std::shared_ptr<MountFinishState> st) {
       std::memcpy(out.data(), image->data(), image->size());
     };
     range.done = [this, st, alive = alive_] {
-      if (!*alive || --st->wb_outstanding > 0) return;
-      last_recovery_.writeback_time = sim_.now() - st->wb_start;
-      st->wb_span->finish();
-      mf_adopt(st);
+      if (!*alive || --st->wb_outstanding > 0 || !st->wb_waiting) return;
+      mf_write_back(st);
     };
     io.ranges.push_back(std::move(range));
-    runs.emplace_back(dev, std::move(io));
+    ++st->wb_outstanding;
+    data_queue(dev).submit(std::move(io));
   }
-  st->wb_outstanding = runs.size();
-  if (runs.empty()) {  // only direct-log records survived
-    st->wb_span->finish();
-    mf_adopt(std::move(st));
-    return;
+}
+
+/// The mount's wait for phase 3, re-entered by the last run to land. A
+/// sharded mount feeds the survivors of its cut here; the records a
+/// standalone mount's walk already streamed find every sector claimed.
+void TrailDriver::mf_write_back(std::shared_ptr<MountFinishState> st) {
+  if (!st->wb_waiting) {
+    if (st->kept.empty() || !config_.recovery_write_back) {
+      mf_adopt(std::move(st));
+      return;
+    }
+    for (auto it = st->kept.rbegin(); it != st->kept.rend(); ++it) mf_stream(st, *it);
+    last_recovery_.sectors_written_back = st->written_back.size();
+    st->wb_start = sim_.now();
+    st->wb_span.emplace(obs_ != nullptr ? &obs_->tracer : nullptr, "recovery.writeback",
+                        "recovery", scope_.recovery_tid);
+    st->wb_waiting = true;
+    if (st->wb_outstanding > 0) return;
   }
-  for (auto& [dev, io] : runs) data_queue(dev).submit(std::move(io));
+  last_recovery_.writeback_time = sim_.now() - st->wb_start;
+  st->wb_span->finish();
+  mf_adopt(std::move(st));
 }
 
 void TrailDriver::mf_adopt(std::shared_ptr<MountFinishState> st) {

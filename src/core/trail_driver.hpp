@@ -182,9 +182,15 @@ class TrailDriver final : public io::BlockDriver {
 
   /// Boot the driver: read the disk headers, recover if the previous
   /// epoch crashed, stamp the new epoch, and position the heads. Drives
-  /// the simulator through mount_begin_async and mount_finish_async until
-  /// complete (the machine is booting).
+  /// the simulator through mount_async until complete (the machine is
+  /// booting).
   void mount();
+  /// The standalone mount, without stepping the simulator: `done` fires
+  /// from a device completion once mounted. Under recovery_write_back,
+  /// phase 3 streams behind the chain walk: each record goes to the data
+  /// disks the moment the walk keeps it, while the log disk is still
+  /// being read, and the mount then waits for the last of those writes.
+  void mount_async(std::function<void()> done);
 
   // ---- two-phase asynchronous mount (sharding) ----
   // Neither half steps the simulator: `done` fires from a device
@@ -400,14 +406,23 @@ class TrailDriver final : public io::BlockDriver {
     return devices;
   }
   void run_sim_until(const std::function<bool()>& done, const char* what);
-  /// mount_begin_async tail: run recovery (phases 1–2) when a crash was
-  /// detected, then hand the finished prep to `done`.
-  void finish_mount_begin(MountPrep prep, std::function<void(MountPrep)> done);
-  /// mount_finish_async stages, continuation-passing over one shared
-  /// state block: erase cut headers -> write back survivors (phase 3) ->
-  /// adopt -> stamp epoch headers -> position heads -> done.
   struct MountFinishState;
+  /// Read the disk headers, then finish_mount_begin. `on_record`, when
+  /// set, receives each pending record as the chain walk keeps it.
+  void begin_mount(RecoveryManager::RecordSink on_record, std::function<void(MountPrep)> done);
+  /// begin_mount tail: run recovery (phases 1–2) when a crash was
+  /// detected, then hand the finished prep to `done`.
+  void finish_mount_begin(MountPrep prep, RecoveryManager::RecordSink on_record,
+                          std::function<void(MountPrep)> done);
+  /// The finishing stages, continuation-passing over one shared state
+  /// block: cut -> erase cut headers -> wait for phase 3 -> adopt ->
+  /// stamp epoch headers -> position heads -> done.
+  void finish_mount(std::shared_ptr<MountFinishState> st, MountPrep prep,
+                    std::uint32_t epoch_floor, std::uint64_t cut_before);
   void mf_erase_cut(std::shared_ptr<MountFinishState> st);
+  /// Phase 3's stream: write back the sectors of `rec` that no younger
+  /// record claimed.
+  void mf_stream(const std::shared_ptr<MountFinishState>& st, const RecoveredRecord& rec);
   void mf_write_back(std::shared_ptr<MountFinishState> st);
   void mf_adopt(std::shared_ptr<MountFinishState> st);
   void mf_stamp(std::shared_ptr<MountFinishState> st);

@@ -61,7 +61,9 @@ void DeviceQueue::pump() {
     const bool timed = traced || h_service_ != nullptr;
     sim::TimePoint begin{};
     if (timed) begin = obs_->tracer.now();
-    auto finish = [this, is_write, traced, timed, begin, cb = std::move(io.on_complete)]() {
+    auto finish = [this, alive = alive_, is_write, traced, timed, begin,
+                   cb = std::move(io.on_complete)]() {
+      if (!*alive) return;
       dispatched_ = false;
       if (timed && h_service_ != nullptr) h_service_->record(obs_->tracer.now() - begin);
       if (traced && obs_ != nullptr && obs_->tracer.enabled())
@@ -69,6 +71,7 @@ void DeviceQueue::pump() {
                               obs_->tracer.now() - begin, obs_tid_);
       update_depth();
       if (cb) cb();
+      if (!*alive) return;  // the callback destroyed the queue
       pump();
       if (idle() && on_idle_) {
         // Copy before invoking: the callback may replace or clear
@@ -158,9 +161,11 @@ void DeviceQueue::issue_batch_run() {
     // All runs on the platter: settle every survivor, then resume normal
     // pumping. Move the state out first — `done` can re-enter submit().
     const std::unique_ptr<BatchState> state = std::move(batch_);
+    const std::shared_ptr<bool> alive = alive_;
     dispatched_ = false;
     for (auto& r : state->survivors)
       if (r.done) r.done();
+    if (!*alive) return;  // a `done` destroyed the queue
     update_depth();
     pump();
     if (idle() && on_idle_) {
@@ -176,7 +181,8 @@ void DeviceQueue::issue_batch_run() {
   const bool timed = traced || h_service_ != nullptr;
   sim::TimePoint begin{};
   if (timed) begin = obs_->tracer.now();
-  device_.write(run.lba, count, run.image, [this, traced, timed, begin] {
+  device_.write(run.lba, count, run.image, [this, alive = alive_, traced, timed, begin] {
+    if (!*alive) return;
     if (timed && h_service_ != nullptr) h_service_->record(obs_->tracer.now() - begin);
     if (traced && obs_ != nullptr && obs_->tracer.enabled())
       obs_->tracer.complete("io.write", "io", begin, obs_->tracer.now() - begin, obs_tid_);

@@ -24,6 +24,9 @@ namespace trail::io {
 class DeviceQueue {
  public:
   DeviceQueue(disk::DiskDevice& device, std::unique_ptr<IoScheduler> scheduler);
+  /// A command still on the device completes as a no-op: neither its
+  /// callback nor the queue runs.
+  ~DeviceQueue() { *alive_ = false; }
 
   DeviceQueue(const DeviceQueue&) = delete;
   DeviceQueue& operator=(const DeviceQueue&) = delete;
@@ -87,6 +90,8 @@ class DeviceQueue {
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Counter* skip_counter_ = nullptr;
   obs::Histogram* h_service_ = nullptr;  // per-command service time, ns
+  /// Lifetime token for device completions, which can outlive the queue.
+  std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };
 
 }  // namespace trail::io

@@ -153,6 +153,27 @@ TEST_F(FaultInjectionTest, TornPayloadMidChainThrows) {
   for (auto& d : data_disks) (void)driver->add_data_disk(*d);
   EXPECT_THROW(driver->mount(), std::runtime_error);
   driver.reset();
+  sim.run();
+  // A mount that fails mid-walk has written the newest content of the
+  // records above the failure, and nothing older: the corrupt record's
+  // sectors are never written, the younger two at most hold their
+  // acknowledged patterns.
+  const disk::SectorStore& platter = data_disks[0]->store();
+  EXPECT_FALSE(platter.is_written(0));
+  EXPECT_FALSE(platter.is_written(1));
+  for (int i = 1; i < 3; ++i) {
+    const auto lba = static_cast<disk::Lba>(i * 4);
+    const auto acked = make_pattern(2, 30 + static_cast<std::uint64_t>(i));
+    std::vector<std::byte> got(2 * kSectorSize);
+    platter.read(lba, 2, got);
+    for (std::uint32_t s = 0; s < 2; ++s) {
+      if (!platter.is_written(lba + s)) continue;
+      EXPECT_EQ(std::memcmp(got.data() + s * kSectorSize, acked.data() + s * kSectorSize,
+                            kSectorSize),
+                0)
+          << "lba " << lba + s;
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -204,19 +225,9 @@ struct Machine {
     devices.clear();
     for (std::size_t i = 0; i < kDataDisks; ++i)
       devices.push_back(driver->add_data_disk(data_disk(i)));
-    bool begun = false;
     bool mounted = false;
-    core::TrailDriver::MountPrep prep;
-    driver->mount_begin_async([&](core::TrailDriver::MountPrep p) {
-      prep = std::move(p);
-      begun = true;
-    });
+    driver->mount_async([&] { mounted = true; });
     for (std::uint64_t k = 0;; ++k) {
-      if (begun) {
-        begun = false;
-        driver->mount_finish_async(std::move(prep), 0, ~std::uint64_t{0},
-                                   [&] { mounted = true; });
-      }
       if (mounted) return true;
       if (k == steps) break;
       if (!sim.step()) throw std::runtime_error("mount stalled");

@@ -357,6 +357,21 @@ TEST_F(DeviceQueueTest, IdleCallbackFires) {
   EXPECT_EQ(idle_calls, 1);
 }
 
+TEST_F(DeviceQueueTest, CommandOutlivingItsQueueCompletesAsNoOp) {
+  auto queue = std::make_unique<DeviceQueue>(dev, make_fifo_scheduler());
+  int done = 0;
+  queue->submit(make_write(0, [&done] { ++done; }));
+  queue->submit(make_write(10, [&done] { ++done; }));
+  ASSERT_EQ(queue->queued(), 1u) << "one on the device, one queued";
+  queue.reset();
+  sim.run();
+  // The device finishes the command it holds; the queue's completion,
+  // and with it the callback and the next dispatch, never runs.
+  EXPECT_EQ(done, 0);
+  EXPECT_TRUE(dev.store().is_written(0));
+  EXPECT_FALSE(dev.store().is_written(10));
+}
+
 class StandardDriverTest : public ::testing::Test {
  protected:
   sim::Simulator sim;

@@ -72,6 +72,27 @@ TEST_F(RecoveryTest, RecoveryWritesBackInOrder_LatestVersionWins) {
   EXPECT_EQ(got, last);
 }
 
+TEST_F(RecoveryTest, NewestWriteInsideOneRecordWins) {
+  start();
+  // Three writes to one sector, back to back: the first occupies the log
+  // disk, so the next two batch into one record, where the higher entry
+  // index is the later write.
+  for (auto& d : data_disks) d->crash_halt();
+  std::vector<std::vector<std::byte>> versions;
+  int acked = 0;
+  for (int i = 0; i < 3; ++i) {
+    versions.push_back(make_pattern(1, 70 + static_cast<std::uint64_t>(i)));
+    driver->submit_write({devices[0], 40}, 1, versions.back(), [&acked] { ++acked; });
+  }
+  while (acked < 3) ASSERT_TRUE(sim.step());
+  crash_and_remount();
+  EXPECT_EQ(driver->last_recovery().records_found, 2u);
+  EXPECT_EQ(driver->last_recovery().sectors_written_back, 1u);
+  std::vector<std::byte> got(kSectorSize);
+  data_disks[0]->store().read(40, 1, got);
+  EXPECT_EQ(got, versions[2]);
+}
+
 TEST_F(RecoveryTest, UnacknowledgedTornWriteIsDropped) {
   start();
   write_pending(3, 7);
@@ -397,6 +418,7 @@ TEST_F(RecoveryTest, SplitRequestSupersededMidFlight) {
 // other alone, each run is held to references that share no code with
 // recovery: the live chain read off the crashed image by the offline
 // verifier, and a shadow of the last acknowledged pattern per address.
+// Every scenario also runs through both phase-3 feeds, which must agree.
 // ---------------------------------------------------------------------------
 
 /// Full snapshot of a platter, with unwritten sectors distinguished from
@@ -463,19 +485,25 @@ ReferenceChain reference_chain(const std::vector<std::unique_ptr<disk::DiskDevic
 
 struct EquivOutcome {
   core::RecoveryStats stats;
-  std::set<std::uint64_t> live_keys;
   std::vector<DiskSnapshot> log_images;
   std::vector<DiskSnapshot> data_images;
+};
+
+/// How the remount feeds recovery phase 3.
+enum class Feed {
+  kAfterWalk,  // the two mount halves, as a sharded mount runs them
+  kStreamed,   // the standalone mount: behind the chain walk
 };
 
 /// Deterministic workload -> crash -> remount at `depth` over
 /// `log_disk_count` log disks; everything up to the remount is identical
 /// across calls. Checks the run against the references and returns the
-/// outcome for cross-depth comparison.
+/// outcome for cross-depth and cross-feed comparison.
 EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
-                                      std::size_t log_disk_count = 1) {
+                                      std::size_t log_disk_count, Feed feed) {
   SCOPED_TRACE("depth " + std::to_string(depth) + ", " + std::to_string(log_disk_count) +
-               " log disk(s), write_back " + std::to_string(write_back));
+               " log disk(s), write_back " + std::to_string(write_back) +
+               (feed == Feed::kStreamed ? ", streamed" : ", after the walk"));
   sim::Simulator sim;
   const disk::DiskProfile profile = disk::small_test_disk();
   std::vector<std::unique_ptr<disk::DiskDevice>> log_disks;
@@ -537,24 +565,29 @@ EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
   driver = std::make_unique<core::TrailDriver>(sim, log_ptrs, rcfg);
   devices.clear();
   for (auto& d : data_disks) devices.push_back(driver->add_data_disk(*d));
-  // mount() in its two halves, to see the recovered set in between.
-  bool begun = false;
-  core::TrailDriver::MountPrep prep;
-  driver->mount_begin_async([&](core::TrailDriver::MountPrep p) {
-    prep = std::move(p);
-    begun = true;
-  });
-  pump(begun);
-  EquivOutcome out;
-  for (const core::RecoveredRecord& rec : prep.pending)
-    out.live_keys.insert(core::record_key(rec.header));
   bool mounted = false;
-  driver->mount_finish_async(std::move(prep), 0, ~std::uint64_t{0}, [&] { mounted = true; });
+  if (feed == Feed::kStreamed) {
+    driver->mount_async([&] { mounted = true; });
+  } else {
+    // The two halves, which also show the recovered set in between.
+    bool begun = false;
+    core::TrailDriver::MountPrep prep;
+    driver->mount_begin_async([&](core::TrailDriver::MountPrep p) {
+      prep = std::move(p);
+      begun = true;
+    });
+    pump(begun);
+    std::set<std::uint64_t> live_keys;
+    for (const core::RecoveredRecord& rec : prep.pending)
+      live_keys.insert(core::record_key(rec.header));
+    EXPECT_EQ(live_keys, ref.keys);
+    driver->mount_finish_async(std::move(prep), 0, ~std::uint64_t{0}, [&] { mounted = true; });
+  }
   pump(mounted);
+  EquivOutcome out;
   out.stats = driver->last_recovery();
   EXPECT_EQ(out.stats.records_found, ref.keys.size());
   EXPECT_EQ(out.stats.records_dropped_torn, ref.torn);
-  EXPECT_EQ(out.live_keys, ref.keys);
   for (auto& d : log_disks) out.log_images.push_back(snapshot_disk(*d));
   if (log_disk_count == 1) {  // verify_log walks a single disk's chain
     const audit::Report fsck = audit::verify_log(*log_disks[0]);
@@ -588,9 +621,29 @@ void expect_same_outcome(const EquivOutcome& a, const EquivOutcome& b) {
   EXPECT_EQ(a.stats.records_dropped_torn, b.stats.records_dropped_torn);
   EXPECT_EQ(a.stats.oldest_torn_key, b.stats.oldest_torn_key);
   EXPECT_EQ(a.stats.sectors_written_back, b.stats.sectors_written_back);
-  EXPECT_EQ(a.live_keys, b.live_keys);
   EXPECT_EQ(a.log_images, b.log_images) << "log images diverged";
   EXPECT_EQ(a.data_images, b.data_images) << "data images diverged";
+}
+
+/// The scenario through both phase-3 feeds: they write the same images
+/// with the same stats, except the mount's wait for phase 3. Returns the
+/// after-the-walk outcome for cross-depth comparison.
+EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
+                                      std::size_t log_disk_count = 1) {
+  const EquivOutcome after =
+      run_equivalence_scenario(depth, write_back, log_disk_count, Feed::kAfterWalk);
+  const EquivOutcome streamed =
+      run_equivalence_scenario(depth, write_back, log_disk_count, Feed::kStreamed);
+  SCOPED_TRACE("feeds at depth " + std::to_string(depth) + ", " +
+               std::to_string(log_disk_count) + " log disk(s), write_back " +
+               std::to_string(write_back));
+  expect_same_outcome(after, streamed);
+  EXPECT_EQ(after.stats.locate_time.ns(), streamed.stats.locate_time.ns());
+  EXPECT_EQ(after.stats.tracks_scanned, streamed.stats.tracks_scanned);
+  EXPECT_EQ(after.stats.sequential_fallback, streamed.stats.sequential_fallback);
+  EXPECT_EQ(after.stats.rebuild_time.ns(), streamed.stats.rebuild_time.ns());
+  EXPECT_EQ(after.stats.records_cut, streamed.stats.records_cut);
+  return after;
 }
 
 TEST(RecoveryEquivalence, PipelinedRebuildAndWritebackMatchSerial) {

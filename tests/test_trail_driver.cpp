@@ -346,6 +346,21 @@ TEST_F(TrailDriverTest, WriteBeforeMountThrows) {
   EXPECT_THROW(driver->mount(), std::logic_error);  // double mount
 }
 
+TEST_F(TrailDriverTest, DestroyedWithWriteBackOnTheDataDisk) {
+  start();
+  const auto data = make_pattern(1, 11);
+  write_sync({devices[0], 300}, data);
+  while (driver->stats().writeback_commands == 0) ASSERT_TRUE(sim.step());
+  ASSERT_FALSE(data_disks[0]->store().is_written(300));
+  // No crash(): the write-back command is still on the data disk when
+  // its queue goes away, and its completion must not reach the queue.
+  driver.reset();
+  sim.run();
+  std::vector<std::byte> got(kSectorSize);
+  data_disks[0]->store().read(300, 1, got);
+  EXPECT_EQ(got, data);
+}
+
 TEST_F(TrailDriverTest, MountWithoutDataDisksThrows) {
   driver = std::make_unique<core::TrailDriver>(sim, *log_disk);
   EXPECT_THROW(driver->mount(), std::logic_error);
