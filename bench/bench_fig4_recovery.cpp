@@ -218,9 +218,10 @@ int main(int argc, char** argv) {
                      sim::TablePrinter::fmt(run.total_ms, 0)});
     char row[256];
     std::snprintf(row, sizeof(row),
-                  "%s\n    {\"q\": %u, \"locate_ms\": %.3f, \"rebuild_ms\": %.3f, "
-                  "\"writeback_ms\": %.3f, \"writeback_service_ms\": %.3f, \"total_ms\": %.3f}",
-                  first_row ? "" : ",", q, run.stats.locate_time.ms(),
+                  "%s\n    {\"q\": %u, \"locate_ms\": %.3f, \"tracks_scanned\": %u, "
+                  "\"rebuild_ms\": %.3f, \"writeback_ms\": %.3f, "
+                  "\"writeback_service_ms\": %.3f, \"total_ms\": %.3f}",
+                  first_row ? "" : ",", q, run.stats.locate_time.ms(), run.stats.tracks_scanned,
                   run.stats.rebuild_time.ms(), run.stats.writeback_time.ms(),
                   run.writeback_service_ms, run.total_ms);
     json += row;

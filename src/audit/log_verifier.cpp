@@ -33,6 +33,7 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
   Check& c_crc = report.check("log.payload_crc");
   Check& c_keys = report.check("log.record_keys");
   Check& c_chain = report.check("log.chain");
+  Check& c_ring = report.check("log.ring_order");
 
   // ---- replicated log_disk_header + geometry blocks (§3.2, §4.1) ----
   std::vector<core::LogDiskHeader> headers;
@@ -259,6 +260,32 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
   }
   if (chain_ok) c_chain.pass(on_chain.empty() ? 1 : on_chain.size());  // empty chain: one pass
   seen.chain_length = static_cast<std::uint32_t>(on_chain.size());
+
+  // ---- the ring invariant locate's binary search rests on ----
+  // Each usable track's stamp, in ring order: `records` ascend by LBA, so
+  // one cursor over them yields every track's newest in-epoch key.
+  core::RingOrder ring(youngest != nullptr ? core::TrackStamp(core::record_key(youngest->header))
+                                           : std::nullopt);
+  const auto ring_step = [&](disk::TrackId track, const core::TrackStamp& stamp) {
+    if (ring.step(stamp)) return;
+    c_ring.fail(stamp ? "track ring out of order: newest key below the previous track's"
+                      : "track ring out of order: unstamped track inside the stamped arc",
+                geometry.first_lba_of_track(track));
+  };
+  std::optional<std::pair<disk::TrackId, core::TrackStamp>> first;
+  std::size_t cursor = 0;
+  for (disk::TrackId t = 0; t < geometry.track_count(); ++t) {
+    if (reserved.contains(t)) continue;
+    core::TrackStamp stamp;
+    for (; cursor < records.size() && records[cursor].track == t; ++cursor) {
+      const std::uint64_t key = core::record_key(records[cursor].header);
+      if (records[cursor].header.epoch <= stamped_epoch && (!stamp || key > *stamp)) stamp = key;
+    }
+    if (!first) first.emplace(t, stamp);
+    ring_step(t, stamp);
+  }
+  if (first) ring_step(first->first, first->second);  // close the ring
+  if (c_ring.ok()) c_ring.pass();
 
   // ---- escape bytes and payload CRCs, graded by walk membership ----
   // On the chain = corruption; torn tail = the crash's unacknowledged

@@ -25,6 +25,8 @@
 //   log.chain           — the ChainWalk from the youngest record at or
 //                         below the stamped epoch: key-monotone, bounded
 //                         by the first intact record's log_head
+//   log.ring_order      — core::RingOrder over the usable tracks' stamps:
+//                         the ring locate's binary search rests on
 #pragma once
 
 #include <cstdint>

@@ -2,6 +2,7 @@
 
 #include <cstring>
 #include <stdexcept>
+#include <utility>
 
 #include "core/crc32.hpp"
 
@@ -346,6 +347,13 @@ ChainWalk::Verdict ChainWalk::step(const RecordHeader* header, bool intact) {
     next_ = header->prev_sect;
   }
   return verdict;
+}
+
+bool RingOrder::step(TrackStamp track) {
+  const std::optional<TrackStamp> from = std::exchange(prev_, track);
+  // Out of an unstamped track anything goes; out of a stamped one only a
+  // greater stamp, except at the newest track, where the ring wraps.
+  return !from || !*from || *from == newest_ || (track && *track > **from);
 }
 
 }  // namespace trail::core

@@ -248,4 +248,40 @@ class ChainWalk {
   bool bound_missed_ = false;
 };
 
+/// A track's stamp: the newest record_key among its record headers at or
+/// below the stamped epoch, or nullopt when it holds none (unstamped).
+using TrackStamp = std::optional<std::uint64_t>;
+
+/// The ring invariant §3.3's locate rests on, stated once. On each log
+/// disk, read clockwise from the track after the one holding the newest
+/// record, the unstamped tracks form one leading run and the stamped
+/// tracks' stamps increase. The writer keeps it: FIFO allocation stamps
+/// the tracks in ring order, and a mount resumes right after the
+/// youngest record it keeps (TrailDriver::finish_mount). So, clockwise
+/// from any stamped anchor, at_or_after() holds on one run of tracks
+/// ending at the newest and fails everywhere after it: one rotated
+/// binary search finds the newest track. fsck checks the invariant
+/// (log.ring_order) by feeding every usable track in ring order, then
+/// the first one again; only the step out of the newest track may break
+/// the order.
+class RingOrder {
+ public:
+  /// Locate's bisect predicate: `track` is stamped with a key at least
+  /// the anchor's.
+  [[nodiscard]] static constexpr bool at_or_after(TrackStamp track, std::uint64_t anchor) {
+    return track && *track >= anchor;
+  }
+
+  /// `newest`: the disk's newest stamp.
+  explicit RingOrder(TrackStamp newest) : newest_(newest) {}
+
+  /// Feed the next track clockwise; false when the step into it breaks
+  /// the invariant.
+  [[nodiscard]] bool step(TrackStamp track);
+
+ private:
+  TrackStamp newest_;
+  std::optional<TrackStamp> prev_;  // nullopt before the first track
+};
+
 }  // namespace trail::core

@@ -40,17 +40,18 @@ RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevi
 // Reads are submitted through a per-unit C-LOOK DeviceQueue and at most
 // `depth` are kept in flight per unit, so the elevator can order whatever
 // the window holds:
-//   - locate keeps a sliding window of up to `depth` anchor probes in
-//     flight per unit and runs all units' locate machines concurrently;
+//   - locate runs all units' machines concurrently, one scan in flight
+//     per unit: anchor probes over a grid until one is stamped, then the
+//     rotated binary search on core::RingOrder::at_or_after. Only the
+//     sequential scan (ablation / fallback) keeps `depth` in flight;
 //   - rebuild walks the chain (core::ChainWalk) out of a track cache: a
 //     miss fetches the demanded record window plus up to depth-1
 //     ring-backward neighbour tracks, which C-LOOK serves as one
 //     ascending forward sweep — the fast direction — while the walk
 //     decodes records (core::read_record) out of the cache at zero cost.
 // The locate *result* (per-unit youngest key) and the rebuilt chain are
-// depth-invariant: the anchor is defined as the first present probe in
-// grid order regardless of completion order, the bisect is deterministic,
-// and the walk consumes the same sectors.
+// depth-invariant: the probes, the bisect and the walk read the same
+// tracks at every depth.
 // ---------------------------------------------------------------------------
 struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pipe> {
   explicit Pipe(RecoveryManager& mgr) : m(mgr) {}
@@ -71,27 +72,18 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
   // ---- phase 1 state ----
   sim::TimePoint locate_start{};
   std::optional<obs::ScopedSpan> locate_span;
-  struct ProbeResult {
-    TrackKey key;
-    std::size_t idx = 0;
-  };
   struct Loc {
-    enum class Stage { kProbe, kOuter, kGap, kSeq, kDone };
+    enum class Stage { kProbe, kOuter, kSeq, kDone };
     Stage stage = Stage::kProbe;
     std::size_t n = 0;       // usable ring size
     std::size_t probes = 0;  // anchor grid size
     std::size_t next_probe = 0;
-    std::size_t probe_done = 0;  // probes [0, probe_done) completed
-    std::map<std::size_t, ProbeResult> probe_results;
-    bool anchored = false;
     std::size_t anchor_idx = 0;
-    TrackKey anchor_key;
-    std::uint32_t unit_inflight = 0;
-    // rotated binary search (outer) + gap bisect
+    std::uint64_t anchor_key = 0;
+    std::uint32_t unit_inflight = 0;  // sequential scan window
+    // rotated binary search over clockwise offsets from the anchor
     std::size_t lo = 0, hi = 0, mid = 0;
     TrackKey lo_key;
-    std::size_t slo = 0, shi = 0;
-    TrackKey slo_key;
     // sequential scan (ablation / fallback)
     std::size_t seq_next = 0;
     TrackKey result;
@@ -214,17 +206,17 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     Loc& L = loc[u];
     switch (L.stage) {
       case Loc::Stage::kProbe:
-        while (!L.anchored && L.next_probe < L.probes && L.unit_inflight < depth) {
-          const std::size_t k = L.next_probe++;
-          const std::size_t idx = k * L.n / L.probes;
-          scan_async(u, idx, [this, u, k, idx](TrackKey key) { on_probe(u, k, idx, key); });
+        if (L.next_probe < L.probes) {
+          // One anchor probe in flight: the first stamped one anchors.
+          const std::size_t idx = L.next_probe++ * L.n / L.probes;
+          scan_async(u, idx, [this, u, idx](TrackKey key) { on_probe(u, idx, key); });
+          break;
         }
-        if (L.probes == 0 && !L.anchored) {
-          // Degenerate ring: nothing to probe.
-          outcome.stats.sequential_fallback = true;
-          L.stage = Loc::Stage::kSeq;
-          pump_locate(u);
-        }
+        // Short or empty log (or a degenerate ring): nothing anchored, so
+        // fall back to the exhaustive scan.
+        outcome.stats.sequential_fallback = true;
+        L.stage = Loc::Stage::kSeq;
+        pump_locate(u);
         break;
       case Loc::Stage::kSeq:
         while (L.seq_next < L.n && L.unit_inflight < depth) {
@@ -233,59 +225,28 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
         if (L.n == 0) finish_unit(u, TrackKey{});
         break;
       case Loc::Stage::kOuter:
-      case Loc::Stage::kGap:
       case Loc::Stage::kDone:
         break;  // completion-driven
     }
   }
 
-  void on_probe(std::uint8_t u, std::size_t k, std::size_t idx, const TrackKey& key) {
+  void on_probe(std::uint8_t u, std::size_t idx, const TrackKey& key) {
     Loc& L = loc[u];
-    if (L.anchored) {
-      // A window straggler from beyond the anchor: its scan was already
-      // counted; record the waste and keep draining.
-      if (m.obs_ != nullptr)
-        m.obs_->metrics.counter(m.metric_prefix_ + "recovery.probe_overshoot").inc();
-      if (L.unit_inflight == 0) begin_bisect(u);
+    if (!key.present) {
+      pump_locate(u);
       return;
     }
-    L.probe_results[k] = ProbeResult{key, idx};
-    // The anchor is the first present probe in *grid* order, independent
-    // of completion order: advance only over a contiguous completed prefix.
-    while (true) {
-      auto it = L.probe_results.find(L.probe_done);
-      if (it == L.probe_results.end()) break;
-      if (!L.anchored && it->second.key.present) {
-        L.anchored = true;
-        L.anchor_idx = it->second.idx;
-        L.anchor_key = it->second.key;
-      }
-      L.probe_results.erase(it);
-      ++L.probe_done;
-    }
-    if (L.anchored) {
-      if (L.unit_inflight == 0) begin_bisect(u);
-      return;
-    }
-    if (L.probe_done == L.probes) {
-      // Short or empty log: fall back to the exhaustive scan.
-      outcome.stats.sequential_fallback = true;
-      L.stage = Loc::Stage::kSeq;
-    }
-    pump_locate(u);
-  }
-
-  void begin_bisect(std::uint8_t u) {
-    Loc& L = loc[u];
     L.stage = Loc::Stage::kOuter;
+    L.anchor_idx = idx;
+    L.anchor_key = key.key;
     L.lo = 0;
-    L.lo_key = L.anchor_key;
+    L.lo_key = key;
     L.hi = L.n;
     step_outer(u);
   }
 
   // Rotated binary search for the last clockwise offset from the anchor
-  // whose track key is >= the anchor's, driven by completions.
+  // where RingOrder::at_or_after holds, driven by completions.
   void step_outer(std::uint8_t u) {
     Loc& L = loc[u];
     if (L.hi - L.lo <= 1) {
@@ -299,55 +260,11 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
 
   void on_outer(std::uint8_t u, const TrackKey& key) {
     Loc& L = loc[u];
-    if (!key.present) {
-      // `mid` was never stamped: bisect for the last stamped position in
-      // (lo, mid] — "stamped?" is monotone there (one circular arc).
-      L.stage = Loc::Stage::kGap;
-      L.slo = L.lo;
-      L.shi = L.mid;
-      L.slo_key = TrackKey{};
-      step_gap(u);
-      return;
-    }
-    apply_outer(u, L.mid, key);
-  }
-
-  void step_gap(std::uint8_t u) {
-    Loc& L = loc[u];
-    if (L.shi - L.slo > 1) {
-      const std::size_t mpos = L.slo + (L.shi - L.slo) / 2;
-      scan_async(u, (L.anchor_idx + mpos) % L.n,
-                 [this, u, mpos](TrackKey key) { on_gap(u, mpos, key); });
-      return;
-    }
-    L.stage = Loc::Stage::kOuter;
-    if (L.slo == L.lo) {
-      // Nothing stamped in (lo, mid]: the arc ends at lo.
-      L.hi = L.lo + 1;
-      step_outer(u);
-      return;
-    }
-    apply_outer(u, L.slo, L.slo_key);
-  }
-
-  void on_gap(std::uint8_t u, std::size_t mpos, const TrackKey& key) {
-    Loc& L = loc[u];
-    if (key.present) {
-      L.slo = mpos;
-      L.slo_key = key;
-    } else {
-      L.shi = mpos;
-    }
-    step_gap(u);
-  }
-
-  void apply_outer(std::uint8_t u, std::size_t j, const TrackKey& key) {
-    Loc& L = loc[u];
-    if (key.key >= L.anchor_key.key) {
-      L.lo = j;
+    if (RingOrder::at_or_after(key.stamp(), L.anchor_key)) {
+      L.lo = L.mid;
       L.lo_key = key;
     } else {
-      L.hi = j;
+      L.hi = L.mid;
     }
     step_outer(u);
   }

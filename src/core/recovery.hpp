@@ -4,13 +4,15 @@
 // timed separately for the Fig. 4 breakdown:
 //
 //  1. LOCATE the youngest active write record: per-track scans driven by
-//     a binary search over each log disk's circular track ring. FIFO
-//     track allocation guarantees that per-track newest (epoch,
-//     sequence_id) keys form a circularly monotone sequence per disk
-//     (gaps only beyond the stamped arc), so O(lg N) track scans find
-//     each disk's maximum; the global youngest is the max across disks.
-//     A sequential full scan exists both as the paper's baseline
-//     (ablation) and as a defensive fallback.
+//     one binary search over each log disk's circular track ring. The
+//     writer keeps core::RingOrder's invariant (unstamped tracks only in
+//     one run after the newest, stamps increasing clockwise), so after
+//     one stamped anchor probe, "stamped with a key at least the
+//     anchor's" splits the ring clockwise from the anchor into one true
+//     run and one false run, and O(lg N) track scans find each disk's
+//     newest track; the global youngest is the max across disks. A
+//     sequential full scan exists both as the paper's baseline
+//     (ablation) and as the fallback when no anchor probe is stamped.
 //
 //  2. REBUILD the pending-record set: core::ChainWalk back along
 //     prev_sect from the youngest record — across log disks via encoded
@@ -33,8 +35,9 @@
 // Both phases run as one bounded-depth asynchronous pipeline
 // (DESIGN.md §12), the same algorithm at every depth. Reads go through a
 // per-unit io::DeviceQueue so the elevator can order the outstanding
-// window: the locate phase keeps a sliding window of up to
-// pipeline_depth anchor probes in flight per unit, and the rebuild phase
+// window. The binary search is serial by nature: locate keeps one scan
+// in flight per unit (all units search at once), and only its
+// sequential scan uses a window of pipeline_depth. The rebuild phase
 // walks the live arc out of a track cache whose misses prefetch up to
 // pipeline_depth - 1 older tracks. Depth 1 is the same pipeline with a
 // window of one: every depth recovers the same pending set.
@@ -97,10 +100,11 @@ class RecoveryManager {
   struct Options {
     /// Force the O(N) sequential locate instead of binary search (ablation).
     bool sequential_locate = false;
-    /// Bounded in-flight read window per log unit: the number of anchor
-    /// probes in flight during locate, and the rebuild prefetch breadth
-    /// (the demanded track plus up to depth - 1 older ones). 1 keeps one
-    /// read in flight per unit and never prefetches.
+    /// Bounded in-flight read window per log unit: the rebuild prefetch
+    /// breadth (the demanded track plus up to depth - 1 older ones) and
+    /// the sequential locate scan's window. The binary search keeps one
+    /// scan in flight per unit at every depth. 1 keeps one read in
+    /// flight per unit and never prefetches.
     std::uint32_t pipeline_depth = 8;
   };
 
@@ -150,6 +154,7 @@ class RecoveryManager {
     std::uint64_t key = 0;  // record_key(epoch, sequence_id)
     std::uint8_t unit = 0;
     disk::Lba header_lba = 0;
+    [[nodiscard]] TrackStamp stamp() const { return present ? TrackStamp(key) : std::nullopt; }
   };
   struct Pipe;  // the locate + rebuild pipeline (defined in recovery.cpp)
 

@@ -128,8 +128,6 @@ void TrailDriver::attach_obs(obs::Obs* obs, ObsScope scope) {
     obs::ReqTracker::Options opts;
     opts.metric_prefix = p;
     opts.shard = scope_.shard_id;
-    opts.trace_tid = scope_.driver_tid;
-    opts.stall_bound = config_.req_stall_bound;
     req_tracker_ = std::make_unique<obs::ReqTracker>(*obs_, std::move(opts));
   } else {
     req_tracker_.reset();
@@ -177,7 +175,13 @@ struct TrailDriver::MountFinishState {
   std::uint32_t epoch_floor = 0;
   std::uint64_t cut_before = ~std::uint64_t{0};
   std::function<void()> done;
-  std::vector<std::optional<disk::TrackId>> resume_after;
+  /// Per unit, the track its ring continues from: after it, or ON it.
+  /// nullopt: on the stamped resume_track.
+  struct Resume {
+    disk::TrackId track = 0;
+    bool after = true;
+  };
+  std::vector<std::optional<Resume>> resume;
   std::vector<RecoveredRecord> kept;
   std::vector<std::pair<std::uint8_t, disk::Lba>> cuts;  // headers to erase
   std::size_t cut_idx = 0;
@@ -293,28 +297,26 @@ void TrailDriver::finish_mount(std::shared_ptr<MountFinishState> st, MountPrep p
   st->prep = std::move(prep);
   st->epoch_floor = epoch_floor;
   st->cut_before = cut_before;
-  st->resume_after.resize(units_.size());
+  st->resume.resize(units_.size());
   last_recovery_ = st->prep.stats;
 
-  if (!st->prep.pending.empty()) {
-    // Continue each unit's ring after its own youngest record — cut
-    // records included: their tracks were stamped with keys of the
-    // crashed epoch, so resuming before them would break the circular key
-    // monotonicity the recovery binary search relies on.
-    for (const RecoveredRecord& rec : st->prep.pending)
-      st->resume_after[rec.log_unit] = rec.track;  // ascending: ends at newest per unit
-
-    // Partition on the consistency cut: records at or above cut_before
-    // are discarded. Their header sectors are erased so a future recovery
-    // cannot locate them as the youngest record and resurrect writes this
-    // mount decided never happened.
-    for (RecoveredRecord& rec : st->prep.pending) {
-      if (record_key(rec.header) >= cut_before) {
-        ++last_recovery_.records_cut;
-        st->cuts.emplace_back(rec.log_unit, rec.header_lba);
-      } else {
-        st->kept.push_back(std::move(rec));
-      }
+  // Partition on the consistency cut: records at or above cut_before
+  // are discarded. Their header sectors are erased so a future recovery
+  // cannot locate them as the youngest record and resurrect writes this
+  // mount decided never happened. Each unit's ring continues right after
+  // the youngest record the cut keeps, or ON the oldest cut track when
+  // the cut took all of the unit's pending records, so the new epoch
+  // stamps the erased tracks next and none of them is left inside the
+  // stamped arc (core::RingOrder).
+  for (RecoveredRecord& rec : st->prep.pending) {  // ascending key
+    auto& resume = st->resume[rec.log_unit];
+    if (record_key(rec.header) >= cut_before) {
+      ++last_recovery_.records_cut;
+      st->cuts.emplace_back(rec.log_unit, rec.header_lba);
+      if (!resume) resume = MountFinishState::Resume{rec.track, /*after=*/false};
+    } else {
+      resume = MountFinishState::Resume{rec.track, /*after=*/true};
+      st->kept.push_back(std::move(rec));
     }
   }
   mf_erase_cut(std::move(st));
@@ -433,15 +435,16 @@ void TrailDriver::mf_adopt(std::shared_ptr<MountFinishState> st) {
   next_seq_ = 1;
 
   // Position each unit's allocator tail so stamping continues around its
-  // ring. A mount that recovered pending records skips past the youngest
-  // record's track (which may carry adopted live records); every other
-  // mount resumes exactly ON the stored track — skipping ahead would
-  // leave a stale-keyed track between epochs and break the circular key
-  // monotonicity the recovery binary search relies on.
+  // ring (finish_mount chose where). A unit with no pending records
+  // resumes exactly ON the stored track — skipping ahead would leave a
+  // stale-keyed track between epochs and break core::RingOrder.
   for (std::size_t u = 0; u < units_.size(); ++u) {
     LogUnit& unit = units_[u];
-    if (st->resume_after[u]) {
-      unit.allocator->set_tail_after(*st->resume_after[u]);
+    if (const auto& resume = st->resume[u]) {
+      if (resume->after)
+        unit.allocator->set_tail_after(resume->track);
+      else
+        unit.allocator->set_tail(resume->track);
     } else if (!unit.allocator->is_reserved(st->prep.headers[u].resume_track) &&
                st->prep.headers[u].resume_track < unit.device->geometry().track_count()) {
       unit.allocator->set_tail(st->prep.headers[u].resume_track);

@@ -84,8 +84,9 @@ struct TrailConfig {
   /// Force the O(N) sequential locate during recovery (ablation).
   bool recovery_sequential_locate = false;
   /// Bounded in-flight read window per log unit during recovery
-  /// (RecoveryManager::Options::pipeline_depth): anchor probes in flight
-  /// during locate and the rebuild prefetch breadth. Every depth runs the
+  /// (RecoveryManager::Options::pipeline_depth): the rebuild prefetch
+  /// breadth and the sequential locate scan's window; locate's binary
+  /// search keeps one scan in flight at every depth. Every depth runs the
   /// same algorithm; 1 keeps one read in flight per unit.
   std::uint32_t recovery_pipeline_depth = 8;
   /// External global-sequence source (sharding): when set, record
@@ -100,11 +101,6 @@ struct TrailConfig {
   /// write carried. A ShardedDriver advances its global commit watermark
   /// here.
   std::function<void(std::uint32_t first_seq, std::uint32_t last_seq)> on_records_durable;
-  /// Stall watchdog bound for request attribution (obs::ReqTracker): a
-  /// single phase of one request lasting longer than this bumps
-  /// `req.stalls.<phase>` and traces an instant. 0 disables the watchdog
-  /// (phase histograms still record).
-  sim::Duration req_stall_bound{0};
 };
 
 struct TrailStats {

@@ -343,14 +343,7 @@ void LogManager::audit(audit::Report& report, bool quiescent) const {
 }
 
 void LogManager::note_flush_span(sim::TimePoint submit_time) {
-  if (h_flush_ == nullptr) return;
-  const sim::Duration span = sim_.now() - submit_time;
-  h_flush_->record(span);
-  if (config_.flush_stall_bound > sim::Duration{0} && span > config_.flush_stall_bound) {
-    c_flush_stalls_->inc();
-    if (obs_->tracer.enabled())
-      obs_->tracer.instant_value("req.stall.wal_flush", "wal", span.ns(), obs::kWalTid);
-  }
+  if (h_flush_ != nullptr) h_flush_->record(sim_.now() - submit_time);
 }
 
 void LogManager::complete_waiters() {

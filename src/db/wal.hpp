@@ -72,10 +72,6 @@ struct WalConfig {
   /// disk every chunk after the first misses the rotation; under Trail
   /// each chunk lands at the head. 0 = single write per flush.
   std::uint32_t sync_chunk_sectors = 8;  // 4 KB file-system blocks
-  /// Stall watchdog bound for a single synchronous flush (submit ->
-  /// durable). A flush exceeding it bumps "req.stalls.wal_flush". 0
-  /// disables the check.
-  sim::Duration flush_stall_bound{0};
 };
 
 struct WalStats {
@@ -98,14 +94,12 @@ class LogManager {
   ~LogManager() { *alive_ = false; }
 
   /// Optional observability: a commit-wait histogram ("wal.commit_wait_ns"),
-  /// a per-flush span histogram ("wal.flush_ns") with a stall counter
-  /// ("req.stalls.wal_flush", see WalConfig::flush_stall_bound), flush
-  /// spans ("wal.flush") and deferred-commit instants on the WAL lane.
+  /// a per-flush span histogram ("wal.flush_ns"), flush spans
+  /// ("wal.flush") and deferred-commit instants on the WAL lane.
   void attach_obs(obs::Obs* obs) {
     obs_ = obs;
     h_commit_wait_ = obs != nullptr ? &obs->metrics.histogram("wal.commit_wait_ns") : nullptr;
     h_flush_ = obs != nullptr ? &obs->metrics.histogram("wal.flush_ns") : nullptr;
-    c_flush_stalls_ = obs != nullptr ? &obs->metrics.counter("req.stalls.wal_flush") : nullptr;
     if (obs != nullptr) obs->tracer.set_track_name(obs::kWalTid, "wal");
   }
 
@@ -190,9 +184,7 @@ class LogManager {
   obs::Obs* obs_ = nullptr;
   obs::Histogram* h_commit_wait_ = nullptr;
   obs::Histogram* h_flush_ = nullptr;
-  obs::Counter* c_flush_stalls_ = nullptr;
-  /// Record a completed flush span into the attribution metrics and run
-  /// the stall watchdog against WalConfig::flush_stall_bound.
+  /// Record a completed flush span into the attribution metrics.
   void note_flush_span(sim::TimePoint submit_time);
 
   std::vector<std::byte> buffer_;  // bytes [buffer_base_, next_lsn_)

@@ -162,7 +162,6 @@ std::string FlightRecorder::dump_tail(std::size_t n) const {
     out += " flags=";
     out += (r.flags & FlightRecord::kFlagDirect) != 0 ? 'D' : '-';
     out += (r.flags & FlightRecord::kFlagGated) != 0 ? 'G' : '-';
-    out += (r.flags & FlightRecord::kFlagStalled) != 0 ? 'S' : '-';
     out += (r.flags & FlightRecord::kFlagRecovered) != 0 ? 'R' : '-';
     out += " submit=" + std::to_string(r.submit_ns);
     out += " total=" + std::to_string(r.total_ns);
@@ -181,40 +180,13 @@ std::string FlightRecorder::dump_tail(std::size_t n) const {
 // ReqTracker
 // ---------------------------------------------------------------------------
 
-namespace {
-
-const char* stall_trace_name(ReqPhase phase) {
-  // Literal per-phase names: the tracer interns pointers, not copies.
-  switch (phase) {
-    case ReqPhase::kRoute:
-      return "req.stall.route";
-    case ReqPhase::kQueue:
-      return "req.stall.queue";
-    case ReqPhase::kPosition:
-      return "req.stall.position";
-    case ReqPhase::kTransfer:
-      return "req.stall.transfer";
-    case ReqPhase::kWatermarkGate:
-      return "req.stall.watermark_gate";
-  }
-  return "req.stall";
-}
-
-}  // namespace
-
 ReqTracker::ReqTracker(Obs& obs, Options options)
-    : tracer_(&obs.tracer),
-      flight_(&obs.flight),
-      shard_(options.shard),
-      tid_(options.trace_tid),
-      stall_bound_(options.stall_bound) {
+    : flight_(&obs.flight), shard_(options.shard) {
   const std::string& p = options.metric_prefix;
   h_total_ = &obs.metrics.histogram(p + "req.total_ns");
-  for (std::size_t i = 0; i < kReqPhaseCount; ++i) {
-    const char* name = req_phase_name(static_cast<ReqPhase>(i));
-    h_phase_[i] = &obs.metrics.histogram(p + "req.phase." + name);
-    c_stalls_[i] = &obs.metrics.counter(p + "req.stalls." + name);
-  }
+  for (std::size_t i = 0; i < kReqPhaseCount; ++i)
+    h_phase_[i] =
+        &obs.metrics.histogram(p + "req.phase." + req_phase_name(static_cast<ReqPhase>(i)));
   c_mismatch_ = &obs.metrics.counter(p + "req.mismatch");
 }
 
@@ -232,27 +204,18 @@ std::uint64_t ReqTracker::open(sim::TimePoint submit, std::uint32_t sectors, boo
   return id;
 }
 
-void ReqTracker::apply(std::uint64_t id, Ctx& ctx, ReqPhase phase, std::int64_t ns) {
+void ReqTracker::apply(Ctx& ctx, ReqPhase phase, std::int64_t ns) {
   if (ns < 0) ns = 0;
   const auto p = static_cast<std::size_t>(phase);
   ctx.phase_ns[p] += ns;
   ctx.stamped_mask |= static_cast<std::uint8_t>(1 << p);
-  if (stall_bound_.ns() > 0 && ns > stall_bound_.ns()) {
-    c_stalls_[p]->inc();
-    ++stalls_total_;
-    ctx.flags |= FlightRecord::kFlagStalled;
-    if (tracer_->enabled()) {
-      tracer_->instant_value(stall_trace_name(phase), "req", static_cast<std::int64_t>(id),
-                             tid_);
-    }
-  }
 }
 
 void ReqTracker::stamp(std::uint64_t id, ReqPhase phase, sim::TimePoint now) {
   const auto it = open_.find(id);
   if (it == open_.end()) return;
   Ctx& ctx = it->second;
-  apply(id, ctx, phase, (now - ctx.last).ns());
+  apply(ctx, phase, (now - ctx.last).ns());
   ctx.last = now;
 }
 
@@ -263,8 +226,8 @@ void ReqTracker::stamp_service(std::uint64_t id, sim::Duration position_estimate
   Ctx& ctx = it->second;
   const std::int64_t interval = std::max<std::int64_t>((now - ctx.last).ns(), 0);
   const std::int64_t pos = std::clamp<std::int64_t>(position_estimate.ns(), 0, interval);
-  apply(id, ctx, ReqPhase::kPosition, pos);
-  apply(id, ctx, ReqPhase::kTransfer, interval - pos);
+  apply(ctx, ReqPhase::kPosition, pos);
+  apply(ctx, ReqPhase::kTransfer, interval - pos);
   ctx.last = now;
 }
 

@@ -25,12 +25,10 @@
 //                  (ShardedDriver only; zero when the watermark already
 //                  covers the write)
 //
-// On top of the tracker ride two post-mortem surfaces: an always-on
+// On top of the tracker rides a post-mortem surface: an always-on
 // FlightRecorder — a bounded ring of compact per-request summaries,
 // delta-encoded like the event tracer, dumped by audit failures and
-// `log_inspector --flightdump` — and a stall watchdog that counts
-// requests exceeding a configurable age bound per phase
-// (`req.stalls.<phase>`).
+// `log_inspector --flightdump`.
 //
 // Thread safety: none inside. Trackers and the recorder belong to the
 // simulation thread, where every request is admitted and acknowledged.
@@ -47,7 +45,6 @@
 namespace trail::obs {
 
 struct Obs;
-class EventTracer;
 
 enum class ReqPhase : std::uint8_t {
   kRoute = 0,
@@ -66,7 +63,6 @@ inline constexpr std::size_t kReqPhaseCount = 5;
 struct FlightRecord {
   static constexpr std::uint8_t kFlagDirect = 1 << 0;     // direct-log append
   static constexpr std::uint8_t kFlagGated = 1 << 1;      // watermark gate > 0
-  static constexpr std::uint8_t kFlagStalled = 1 << 2;    // tripped the watchdog
   static constexpr std::uint8_t kFlagRecovered = 1 << 3;  // rebuilt by recovery
 
   std::uint64_t id = 0;
@@ -149,18 +145,14 @@ class FlightRecorder {
 /// asserted by the driver's `req.attribution` audit check.
 ///
 /// Metrics registered (under the scope's prefix): `req.total_ns`,
-/// `req.phase.<phase>` histograms, `req.stalls.<phase>` +
-/// `req.mismatch` counters — all at construction, so exports are
-/// name-stable whether or not a phase ever fires.
+/// `req.phase.<phase>` histograms and the `req.mismatch` counter — all
+/// at construction, so exports are name-stable whether or not a phase
+/// ever fires.
 class ReqTracker {
  public:
   struct Options {
     std::string metric_prefix;  // "" or "shard.<k>."
     std::uint32_t shard = 0;    // flight-record shard tag
-    std::uint32_t trace_tid = 0;  // lane for stall instants
-    /// Stall watchdog: a single phase lasting longer than this bumps
-    /// `req.stalls.<phase>` (and traces an instant). 0 disables.
-    sim::Duration stall_bound{0};
   };
 
   ReqTracker(Obs& obs, Options options);
@@ -197,7 +189,6 @@ class ReqTracker {
   [[nodiscard]] std::size_t open_internal() const { return open_internal_; }
   [[nodiscard]] std::uint64_t finished() const { return finished_; }
   [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
-  [[nodiscard]] std::uint64_t stalls() const { return stalls_total_; }
 
   /// Histogram mass on both sides of the audit invariant.
   [[nodiscard]] std::int64_t phase_ns_total() const;
@@ -214,24 +205,19 @@ class ReqTracker {
     bool external = false;
   };
 
-  void apply(std::uint64_t id, Ctx& ctx, ReqPhase phase, std::int64_t ns);
+  static void apply(Ctx& ctx, ReqPhase phase, std::int64_t ns);
 
-  EventTracer* tracer_;
   FlightRecorder* flight_;
   std::uint32_t shard_;
-  std::uint32_t tid_;
-  sim::Duration stall_bound_;
 
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, Ctx> open_;
   std::size_t open_internal_ = 0;
   std::uint64_t finished_ = 0;
   std::uint64_t mismatches_ = 0;
-  std::uint64_t stalls_total_ = 0;
 
   Histogram* h_total_;
   Histogram* h_phase_[kReqPhaseCount];
-  Counter* c_stalls_[kReqPhaseCount];
   Counter* c_mismatch_;
 };
 

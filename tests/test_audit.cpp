@@ -382,6 +382,29 @@ TEST_F(AuditVerifierTest, CorruptPrevSectDetected) {
   EXPECT_EQ(remount_records(), std::nullopt);
 }
 
+TEST_F(AuditVerifierTest, UnstampedTrackInsideTheArcBreaksRingOrder) {
+  core::TrailConfig cfg;
+  cfg.track_utilization_threshold = 0.0;  // one record per track
+  start(cfg);
+  for (auto& d : data_disks) d->crash_halt();
+  for (int i = 0; i < kRecords; ++i)
+    write_sync({devices[0], static_cast<disk::Lba>(i * 4)}, make_pattern(2, i));
+  driver->crash();
+  driver.reset();
+  EXPECT_TRUE(audit::verify_log(*log_disk).ok());
+  const auto records = records_of_epoch(census_of(*log_disk), 1);
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kRecords));
+  // Erase the middle record's header: its track is now unstamped, inside
+  // the arc — what a mount resuming past erased cut records left behind.
+  flip(records[2].header_lba, 0, std::byte{0xFF});  // 0xFF -> 0x00
+
+  Report report = audit::verify_log(*log_disk);
+  const audit::Check& ring = report.check("log.ring_order");
+  ASSERT_EQ(ring.errors(), 1u) << report.to_string();
+  EXPECT_EQ(ring.findings().front().lba,
+            log_disk->geometry().first_lba_of_track(records[2].track));
+}
+
 TEST_F(AuditVerifierTest, CorruptLogHeadDetected) {
   const auto records = prepare_crashed_log();
   const auto unwritten =

@@ -251,6 +251,58 @@ TEST(RecordKey, OrdersAcrossEpochs) {
   EXPECT_EQ(record_key(hdr), record_key(hdr.epoch, hdr.sequence_id));
 }
 
+/// Feed one disk's per-track stamps (ring order) through RingOrder and
+/// return the indices of the tracks whose step in breaks the invariant.
+std::vector<std::size_t> ring_breaks(const std::vector<TrackStamp>& ring) {
+  TrackStamp newest;
+  for (const TrackStamp& t : ring)
+    if (t && (!newest || *t > *newest)) newest = t;
+  RingOrder order(newest);
+  std::vector<std::size_t> breaks;
+  for (std::size_t i = 0; i < ring.size(); ++i)
+    if (!order.step(ring[i])) breaks.push_back(i);
+  if (!ring.empty() && !order.step(ring.front())) breaks.push_back(0);  // close the ring
+  return breaks;
+}
+
+TEST(RingOrder, LeadingUnstampedRunAndRisingStampsPass) {
+  const TrackStamp u;
+  EXPECT_TRUE(ring_breaks({}).empty());
+  EXPECT_TRUE(ring_breaks({u, u, u}).empty());  // freshly formatted
+  EXPECT_TRUE(ring_breaks({5, 7, 9, u, u}).empty());  // not yet wrapped
+  EXPECT_TRUE(ring_breaks({u, 5, 7, 9}).empty());
+  EXPECT_TRUE(ring_breaks({12, 3, 5, 7, 9}).empty());  // wrapped: 12 is newest
+  EXPECT_TRUE(ring_breaks({9, u, u, 3, 5, 7}).empty());  // the run follows the newest
+  EXPECT_TRUE(ring_breaks({4}).empty());
+}
+
+TEST(RingOrder, UnstampedTrackInsideTheArcFails) {
+  const TrackStamp u;
+  EXPECT_EQ(ring_breaks({5, u, 7, 9, u}), std::vector<std::size_t>{1});
+  // Wrapped ring with a hole: the step out of 3 lands on nothing.
+  EXPECT_EQ(ring_breaks({12, 3, u, 7, 9}), std::vector<std::size_t>{2});
+  // Two unstamped runs: the one not after the newest is the break.
+  EXPECT_EQ(ring_breaks({u, 3, 5, u, 7, 9}), std::vector<std::size_t>{3});
+}
+
+TEST(RingOrder, KeyDipFails) {
+  const TrackStamp u;
+  EXPECT_EQ(ring_breaks({5, 3, 7, 9}), std::vector<std::size_t>{1});
+  EXPECT_EQ(ring_breaks({12, 3, 5, 4, 9}), std::vector<std::size_t>{3});
+  // A stale track from an older lap ahead of the unstamped run: the run
+  // is no longer leading, so the step into it breaks.
+  EXPECT_EQ(ring_breaks({u, 6, 7, 9, 2}), std::vector<std::size_t>{0});
+  // The wrap from the last track back to the first is checked too.
+  EXPECT_EQ(ring_breaks({3, 5, 9, 4}), std::vector<std::size_t>{0});
+}
+
+TEST(RingOrder, AtOrAfterNeedsAStampAtLeastTheAnchors) {
+  EXPECT_TRUE(RingOrder::at_or_after(7, 7));
+  EXPECT_TRUE(RingOrder::at_or_after(9, 7));
+  EXPECT_FALSE(RingOrder::at_or_after(5, 7));
+  EXPECT_FALSE(RingOrder::at_or_after(std::nullopt, 0));
+}
+
 TEST(ClassifySector, OtherBytes) {
   SectorBuf sector{};
   sector[0] = std::byte{0x7F};

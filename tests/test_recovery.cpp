@@ -194,8 +194,9 @@ TEST_F(RecoveryTest, BinarySearchScansFewTracksOnWrappedLog) {
   crash_and_remount();
   const auto& rs = driver->last_recovery();
   EXPECT_FALSE(rs.sequential_fallback);
-  // O(lg 77) + anchor: generously under half the ring.
-  EXPECT_LT(rs.tracks_scanned, 30u);
+  // One anchor probe plus one binary search over the 77-track ring:
+  // 1 + ceil(lg 77) scans.
+  EXPECT_LE(rs.tracks_scanned, 8u);
   EXPECT_GE(rs.records_found, 1u);
   verify_all_acknowledged_durable();
 }

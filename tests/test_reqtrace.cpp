@@ -1,7 +1,7 @@
 // Request-scoped causal attribution (obs/req.hpp): the phase-partition
 // invariant on single and 4-shard seeded workloads, the flight
-// recorder's ring semantics and codec, the stall watchdog, and the
-// OpenMetrics exposition's determinism + shard-label lifting.
+// recorder's ring semantics and codec, and the OpenMetrics exposition's
+// determinism + shard-label lifting.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -86,28 +86,6 @@ TEST(ReqTracker, UnstampedTimeCountsAsMismatch) {
   tracker.finish(id, t0 + sim::micros(10));
   EXPECT_EQ(tracker.mismatches(), 1u);
   EXPECT_EQ(rig.obs.metrics.counter("req.mismatch").value(), 1u);
-}
-
-TEST(ReqTracker, StallWatchdogFlagsSlowPhases) {
-  TrackerRig rig;
-  ReqTracker::Options options;
-  options.stall_bound = sim::micros(100);
-  ReqTracker tracker(rig.obs, options);
-  const sim::TimePoint t0 = rig.sim.now();
-  const std::uint64_t slow = tracker.open(t0, 1, false, false);
-  tracker.stamp(slow, ReqPhase::kQueue, t0 + sim::micros(500));  // > bound
-  tracker.stamp_service(slow, sim::micros(1), t0 + sim::micros(501));
-  tracker.finish(slow, t0 + sim::micros(501));
-  const std::uint64_t fast = tracker.open(t0, 1, false, false);
-  tracker.stamp(fast, ReqPhase::kQueue, t0 + sim::micros(50));  // within bound
-  tracker.stamp_service(fast, sim::micros(1), t0 + sim::micros(51));
-  tracker.finish(fast, t0 + sim::micros(51));
-
-  EXPECT_EQ(tracker.stalls(), 1u);
-  EXPECT_EQ(rig.obs.metrics.counter("req.stalls.queue").value(), 1u);
-  EXPECT_EQ(rig.obs.flight.at(0).flags & FlightRecord::kFlagStalled,
-            FlightRecord::kFlagStalled);
-  EXPECT_EQ(rig.obs.flight.at(1).flags & FlightRecord::kFlagStalled, 0);
 }
 
 TEST(ReqTracker, AbandonAllDropsOpenContextsWithoutMismatch) {
