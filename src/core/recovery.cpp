@@ -322,12 +322,7 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     if (verdict == V::kKeyOrder) fail("recovery: record keys not decreasing along chain");
     // Only the final (unacknowledged) physical write can be torn.
     if (verdict == V::kTornLive) fail("recovery: torn record below an intact one");
-    if (verdict == V::kTornTail) {
-      ++outcome.stats.records_dropped_torn;
-      // Keys strictly decrease along the walk, so the last torn record
-      // seen carries the oldest torn key.
-      outcome.stats.oldest_torn_key = record_key(rec->header);
-    }
+    if (verdict == V::kTornTail) ++outcome.stats.records_dropped_torn;
     if (verdict != V::kLive) return;
     RecoveredRecord& out = chain.emplace_back(RecoveredRecord{
         rec->header, unit, lba, track, {rec->payload.begin(), rec->payload.end()}});

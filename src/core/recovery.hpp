@@ -27,10 +27,9 @@
 // the data disks, or adopts them as live state (Fig. 4b), since a
 // persistent copy already exists on the log disk. The walk hands each
 // pending record to the caller as soon as it is decoded, youngest first,
-// so a standalone mount (TrailDriver::mount_async) streams the write-back
-// behind the walk while the log disk is still being read; a sharded mount
-// writes back only the survivors of its cross-shard cut, after every
-// shard's walk (TrailDriver::mount_finish_async).
+// so the mount (TrailDriver::mount_async) streams the write-back behind
+// the walk while the log disk is still being read. A sharded mount runs
+// one such mount per shard: each shard is a whole Trail volume.
 //
 // Both phases run as one bounded-depth asynchronous pipeline
 // (DESIGN.md §12), the same algorithm at every depth. Reads go through a
@@ -77,20 +76,9 @@ struct RecoveryStats {
   sim::Duration rebuild_time;
   std::uint32_t records_found = 0;
   std::uint32_t records_dropped_torn = 0;
-  /// record_key of the oldest torn record dropped in phase 2 (torn records
-  /// are always the newest on their log, so this is the earliest point at
-  /// which this log's history is incomplete). Valid only when
-  /// records_dropped_torn > 0. A sharded mount takes the minimum across
-  /// shards as the global consistency cut.
-  std::uint64_t oldest_torn_key = 0;
-  /// Intact records discarded by a sharded mount's cross-shard
-  /// consistency cut (mount_finish_async's cut_before). Always 0 for a
-  /// standalone driver.
-  std::uint32_t records_cut = 0;
-  /// Phase 3, filled by the mount that writes the survivors back. The
-  /// mount's wait for phase 3 after the walk ends: a standalone mount
-  /// streams the write-back behind the walk, so this covers only its
-  /// last writes; a sharded mount starts it after the cut.
+  /// Phase 3, filled by the mount that writes the records back. The
+  /// mount's wait for phase 3 after the walk ends: the write-back streams
+  /// behind the walk, so this covers only its last writes.
   sim::Duration writeback_time;
   std::uint64_t sectors_written_back = 0;
 };
@@ -137,7 +125,7 @@ class RecoveryManager {
   /// upper bound, `oldest_pending_epoch` (core::oldest_pending_epoch of
   /// the disk headers) the lower one, and ordering uses record_key. Never
   /// steps the simulator itself, so a sharded mount can start every
-  /// shard's recovery and let them interleave on virtual time.
+  /// shard's mount and let them interleave on virtual time.
   /// `on_record`, when set, receives each pending record the moment the
   /// walk keeps it, youngest first; a walk that later fails has handed
   /// over exactly the records above the failure.

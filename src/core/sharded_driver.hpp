@@ -8,29 +8,18 @@
 // and acknowledge writes fully concurrently and clustered sync-write
 // throughput scales near-linearly with the shard count.
 //
-// Cross-shard total order. Each shard stamps records with sequence ids
-// drawn from one monotonic global counter (TrailConfig::sequence_source),
-// and all shards mount into a common epoch, so record_key(epoch, seq)
-// totally orders records across the whole array. Recovery replays every
-// shard's log and merges by that order. A crash can tear the order's
-// suffix unevenly — shard A's last batch survived, shard B's (earlier
-// in the global order) did not — so the sharded mount computes a
-// consistency cut: the minimum torn key across shards. Records at or
-// above the cut are discarded (and their header sectors erased) on
-// every shard.
-//
-// The cut is sound because acknowledgements are watermark-gated: a
-// client ack is released only once the global commit watermark — the
-// largest W with sequences 1..W all durable on their shards — has
-// reached the acked write's records. A torn record's sequence never
-// became durable, so the watermark never passed it, so nothing at or
-// above the cut was ever acknowledged.
+// Each shard is a whole Trail volume. Extent routing gives every sector
+// exactly one owning shard, and the contract is per sector: a write is
+// acknowledged once it is on its shard's log disk (§4), and each shard's
+// mount recovers its own log by walking that log alone (§3.3). So the
+// shards share no sequence, no epoch and no commit order: a write to a
+// fast shard may ack before an earlier write to a slow one, as it may
+// under any elevator. A request split across shards acks when its last
+// chunk does; until then, each of its sectors may read old or new.
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "core/recovery.hpp"
@@ -46,14 +35,12 @@ struct ShardedConfig {
   /// Extent granularity in sectors: [lba, lba+count) writes that stay
   /// inside one extent never split across shards. Must be >= 1.
   std::uint32_t extent_sectors = 64;
-  /// Overlap every shard's mount recovery on virtual time (each shard
-  /// owns an independent log disk), so array recovery cost approaches
-  /// the max over shards instead of the sum. Off: shards mount strictly
-  /// one after another (the equivalence baseline). Either way the
-  /// two-phase epoch-floor / consistency-cut protocol is identical.
+  /// Overlap every shard's mount on virtual time (each shard owns an
+  /// independent log disk), so array recovery cost approaches the max
+  /// over shards instead of the sum. Off: shards mount strictly one after
+  /// another (the baseline the CI floor measures against).
   bool overlapped_mount = true;
-  /// Template for every shard's TrailDriver (the sequence/durability
-  /// hooks are owned by the ShardedDriver and overwritten).
+  /// Template for every shard's TrailDriver.
   TrailConfig shard;
 };
 
@@ -63,9 +50,6 @@ struct ShardedRecoveryStats {
   std::uint32_t crashed_shards = 0;    // shards that found crash_var != 1
   std::uint32_t records_found = 0;     // sum across shards
   std::uint32_t records_dropped_torn = 0;
-  std::uint32_t records_cut = 0;       // intact records above the cut
-  /// The applied consistency cut (record_key); ~0 when no shard was torn.
-  std::uint64_t cut_before = ~std::uint64_t{0};
 };
 
 class ShardedDriver final : public io::BlockDriver {
@@ -80,15 +64,13 @@ class ShardedDriver final : public io::BlockDriver {
   /// Attach observability (before mount): shard k's full TrailDriver
   /// instrumentation lands under the metric prefix "shard.<k>." and a
   /// private trace-lane block at obs::kShardTidBase + k * kShardTidStride,
-  /// plus array-level routing / gating metrics (shard.routing_imbalance_pct,
-  /// shard.split_writes, shard.gated_acks, shard.<k>.routed_sectors).
+  /// plus array-level routing metrics (shard.routing_imbalance_pct,
+  /// shard.split_writes, shard.<k>.routed_sectors).
   void attach_obs(obs::Obs* obs);
 
-  /// Mount every shard under a common epoch and the cross-shard
-  /// consistency cut: begin recovery on all shards (locate + rebuild),
-  /// take the epoch floor and the minimum torn key across the array,
-  /// then finish each shard's mount under that cut. Drives the simulator
-  /// until complete.
+  /// Mount every shard (TrailDriver::mount_async: recovery, with phase 3
+  /// streaming behind each shard's own walk). Drives the simulator until
+  /// every shard is mounted.
   void mount();
 
   /// Clean shutdown: each shard drains its write-back and stamps
@@ -96,7 +78,7 @@ class ShardedDriver final : public io::BlockDriver {
   void unmount();
 
   /// Power failure across the whole array: halts every log and data disk
-  /// mid-command; gated acknowledgements never fire.
+  /// mid-command.
   void crash();
 
   // BlockDriver. Requests are split at extent boundaries and routed;
@@ -108,8 +90,6 @@ class ShardedDriver final : public io::BlockDriver {
   void drain(Completion cb) override;
 
   [[nodiscard]] bool mounted() const { return mounted_; }
-  /// The common epoch all shards mounted into.
-  [[nodiscard]] std::uint32_t epoch() const { return shards_[0]->epoch(); }
   [[nodiscard]] std::size_t shard_count() const { return shards_.size(); }
   [[nodiscard]] TrailDriver& shard(std::size_t k) { return *shards_.at(k); }
   [[nodiscard]] const TrailDriver& shard(std::size_t k) const { return *shards_.at(k); }
@@ -119,11 +99,6 @@ class ShardedDriver final : public io::BlockDriver {
   /// which spreads any access pattern, sequential scans of one device
   /// included, across all shards.
   [[nodiscard]] std::size_t shard_of(io::DeviceId dev, disk::Lba lba) const;
-
-  /// Largest W such that sequences 1..W are all durable on their shards.
-  [[nodiscard]] std::uint32_t committed_watermark() const { return watermark_; }
-  /// Acknowledgements currently held by the watermark gate.
-  [[nodiscard]] std::size_t gated_acks_pending() const { return gated_.size(); }
 
   [[nodiscard]] const ShardedRecoveryStats& last_recovery() const { return last_recovery_; }
 
@@ -138,11 +113,9 @@ class ShardedDriver final : public io::BlockDriver {
   [[nodiscard]] double routing_imbalance() const;
 
   /// Cross-layer audit: every shard's full TrailDriver audit plus the
-  /// array-level invariants — global record-key uniqueness across shards
-  /// ("sharded.sequence", with watermark/gate quiescence checks) and
-  /// buffered-sector-vs-routing ownership ("sharded.routing"). With
-  /// TRAIL_AUDIT defined it runs automatically at mount / drain /
-  /// unmount and throws on any error finding.
+  /// array-level buffered-sector-vs-routing ownership check
+  /// ("sharded.routing"). With TRAIL_AUDIT defined it runs automatically
+  /// at mount / drain / unmount and throws on any error finding.
   void run_audit(audit::Report& report, bool quiescent = false) const;
 
  private:
@@ -158,25 +131,14 @@ class ShardedDriver final : public io::BlockDriver {
   /// consecutive same-shard extents into one chunk per shard run.
   [[nodiscard]] std::vector<Chunk> route(io::DeviceId dev, disk::Lba lba,
                                          std::uint32_t count) const;
-  void on_shard_durable(std::size_t k, std::uint32_t first_seq, std::uint32_t last_seq);
   void note_routed(std::size_t k, std::uint32_t sectors);
   void quiesce_audit(const char* where) const;
 
   sim::Simulator& sim_;
   ShardedConfig config_;
   std::vector<std::unique_ptr<TrailDriver>> shards_;
-  std::vector<disk::DiskDevice*> data_disks_;
   bool mounted_ = false;
   bool crashed_ = false;
-
-  // Global sequencing + commit watermark (see file comment).
-  std::uint32_t next_seq_ = 1;
-  std::uint32_t watermark_ = 0;
-  std::vector<std::uint32_t> shard_durable_high_;  // latest durable seq per shard
-  std::set<std::uint32_t> durable_beyond_;         // durable seqs > watermark_
-  /// Held acknowledgements, keyed by the watermark value that releases
-  /// them; equal keys fire in insertion order (deterministic).
-  std::multimap<std::uint32_t, Completion> gated_;
 
   ShardedRecoveryStats last_recovery_;
   std::vector<std::uint64_t> routed_sectors_;
@@ -186,7 +148,6 @@ class ShardedDriver final : public io::BlockDriver {
   obs::Obs* obs_ = nullptr;
   obs::Gauge* g_imbalance_ = nullptr;
   obs::Counter* c_split_writes_ = nullptr;
-  obs::Counter* c_gated_acks_ = nullptr;
   std::vector<obs::Counter*> c_routed_;
 };
 

@@ -96,34 +96,49 @@ void TrackAllocator::release_record(disk::TrackId track) {
   if (it->second.live_records == 0 && track != tail_) live_.erase(it);
 }
 
-void TrackAllocator::adopt_live_track(disk::TrackId track, std::uint32_t used_sectors,
-                                      std::uint32_t records) {
-  if (is_reserved(track)) throw std::invalid_argument("adopt_live_track: reserved track");
+void TrackAllocator::adopt_record(disk::TrackId track, std::uint32_t first_sector,
+                                  std::uint32_t sectors) {
+  if (!usable_index_.contains(track)) throw std::invalid_argument("adopt_record: track not usable");
   const std::uint32_t spt = geometry_.spt_of_track(track);
-  TrackState st{std::vector<bool>(spt, false), 0, 0};
-  const std::uint32_t used = std::min(used_sectors, spt);
-  // Recovery only knows how many sectors carry live data, not the exact
-  // layout; conservatively mark a prefix (the track is never appended to
-  // again, so only the live-record count matters).
-  for (std::uint32_t i = 0; i < used; ++i) st.occupied[i] = true;
-  st.used = used;
-  st.live_records = records;
-  live_[track] = std::move(st);
+  if (first_sector + sectors > spt) throw std::out_of_range("adopt_record: beyond end of track");
+  TrackState& st =
+      live_.try_emplace(track, TrackState{std::vector<bool>(spt, false), 0, 0}).first->second;
+  for (std::uint32_t i = first_sector; i < first_sector + sectors; ++i) {
+    if (st.occupied[i]) throw std::logic_error("adopt_record: sector already occupied");
+    st.occupied[i] = true;
+  }
+  st.used += sectors;
+  ++st.live_records;
 }
 
-void TrackAllocator::set_tail_after(disk::TrackId track) { set_tail(next_usable(track)); }
+bool TrackAllocator::set_tail_after(disk::TrackId track) {
+  const disk::TrackId next = next_usable(track);
+  if (!live_.contains(next) || live_.at(next).live_records == 0) {
+    set_tail(next);
+    return true;
+  }
+  // Full ring: the tail stays on `track`, whose adopted records keep
+  // their live state.
+  move_tail(track);
+  return false;
+}
 
 void TrackAllocator::set_tail(disk::TrackId track) {
   if (!usable_index_.contains(track))
     throw std::invalid_argument("set_tail: track not usable");
   if (live_.contains(track) && live_.at(track).live_records > 0)
     throw std::logic_error("set_tail: track has live records");
+  live_.erase(track);  // settled leftover state, if any
+  move_tail(track);
+}
+
+void TrackAllocator::move_tail(disk::TrackId track) {
   // Drop the pristine initial tail state if unused.
   auto it = live_.find(tail_);
   if (it != live_.end() && it->second.used == 0 && it->second.live_records == 0) live_.erase(it);
-  live_.erase(track);  // settled leftover state, if any
   tail_ = track;
-  live_.emplace(tail_, TrackState{std::vector<bool>(geometry_.spt_of_track(tail_), false), 0, 0});
+  live_.try_emplace(tail_,
+                    TrackState{std::vector<bool>(geometry_.spt_of_track(tail_), false), 0, 0});
 }
 
 void TrackAllocator::audit(audit::Report& report) const {

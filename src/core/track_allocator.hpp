@@ -83,14 +83,18 @@ class TrackAllocator {
   /// bookkeeping, reserved/usable discipline, tail state. See DESIGN.md §9.
   void audit(audit::Report& report) const;
 
-  /// Restore a track's state from recovery: mark it live with the given
-  /// occupancy and record count (used when recovery re-adopts pending
-  /// records instead of writing them back).
-  void adopt_live_track(disk::TrackId track, std::uint32_t used_sectors, std::uint32_t records);
+  /// Restore one record's state from recovery: its `sectors` sectors
+  /// from `first_sector` on `track` (header and payload) are occupied and
+  /// the track carries one more live record (used when recovery re-adopts
+  /// pending records instead of writing them back).
+  void adopt_record(disk::TrackId track, std::uint32_t first_sector, std::uint32_t sectors);
 
-  /// Position the tail at the usable track following `track` (post-
-  /// recovery with live/pending records on `track`: continue after it).
-  void set_tail_after(disk::TrackId track);
+  /// Post-recovery resume after the youngest pending record, on `track`:
+  /// position the tail at the usable track following it, or, when that
+  /// track still carries live records (the ring is full), ON `track`,
+  /// keeping its live state. Returns false in the second case: the caller
+  /// stalls until a track is freed.
+  bool set_tail_after(disk::TrackId track);
 
   /// Position the tail exactly ON `track` (clean-mount resume: the
   /// track's previous contents are all settled, so appending over them is
@@ -115,6 +119,8 @@ class TrackAllocator {
 
   [[nodiscard]] disk::TrackId next_usable(disk::TrackId t) const;
   TrackState& state(disk::TrackId track);
+  /// Make `track` the tail, keeping any state it has.
+  void move_tail(disk::TrackId track);
 
   const disk::Geometry& geometry_;
   std::unordered_set<disk::TrackId> reserved_;

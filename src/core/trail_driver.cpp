@@ -168,23 +168,15 @@ void TrailDriver::mount() {
   run_sim_until([&] { return mounted; }, "mount");
 }
 
-/// One mount's state: the phase-3 stream and the finishing stages,
-/// continuation-passing from stage to stage.
-struct TrailDriver::MountFinishState {
-  MountPrep prep;
-  std::uint32_t epoch_floor = 0;
-  std::uint64_t cut_before = ~std::uint64_t{0};
+/// One mount's state, continuation-passing from stage to stage.
+struct TrailDriver::MountState {
   std::function<void()> done;
-  /// Per unit, the track its ring continues from: after it, or ON it.
-  /// nullopt: on the stamped resume_track.
-  struct Resume {
-    disk::TrackId track = 0;
-    bool after = true;
-  };
-  std::vector<std::optional<Resume>> resume;
-  std::vector<RecoveredRecord> kept;
-  std::vector<std::pair<std::uint8_t, disk::Lba>> cuts;  // headers to erase
-  std::size_t cut_idx = 0;
+  std::vector<LogDiskHeader> headers;  // one per log unit
+  std::size_t headers_left = 0;
+  bool bad_header = false;
+  bool crashed = false;         // some unit's header had crash_var != 1
+  std::uint32_t max_epoch = 0;  // newest epoch across header replicas
+  std::vector<RecoveredRecord> pending;  // ascending key order
   std::set<std::pair<io::DeviceId, disk::Lba>> written_back;  // claimed by phase 3
   std::size_t wb_outstanding = 0;  // phase-3 runs not yet on a platter
   bool wb_waiting = false;         // the walk is over; the mount waits for phase 3
@@ -196,41 +188,14 @@ struct TrailDriver::MountFinishState {
 };
 
 void TrailDriver::mount_async(std::function<void()> done) {
-  auto st = std::make_shared<MountFinishState>();
-  st->done = std::move(done);
-  // Nothing to cut, so phase 3 streams straight from the chain walk.
-  RecoveryManager::RecordSink on_record;
-  if (config_.recovery_write_back)
-    on_record = [this, st, alive = alive_](const RecoveredRecord& rec) {
-      if (*alive) mf_stream(st, rec);
-    };
-  begin_mount(std::move(on_record), [this, st](MountPrep prep) {
-    finish_mount(st, std::move(prep), 0, ~std::uint64_t{0});
-  });
-}
-
-void TrailDriver::mount_begin_async(std::function<void(MountPrep)> done) {
-  begin_mount({}, std::move(done));
-}
-
-void TrailDriver::begin_mount(RecoveryManager::RecordSink on_record,
-                              std::function<void(MountPrep)> done) {
   if (mounted_) throw std::logic_error("TrailDriver: already mounted");
   if (crashed_) throw std::logic_error("TrailDriver: driver instance crashed; build a new one");
   if (data_queues_.empty()) throw std::logic_error("TrailDriver: no data disks registered");
 
-  struct BeginState {
-    MountPrep prep;
-    std::size_t remaining = 0;
-    bool bad = false;
-    RecoveryManager::RecordSink on_record;
-    std::function<void(MountPrep)> done;
-  };
-  auto st = std::make_shared<BeginState>();
-  st->prep.headers.resize(units_.size());
-  st->remaining = units_.size();
-  st->on_record = std::move(on_record);
+  auto st = std::make_shared<MountState>();
   st->done = std::move(done);
+  st->headers.resize(units_.size());
+  st->headers_left = units_.size();
   // Every unit's header read goes out at once (independent spindles,
   // timed, through the normal command path).
   for (std::size_t u = 0; u < units_.size(); ++u) {
@@ -238,103 +203,50 @@ void TrailDriver::begin_mount(RecoveryManager::RecordSink on_record,
                      [this, st, u, alive = alive_](std::optional<LogDiskHeader> header) {
                        if (!*alive) return;
                        if (!header) {
-                         st->bad = true;
+                         st->bad_header = true;
                        } else {
-                         st->prep.headers[u] = *header;
-                         st->prep.crashed |= header->crash_var != 1;
-                         st->prep.max_epoch = std::max(st->prep.max_epoch, header->epoch);
+                         st->headers[u] = *header;
+                         st->crashed |= header->crash_var != 1;
+                         st->max_epoch = std::max(st->max_epoch, header->epoch);
                        }
-                       if (--st->remaining > 0) return;
-                       if (st->bad)
+                       if (--st->headers_left > 0) return;
+                       if (st->bad_header)
                          throw std::runtime_error(
                              "TrailDriver: no valid log disk header replica");
-                       finish_mount_begin(std::move(st->prep), std::move(st->on_record),
-                                          std::move(st->done));
+                       mf_recover(st);
                      });
   }
 }
 
-void TrailDriver::finish_mount_begin(MountPrep prep, RecoveryManager::RecordSink on_record,
-                                     std::function<void(MountPrep)> done) {
-  if (!prep.crashed) {
-    done(std::move(prep));
+void TrailDriver::mf_recover(std::shared_ptr<MountState> st) {
+  last_recovery_ = RecoveryStats{};
+  if (!st->crashed) {
+    mf_adopt(std::move(st));
     return;
   }
-  // The previous epoch did not unmount cleanly: locate + rebuild (§3.3).
-  // Without a sink, phase 3 waits for mount_finish_async, so a sharded
-  // mount can apply its cross-shard cut first.
+  // The previous epoch did not unmount cleanly: locate + rebuild (§3.3),
+  // with phase 3 streaming behind the walk.
   RecoveryManager::Options opts;
   opts.sequential_locate = config_.recovery_sequential_locate;
   opts.pipeline_depth = config_.recovery_pipeline_depth;
   // Units disagree after a crash mid-stamp: take the most lenient bound.
-  std::uint32_t oldest_pending = prep.max_epoch;
-  for (const LogDiskHeader& header : prep.headers)
+  std::uint32_t oldest_pending = st->max_epoch;
+  for (const LogDiskHeader& header : st->headers)
     oldest_pending = std::min(oldest_pending, oldest_pending_epoch(header));
+  RecoveryManager::RecordSink on_record;
+  if (config_.recovery_write_back)
+    on_record = [this, st, alive = alive_](const RecoveredRecord& rec) {
+      if (*alive) mf_stream(st, rec);
+    };
   recovery_ = std::make_unique<RecoveryManager>(sim_, log_devices());
   recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
-  auto shared_prep = std::make_shared<MountPrep>(std::move(prep));
-  recovery_->start(shared_prep->max_epoch, oldest_pending, opts, std::move(on_record),
-                   [shared_prep, done = std::move(done),
-                    alive = alive_](RecoveryManager::Outcome outcome) mutable {
+  recovery_->start(st->max_epoch, oldest_pending, opts, std::move(on_record),
+                   [this, st, alive = alive_](RecoveryManager::Outcome outcome) {
                      if (!*alive) return;
-                     shared_prep->stats = outcome.stats;
-                     shared_prep->pending = std::move(outcome.pending);
-                     done(std::move(*shared_prep));
+                     last_recovery_ = outcome.stats;
+                     st->pending = std::move(outcome.pending);
+                     mf_write_back(st);
                    });
-}
-
-void TrailDriver::mount_finish_async(MountPrep prep, std::uint32_t epoch_floor,
-                                     std::uint64_t cut_before, std::function<void()> done) {
-  auto st = std::make_shared<MountFinishState>();
-  st->done = std::move(done);
-  finish_mount(std::move(st), std::move(prep), epoch_floor, cut_before);
-}
-
-void TrailDriver::finish_mount(std::shared_ptr<MountFinishState> st, MountPrep prep,
-                               std::uint32_t epoch_floor, std::uint64_t cut_before) {
-  if (mounted_) throw std::logic_error("TrailDriver: already mounted");
-
-  st->prep = std::move(prep);
-  st->epoch_floor = epoch_floor;
-  st->cut_before = cut_before;
-  st->resume.resize(units_.size());
-  last_recovery_ = st->prep.stats;
-
-  // Partition on the consistency cut: records at or above cut_before
-  // are discarded. Their header sectors are erased so a future recovery
-  // cannot locate them as the youngest record and resurrect writes this
-  // mount decided never happened. Each unit's ring continues right after
-  // the youngest record the cut keeps, or ON the oldest cut track when
-  // the cut took all of the unit's pending records, so the new epoch
-  // stamps the erased tracks next and none of them is left inside the
-  // stamped arc (core::RingOrder).
-  for (RecoveredRecord& rec : st->prep.pending) {  // ascending key
-    auto& resume = st->resume[rec.log_unit];
-    if (record_key(rec.header) >= cut_before) {
-      ++last_recovery_.records_cut;
-      st->cuts.emplace_back(rec.log_unit, rec.header_lba);
-      if (!resume) resume = MountFinishState::Resume{rec.track, /*after=*/false};
-    } else {
-      resume = MountFinishState::Resume{rec.track, /*after=*/true};
-      st->kept.push_back(std::move(rec));
-    }
-  }
-  mf_erase_cut(std::move(st));
-}
-
-void TrailDriver::mf_erase_cut(std::shared_ptr<MountFinishState> st) {
-  if (st->cut_idx == st->cuts.size()) {
-    mf_write_back(std::move(st));
-    return;
-  }
-  const auto [u, header_lba] = st->cuts[st->cut_idx++];
-  LogUnit& unit = units_.at(u);
-  unit.scratch.fill(std::byte{0});
-  unit.device->write(header_lba, 1, unit.scratch,
-                     [this, st = std::move(st), alive = alive_]() mutable {
-                       if (!*alive) return;
-                       mf_erase_cut(std::move(st));
-                     });
 }
 
 // Recovery phase 3 (§3.3) under the write-back policy, one record at a
@@ -345,8 +257,7 @@ void TrailDriver::mf_erase_cut(std::shared_ptr<MountFinishState> st) {
 // finishes, so the runs go straight to the data-disk queues and need none
 // of the buffer manager's services. Direct-log records have no data-disk
 // home.
-void TrailDriver::mf_stream(const std::shared_ptr<MountFinishState>& st,
-                            const RecoveredRecord& rec) {
+void TrailDriver::mf_stream(const std::shared_ptr<MountState>& st, const RecoveredRecord& rec) {
   if (rec.header.entries[0].data_major == kDirectLogMajor) return;
   std::map<std::pair<io::DeviceId, disk::Lba>, const std::byte*> fresh;
   for (std::uint32_t i = rec.header.batch_size; i-- > 0;) {
@@ -387,16 +298,14 @@ void TrailDriver::mf_stream(const std::shared_ptr<MountFinishState>& st,
   }
 }
 
-/// The mount's wait for phase 3, re-entered by the last run to land. A
-/// sharded mount feeds the survivors of its cut here; the records a
-/// standalone mount's walk already streamed find every sector claimed.
-void TrailDriver::mf_write_back(std::shared_ptr<MountFinishState> st) {
+/// The mount's wait for phase 3 after the walk, re-entered by the last
+/// streamed run to land.
+void TrailDriver::mf_write_back(std::shared_ptr<MountState> st) {
   if (!st->wb_waiting) {
-    if (st->kept.empty() || !config_.recovery_write_back) {
+    if (st->pending.empty() || !config_.recovery_write_back) {
       mf_adopt(std::move(st));
       return;
     }
-    for (auto it = st->kept.rbegin(); it != st->kept.rend(); ++it) mf_stream(st, *it);
     last_recovery_.sectors_written_back = st->written_back.size();
     st->wb_start = sim_.now();
     st->wb_span.emplace(obs_ != nullptr ? &obs_->tracer : nullptr, "recovery.writeback",
@@ -409,16 +318,20 @@ void TrailDriver::mf_write_back(std::shared_ptr<MountFinishState> st) {
   mf_adopt(std::move(st));
 }
 
-void TrailDriver::mf_adopt(std::shared_ptr<MountFinishState> st) {
-  if (!st->kept.empty()) {
-    // Chain the global prev pointer after the youngest kept record.
-    const RecoveredRecord& youngest = st->kept.back();
+void TrailDriver::mf_adopt(std::shared_ptr<MountState> st) {
+  // Per unit, the track of its youngest pending record: the ring
+  // continues after it.
+  std::vector<std::optional<disk::TrackId>> resume(units_.size());
+  if (!st->pending.empty()) {
+    // Chain the prev pointer after the youngest pending record.
+    const RecoveredRecord& youngest = st->pending.back();
     last_record_ptr_ =
         encode_log_ptr(youngest.log_unit, static_cast<std::uint32_t>(youngest.header_lba));
     // Direct-log records are always adopted (the client replays from
     // them and later releases); block records follow the policy.
     std::vector<RecoveredRecord> adopt;
-    for (RecoveredRecord& rec : st->kept) {
+    for (RecoveredRecord& rec : st->pending) {
+      resume[rec.log_unit] = rec.track;
       const bool direct = rec.header.entries[0].data_major == kDirectLogMajor;
       if (direct) {
         recovered_direct_.push_back(rec);  // keep a copy for the client
@@ -431,23 +344,23 @@ void TrailDriver::mf_adopt(std::shared_ptr<MountFinishState> st) {
     if (st->adopted) adopt_recovered(std::move(adopt));
   }
 
-  epoch_ = std::max(st->prep.max_epoch, st->epoch_floor) + 1;
+  epoch_ = st->max_epoch + 1;
   next_seq_ = 1;
 
   // Position each unit's allocator tail so stamping continues around its
-  // ring (finish_mount chose where). A unit with no pending records
-  // resumes exactly ON the stored track — skipping ahead would leave a
-  // stale-keyed track between epochs and break core::RingOrder.
+  // ring. When the track after the youngest pending record is still
+  // pinned by adopted records, the ring is full: the tail stays on the
+  // youngest record's track and the unit starts the epoch in the log-full
+  // stall, retried once the heads are positioned. A unit with no pending
+  // records resumes exactly ON the stored track — skipping ahead would
+  // leave a stale-keyed track between epochs and break core::RingOrder.
   for (std::size_t u = 0; u < units_.size(); ++u) {
     LogUnit& unit = units_[u];
-    if (const auto& resume = st->resume[u]) {
-      if (resume->after)
-        unit.allocator->set_tail_after(resume->track);
-      else
-        unit.allocator->set_tail(resume->track);
-    } else if (!unit.allocator->is_reserved(st->prep.headers[u].resume_track) &&
-               st->prep.headers[u].resume_track < unit.device->geometry().track_count()) {
-      unit.allocator->set_tail(st->prep.headers[u].resume_track);
+    if (resume[u]) {
+      unit.full = !unit.allocator->set_tail_after(*resume[u]);
+    } else if (!unit.allocator->is_reserved(st->headers[u].resume_track) &&
+               st->headers[u].resume_track < unit.device->geometry().track_count()) {
+      unit.allocator->set_tail(st->headers[u].resume_track);
     }
   }
   mf_stamp(std::move(st));
@@ -455,7 +368,7 @@ void TrailDriver::mf_adopt(std::shared_ptr<MountFinishState> st) {
 
 // Stamp the new epoch as mounted on every unit: crash_var = 2 when this
 // mount adopted records of earlier epochs, else 0 (nothing older pending).
-void TrailDriver::mf_stamp(std::shared_ptr<MountFinishState> st) {
+void TrailDriver::mf_stamp(std::shared_ptr<MountState> st) {
   if (st->stamp_idx == units_.size()) {
     mf_position(std::move(st));
     return;
@@ -469,10 +382,11 @@ void TrailDriver::mf_stamp(std::shared_ptr<MountFinishState> st) {
                      });
 }
 
-void TrailDriver::mf_position(std::shared_ptr<MountFinishState> st) {
+void TrailDriver::mf_position(std::shared_ptr<MountState> st) {
   if (st->pos_idx == units_.size()) {
     mounted_ = true;
     arm_idle_timer();
+    retry_stalled_units();
 #if defined(TRAIL_AUDIT)
     quiesce_audit("mount");
 #endif
@@ -535,8 +449,7 @@ void TrailDriver::run_audit(audit::Report& report, bool quiescent) const {
   // equal the end-to-end histogram mass at every instant (phases are
   // buffered per-request and recorded atomically at finish), and no
   // finished request may have had stamps that fail to partition its
-  // life. Quiescent adds: no driver-owned context left open (externally
-  // owned ones may legitimately wait on another shard's watermark).
+  // life. Quiescent adds: no request context left open.
   if (req_tracker_ != nullptr) {
     audit::Check& attr = report.check("req.attribution");
     attr.require(req_tracker_->mismatches() == 0,
@@ -544,8 +457,8 @@ void TrailDriver::run_audit(audit::Report& report, bool quiescent) const {
     attr.require(req_tracker_->phase_ns_total() == req_tracker_->total_ns_total(),
                  "req.phase.* histogram mass != req.total_ns histogram mass");
     if (quiescent)
-      attr.require(req_tracker_->open_internal() == 0,
-                   "driver-owned request contexts still open at a quiesce point");
+      attr.require(req_tracker_->open_count() == 0,
+                   "request contexts still open at a quiesce point");
   }
 
   // Write-back accounting: every enqueued range is eventually either
@@ -690,17 +603,13 @@ void TrailDriver::adopt_recovered(std::vector<RecoveredRecord> records) {
   // state exactly as it was after their log writes completed, so the
   // normal write-back machinery drains them in the background (Fig. 4b's
   // "resume immediately after the second stage").
-  std::map<std::pair<std::uint8_t, disk::TrackId>, std::pair<std::uint32_t, std::uint32_t>>
-      per_track;  // (unit, track) -> (used, records)
   for (const RecoveredRecord& rec : records) {
-    auto& [used, nrecords] = per_track[{rec.log_unit, rec.track}];
-    used += 1 + rec.header.batch_size;
-    nrecords += 1;
-  }
-  for (const auto& [key, counts] : per_track)
-    units_.at(key.first).allocator->adopt_live_track(key.second, counts.first, counts.second);
-
-  for (const RecoveredRecord& rec : records) {
+    const LogUnit& unit = units_.at(rec.log_unit);
+    unit.allocator->adopt_record(
+        rec.track,
+        static_cast<std::uint32_t>(rec.header_lba -
+                                   unit.device->geometry().first_lba_of_track(rec.track)),
+        1 + rec.header.batch_size);
     const std::uint64_t key = record_key(rec.header);
     const bool direct = rec.header.entries[0].data_major == kDirectLogMajor;
     LiveRecord live{rec.log_unit, rec.header_lba, rec.track, direct, 0};
@@ -740,12 +649,6 @@ void TrailDriver::adopt_recovered(std::vector<RecoveredRecord> records) {
 
 void TrailDriver::submit_write(io::BlockAddr addr, std::uint32_t count,
                                std::span<const std::byte> data, Completion cb) {
-  submit_write_attributed(addr, count, data, std::move(cb), 0);
-}
-
-void TrailDriver::submit_write_attributed(io::BlockAddr addr, std::uint32_t count,
-                                          std::span<const std::byte> data, Completion cb,
-                                          std::uint64_t req_id) {
   if (crashed_) return;
   if (!mounted_) throw std::logic_error("TrailDriver: not mounted");
   if (count == 0) throw std::invalid_argument("TrailDriver: zero-sector write");
@@ -758,17 +661,7 @@ void TrailDriver::submit_write_attributed(io::BlockAddr addr, std::uint32_t coun
   req.data.assign(data.begin(), data.begin() + static_cast<std::ptrdiff_t>(count) * disk::kSectorSize);
   req.cb = std::move(cb);
   req.submitted = sim_.now();
-  if (req_tracker_ != nullptr) {
-    if (req_id != 0) {
-      // Array-owned context: charge everything since the array-level
-      // submit (routing, splitting) to the route phase at admission.
-      req.req_id = req_id;
-      req.req_external = true;
-      req_tracker_->stamp(req_id, obs::ReqPhase::kRoute, sim_.now());
-    } else {
-      req.req_id = req_tracker_->open(sim_.now(), count, /*direct=*/false, /*external=*/false);
-    }
-  }
+  if (req_tracker_ != nullptr) req.req_id = req_tracker_->open(sim_.now(), count, /*direct=*/false);
   pending_.push_back(std::move(req));
   note_log_queue_depth();
   service_log_queue();
@@ -789,7 +682,7 @@ void TrailDriver::append_direct(std::span<const std::byte> bytes, std::uint64_t 
   req.cb = std::move(cb);
   req.submitted = sim_.now();
   if (req_tracker_ != nullptr)
-    req.req_id = req_tracker_->open(sim_.now(), req.count, /*direct=*/true, /*external=*/false);
+    req.req_id = req_tracker_->open(sim_.now(), req.count, /*direct=*/true);
   pending_.push_back(std::move(req));
   note_log_queue_depth();
   service_log_queue();
@@ -815,11 +708,7 @@ void TrailDriver::release_direct_before(std::uint64_t cookie) {
     }
   }
   if (!any) return;
-  for (std::uint8_t u = 0; u < units_.size(); ++u) {
-    if (!units_[u].full) continue;
-    units_[u].full = false;
-    switch_track(u);
-  }
+  retry_stalled_units();
   if (!pending_.empty()) service_log_queue();
 }
 
@@ -968,11 +857,9 @@ bool TrailDriver::service_on_unit(std::uint8_t unit_id) {
 
   if (unit.inflight.empty()) return false;  // nothing serviceable right now
 
-  // Sequence ids are drawn only once the batch is final (so a discarded
-  // empty record never consumes one — essential when an external
-  // sequence_source hands out a shared global sequence). The build runs
-  // inside one simulator event, so the ids stay contiguous in chain order.
-  for (BuiltRecord& rec : unit.inflight) rec.header.sequence_id = next_sequence();
+  // Sequence ids are drawn only once the batch is final, so a discarded
+  // empty record never consumes one.
+  for (BuiltRecord& rec : unit.inflight) rec.header.sequence_id = next_seq_++;
 
   // ---- Serialize: [hdr][escaped payload]... contiguous from first_pos ----
   // The image is built in the driver-owned arena (no per-append heap
@@ -1077,7 +964,7 @@ void TrailDriver::on_physical_write_done(std::uint8_t unit_id, std::uint32_t las
         if (h_sync_write_ != nullptr) h_sync_write_->record(sim_.now() - r.submitted);
         if (req_tracker_ != nullptr && r.req_id != 0) {
           req_tracker_->stamp_service(r.req_id, unit.inflight_position, sim_.now());
-          if (!r.req_external) req_tracker_->finish(r.req_id, sim_.now());
+          req_tracker_->finish(r.req_id, sim_.now());
         }
         if (!r.direct) enqueue_writeback(r.addr.device, r.addr.lba, r.count);
         if (r.cb) acks.push_back(std::move(r.cb));
@@ -1088,14 +975,7 @@ void TrailDriver::on_physical_write_done(std::uint8_t unit_id, std::uint32_t las
   while (!pending_.empty() && pending_.front().logged == pending_.front().count)
     pending_.pop_front();
   note_log_queue_depth();
-  const std::uint32_t first_seq = unit.inflight.front().header.sequence_id;
-  const std::uint32_t last_seq = unit.inflight.back().header.sequence_id;
   unit.inflight.clear();
-
-  // Durability hook before the acks: a ShardedDriver advances its global
-  // commit watermark here, so any acknowledgement it gated on this write
-  // observes fully registered buffer state.
-  if (config_.on_records_durable) config_.on_records_durable(first_seq, last_seq);
 
   // Acknowledge the synchronous writes (this is the low-latency return of
   // §4.1; callbacks may immediately submit more writes).
@@ -1164,13 +1044,17 @@ void TrailDriver::on_record_durable(RecordId id) {
   const LiveRecord rec = it->second;
   live_records_.erase(it);
   units_.at(rec.unit).allocator->release_record(rec.track);
-  // A track may have been freed: retry any stalled unit's track switch.
+  retry_stalled_units();
+  if (!pending_.empty()) service_log_queue();
+}
+
+void TrailDriver::retry_stalled_units() {
+  if (!mounted_) return;
   for (std::uint8_t u = 0; u < units_.size(); ++u) {
     if (!units_[u].full) continue;
     units_[u].full = false;
     switch_track(u);
   }
-  if (!pending_.empty()) service_log_queue();
 }
 
 void TrailDriver::enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32_t count) {

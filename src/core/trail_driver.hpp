@@ -89,18 +89,6 @@ struct TrailConfig {
   /// search keeps one scan in flight at every depth. Every depth runs the
   /// same algorithm; 1 keeps one read in flight per unit.
   std::uint32_t recovery_pipeline_depth = 8;
-  /// External global-sequence source (sharding): when set, record
-  /// sequence ids come from this callback instead of the driver's own
-  /// per-epoch counter. Ids must be strictly increasing per driver; a
-  /// ShardedDriver hands out one monotonic sequence across all shards so
-  /// cross-shard recovery can rebuild a total order.
-  std::function<std::uint32_t()> sequence_source;
-  /// Durability hook (sharding): called after every physical log write,
-  /// once its records are adopted and registered but *before* the
-  /// client acknowledgements fire, with the first/last sequence id the
-  /// write carried. A ShardedDriver advances its global commit watermark
-  /// here.
-  std::function<void(std::uint32_t first_seq, std::uint32_t last_seq)> on_records_durable;
 };
 
 struct TrailStats {
@@ -181,40 +169,15 @@ class TrailDriver final : public io::BlockDriver {
   /// the simulator through mount_async until complete (the machine is
   /// booting).
   void mount();
-  /// The standalone mount, without stepping the simulator: `done` fires
-  /// from a device completion once mounted. Under recovery_write_back,
-  /// phase 3 streams behind the chain walk: each record goes to the data
-  /// disks the moment the walk keeps it, while the log disk is still
-  /// being read, and the mount then waits for the last of those writes.
+  /// The mount, without stepping the simulator: `done` fires from a
+  /// device completion once mounted, so a ShardedDriver can run every
+  /// shard's mount at once. Under recovery_write_back, phase 3 streams
+  /// behind the chain walk: each record goes to the data disks the moment
+  /// the walk keeps it, while the log disk is still being read, and the
+  /// mount then waits for the last of those writes. Otherwise the pending
+  /// records are adopted; when they fill a unit's ring, the unit starts
+  /// the epoch in the log-full stall.
   void mount_async(std::function<void()> done);
-
-  // ---- two-phase asynchronous mount (sharding) ----
-  // Neither half steps the simulator: `done` fires from a device
-  // completion when the half finishes. A ShardedDriver runs
-  // mount_begin_async on every shard first (locate + rebuild only),
-  // computes the global epoch floor and the cross-shard consistency cut
-  // from the combined outcomes, then finishes each shard under that cut.
-  // With overlapped mount it starts every shard's half at once, so all
-  // shards' recovery reads interleave on virtual time and array recovery
-  // cost approaches max-over-shards.
-  struct MountPrep {
-    bool crashed = false;          // some unit's header had crash_var != 1
-    std::uint32_t max_epoch = 0;   // newest epoch across header replicas
-    std::vector<LogDiskHeader> headers;     // one per log unit
-    std::vector<RecoveredRecord> pending;   // ascending key order
-    RecoveryStats stats;
-  };
-  /// Read the disk headers and, if the previous epoch crashed, locate and
-  /// rebuild the pending-record set (recovery phases 1–2).
-  void mount_begin_async(std::function<void(MountPrep)> done);
-  /// Complete the mount: discard pending records with key >= cut_before
-  /// (never adopted, never written back — their headers are erased so a
-  /// later recovery cannot resurrect them), write back (recovery phase 3)
-  /// or adopt the survivors per config, stamp epoch
-  /// max(prep.max_epoch, epoch_floor)+1 with crash_var = 0 (2 if it
-  /// adopted records), and position the heads.
-  void mount_finish_async(MountPrep prep, std::uint32_t epoch_floor, std::uint64_t cut_before,
-                          std::function<void()> done);
 
   /// Clean shutdown: drain every pending write-back, then stamp
   /// crash_var = 1. Drives the simulator until complete.
@@ -251,17 +214,8 @@ class TrailDriver final : public io::BlockDriver {
   // BlockDriver interface.
   void submit_write(io::BlockAddr addr, std::uint32_t count, std::span<const std::byte> data,
                     Completion cb) override;
-  /// Sharding variant of submit_write: the array already opened request
-  /// context `req_id` on this shard's ReqTracker (and owns its finish —
-  /// the gate phase is stamped after the global watermark releases the
-  /// ack). req_id 0 == plain submit_write (the driver opens and finishes
-  /// its own context).
-  void submit_write_attributed(io::BlockAddr addr, std::uint32_t count,
-                               std::span<const std::byte> data, Completion cb,
-                               std::uint64_t req_id);
   /// This driver's request tracker (null until attach_obs with
-  /// request_attribution). The ShardedDriver opens/finishes per-chunk
-  /// contexts through it.
+  /// request_attribution).
   [[nodiscard]] obs::ReqTracker* req_tracker() { return req_tracker_.get(); }
   void submit_read(io::BlockAddr addr, std::uint32_t count, std::span<std::byte> out,
                    Completion cb) override;
@@ -281,16 +235,6 @@ class TrailDriver final : public io::BlockDriver {
 
   /// Pending synchronous writes not yet on a log disk (queue depth).
   [[nodiscard]] std::size_t log_queue_depth() const { return pending_.size(); }
-
-  /// Keys (record_key) of all live records, ascending. Audit/test use:
-  /// the ShardedDriver's cross-shard sequence-monotonicity check needs
-  /// every shard's live set.
-  [[nodiscard]] std::vector<std::uint64_t> live_record_keys() const {
-    std::vector<std::uint64_t> keys;
-    keys.reserve(live_records_.size());
-    for (const auto& [key, rec] : live_records_) keys.push_back(key);
-    return keys;
-  }
 
   /// Times the serialization arena had to grow (tests pin the zero-
   /// allocation-per-append property: after warm-up this stops moving).
@@ -319,7 +263,6 @@ class TrailDriver final : public io::BlockDriver {
     std::uint64_t cookie = 0;     // direct: byte offset in the client log
     sim::TimePoint submitted{};   // arrival time (sync-latency histogram)
     std::uint64_t req_id = 0;     // attribution context (0 = untracked)
-    bool req_external = false;    // context finished by the array, not us
   };
   struct LiveRecord {
     std::uint8_t unit = 0;
@@ -382,13 +325,14 @@ class TrailDriver final : public io::BlockDriver {
   };
 
   [[nodiscard]] LogUnit* pick_idle_unit();
-  [[nodiscard]] std::uint32_t next_sequence() {
-    return config_.sequence_source ? config_.sequence_source() : next_seq_++;
-  }
   void service_log_queue();
   bool service_on_unit(std::uint8_t unit_id);
   void on_physical_write_done(std::uint8_t unit_id, std::uint32_t last_sector);
   void switch_track(std::uint8_t unit_id);
+  /// A track may have been freed: retry every stalled unit's track
+  /// switch. Not before the mount has positioned the heads, since the
+  /// switch aims from the head predictor's reference.
+  void retry_stalled_units();
   void on_record_durable(RecordId id);
   void enqueue_writeback(io::DeviceId dev, disk::Lba lba, std::uint32_t count);
   void arm_idle_timer();
@@ -402,27 +346,19 @@ class TrailDriver final : public io::BlockDriver {
     return devices;
   }
   void run_sim_until(const std::function<bool()>& done, const char* what);
-  struct MountFinishState;
-  /// Read the disk headers, then finish_mount_begin. `on_record`, when
-  /// set, receives each pending record as the chain walk keeps it.
-  void begin_mount(RecoveryManager::RecordSink on_record, std::function<void(MountPrep)> done);
-  /// begin_mount tail: run recovery (phases 1–2) when a crash was
-  /// detected, then hand the finished prep to `done`.
-  void finish_mount_begin(MountPrep prep, RecoveryManager::RecordSink on_record,
-                          std::function<void(MountPrep)> done);
-  /// The finishing stages, continuation-passing over one shared state
-  /// block: cut -> erase cut headers -> wait for phase 3 -> adopt ->
-  /// stamp epoch headers -> position heads -> done.
-  void finish_mount(std::shared_ptr<MountFinishState> st, MountPrep prep,
-                    std::uint32_t epoch_floor, std::uint64_t cut_before);
-  void mf_erase_cut(std::shared_ptr<MountFinishState> st);
+  /// The mount's stages, continuation-passing over one shared state
+  /// block: read headers -> recover (phases 1-2, phase 3 streaming
+  /// behind the walk) -> wait for phase 3 -> adopt -> stamp epoch
+  /// headers -> position heads -> done.
+  struct MountState;
+  void mf_recover(std::shared_ptr<MountState> st);
   /// Phase 3's stream: write back the sectors of `rec` that no younger
   /// record claimed.
-  void mf_stream(const std::shared_ptr<MountFinishState>& st, const RecoveredRecord& rec);
-  void mf_write_back(std::shared_ptr<MountFinishState> st);
-  void mf_adopt(std::shared_ptr<MountFinishState> st);
-  void mf_stamp(std::shared_ptr<MountFinishState> st);
-  void mf_position(std::shared_ptr<MountFinishState> st);
+  void mf_stream(const std::shared_ptr<MountState>& st, const RecoveredRecord& rec);
+  void mf_write_back(std::shared_ptr<MountState> st);
+  void mf_adopt(std::shared_ptr<MountState> st);
+  void mf_stamp(std::shared_ptr<MountState> st);
+  void mf_position(std::shared_ptr<MountState> st);
   /// No synchronous write, physical log write, pinned record or data-disk
   /// command is outstanding (drain() and unmount() wait for this).
   [[nodiscard]] bool quiescent() const;

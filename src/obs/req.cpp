@@ -10,16 +10,12 @@ namespace trail::obs {
 
 const char* req_phase_name(ReqPhase phase) {
   switch (phase) {
-    case ReqPhase::kRoute:
-      return "route";
     case ReqPhase::kQueue:
       return "queue";
     case ReqPhase::kPosition:
       return "position";
     case ReqPhase::kTransfer:
       return "transfer";
-    case ReqPhase::kWatermarkGate:
-      return "watermark_gate";
   }
   return "?";
 }
@@ -161,7 +157,6 @@ std::string FlightRecorder::dump_tail(std::size_t n) const {
     out += " sectors=" + std::to_string(r.sectors);
     out += " flags=";
     out += (r.flags & FlightRecord::kFlagDirect) != 0 ? 'D' : '-';
-    out += (r.flags & FlightRecord::kFlagGated) != 0 ? 'G' : '-';
     out += (r.flags & FlightRecord::kFlagRecovered) != 0 ? 'R' : '-';
     out += " submit=" + std::to_string(r.submit_ns);
     out += " total=" + std::to_string(r.total_ns);
@@ -190,17 +185,14 @@ ReqTracker::ReqTracker(Obs& obs, Options options)
   c_mismatch_ = &obs.metrics.counter(p + "req.mismatch");
 }
 
-std::uint64_t ReqTracker::open(sim::TimePoint submit, std::uint32_t sectors, bool direct,
-                               bool external) {
+std::uint64_t ReqTracker::open(sim::TimePoint submit, std::uint32_t sectors, bool direct) {
   const std::uint64_t id = next_id_++;
   Ctx ctx;
   ctx.submit = submit;
   ctx.last = submit;
   ctx.sectors = sectors;
   ctx.flags = direct ? FlightRecord::kFlagDirect : std::uint8_t{0};
-  ctx.external = external;
   open_.emplace(id, ctx);
-  if (!external) ++open_internal_;
   return id;
 }
 
@@ -256,21 +248,17 @@ void ReqTracker::finish(std::uint64_t id, sim::TimePoint now) {
   r.shard = shard_;
   r.sectors = ctx.sectors;
   r.flags = ctx.flags;
-  if (ctx.phase_ns[static_cast<std::size_t>(ReqPhase::kWatermarkGate)] > 0)
-    r.flags |= FlightRecord::kFlagGated;
   r.submit_ns = ctx.submit.ns();
   r.total_ns = total;
   std::copy(std::begin(ctx.phase_ns), std::end(ctx.phase_ns), std::begin(r.phase_ns));
   flight_->push(r);
 
-  if (!ctx.external) --open_internal_;
   open_.erase(it);
   ++finished_;
 }
 
 void ReqTracker::abandon_all() {
   open_.clear();
-  open_internal_ = 0;
 }
 
 std::int64_t ReqTracker::phase_ns_total() const {

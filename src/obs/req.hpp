@@ -12,18 +12,13 @@
 // life exactly, in integer simulated nanoseconds.
 //
 // Phase model (consecutive intervals; every boundary is a stamp):
-//   route          array submit -> shard admission (ShardedDriver only)
-//   queue          admission -> dispatch of the physical log write that
-//                  carries the request's last sector
-//   position       the head-positioning share of that write's service
-//                  span, estimated from published drive characteristics
-//                  (δ + rotational wait to the landing sector) — the
-//                  same model the predictor itself runs on, never the
-//                  device internals
-//   transfer       the rest of the service span (media transfer)
-//   watermark_gate shard ack -> global-commit-watermark release
-//                  (ShardedDriver only; zero when the watermark already
-//                  covers the write)
+//   queue     admission -> dispatch of the physical log write that
+//             carries the request's last sector
+//   position  the head-positioning share of that write's service span,
+//             estimated from published drive characteristics (δ +
+//             rotational wait to the landing sector) — the same model the
+//             predictor itself runs on, never the device internals
+//   transfer  the rest of the service span (media transfer)
 //
 // On top of the tracker rides a post-mortem surface: an always-on
 // FlightRecorder — a bounded ring of compact per-request summaries,
@@ -47,23 +42,20 @@ namespace trail::obs {
 struct Obs;
 
 enum class ReqPhase : std::uint8_t {
-  kRoute = 0,
-  kQueue = 1,
-  kPosition = 2,
-  kTransfer = 3,
-  kWatermarkGate = 4,
+  kQueue = 0,
+  kPosition = 1,
+  kTransfer = 2,
 };
-inline constexpr std::size_t kReqPhaseCount = 5;
+inline constexpr std::size_t kReqPhaseCount = 3;
 
-/// Short phase name ("route", "queue", ...) used in metric names, trace
+/// Short phase name ("queue", "position", "transfer") used in metric names, trace
 /// instants and flight-record dumps.
 [[nodiscard]] const char* req_phase_name(ReqPhase phase);
 
 /// One finished request, as retained by the FlightRecorder.
 struct FlightRecord {
   static constexpr std::uint8_t kFlagDirect = 1 << 0;     // direct-log append
-  static constexpr std::uint8_t kFlagGated = 1 << 1;      // watermark gate > 0
-  static constexpr std::uint8_t kFlagRecovered = 1 << 3;  // rebuilt by recovery
+  static constexpr std::uint8_t kFlagRecovered = 1 << 1;  // rebuilt by recovery
 
   std::uint64_t id = 0;
   std::uint32_t shard = 0;
@@ -157,12 +149,8 @@ class ReqTracker {
 
   ReqTracker(Obs& obs, Options options);
 
-  /// Open a context at submit time. `external` marks contexts owned by
-  /// an enclosing array (a ShardedDriver), which stamps the gate phase
-  /// and finishes them after the watermark release; the driver finishes
-  /// its own (internal) contexts at the ack.
-  [[nodiscard]] std::uint64_t open(sim::TimePoint submit, std::uint32_t sectors, bool direct,
-                                   bool external);
+  /// Open a context at submit time; the driver finishes it at the ack.
+  [[nodiscard]] std::uint64_t open(sim::TimePoint submit, std::uint32_t sectors, bool direct);
 
   /// Attribute [last stamp, now) to `phase`. Unknown ids are ignored
   /// (a crash abandons contexts while completions may still fire).
@@ -184,9 +172,6 @@ class ReqTracker {
   void abandon_all();
 
   [[nodiscard]] std::size_t open_count() const { return open_.size(); }
-  /// Open contexts owned by this driver (excludes external ones still
-  /// held by the array's watermark gate).
-  [[nodiscard]] std::size_t open_internal() const { return open_internal_; }
   [[nodiscard]] std::uint64_t finished() const { return finished_; }
   [[nodiscard]] std::uint64_t mismatches() const { return mismatches_; }
 
@@ -202,7 +187,6 @@ class ReqTracker {
     std::uint8_t stamped_mask = 0;  // phases stamped at least once
     std::uint32_t sectors = 0;
     std::uint8_t flags = 0;
-    bool external = false;
   };
 
   static void apply(Ctx& ctx, ReqPhase phase, std::int64_t ns);
@@ -212,7 +196,6 @@ class ReqTracker {
 
   std::uint64_t next_id_ = 1;
   std::map<std::uint64_t, Ctx> open_;
-  std::size_t open_internal_ = 0;
   std::uint64_t finished_ = 0;
   std::uint64_t mismatches_ = 0;
 

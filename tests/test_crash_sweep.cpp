@@ -13,8 +13,10 @@
 // track_utilization_threshold = 0, which wraps its ring within the sweep.
 //
 // A mount that throws ends its case. The throws are tallied per message
-// as test properties (run with --gtest_output=xml:<file> to read them):
-// they are the sweep's known failure classes, not its verdict.
+// as test properties (run with --gtest_output=xml:<file> to read them).
+// Only the chain walk's three messages are a known failure class (a walk
+// that steps onto a torn tail's reused track); any other throw fails the
+// sweep.
 //
 // ctest runs every 10th p1 value. TRAIL_CRASH_SWEEP=full runs them all:
 // p1 = 30..1490 step 11 and p2 in {150, 400, 900, 2000}, 532 cases per
@@ -27,6 +29,7 @@
 #include <functional>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -48,6 +51,12 @@ using audit::AckedOracle;
 constexpr int kWriters = 6;
 constexpr disk::Lba kSpan = 1402;  // LBAs below 1400, 2-sector writes
 constexpr int kP2[] = {150, 400, 900, 2000};
+/// The chain walk's throws (core::ChainWalk verdicts in recovery.cpp).
+const std::set<std::string> kChainWalkThrows = {
+    "recovery: prev_sect chain reached an invalid record header",
+    "recovery: record keys not decreasing along chain",
+    "recovery: torn record below an intact one",
+};
 
 struct SweepConfig {
   std::size_t shards;  // 1: a plain TrailDriver; else a ShardedDriver
@@ -257,6 +266,9 @@ TEST_P(CrashSweep, AckedSectorsSurviveTwoCutsAndTheRingStaysOrdered) {
     RecordProperty(property_key(message), count);
   std::string failures;
   for (const std::string& f : tally.failures) failures += "\n  " + f;
+  for (const auto& [message, count] : tally.mount_throws)
+    EXPECT_TRUE(kChainWalkThrows.contains(message))
+        << count << " mounts threw \"" << message << "\"";
   EXPECT_EQ(tally.ring_broken, 0) << "cases whose log images break the track ring" << failures;
   EXPECT_EQ(tally.lost, 0u) << "acked sectors lost" << failures;
   EXPECT_EQ(tally.stale, 0u) << "acked sectors read back stale" << failures;

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <map>
 #include <optional>
@@ -413,13 +414,49 @@ TEST_F(RecoveryTest, SplitRequestSupersededMidFlight) {
   EXPECT_EQ(std::memcmp(tail.data(), big.data() + 20 * kSectorSize, kSectorSize), 0);
 }
 
+/// A ring full of adopted records mounts. With the data disks halted,
+/// threshold 0 and one request per physical write, every write stamps
+/// one record on its own track until all 77 usable tracks of
+/// small_test_disk are pinned: 77 of 120 writes ack. The adopting remount
+/// finds the track after the youngest record still pinned, so the log
+/// starts the new epoch in the log-full stall, and takes a new write once
+/// write-back frees a track.
+TEST_F(RecoveryTest, FullRingMountsAndResumesOnceWriteBackFreesATrack) {
+  TrailConfig cfg;
+  cfg.track_utilization_threshold = 0.0;
+  cfg.max_requests_per_physical = 1;
+  start(cfg);
+  for (auto& d : data_disks) d->crash_halt();
+  int acked = 0;
+  for (int i = 0; i < 120; ++i) {
+    const io::BlockAddr addr{devices[static_cast<std::size_t>(i) % 2],
+                             static_cast<disk::Lba>(i * 3)};
+    auto data = std::make_shared<std::vector<std::byte>>(
+        make_pattern(1, 7000 + static_cast<std::uint64_t>(i)));
+    driver->submit_write(addr, 1, *data, [this, &acked, addr, data] {
+      ++acked;
+      expected_[{addr.device.index(), addr.lba}] = *data;
+    });
+  }
+  sim.run_until(sim.now() + sim::seconds(5));
+  ASSERT_EQ(acked, 77);
+  EXPECT_EQ(driver->stats().log_full_stalls, 1u);
+
+  cfg.recovery_write_back = false;
+  crash_and_remount(cfg);
+  EXPECT_EQ(driver->last_recovery().records_found, 77u);
+  write_sync({devices[0], 1000}, make_pattern(2, 424242));
+  settle();
+  verify_all_acknowledged_durable();
+  verify_expected_on_data_disks();
+}
+
 // ---------------------------------------------------------------------------
 // Recovery equivalence: the depth knob is a pure performance lever. Every
 // depth runs one algorithm, so instead of comparing depths against each
 // other alone, each run is held to references that share no code with
 // recovery: the live chain read off the crashed image by the offline
 // verifier, and a shadow of the last acknowledged pattern per address.
-// Every scenario also runs through both phase-3 feeds, which must agree.
 // ---------------------------------------------------------------------------
 
 /// Full snapshot of a platter, with unwritten sectors distinguished from
@@ -490,21 +527,47 @@ struct EquivOutcome {
   std::vector<DiskSnapshot> data_images;
 };
 
-/// How the remount feeds recovery phase 3.
-enum class Feed {
-  kAfterWalk,  // the two mount halves, as a sharded mount runs them
-  kStreamed,   // the standalone mount: behind the chain walk
-};
+/// The pending set RecoveryManager reads off the crashed log disks at
+/// `depth`: recovery only reads the log, so it runs before the remount.
+std::set<std::uint64_t> recovered_keys(sim::Simulator& sim, std::vector<disk::DiskDevice*> logs,
+                                       std::uint32_t depth) {
+  std::uint32_t max_epoch = 0;
+  std::uint32_t oldest_pending = ~std::uint32_t{0};
+  for (disk::DiskDevice* log : logs) {
+    bool read = false;
+    core::read_disk_header(*log, [&](std::optional<core::LogDiskHeader> header) {
+      if (!header) throw std::runtime_error("no valid log disk header replica");
+      max_epoch = std::max(max_epoch, header->epoch);
+      oldest_pending = std::min(oldest_pending, core::oldest_pending_epoch(*header));
+      read = true;
+    });
+    while (!read)
+      if (!sim.step()) throw std::runtime_error("header read stalled");
+  }
+  core::RecoveryManager recovery(sim, std::move(logs));
+  core::RecoveryManager::Options opts;
+  opts.pipeline_depth = depth;
+  std::set<std::uint64_t> keys;
+  bool done = false;
+  recovery.start(max_epoch, oldest_pending, opts, {},
+                 [&](core::RecoveryManager::Outcome outcome) {
+                   for (const core::RecoveredRecord& rec : outcome.pending)
+                     keys.insert(core::record_key(rec.header));
+                   done = true;
+                 });
+  while (!done)
+    if (!sim.step()) throw std::runtime_error("recovery stalled");
+  return keys;
+}
 
 /// Deterministic workload -> crash -> remount at `depth` over
 /// `log_disk_count` log disks; everything up to the remount is identical
 /// across calls. Checks the run against the references and returns the
-/// outcome for cross-depth and cross-feed comparison.
+/// outcome for cross-depth comparison.
 EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
-                                      std::size_t log_disk_count, Feed feed) {
+                                      std::size_t log_disk_count = 1) {
   SCOPED_TRACE("depth " + std::to_string(depth) + ", " + std::to_string(log_disk_count) +
-               " log disk(s), write_back " + std::to_string(write_back) +
-               (feed == Feed::kStreamed ? ", streamed" : ", after the walk"));
+               " log disk(s), write_back " + std::to_string(write_back));
   sim::Simulator sim;
   const disk::DiskProfile profile = disk::small_test_disk();
   std::vector<std::unique_ptr<disk::DiskDevice>> log_disks;
@@ -560,31 +623,14 @@ EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
 
   for (auto& d : log_disks) d->restart();
   for (auto& d : data_disks) d->restart();
+  EXPECT_EQ(recovered_keys(sim, log_ptrs, depth), ref.keys);
   core::TrailConfig rcfg;
   rcfg.recovery_pipeline_depth = depth;
   rcfg.recovery_write_back = write_back;
   driver = std::make_unique<core::TrailDriver>(sim, log_ptrs, rcfg);
   devices.clear();
   for (auto& d : data_disks) devices.push_back(driver->add_data_disk(*d));
-  bool mounted = false;
-  if (feed == Feed::kStreamed) {
-    driver->mount_async([&] { mounted = true; });
-  } else {
-    // The two halves, which also show the recovered set in between.
-    bool begun = false;
-    core::TrailDriver::MountPrep prep;
-    driver->mount_begin_async([&](core::TrailDriver::MountPrep p) {
-      prep = std::move(p);
-      begun = true;
-    });
-    pump(begun);
-    std::set<std::uint64_t> live_keys;
-    for (const core::RecoveredRecord& rec : prep.pending)
-      live_keys.insert(core::record_key(rec.header));
-    EXPECT_EQ(live_keys, ref.keys);
-    driver->mount_finish_async(std::move(prep), 0, ~std::uint64_t{0}, [&] { mounted = true; });
-  }
-  pump(mounted);
+  driver->mount();
   EquivOutcome out;
   out.stats = driver->last_recovery();
   EXPECT_EQ(out.stats.records_found, ref.keys.size());
@@ -620,31 +666,9 @@ EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
 void expect_same_outcome(const EquivOutcome& a, const EquivOutcome& b) {
   EXPECT_EQ(a.stats.records_found, b.stats.records_found);
   EXPECT_EQ(a.stats.records_dropped_torn, b.stats.records_dropped_torn);
-  EXPECT_EQ(a.stats.oldest_torn_key, b.stats.oldest_torn_key);
   EXPECT_EQ(a.stats.sectors_written_back, b.stats.sectors_written_back);
   EXPECT_EQ(a.log_images, b.log_images) << "log images diverged";
   EXPECT_EQ(a.data_images, b.data_images) << "data images diverged";
-}
-
-/// The scenario through both phase-3 feeds: they write the same images
-/// with the same stats, except the mount's wait for phase 3. Returns the
-/// after-the-walk outcome for cross-depth comparison.
-EquivOutcome run_equivalence_scenario(std::uint32_t depth, bool write_back,
-                                      std::size_t log_disk_count = 1) {
-  const EquivOutcome after =
-      run_equivalence_scenario(depth, write_back, log_disk_count, Feed::kAfterWalk);
-  const EquivOutcome streamed =
-      run_equivalence_scenario(depth, write_back, log_disk_count, Feed::kStreamed);
-  SCOPED_TRACE("feeds at depth " + std::to_string(depth) + ", " +
-               std::to_string(log_disk_count) + " log disk(s), write_back " +
-               std::to_string(write_back));
-  expect_same_outcome(after, streamed);
-  EXPECT_EQ(after.stats.locate_time.ns(), streamed.stats.locate_time.ns());
-  EXPECT_EQ(after.stats.tracks_scanned, streamed.stats.tracks_scanned);
-  EXPECT_EQ(after.stats.sequential_fallback, streamed.stats.sequential_fallback);
-  EXPECT_EQ(after.stats.rebuild_time.ns(), streamed.stats.rebuild_time.ns());
-  EXPECT_EQ(after.stats.records_cut, streamed.stats.records_cut);
-  return after;
 }
 
 TEST(RecoveryEquivalence, PipelinedRebuildAndWritebackMatchSerial) {

@@ -40,7 +40,7 @@ TEST(ReqTracker, PhasesPartitionTheRequestExactly) {
   TrackerRig rig;
   ReqTracker tracker(rig.obs, {});
   const sim::TimePoint t0 = rig.sim.now();
-  const std::uint64_t id = tracker.open(t0, 4, /*direct=*/false, /*external=*/false);
+  const std::uint64_t id = tracker.open(t0, 4, /*direct=*/false);
   tracker.stamp(id, ReqPhase::kQueue, t0 + sim::micros(100));
   // Service span of 300 us with a 120 us positioning estimate: position
   // gets the estimate, transfer the remainder.
@@ -65,7 +65,7 @@ TEST(ReqTracker, PositionEstimateClampedIntoServiceInterval) {
   TrackerRig rig;
   ReqTracker tracker(rig.obs, {});
   const sim::TimePoint t0 = rig.sim.now();
-  const std::uint64_t id = tracker.open(t0, 1, false, false);
+  const std::uint64_t id = tracker.open(t0, 1, false);
   // Estimate exceeds the actual service span: everything becomes
   // position, transfer zero — the partition must stay exact regardless.
   tracker.stamp_service(id, sim::micros(999), t0 + sim::micros(50));
@@ -80,7 +80,7 @@ TEST(ReqTracker, UnstampedTimeCountsAsMismatch) {
   TrackerRig rig;
   ReqTracker tracker(rig.obs, {});
   const sim::TimePoint t0 = rig.sim.now();
-  const std::uint64_t id = tracker.open(t0, 1, false, false);
+  const std::uint64_t id = tracker.open(t0, 1, false);
   // finish() an interval no stamp ever covered: the phases cannot sum
   // to the end-to-end latency.
   tracker.finish(id, t0 + sim::micros(10));
@@ -91,13 +91,11 @@ TEST(ReqTracker, UnstampedTimeCountsAsMismatch) {
 TEST(ReqTracker, AbandonAllDropsOpenContextsWithoutMismatch) {
   TrackerRig rig;
   ReqTracker tracker(rig.obs, {});
-  (void)tracker.open(rig.sim.now(), 1, false, false);
-  (void)tracker.open(rig.sim.now(), 2, false, true);
+  (void)tracker.open(rig.sim.now(), 1, false);
+  (void)tracker.open(rig.sim.now(), 2, true);
   EXPECT_EQ(tracker.open_count(), 2u);
-  EXPECT_EQ(tracker.open_internal(), 1u);
   tracker.abandon_all();
   EXPECT_EQ(tracker.open_count(), 0u);
-  EXPECT_EQ(tracker.open_internal(), 0u);
   EXPECT_EQ(tracker.mismatches(), 0u);
 }
 
@@ -110,13 +108,13 @@ FlightRecord sample_record(std::uint64_t i) {
   r.id = i + 1;
   r.shard = static_cast<std::uint32_t>(i % 3);
   r.sectors = static_cast<std::uint32_t>(1 + i % 7);
-  r.flags = i % 4 == 0 ? FlightRecord::kFlagGated : std::uint8_t{0};
+  r.flags = i % 4 == 0 ? FlightRecord::kFlagDirect : std::uint8_t{0};
   r.submit_ns = static_cast<std::int64_t>(i) * 2'083'333;
   r.total_ns = 2'000'000 + static_cast<std::int64_t>(i % 5) * 111;
-  r.phase_ns[static_cast<std::size_t>(ReqPhase::kQueue)] = static_cast<std::int64_t>(i % 2) * 7;
+  const auto queue = static_cast<std::int64_t>(i % 2) * 7;
+  r.phase_ns[static_cast<std::size_t>(ReqPhase::kQueue)] = queue;
   r.phase_ns[static_cast<std::size_t>(ReqPhase::kPosition)] = 833'333;
-  r.phase_ns[static_cast<std::size_t>(ReqPhase::kTransfer)] =
-      r.total_ns - r.phase_ns[1] - 833'333;
+  r.phase_ns[static_cast<std::size_t>(ReqPhase::kTransfer)] = r.total_ns - queue - 833'333;
   return r;
 }
 
@@ -215,7 +213,7 @@ TEST_F(ReqTraceDriverTest, PhaseSumsEqualEndToEndAtQuiesce) {
   // Histogram view of the same invariant: the phase histograms sum to
   // the end-to-end histogram, in integer nanoseconds.
   std::int64_t phase_sum = 0;
-  for (const char* phase : {"route", "queue", "position", "transfer", "watermark_gate"})
+  for (const char* phase : {"queue", "position", "transfer"})
     phase_sum += obs.metrics.histogram(std::string("req.phase.") + phase).sum();
   EXPECT_EQ(phase_sum, obs.metrics.histogram("req.total_ns").sum());
   EXPECT_GT(obs.metrics.histogram("req.total_ns").count(), 0u);
@@ -246,7 +244,7 @@ TEST_F(ReqTraceDriverTest, AuditPassesMidFlightToo) {
 }
 
 // ---------------------------------------------------------------------------
-// Sharded integration: route + watermark_gate phases, per-shard scopes
+// Sharded integration: per-shard scopes
 // ---------------------------------------------------------------------------
 
 struct ShardedReqRig {
@@ -272,7 +270,7 @@ struct ShardedReqRig {
   }
 
   /// Seeded async burst across many extents (so every shard sees
-  /// traffic and some acks gate on the watermark), then full drain.
+  /// traffic), then full drain.
   void run_burst(std::uint64_t seed, int writes) {
     sim::Rng rng(seed);
     int acked = 0;
@@ -306,16 +304,14 @@ TEST(ShardedReqTrace, FourShardPhaseSumsAuditedAtQuiesce) {
     finished += tracker->finished();
   }
   EXPECT_GE(finished, 80u);  // splits open one context per chunk
-  // Array-routed requests carry the route phase; watermark gating must
-  // have delayed at least one ack into the gate histogram.
-  std::uint64_t gate_count = 0, route_count = 0;
-  for (std::size_t k = 0; k < 4; ++k) {
-    const std::string p = "shard." + std::to_string(k) + ".";
-    gate_count += rig.obs.metrics.histogram(p + "req.phase.watermark_gate").count();
-    route_count += rig.obs.metrics.histogram(p + "req.phase.route").count();
-  }
-  EXPECT_EQ(route_count, finished);
-  EXPECT_GT(gate_count, 0u);
+  // Each chunk is a shard's own request: its queue phase ends at the
+  // dispatch of the physical write carrying its last sector.
+  std::uint64_t queue_count = 0;
+  for (std::size_t k = 0; k < 4; ++k)
+    queue_count += rig.obs.metrics
+                       .histogram("shard." + std::to_string(k) + ".req.phase.queue")
+                       .count();
+  EXPECT_EQ(queue_count, finished);
 
   audit::Report report;
   rig.driver->run_audit(report, /*quiescent=*/true);

@@ -127,17 +127,36 @@ TEST_F(TrackAllocatorTest, UtilizationStatistics) {
 }
 
 TEST_F(TrackAllocatorTest, AdoptLiveTrackAndResume) {
-  alloc.adopt_live_track(10, 6, 2);
-  alloc.adopt_live_track(11, 3, 1);
+  // Two records on track 10 and one on track 11, each at its exact
+  // sectors (header + payload).
+  alloc.adopt_record(10, 2, 3);
+  alloc.adopt_record(10, 7, 2);
+  alloc.adopt_record(11, 4, 2);
   EXPECT_EQ(alloc.live_track_count(), 3u);  // 10, 11 + initial tail (track 1)
-  alloc.set_tail_after(11);
+  EXPECT_EQ(alloc.live_records_on(10), 2u);
+  EXPECT_THROW(alloc.adopt_record(10, 3, 1), std::logic_error);  // overlaps a record
+  EXPECT_TRUE(alloc.set_tail_after(11));
   EXPECT_EQ(alloc.current(), 12u);
   // Ring is blocked at track 10/11 until those records release.
   alloc.release_record(10);
   alloc.release_record(10);
   alloc.release_record(11);
   EXPECT_EQ(alloc.live_track_count(), 1u);
-  EXPECT_THROW(alloc.adopt_live_track(0, 1, 1), std::invalid_argument);  // reserved
+  EXPECT_THROW(alloc.adopt_record(0, 1, 1), std::invalid_argument);  // reserved
+  EXPECT_THROW(alloc.adopt_record(20, 0, alloc.current_spt() + 1), std::out_of_range);
+  EXPECT_EQ(alloc.live_track_count(), 1u);
+}
+
+TEST_F(TrackAllocatorTest, SetTailAfterStaysPutOnAFullRing) {
+  // Adopted records pin every usable track: the track after 5 is live.
+  for (disk::TrackId t = 1; t < 79; ++t)
+    if (!alloc.is_reserved(t)) alloc.adopt_record(t, 0, 2);
+  EXPECT_FALSE(alloc.set_tail_after(5));
+  EXPECT_EQ(alloc.current(), 5u);
+  EXPECT_EQ(alloc.live_records_on(5), 1u);  // the tail kept its adopted record
+  EXPECT_FALSE(alloc.advance().has_value());
+  alloc.release_record(6);
+  EXPECT_EQ(alloc.advance(), std::optional<disk::TrackId>(6));
 }
 
 TEST_F(TrackAllocatorTest, SetTailAfterSkipsReserved) {
