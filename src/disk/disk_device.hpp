@@ -64,6 +64,7 @@ class DiskDevice {
 
   [[nodiscard]] const Geometry& geometry() const { return profile_.geometry; }
   [[nodiscard]] const DiskProfile& profile() const { return profile_; }
+  [[nodiscard]] sim::Simulator& simulator() { return sim_; }
   [[nodiscard]] const DiskStats& stats() const { return stats_; }
   [[nodiscard]] SectorStore& store() { return store_; }
   [[nodiscard]] const SectorStore& store() const { return store_; }

@@ -15,11 +15,15 @@ void DeviceQueue::attach_obs(obs::Obs* obs, std::uint32_t tid,
   if (obs_ != nullptr) {
     depth_gauge_ = &obs_->metrics.gauge(depth_gauge_name);
     skip_counter_ = &obs_->metrics.counter("io.dispatch_skips");
+    hold_counter_ = &obs_->metrics.counter("io.anticipation_holds");
+    hit_counter_ = &obs_->metrics.counter("io.anticipation_hits");
     h_service_ =
         service_hist_name.empty() ? nullptr : &obs_->metrics.histogram(service_hist_name);
   } else {
     depth_gauge_ = nullptr;
     skip_counter_ = nullptr;
+    hold_counter_ = nullptr;
+    hit_counter_ = nullptr;
     h_service_ = nullptr;
   }
 }
@@ -45,6 +49,7 @@ void DeviceQueue::submit(PendingIo io) {
 void DeviceQueue::pump() {
   if (dispatched_) return;
   while (!scheduler_->empty()) {
+    if (holding()) return;
     const disk::Lba head =
         device_.geometry().first_lba_of_track(device_.current_track());
     PendingIo io = scheduler_->pop_next(head);
@@ -53,6 +58,7 @@ void DeviceQueue::pump() {
       continue;  // every sub-range skipped; nothing reached the device
     }
     dispatched_ = true;
+    const int priority = io.priority;
     const bool is_write = io.is_write;
     // Stamp `begin` only when tracing is live at dispatch; the completion
     // checks the same flag so enabling the tracer mid-flight can't emit a
@@ -61,10 +67,10 @@ void DeviceQueue::pump() {
     const bool timed = traced || h_service_ != nullptr;
     sim::TimePoint begin{};
     if (timed) begin = obs_->tracer.now();
-    auto finish = [this, alive = alive_, is_write, traced, timed, begin,
+    auto finish = [this, alive = alive_, priority, is_write, traced, timed, begin,
                    cb = std::move(io.on_complete)]() {
       if (!*alive) return;
-      dispatched_ = false;
+      left_device(priority);
       if (timed && h_service_ != nullptr) h_service_->record(obs_->tracer.now() - begin);
       if (traced && obs_ != nullptr && obs_->tracer.enabled())
         obs_->tracer.complete(is_write ? "io.write" : "io.read", "io", begin,
@@ -72,14 +78,7 @@ void DeviceQueue::pump() {
       update_depth();
       if (cb) cb();
       if (!*alive) return;  // the callback destroyed the queue
-      pump();
-      if (idle() && on_idle_) {
-        // Copy before invoking: the callback may replace or clear
-        // on_idle_ (StandardDriver::drain disarms every queue), which
-        // would destroy the std::function mid-execution.
-        const auto notify = on_idle_;
-        notify();
-      }
+      resume();
     };
     if (io.is_write) {
       device_.write(io.lba, io.count, io.data, std::move(finish));
@@ -88,6 +87,51 @@ void DeviceQueue::pump() {
     }
     return;
   }
+}
+
+void DeviceQueue::resume() {
+  pump();
+  if (idle() && on_idle_) {
+    // Copy before invoking: the callback may replace or clear on_idle_
+    // (StandardDriver::drain disarms every queue), which would destroy
+    // the std::function mid-execution.
+    const auto notify = on_idle_;
+    notify();
+  }
+}
+
+void DeviceQueue::left_device(int priority) {
+  dispatched_ = false;
+  hold_class_ = priority;
+  hold_until_ = device_.simulator().now() + device_.profile().command_overhead;
+}
+
+bool DeviceQueue::holding() {
+  // A reader's next request typically arrives microseconds after its
+  // last one completes; a worse-class command started in between cannot
+  // be preempted, so that request would wait out its whole service. The
+  // window is the device's own fixed cost per command, so a hold idles
+  // the disk no longer than one more command's overhead.
+  const bool worse = scheduler_->next_priority() > hold_class_;
+  sim::Simulator& sim = device_.simulator();
+  if (hold_timer_.valid()) {
+    if (worse) return true;
+    sim.cancel(hold_timer_);  // a request of the held class ends the hold
+    hold_timer_ = sim::EventId{};
+    if (hit_counter_ != nullptr) hit_counter_->inc();
+    return false;
+  }
+  if (!worse || sim.now() >= hold_until_) return false;
+  if (hold_counter_ != nullptr) {
+    hold_counter_->inc();
+    if (obs_->tracer.enabled()) obs_->tracer.instant("io.hold", "io", obs_tid_);
+  }
+  hold_timer_ = sim.schedule_at(hold_until_, [this, alive = alive_] {
+    if (!*alive) return;  // the queue is gone
+    hold_timer_ = sim::EventId{};
+    resume();
+  });
+  return true;
 }
 
 bool DeviceQueue::begin_batch(PendingIo io) {
@@ -148,6 +192,7 @@ bool DeviceQueue::begin_batch(PendingIo io) {
       break;
     }
   }
+  state->priority = io.priority;
   state->on_dispatch = std::move(io.on_dispatch);
   batch_ = std::move(state);
   dispatched_ = true;
@@ -162,16 +207,12 @@ void DeviceQueue::issue_batch_run() {
     // pumping. Move the state out first — `done` can re-enter submit().
     const std::unique_ptr<BatchState> state = std::move(batch_);
     const std::shared_ptr<bool> alive = alive_;
-    dispatched_ = false;
+    left_device(state->priority);
     for (auto& r : state->survivors)
       if (r.done) r.done();
     if (!*alive) return;  // a `done` destroyed the queue
     update_depth();
-    pump();
-    if (idle() && on_idle_) {
-      const auto notify = on_idle_;
-      notify();
-    }
+    resume();
     return;
   }
   BatchRun& run = b.runs[b.next++];

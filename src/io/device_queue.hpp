@@ -3,10 +3,16 @@
 // The DiskDevice itself services commands strictly FIFO; the DeviceQueue
 // holds requests back and releases exactly one at a time so the chosen
 // IoScheduler policy (elevator, priority classes) actually controls
-// service order. Dispatch is work-conserving: whenever the device goes
-// idle, the next queued request goes out. A batched write-back drops its
-// redundant or already-settled ranges at dispatch (§4.2). Both the
-// standard baseline driver and Trail's write-back engine are built on it.
+// service order. Dispatch is work-conserving within a priority class but
+// not below it: for one command overhead after a command leaves the
+// device, a worse class waits, and a request of the finished command's
+// class arriving in that window goes out first (anticipatory scheduling,
+// Iyer & Druschel, SOSP 2001). On Trail's data disks this keeps
+// write-backs off the platter while a reader issues its next read, as
+// §4.3's read priority intends; a queue whose requests share one class
+// never waits. A batched write-back drops its redundant or
+// already-settled ranges at dispatch (§4.2). Both the standard baseline
+// driver and Trail's write-back engine are built on it.
 #pragma once
 
 #include <cstdint>
@@ -31,7 +37,8 @@ class DeviceQueue {
   DeviceQueue(const DeviceQueue&) = delete;
   DeviceQueue& operator=(const DeviceQueue&) = delete;
 
-  /// Enqueue; dispatches immediately if the device is idle.
+  /// Enqueue; dispatches immediately if the device is idle, unless a
+  /// hold keeps the request's class waiting.
   void submit(PendingIo io);
 
   /// Requests queued here (excludes the one on the device).
@@ -45,9 +52,10 @@ class DeviceQueue {
   void set_idle_callback(std::function<void()> cb) { on_idle_ = std::move(cb); }
 
   /// Optional observability: per-command service spans ("io.read" /
-  /// "io.write") on lane `tid`, queue-depth gauge + counter lane, and a
-  /// counter of write-back ranges dropped at dispatch. Near-zero cost
-  /// while the tracer is off.
+  /// "io.write") and "io.hold" instants on lane `tid`, queue-depth gauge
+  /// + counter lane, a counter of write-back ranges dropped at dispatch,
+  /// and counters of held lower-class dispatches and of holds a request
+  /// of the held class ended. Near-zero cost while the tracer is off.
   /// `service_hist_name`, when non-empty, names a histogram recording
   /// every command's device service time in ns (always on, tracer or
   /// not — the attribution layer's view of data-disk service cost).
@@ -69,10 +77,19 @@ class DeviceQueue {
     std::vector<PendingIo::WbRange> survivors;
     std::vector<BatchRun> runs;
     std::size_t next = 0;
+    int priority = 0;
     std::function<void(std::uint32_t, std::uint32_t)> on_dispatch;
   };
 
   void pump();
+  /// Pump, then tell the idle callback if nothing is left.
+  void resume();
+  /// A command of class `priority` left the device: open its hold window.
+  void left_device(int priority);
+  /// True while the next request is of a worse class than the command
+  /// that last left the device and its hold window is open; arms the
+  /// timer that re-pumps at the window's end.
+  bool holding();
   void update_depth();
   /// Skip-filter a popped batch, assemble its runs, and start writing.
   /// Returns false when every sub-range was skipped (nothing dispatched).
@@ -83,12 +100,17 @@ class DeviceQueue {
   std::unique_ptr<IoScheduler> scheduler_;
   std::uint64_t next_seq_ = 0;
   bool dispatched_ = false;  // one of ours is on the device
+  int hold_class_ = 0;       // class of the command that last left the device
+  sim::TimePoint hold_until_{};  // worse classes wait until then
+  sim::EventId hold_timer_;  // armed while a worse class is held
   std::unique_ptr<BatchState> batch_;  // non-null while a batch's runs are in flight
   std::function<void()> on_idle_;
   obs::Obs* obs_ = nullptr;
   std::uint32_t obs_tid_ = 0;
   obs::Gauge* depth_gauge_ = nullptr;
   obs::Counter* skip_counter_ = nullptr;
+  obs::Counter* hold_counter_ = nullptr;
+  obs::Counter* hit_counter_ = nullptr;
   obs::Histogram* h_service_ = nullptr;  // per-command service time, ns
   /// Lifetime token for device completions, which can outlive the queue.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -78,6 +78,8 @@ class IndexedScheduler final : public IoScheduler {
     return io;
   }
 
+  [[nodiscard]] int next_priority() const override { return classes_.begin()->first; }
+
   bool try_merge(PendingIo& io) override {
     if (!writeback_ || io.ranges.empty() || io.merge_cap <= 1 || io.priority < first_sorted_)
       return false;

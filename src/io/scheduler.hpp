@@ -89,6 +89,10 @@ class IoScheduler {
   /// current position. Must only be called when !empty().
   virtual PendingIo pop_next(disk::Lba head_position) = 0;
 
+  /// Priority class of the request pop_next would return. Must only be
+  /// called when !empty().
+  [[nodiscard]] virtual int next_priority() const = 0;
+
   /// Try to fold `io` (a batched write-back) into a queued batch of the
   /// same priority class whose envelope is adjacent or overlapping,
   /// respecting both batches' merge caps; cascades if the grown envelope

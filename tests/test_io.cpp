@@ -5,6 +5,8 @@
 #include <list>
 #include <map>
 #include <memory>
+#include <string>
+#include <string_view>
 #include <vector>
 
 #include "disk/disk_device.hpp"
@@ -114,6 +116,12 @@ class ListScheduler final : public IoScheduler {
     bucket.erase(pick);
     --size_;
     return io;
+  }
+
+  [[nodiscard]] int next_priority() const override {
+    for (const auto& [priority, bucket] : classes_)
+      if (!bucket.empty()) return priority;
+    return 0;
   }
 
   bool try_merge(PendingIo& io) override {
@@ -274,6 +282,7 @@ class SchedulerDiff {
     } else {
       head = static_cast<disk::Lba>(rng_.uniform(0, kLbaSpace + 8));
     }
+    ASSERT_EQ(indexed_->next_priority(), model_.next_priority());
     PendingIo a = indexed_->pop_next(head);
     PendingIo b = model_.pop_next(head);
     ASSERT_EQ(a.seq, b.seq) << "head " << head;
@@ -370,6 +379,110 @@ TEST_F(DeviceQueueTest, CommandOutlivingItsQueueCompletesAsNoOp) {
   EXPECT_EQ(done, 0);
   EXPECT_TRUE(dev.store().is_written(0));
   EXPECT_FALSE(dev.store().is_written(10));
+}
+
+// ---------------------------------------------------------------------------
+// Anticipation: a worse class waits one command overhead after a command
+// ---------------------------------------------------------------------------
+
+/// A Trail data disk's queue: reads at class 0, write-backs at class 1.
+class AnticipationTest : public ::testing::Test {
+ protected:
+  PendingIo make_read(disk::Lba lba, std::function<void()> cb) {
+    PendingIo io;
+    io.lba = lba;
+    io.count = 1;
+    io.out = buf_;
+    io.on_complete = std::move(cb);
+    return io;
+  }
+  PendingIo make_writeback(disk::Lba lba, std::function<void()> cb) {
+    return make_write(lba, std::move(cb), /*priority=*/1);
+  }
+  /// Step until `flag` is set; the step that sets it also runs the
+  /// queue's dispatch decision after the completion.
+  void step_until(const bool& flag) {
+    while (!flag) ASSERT_TRUE(sim.step()) << "simulation stalled";
+  }
+  std::uint64_t holds() { return obs.metrics.counter("io.anticipation_holds").value(); }
+  std::uint64_t hits() { return obs.metrics.counter("io.anticipation_hits").value(); }
+
+  sim::Simulator sim;
+  disk::DiskDevice dev{sim, disk::wd_caviar_10g()};
+  obs::Obs obs{sim};
+  const sim::Duration overhead = dev.profile().command_overhead;
+
+ private:
+  std::vector<std::byte> buf_ = std::vector<std::byte>(disk::kSectorSize);
+};
+
+TEST_F(AnticipationTest, ReadArrivingInTheHoldGoesBeforeTheWriteback) {
+  DeviceQueue queue(dev, make_writeback_scheduler());
+  queue.attach_obs(&obs, 16, "io.queue_depth.data0");
+  std::vector<std::string> order;
+  queue.submit(make_read(1'000, [&] {
+    order.emplace_back("read1");
+    sim.schedule(sim::micros(200), [&] {
+      queue.submit(make_read(5'000'000, [&] { order.emplace_back("read2"); }));
+    });
+  }));
+  queue.submit(make_writeback(9'000'000, [&] { order.emplace_back("writeback"); }));
+  sim.run();
+  EXPECT_EQ(order, (std::vector<std::string>{"read1", "read2", "writeback"}));
+  EXPECT_EQ(holds(), 2u) << "after each read";
+  EXPECT_EQ(hits(), 1u) << "the second read ended the first hold";
+}
+
+TEST_F(AnticipationTest, WritebackDispatchesOneCommandOverheadAfterTheRead) {
+  DeviceQueue queue(dev, make_writeback_scheduler());
+  queue.attach_obs(&obs, 16, "io.queue_depth.data0");
+  obs.tracer.set_enabled(true);
+  bool read_done = false;
+  queue.submit(make_read(1'000, [&] { read_done = true; }));
+  queue.submit(make_writeback(9'000'000, {}));
+  step_until(read_done);
+  const sim::TimePoint completed = sim.now();
+  EXPECT_EQ(queue.queued(), 1u);
+  sim.run_until(completed + overhead - sim::nanos(1));
+  EXPECT_EQ(queue.queued(), 1u) << "still held";
+  sim.run_until(completed + overhead);
+  EXPECT_EQ(queue.queued(), 0u) << "dispatched as the window closes";
+  sim.run();
+  EXPECT_EQ(holds(), 1u);
+  EXPECT_EQ(hits(), 0u);
+  std::size_t hold_instants = 0;
+  for (std::size_t i = 0; i < obs.tracer.size(); ++i)
+    if (std::string_view(obs.tracer.at(i).name) == "io.hold") ++hold_instants;
+  EXPECT_EQ(hold_instants, 1u);
+  EXPECT_TRUE(queue.idle());
+}
+
+TEST_F(AnticipationTest, SingleClassQueueNeverHolds) {
+  DeviceQueue queue(dev, make_clook_scheduler());
+  queue.attach_obs(&obs, 16, "io.queue_depth.data0");
+  bool read_done = false;
+  bool write_done = false;
+  queue.submit(make_read(1'000, [&] { read_done = true; }));
+  queue.submit(make_write(9'000'000, [&] { write_done = true; }));
+  step_until(read_done);
+  EXPECT_EQ(queue.queued(), 0u) << "the write went out at the read's completion";
+  step_until(write_done);
+  EXPECT_EQ(holds(), 0u);
+}
+
+TEST_F(AnticipationTest, QueueDestroyedDuringAHoldLeavesAnInertTimer) {
+  auto queue = std::make_unique<DeviceQueue>(dev, make_writeback_scheduler());
+  bool read_done = false;
+  bool wb_done = false;
+  queue->submit(make_read(1'000, [&] { read_done = true; }));
+  queue->submit(make_writeback(9'000'000, [&] { wb_done = true; }));
+  step_until(read_done);
+  ASSERT_EQ(queue->queued(), 1u) << "the write-back is held";
+  ASSERT_EQ(sim.pending_events(), 1u) << "only the hold's expiry is scheduled";
+  queue.reset();
+  sim.run();
+  EXPECT_FALSE(wb_done);
+  EXPECT_EQ(dev.stats().writes, 0u);
 }
 
 class StandardDriverTest : public ::testing::Test {

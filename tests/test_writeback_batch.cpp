@@ -150,6 +150,32 @@ TEST_F(WritebackBatchTest, ReadsPreemptQueuedWritebackBatches) {
   expect_clean_audit();
 }
 
+TEST_F(WritebackBatchTest, DrainAndUnmountCompleteWhileAWritebackIsHeld) {
+  start();
+  // After a read completes, queued write-backs wait one data-disk command
+  // overhead (50 ms here) for the next read. Draining or unmounting inside
+  // that window must wait the hold out, not stall on it.
+  auto write_then_read = [&](std::uint64_t seed) {
+    for (std::uint32_t i = 0; i < 4; ++i)
+      write_sync(io::BlockAddr{devices[0], 100 + i}, make_pattern(1, seed + i));
+    const auto commands = driver->stats().writeback_commands;
+    (void)read_sync(io::BlockAddr{devices[0], 1200}, 1);
+    const auto& s = driver->stats();
+    EXPECT_GT(s.writebacks, s.writebacks_dispatched + s.writebacks_skipped);
+    EXPECT_EQ(s.writeback_commands, commands) << "the queued write-backs are held";
+  };
+  write_then_read(4000);
+  settle();
+  EXPECT_EQ(driver->buffers().pinned_sectors(), 0u);
+  verify_expected_on_data_disks();
+  expect_clean_audit();
+
+  write_then_read(5000);
+  driver->unmount();
+  EXPECT_EQ(driver->buffers().pinned_sectors(), 0u);
+  verify_expected_on_data_disks();
+}
+
 TEST_F(WritebackBatchTest, RejectsZeroMergeCap) {
   TrailConfig cfg;
   cfg.max_writeback_ranges = 0;
