@@ -5,13 +5,12 @@
 #include <memory>
 #include <stdexcept>
 
-#include "core/crc32.hpp"
+#include "db/chain.hpp"
 
 namespace trail::db {
 
 namespace {
 
-constexpr char kMetaMagic[8] = {'T', 'R', 'L', 'B', 'T', 'R', 'E', 'E'};
 constexpr std::uint8_t kLeaf = 1;
 constexpr std::uint8_t kInternal = 2;
 constexpr std::size_t kHeaderBytes = 16;
@@ -118,20 +117,8 @@ BTree::BTree(BufferPool& pool, std::uint32_t pool_file_id, PageFile& file,
              disk::DiskDevice* offline_device)
     : pool_(pool), file_id_(pool_file_id), file_(file), offline_(offline_device) {}
 
-void BTree::write_meta_offline() {
-  if (offline_ == nullptr) throw std::logic_error("BTree: no offline device");
-  std::vector<std::byte> page(kPageSize, std::byte{0});
-  std::memcpy(page.data(), kMetaMagic, 8);
-  put_u32_at(page, 8, root_);
-  put_u32_at(page, 12, next_free_);
-  put_u32_at(page, 16, height_);
-  put_u64_at(page, 20, size_);
-  const std::uint32_t crc = core::crc32(std::span<const std::byte>(page.data(), 28));
-  put_u32_at(page, 28, crc);
-  file_.load_page_offline(*offline_, 0, page);
-}
-
 void BTree::init_empty_offline() {
+  if (offline_ == nullptr) throw std::logic_error("BTree: no offline device");
   root_ = 1;
   next_free_ = 2;
   height_ = 1;
@@ -141,26 +128,11 @@ void BTree::init_empty_offline() {
   set_page_count(leaf, 0);
   set_page_link(leaf, kNoSibling);
   file_.load_page_offline(*offline_, root_, leaf);
-  write_meta_offline();
   pool_.reset();  // drop any cached frames from a previous generation
 }
 
-void BTree::open_offline() {
-  if (offline_ == nullptr) throw std::logic_error("BTree: no offline device");
-  std::vector<std::byte> page(kPageSize);
-  file_.peek_page_offline(*offline_, 0, page);
-  if (std::memcmp(page.data(), kMetaMagic, 8) != 0)
-    throw std::runtime_error("BTree: meta page missing (init_empty_offline/bulk_load first)");
-  if (get_u32_at(page, 28) != core::crc32(std::span<const std::byte>(page.data(), 28)))
-    throw std::runtime_error("BTree: corrupt meta page");
-  root_ = get_u32_at(page, 8);
-  next_free_ = get_u32_at(page, 12);
-  height_ = get_u32_at(page, 16);
-  size_ = get_u64_at(page, 20);
-}
-
 PageNo BTree::allocate_page() {
-  if (next_free_ >= file_.page_count()) return 0;  // 0 is the meta page: "none"
+  if (next_free_ >= file_.page_count()) return 0;  // page 0 is reserved: "none"
   return next_free_++;
 }
 
@@ -176,27 +148,21 @@ void BTree::descend(Key key, std::function<void(std::vector<PathEntry>, PageNo)>
   st->levels_left = height_ - 1;
   st->key = key;
 
-  auto step = std::make_shared<std::function<void()>>();
-  *step = [st, step, cb = std::move(cb), this] {
+  loop([st, cb = std::move(cb), this](const auto& again) {
     if (st->levels_left == 0) {
-      auto fin = std::move(cb);
-      *step = nullptr;
-      fin(std::move(st->path), st->page);
+      cb(std::move(st->path), st->page);
       return;
     }
-    pool_.fetch(file_id_, st->page, [st, step](std::span<std::byte> p) {
+    pool_.fetch(file_id_, st->page, [st, again](std::span<std::byte> p) {
       if (page_kind(p) != kInternal)
         throw std::runtime_error("BTree: structural corruption (expected internal page)");
       const std::uint32_t child_index = descend_index(p, st->key);
       st->path.push_back(PathEntry{st->page, child_index});
       st->page = child_at(p, child_index);
       --st->levels_left;
-      auto s2 = *step;
-      s2();
+      again();
     });
-  };
-  auto kick = *step;
-  kick();
+  });
 }
 
 void BTree::find(Key key, std::function<void(bool, Value)> cb) {
@@ -399,15 +365,12 @@ void BTree::scan(Key from, Key to, std::function<bool(Key, Value)> each,
     st->each = std::move(each);
     st->done = std::move(done);
 
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, st, step] {
+    loop([this, st](const auto& again) {
       if (st->page == kNoSibling || st->stopped) {
-        auto d = std::move(st->done);
-        *step = nullptr;
-        if (d) d();
+        if (st->done) st->done();
         return;
       }
-      pool_.fetch(file_id_, st->page, [st, step](std::span<std::byte> p) {
+      pool_.fetch(file_id_, st->page, [st, again](std::span<std::byte> p) {
         std::size_t i = st->first ? leaf_lower_bound(p, st->from) : 0;
         st->first = false;
         const std::uint16_t n = page_count(p);
@@ -419,12 +382,9 @@ void BTree::scan(Key from, Key to, std::function<bool(Key, Value)> each,
           }
         }
         if (!st->stopped) st->page = page_link(p);
-        auto s2 = *step;
-        s2();
+        again();
       });
-    };
-    auto kick = *step;
-    kick();
+    });
   });
 }
 
@@ -492,13 +452,7 @@ void BTree::bulk_load_offline(const std::vector<std::pair<Key, Value>>& sorted) 
     }
     level = std::move(next);
   }
-  root_ = level.empty() ? 1 : level[0].page;
-  if (level.empty()) {
-    // Empty input: single empty leaf.
-    init_empty_offline();
-    return;
-  }
-  write_meta_offline();
+  root_ = level.front().page;
 }
 
 }  // namespace trail::db

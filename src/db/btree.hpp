@@ -3,16 +3,15 @@
 // workloads and range scans).
 //
 // Layout: fixed u64 keys and u64 values over 4 KB pages in a PageFile,
-// accessed through the shared BufferPool. Page 0 is the tree's meta page
-// (root pointer, page allocator cursor, height); leaves are chained
-// through right-sibling links for range scans.
+// accessed through the shared BufferPool. Page 0 is reserved; the root,
+// the page allocator cursor and the height live in memory. Leaves are
+// chained through right-sibling links for range scans.
 //
 // Concurrency & durability model: single-writer (callers serialize
 // structural operations, as the transaction layer does); index pages are
-// NOT WAL-protected — like the tables' hash indexes, a crashed index is
-// rebuilt offline (bulk_load_offline) from its base table, which keeps
-// the redo log value-only. A clean shutdown persists the index through
-// the ordinary dirty-page flush.
+// NOT WAL-protected — like the tables' hash indexes, an index is rebuilt
+// at boot (bulk_load_offline) from its base table, which keeps the redo
+// log value-only; nothing reopens a tree from its pages.
 #pragma once
 
 #include <cstdint>
@@ -33,11 +32,8 @@ class BTree {
   BTree(BufferPool& pool, std::uint32_t pool_file_id, PageFile& file,
         disk::DiskDevice* offline_device);
 
-  /// Create an empty tree (meta page + one empty root leaf). Offline.
+  /// Create an empty tree (one empty root leaf). Offline.
   void init_empty_offline();
-
-  /// Load the meta page from the platter (boot path).
-  void open_offline();
 
   /// Insert-or-update. cb(false) only if the page file is exhausted.
   void insert(Key key, Value value, std::function<void(bool ok)> cb);
@@ -57,10 +53,6 @@ class BTree {
   /// internal levels built bottom-up. Replaces any existing content.
   void bulk_load_offline(const std::vector<std::pair<Key, Value>>& sorted);
 
-  /// Persist the in-memory meta (root/height/size) to the platter — the
-  /// clean-shutdown hook, paired with BufferPool::flush_dirty.
-  void flush_meta_offline() { write_meta_offline(); }
-
   [[nodiscard]] std::uint32_t height() const { return height_; }
   [[nodiscard]] PageNo pages_used() const { return next_free_; }
   [[nodiscard]] std::uint64_t size() const { return size_; }
@@ -75,7 +67,6 @@ class BTree {
     std::uint32_t child_index;  // which child we descended into
   };
 
-  void write_meta_offline();
   void descend(Key key, std::function<void(std::vector<PathEntry>, PageNo leaf)> cb);
   void insert_into_parent(std::vector<PathEntry> path, Key sep, PageNo new_child,
                           std::function<void(bool)> cb);

@@ -96,7 +96,7 @@ void BufferPool::fetch(std::uint32_t file_id, PageNo page,
   const bool traced = obs_ != nullptr && obs_->tracer.enabled();
   if (traced) load_begin = sim_.now();
   auto alive = alive_;
-  files_.at(file_id)->read_page(page, fp->data, [this, alive, fp, traced, load_begin] {
+  files_.at(file_id)->read_pages(page, fp->data, [this, alive, fp, traced, load_begin] {
     if (!*alive) return;
     if (traced && obs_ != nullptr && obs_->tracer.enabled())
       obs_->tracer.complete("db.page_load", "db", load_begin, sim_.now() - load_begin,
@@ -250,6 +250,7 @@ void BufferPool::pump_checkpoint() {
 }
 
 void BufferPool::reset() {
+  if (dirty_pages() > 0) throw std::logic_error("BufferPool: reset would drop a dirty frame");
   // In-flight completions for dropped frames must become no-ops: swap the
   // liveness token.
   *alive_ = false;

@@ -82,7 +82,8 @@ class BufferPool {
   /// queues behind the whole snapshot in the block driver.
   static constexpr std::size_t kCheckpointWindow = 8;
 
-  /// Drop every frame (boot / after offline recovery rewrote the disk).
+  /// Drop every frame, before an offline bulk load rewrites the platters.
+  /// Throws std::logic_error if a frame is dirty: its change would be lost.
   void reset();
 
   /// Invariant audit ("pool.frames"): LRU <-> frame-map agreement, frame

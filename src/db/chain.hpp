@@ -1,5 +1,8 @@
-// Minimal sequential-async helper: runs a list of continuation-passing
-// steps in order. Keeps transaction logic readable without coroutines.
+// Minimal sequential-async helpers: a list of continuation-passing steps
+// run in order, and an asynchronous loop. Keeps transaction logic readable
+// without coroutines. Neither holds a reference to itself: only the
+// pending continuations own the state, so work that a power cut abandons
+// (its completions never fire) is freed with them.
 #pragma once
 
 #include <functional>
@@ -8,8 +11,19 @@
 
 namespace trail::db {
 
+/// Run `body` as an asynchronous loop: body(again) runs one iteration and
+/// calls again() (from a completion, or synchronously) to run the next;
+/// an iteration that does not call it ends the loop.
+inline void loop(std::function<void(const std::function<void()>& again)> body) {
+  using Body = std::function<void(const std::function<void()>&)>;
+  struct Iterate {
+    static void run(const std::shared_ptr<Body>& body) { (*body)([body] { run(body); }); }
+  };
+  Iterate::run(std::make_shared<Body>(std::move(body)));
+}
+
 /// Each step receives a `next` thunk and must eventually call it exactly
-/// once (possibly synchronously). `Chain::run` owns itself until done.
+/// once (possibly synchronously).
 class Chain {
  public:
   using Next = std::function<void()>;
@@ -21,28 +35,16 @@ class Chain {
   }
 
   /// Run all steps; invoke `done` after the last. The chain object may be
-  /// a temporary — state is moved into a shared holder.
+  /// a temporary: its steps move into the loop.
   void run(std::function<void()> done) && {
-    struct State {
-      std::vector<Step> steps;
-      std::function<void()> done;
-      std::size_t index = 0;
-    };
-    auto st = std::make_shared<State>(State{std::move(steps_), std::move(done), 0});
-    auto advance = std::make_shared<std::function<void()>>();
-    *advance = [st, advance] {
-      if (st->index >= st->steps.size()) {
-        if (st->done) st->done();
-        *advance = nullptr;  // break the self-cycle
+    loop([steps = std::move(steps_), index = std::size_t{0},
+          done = std::move(done)](const Next& again) mutable {
+      if (index >= steps.size()) {
+        if (done) done();
         return;
       }
-      Step& step = st->steps[st->index++];
-      step(*advance);  // steps receive a copy; resetting *advance is safe
-    };
-    // Kick off through a copy so the stored closure can null itself out
-    // even when the chain is empty.
-    auto kick = *advance;
-    kick();
+      steps[index++](again);
+    });
   }
 
  private:

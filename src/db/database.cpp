@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <iterator>
+#include <optional>
 #include <stdexcept>
 
 #include "audit/check.hpp"
@@ -367,30 +369,59 @@ void Database::write_meta(Lsn checkpoint_lsn, std::function<void()> done) {
                        });
 }
 
-std::optional<Lsn> Database::read_meta_offline() const {
-  auto it = devices_.find(log_device_.index());
-  if (it == devices_.end()) throw std::logic_error("Database: log device not attached");
-  std::vector<std::byte> p(kPageSize);
-  it->second->store().read(meta_base_, kMetaSectors, p);
+namespace {
+
+/// Start one asynchronous step and drive the simulator until it is done.
+/// Recovery runs at boot, before any transaction, as TrailDriver::mount()
+/// does.
+void await(sim::Simulator& sim, const std::function<void(std::function<void()>)>& start) {
+  bool done = false;
+  start([&done] { done = true; });
+  while (!done)
+    if (!sim.step()) throw std::runtime_error("Database::recover: simulation stalled");
+}
+
+/// The checkpoint LSN a meta page names, if it holds a valid one.
+std::optional<Lsn> parse_meta(std::span<const std::byte> p) {
   if (std::memcmp(p.data(), "TRAILDB1", 8) != 0) return std::nullopt;
   std::uint32_t stored = 0;
   for (int i = 0; i < 4; ++i)
     stored |= static_cast<std::uint32_t>(p[16 + static_cast<std::size_t>(i)]) << (8 * i);
-  if (stored != core::crc32(std::span<const std::byte>(p.data(), 16))) return std::nullopt;
+  if (stored != core::crc32(p.first(16))) return std::nullopt;
   Lsn lsn = 0;
   for (int i = 0; i < 8; ++i) lsn |= static_cast<Lsn>(p[8 + static_cast<std::size_t>(i)]) << (8 * i);
   return lsn;
 }
 
+constexpr std::uint64_t kWalReadSectors = 2048;
+/// An upper bound on one encoded WAL record (its row length is a u16).
+constexpr std::size_t kMaxWalRecordBytes = 64 + 0xFFFF;
+
+}  // namespace
+
 Database::RecoveryReport Database::recover() {
   RecoveryReport report;
-  pool_->reset();
-  for (auto& t : tables_) t->rebuild_index_offline();
+  for (std::size_t t = 0; t < tables_.size(); ++t)
+    tables_[t]->rebuild_index([&](PageNo first, std::span<std::byte> out) {
+      await(sim_, [&](std::function<void()> done) {
+        files_[t]->read_pages(first, out, std::move(done));
+      });
+    });
+  const auto read_log_device = [this](disk::Lba lba, std::span<std::byte> out) {
+    await(sim_, [&](std::function<void()> done) {
+      driver_.submit_read(io::BlockAddr{log_device_, lba},
+                          static_cast<std::uint32_t>(out.size() / disk::kSectorSize), out,
+                          std::move(done));
+    });
+  };
 
-  report.checkpoint_lsn = read_meta_offline().value_or(0);
+  std::vector<std::byte> meta(kPageSize);
+  read_log_device(meta_base_, meta);
+  report.checkpoint_lsn = parse_meta(meta).value_or(0);
   last_checkpoint_lsn_ = report.checkpoint_lsn;
 
   const Lsn start_sector = report.checkpoint_lsn / disk::kSectorSize;
+  const Lsn start_byte = start_sector * disk::kSectorSize;
   std::vector<std::byte> log_bytes;
   if (direct_trail_ != nullptr) {
     // Direct mode: the WAL bytes live in the Trail records its recovery
@@ -401,48 +432,49 @@ Database::RecoveryReport Database::recover() {
       const Lsn end = static_cast<Lsn>(rec.header.entries.back().data_lba) + disk::kSectorSize;
       max_end = std::max(max_end, end);
     }
-    log_bytes.assign(static_cast<std::size_t>(
-                         max_end - start_sector * disk::kSectorSize + disk::kSectorSize),
+    log_bytes.assign(static_cast<std::size_t>(max_end - start_byte + disk::kSectorSize),
                      std::byte{0});
     for (const core::RecoveredRecord& rec : direct_trail_->recovered_direct_log()) {
       const Lsn cookie = rec.header.entries.front().data_lba;
-      if (cookie + rec.payload.size() <= start_sector * disk::kSectorSize) continue;
-      const Lsn base = start_sector * disk::kSectorSize;
-      const Lsn dst = cookie > base ? cookie - base : 0;
-      const std::size_t skip = cookie > base ? 0 : static_cast<std::size_t>(base - cookie);
+      if (cookie + rec.payload.size() <= start_byte) continue;
+      const Lsn dst = cookie > start_byte ? cookie - start_byte : 0;
+      const std::size_t skip = cookie > start_byte ? 0 : static_cast<std::size_t>(start_byte - cookie);
       if (skip >= rec.payload.size()) continue;
       std::memcpy(log_bytes.data() + dst, rec.payload.data() + skip,
                   rec.payload.size() - skip);
     }
-  } else {
-    // Offline scan of the WAL region from the checkpoint.
-    auto it = devices_.find(log_device_.index());
-    if (it == devices_.end()) throw std::logic_error("Database: log device not attached");
-    disk::DiskDevice& dev = *it->second;
-    const std::uint64_t max_sectors = config_.log_region_sectors - start_sector;
-    log_bytes.resize(max_sectors * disk::kSectorSize);
-    // Read in chunks to keep peak allocations reasonable.
-    constexpr std::uint32_t kChunk = 2048;
-    for (std::uint64_t s = 0; s < max_sectors; s += kChunk) {
-      const auto n = static_cast<std::uint32_t>(std::min<std::uint64_t>(kChunk, max_sectors - s));
-      dev.store().read(wal_base_ + start_sector + s, n,
-                       std::span<std::byte>(log_bytes.data() + s * disk::kSectorSize,
-                                            static_cast<std::size_t>(n) * disk::kSectorSize));
-    }
   }
+  // Append the WAL region's next chunk from the checkpoint's sector on;
+  // false once the region is read (always, in direct mode).
+  const auto read_more = [&] {
+    const std::uint64_t have = log_bytes.size() / disk::kSectorSize;
+    const std::uint64_t left =
+        direct_trail_ != nullptr ? 0 : config_.log_region_sectors - start_sector - have;
+    if (left == 0) return false;
+    log_bytes.resize((have + std::min(left, kWalReadSectors)) * disk::kSectorSize);
+    read_log_device(wal_base_ + start_sector + have,
+                    std::span<std::byte>(log_bytes).subspan(have * disk::kSectorSize));
+    return true;
+  };
+  (void)read_more();
 
-  // Decode records; group by txn; apply on commit.
+  // Decode the records; each committed transaction's changes join the
+  // redo list in commit order.
   std::map<TxnId, std::vector<WalRecord>> in_flight;
+  std::vector<WalRecord> redo;
   std::size_t off = report.checkpoint_lsn % disk::kSectorSize;
   Lsn log_end = report.checkpoint_lsn;
   for (;;) {
-    auto decoded = LogManager::decode(
-        std::span<const std::byte>(log_bytes.data() + off, log_bytes.size() - off));
-    if (!decoded) break;
+    auto decoded = LogManager::decode(std::span<const std::byte>(log_bytes).subspan(off));
+    if (!decoded) {
+      // A record may run past the bytes read so far.
+      if (off + kMaxWalRecordBytes > log_bytes.size() && read_more()) continue;
+      break;
+    }
     WalRecord rec = std::move(decoded->first);
     const std::size_t len = decoded->second;
     // A stale record from an older generation of the region ends the log.
-    const Lsn expect_lsn = start_sector * disk::kSectorSize + off;
+    const Lsn expect_lsn = start_byte + off;
     if (rec.lsn != expect_lsn) break;
     off += len;
     log_end = expect_lsn + len;
@@ -457,14 +489,7 @@ Database::RecoveryReport Database::recover() {
       case WalRecordType::kCommit: {
         auto txn_it = in_flight.find(rec.txn);
         if (txn_it != in_flight.end()) {
-          for (const WalRecord& r : txn_it->second) {
-            Table& t = *tables_.at(r.table);
-            if (r.type == WalRecordType::kDelete)
-              t.remove_row_offline(r.key);
-            else
-              t.load_row_offline(r.key, r.row);
-            ++report.rows_applied;
-          }
+          std::ranges::move(txn_it->second, std::back_inserter(redo));
           in_flight.erase(txn_it);
         }
         ++report.txns_replayed;
@@ -475,22 +500,34 @@ Database::RecoveryReport Database::recover() {
     }
   }
 
-  // Resume the WAL where the valid log ends.
+  // Resume the WAL where the valid log ends before redoing, so every page
+  // the redo dirties is bound to a durable LSN.
   if (direct_trail_ != nullptr) {
-    wal_->restore_direct(log_end);
     // Records at or below the replayed end stay live until the next
-    // checkpoint truncates; nothing to do here.
+    // checkpoint truncates them.
+    wal_->restore_direct(log_end);
   } else {
     // The partial tail sector's bytes are re-buffered so the next flush
     // rewrites it coherently.
     const Lsn tail_base = log_end / disk::kSectorSize * disk::kSectorSize;
-    std::vector<std::byte> tail(
-        log_bytes.begin() +
-            static_cast<std::ptrdiff_t>(tail_base - start_sector * disk::kSectorSize),
-        log_bytes.begin() +
-            static_cast<std::ptrdiff_t>(log_end - start_sector * disk::kSectorSize));
-    wal_->restore(log_end, std::move(tail));
+    wal_->restore(log_end,
+                  std::vector<std::byte>(
+                      log_bytes.begin() + static_cast<std::ptrdiff_t>(tail_base - start_byte),
+                      log_bytes.begin() + static_cast<std::ptrdiff_t>(log_end - start_byte)));
   }
+
+  for (const WalRecord& r : redo) {
+    Table& t = *tables_.at(r.table);
+    await(sim_, [&](std::function<void()> done) {
+      if (r.type == WalRecordType::kDelete)
+        t.remove(r.key, std::move(done));
+      else
+        t.apply_image(r.key, r.row, std::move(done));
+    });
+    ++report.rows_applied;
+  }
+  // Make the redone pages durable before the first transaction runs.
+  await(sim_, [&](std::function<void()> done) { pool_->flush_dirty(std::move(done)); });
 #if defined(TRAIL_AUDIT)
   quiesce_audit("recover");
 #endif

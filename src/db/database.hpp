@@ -10,16 +10,15 @@
 // Transaction protocol: redo-only WAL + NO-STEAL buffer management.
 // Updates apply in place to pinned pages and append redo records; commit
 // appends a commit record and applies the flush policy; abort restores
-// before-images. Recovery (offline, at boot — after the block driver has
-// made the data platters current) rebuilds table indexes from the pages
-// and replays committed transactions from the last checkpoint.
+// before-images. Recovery (at boot, through the block driver like every
+// other database I/O) rebuilds table indexes from the pages and replays
+// committed transactions from the last checkpoint.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -105,9 +104,9 @@ class Database {
            DbConfig config = {});
   ~Database() { *alive_ = false; }
 
-  /// Register the DiskDevice behind a DeviceId for offline access
-  /// (population, index rebuild, recovery). Required for every device
-  /// used by tables and for the log device.
+  /// Register the DiskDevice behind a DeviceId for offline population
+  /// (Table::load_row_offline, BTree bulk loads), which writes the
+  /// platters directly, like a formatter.
   void attach_device(io::DeviceId id, disk::DiskDevice& device);
 
   /// Place this device's database structures in named files of an
@@ -154,9 +153,12 @@ class Database {
   /// the snapshot release their pages.
   void checkpoint(std::function<void()> done);
 
-  /// Offline boot-time recovery: rebuild indexes from the platters, then
-  /// redo committed transactions from the last checkpoint. Requires the
-  /// data platters to be current (mount Trail with write-back first).
+  /// Boot-time recovery, on a freshly opened database over a mounted
+  /// driver: read every table's pages, the meta page and the WAL through
+  /// the block driver (stepping the simulator until each read completes),
+  /// rebuild the table indexes from the pages, then redo the committed
+  /// transactions since the last checkpoint through the buffer pool and
+  /// flush the redone pages before returning.
   struct RecoveryReport {
     Lsn checkpoint_lsn = 0;
     std::uint64_t records_scanned = 0;
@@ -194,7 +196,6 @@ class Database {
   void write_meta(Lsn checkpoint_lsn, std::function<void()> done);
   /// TRAIL_AUDIT hook: run_audit(quiescent=true), throw on errors.
   void quiesce_audit(const char* where) const;
-  [[nodiscard]] std::optional<Lsn> read_meta_offline() const;
 
   static constexpr std::uint32_t kMetaSectors = kSectorsPerPage;
 

@@ -16,8 +16,11 @@ io::BlockAddr PageFile::addr_of(PageNo page) const {
   return addr;
 }
 
-void PageFile::read_page(PageNo page, std::span<std::byte> out, std::function<void()> done) {
-  driver_.submit_read(addr_of(page), kSectorsPerPage, out, std::move(done));
+void PageFile::read_pages(PageNo first, std::span<std::byte> out, std::function<void()> done) {
+  const auto pages = static_cast<PageNo>(out.size() / kPageSize);
+  if (pages == 0 || first + pages > page_count_)
+    throw std::out_of_range("PageFile: page out of range");
+  driver_.submit_read(addr_of(first), pages * kSectorsPerPage, out, std::move(done));
 }
 
 void PageFile::write_page(PageNo page, std::span<const std::byte> data,

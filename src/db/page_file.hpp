@@ -19,14 +19,15 @@ class PageFile {
   [[nodiscard]] PageNo page_count() const { return page_count_; }
   [[nodiscard]] io::BlockAddr base() const { return base_; }
 
-  void read_page(PageNo page, std::span<std::byte> out, std::function<void()> done);
+  /// Read the whole pages from `first` on that fill `out`.
+  void read_pages(PageNo first, std::span<std::byte> out, std::function<void()> done);
   void write_page(PageNo page, std::span<const std::byte> data, std::function<void()> done);
 
   /// Offline bulk load: place page bytes directly on the platter,
   /// bypassing timed I/O (used by dataset population, like a formatter).
   void load_page_offline(disk::DiskDevice& device, PageNo page,
                          std::span<const std::byte> data) const;
-  /// Offline read of the durable image (used by recovery verification).
+  /// Offline read of the platter image (population, bulk loads).
   void peek_page_offline(const disk::DiskDevice& device, PageNo page,
                          std::span<std::byte> out) const;
 

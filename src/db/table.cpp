@@ -1,5 +1,6 @@
 #include "db/table.hpp"
 
+#include <algorithm>
 #include <cstring>
 #include <stdexcept>
 
@@ -102,23 +103,24 @@ void Table::pin_page(PageNo page) { pool_.pin(pool_file_id_, page); }
 
 void Table::unpin_page(PageNo page) { pool_.unpin(pool_file_id_, page); }
 
-void Table::rebuild_index_offline() {
-  if (device_ == nullptr || file_ == nullptr)
-    throw std::logic_error("Table: no offline device attached");
+void Table::rebuild_index(const std::function<void(PageNo, std::span<std::byte>)>& read) {
   index_.clear();
   free_slots_.clear();
-  next_unused_slot_ = 0;
-  std::vector<std::byte> page(kPageSize);
+  constexpr PageNo kPagesPerRead = 64;
+  std::vector<std::byte> pages(static_cast<std::size_t>(kPagesPerRead) * kPageSize);
   std::uint32_t highest_used = 0;
   bool any = false;
-  for (PageNo p = 0; p < page_count_; ++p) {
-    file_->peek_page_offline(*device_, p, page);
-    for (std::uint32_t s = 0; s < slots_per_page_; ++s) {
-      const std::byte* sp = page.data() + static_cast<std::size_t>(s) * slot_bytes();
-      const std::uint32_t global = p * slots_per_page_ + s;
-      if (sp[0] == std::byte{1}) {
+  for (PageNo first = 0; first < page_count_; first += kPagesPerRead) {
+    const PageNo n = std::min(kPagesPerRead, page_count_ - first);
+    read(first, std::span<std::byte>(pages).first(static_cast<std::size_t>(n) * kPageSize));
+    for (PageNo p = 0; p < n; ++p) {
+      for (std::uint32_t s = 0; s < slots_per_page_; ++s) {
+        const std::byte* sp = pages.data() + static_cast<std::size_t>(p) * kPageSize +
+                              static_cast<std::size_t>(s) * slot_bytes();
+        if (sp[0] != std::byte{1}) continue;
         Key key = 0;
         for (int i = 0; i < 8; ++i) key |= static_cast<Key>(sp[1 + i]) << (8 * i);
+        const std::uint32_t global = (first + p) * slots_per_page_ + s;
         index_[key] = global;
         highest_used = global;
         any = true;
@@ -141,20 +143,6 @@ void Table::load_row_offline(Key key, const RowBuf& row) {
   std::vector<std::byte> page(kPageSize);
   file_->peek_page_offline(*device_, loc.page, page);
   write_slot(page, loc.slot, true, key, row);
-  file_->load_page_offline(*device_, loc.page, page);
-}
-
-void Table::remove_row_offline(Key key) {
-  if (device_ == nullptr || file_ == nullptr)
-    throw std::logic_error("Table: no offline device attached");
-  auto it = index_.find(key);
-  if (it == index_.end()) return;
-  const Slot loc = location_of(it->second);
-  free_slots_.push_back(it->second);
-  index_.erase(it);
-  std::vector<std::byte> page(kPageSize);
-  file_->peek_page_offline(*device_, loc.page, page);
-  page[static_cast<std::size_t>(loc.slot) * slot_bytes()] = std::byte{0};
   file_->load_page_offline(*device_, loc.page, page);
 }
 

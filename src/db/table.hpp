@@ -50,16 +50,15 @@ class Table {
   void pin_page(PageNo page);
   void unpin_page(PageNo page);
 
-  /// Offline boot path: scan the durable pages and rebuild the hash index
-  /// and free-slot bookkeeping. Requires the attached device.
-  void rebuild_index_offline();
+  /// Boot path (Database::recover): rebuild the hash index and free-slot
+  /// bookkeeping from the table's page images. `read(first, out)` fills
+  /// `out` with the images of the whole pages from `first` on before it
+  /// returns.
+  void rebuild_index(const std::function<void(PageNo first, std::span<std::byte> out)>& read);
 
   /// Offline bulk load used by dataset population (no timed I/O): writes
   /// the row image directly to the platter and indexes it.
   void load_row_offline(Key key, const RowBuf& row);
-
-  /// Offline row removal (WAL redo of kDelete during recovery).
-  void remove_row_offline(Key key);
 
   /// Iterate all keys (index order unspecified).
   void for_each_key(const std::function<void(Key)>& fn) const;
@@ -84,7 +83,7 @@ class Table {
   std::uint32_t pool_file_id_;
   PageNo page_count_;
   std::uint32_t slots_per_page_;
-  disk::DiskDevice* device_;  // offline access (population, index rebuild)
+  disk::DiskDevice* device_;  // offline population
   PageFile* file_;
 
   std::unordered_map<Key, std::uint32_t> index_;  // key -> global slot

@@ -4,12 +4,15 @@
 #include <memory>
 #include <vector>
 
+#include "db/chain.hpp"
+
 namespace trail::tpcc {
 
 namespace {
 
 /// Early-exit async sequencer: each step receives next(ok); next(false)
-/// short-circuits to the finish handler with ok=false.
+/// short-circuits to the finish handler with ok=false. Only the pending
+/// next() owns the state (see db/chain.hpp).
 class Flow {
  public:
   using Next = std::function<void(bool)>;
@@ -21,28 +24,24 @@ class Flow {
   }
 
   void run(std::function<void(bool)> finish) && {
-    struct State {
-      std::vector<Step> steps;
-      std::function<void(bool)> finish;
-      std::size_t index = 0;
-    };
-    auto st = std::make_shared<State>(State{std::move(steps_), std::move(finish), 0});
-    auto advance = std::make_shared<std::function<void(bool)>>();
-    *advance = [st, advance](bool ok) {
-      if (!ok || st->index >= st->steps.size()) {
-        auto finish = std::move(st->finish);
-        *advance = nullptr;
-        finish(ok);
-        return;
-      }
-      Step& step = st->steps[st->index++];
-      step(*advance);
-    };
-    auto kick = *advance;
-    kick(true);
+    advance(std::make_shared<State>(State{std::move(steps_), std::move(finish), 0}), true);
   }
 
  private:
+  struct State {
+    std::vector<Step> steps;
+    std::function<void(bool)> finish;
+    std::size_t index = 0;
+  };
+
+  static void advance(const std::shared_ptr<State>& st, bool ok) {
+    if (!ok || st->index >= st->steps.size()) {
+      st->finish(ok);
+      return;
+    }
+    st->steps[st->index++]([st](bool step_ok) { advance(st, step_ok); });
+  }
+
   std::vector<Step> steps_;
 };
 
@@ -381,20 +380,14 @@ void TxnRunner::order_status(Done done) {
       return;
     }
     // Read each order line sequentially.
-    auto line = std::make_shared<std::uint32_t>(1);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &txn, ctx, line, step, next] {
-      if (*line > ctx->ol_cnt) {
-        *step = nullptr;
+    db::loop([this, &txn, ctx, line = std::uint32_t{1}, next](const auto& again) mutable {
+      if (line > ctx->ol_cnt) {
         next(true);
         return;
       }
-      const std::uint32_t ol = (*line)++;
-      txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, ctx->o, ol),
-              [step](bool, db::RowBuf) { { auto s2 = *step; s2(); } });
-    };
-    auto kick = *step;
-    kick();
+      txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, ctx->o, line++),
+              [again](bool, db::RowBuf) { again(); });
+    });
   });
 
   std::move(flow).run([this, &txn, done = std::move(done)](bool ok) mutable {
@@ -467,11 +460,9 @@ void TxnRunner::delivery(Done done) {
                       return;
                     }
                     // Stamp each order line with the delivery date.
-                    auto line = std::make_shared<std::uint32_t>(1);
-                    auto step = std::make_shared<std::function<void()>>();
-                    *step = [this, &txn, ctx, d, o, line, step, next] {
-                      if (*line > ctx->ol_cnt) {
-                        *step = nullptr;
+                    db::loop([this, &txn, ctx, d, o, line = std::uint32_t{1},
+                              next](const auto& again) mutable {
+                      if (line > ctx->ol_cnt) {
                         // Credit the customer's balance.
                         txn.get_for_update(
                             t_customer(), customer_key(ctx->w, d, ctx->c),
@@ -489,34 +480,32 @@ void TxnRunner::delivery(Done done) {
                             });
                         return;
                       }
-                      const std::uint32_t ol = (*line)++;
+                      const std::uint32_t ol = line++;
                       txn.get_for_update(
                           t_order_line(), order_line_key(ctx->w, d, o, ol),
-                          [this, &txn, ctx, d, o, ol, step, next](bool ok4, bool found2,
-                                                                  db::RowBuf lrow) {
+                          [this, &txn, ctx, d, o, ol, again, next](bool ok4, bool found2,
+                                                                   db::RowBuf lrow) {
                             if (!ok4) {
                               next(false);
                               return;
                             }
                             if (!found2) {
-                              { auto s2 = *step; s2(); }
+                              again();
                               return;
                             }
                             auto lr = from_row<OrderLineRow>(lrow);
                             lr.delivery_d = tpcc_.database().simulator().now().ns();
                             ctx->total += lr.amount;
                             txn.update(t_order_line(), order_line_key(ctx->w, d, o, ol),
-                                       to_row(lr), [step, next](bool ok5) {
+                                       to_row(lr), [again, next](bool ok5) {
                                          if (!ok5) {
                                            next(false);
                                            return;
                                          }
-                                         { auto s2 = *step; s2(); }
+                                         again();
                                        });
                           });
-                    };
-                    auto kick = *step;
-                    kick();
+                    });
                   });
             });
       });
@@ -577,52 +566,40 @@ void TxnRunner::stock_level(Done done) {
   // Collect item ids from the last 20 orders' lines, then probe stock.
   flow.then([this, &txn, ctx](Flow::Next next) {
     const std::uint32_t from = ctx->next_o > 20 ? ctx->next_o - 20 : 1;
-    auto o = std::make_shared<std::uint32_t>(from);
-    auto ol = std::make_shared<std::uint32_t>(1);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &txn, ctx, o, ol, step, next] {
-      if (*o >= ctx->next_o) {
-        *step = nullptr;
+    db::loop([this, &txn, ctx, o = from, ol = std::uint32_t{1},
+              next](const auto& again) mutable {
+      if (o >= ctx->next_o) {
         next(true);
         return;
       }
-      const std::uint32_t oo = *o, ll = *ol;
-      if (ll > 15) {
-        *ol = 1;
-        ++*o;
-        { auto s2 = *step; s2(); }
+      if (ol > 15) {
+        ol = 1;
+        ++o;
+        again();
         return;
       }
-      ++*ol;
-      txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, oo, ll),
-              [ctx, step](bool found, db::RowBuf row) {
+      txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, o, ol++),
+              [ctx, again](bool found, db::RowBuf row) {
                 if (found) ctx->item_ids.push_back(from_row<OrderLineRow>(row).i_id);
-                { auto s2 = *step; s2(); }
+                again();
               });
-    };
-    auto kick = *step;
-    kick();
+    });
   });
   flow.then([this, &txn, ctx](Flow::Next next) {
     std::sort(ctx->item_ids.begin(), ctx->item_ids.end());
     ctx->item_ids.erase(std::unique(ctx->item_ids.begin(), ctx->item_ids.end()),
                         ctx->item_ids.end());
-    auto idx = std::make_shared<std::size_t>(0);
-    auto step = std::make_shared<std::function<void()>>();
-    *step = [this, &txn, ctx, idx, step, next] {
-      if (*idx >= ctx->item_ids.size()) {
-        *step = nullptr;
+    db::loop([this, &txn, ctx, idx = std::size_t{0}, next](const auto& again) mutable {
+      if (idx >= ctx->item_ids.size()) {
         next(true);
         return;
       }
-      const std::uint32_t item = ctx->item_ids[(*idx)++];
-      txn.get(t_stock(), stock_key(ctx->w, item), [ctx, step](bool found, db::RowBuf row) {
+      const std::uint32_t item = ctx->item_ids[idx++];
+      txn.get(t_stock(), stock_key(ctx->w, item), [ctx, again](bool found, db::RowBuf row) {
         if (found && from_row<StockRow>(row).quantity < ctx->threshold) ++ctx->low;
-        { auto s2 = *step; s2(); }
+        again();
       });
-    };
-    auto kick = *step;
-    kick();
+    });
   });
 
   std::move(flow).run([this, &txn, done = std::move(done)](bool ok) mutable {

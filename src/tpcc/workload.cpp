@@ -67,16 +67,12 @@ TpccDatabase::TpccDatabase(db::Database& database, const Scale& scale,
   const disk::Lba index_base = db_.allocate_region(
       "cust_name_idx", static_cast<std::uint64_t>(index_pages) * db::kSectorsPerPage,
       main_device);
-  // The offline device for index rebuilds (attached by the harness).
-  disk::DiskDevice* offline = nullptr;
-  // Reuse the Database's attachment via a probe write path: the Database
-  // exposes no getter, so thread it through create-table's device map by
-  // asking for it explicitly.
-  offline = db_.offline_device(main_device);
   name_index_file_ = std::make_unique<db::PageFile>(
       db_.driver(), io::BlockAddr{main_device, index_base}, index_pages);
   const auto index_fid = db_.pool().register_file(*name_index_file_);
-  name_index_ = std::make_unique<db::BTree>(db_.pool(), index_fid, *name_index_file_, offline);
+  // Bulk-loaded on the platter (rebuild_aux_indexes), like population.
+  name_index_ = std::make_unique<db::BTree>(db_.pool(), index_fid, *name_index_file_,
+                                            db_.offline_device(main_device));
 }
 
 db::Key TpccDatabase::name_index_key(std::uint32_t w, std::uint32_t d,
@@ -232,8 +228,8 @@ void TpccDatabase::rebuild_aux_indexes() {
   last_order_.clear();
   backlog_.clear();
 
-  // Customer-by-last-name secondary index: rebuilt offline from the
-  // customer table, like the primary hash indexes.
+  // Customer-by-last-name secondary index: bulk-loaded from the customer
+  // table (the tables' hash indexes are rebuilt by Database::recover).
   build_name_index();
 
   // Order backlog + newest order per customer: scan the tables.

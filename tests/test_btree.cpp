@@ -5,6 +5,7 @@
 #include <memory>
 
 #include "db/btree.hpp"
+#include "db/table.hpp"
 #include "disk/disk_device.hpp"
 #include "disk/profile.hpp"
 #include "io/standard_driver.hpp"
@@ -180,31 +181,20 @@ TEST_F(BTreeTest, EraseRemovesAndReusesSpace) {
   EXPECT_EQ(find_sync(50).second, 555u);
 }
 
-TEST_F(BTreeTest, PersistsAcrossFlushAndReopen) {
-  for (Key k = 0; k < 2000; ++k) ASSERT_TRUE(insert_sync(k * 3, k));
-  // Clean shutdown: flush dirty pages, then reopen from the platter.
+TEST_F(BTreeTest, BulkLoadRefusesToDropADirtyTableFrame) {
+  // A table shares the pool and has an unflushed change: the bulk load's
+  // pool reset would discard it, so the bulk load throws instead.
+  PageFile table_file(driver, io::BlockAddr{dev_id, 40'000}, 8);
+  Table table("t", 0, 64, *pool, pool->register_file(table_file), 8, dev.get(), &table_file);
+  bool applied = false;
+  table.apply_image(1, RowBuf(64, std::byte{7}), [&] { applied = true; });
+  pump(applied);
+  EXPECT_THROW(tree->bulk_load_offline({{1, 1}}), std::logic_error);
   bool flushed = false;
   pool->flush_dirty([&] { flushed = true; });
   pump(flushed);
-  // Persist the meta (kept in memory online): emulate via bulk reopen —
-  // the meta page is only written offline, so rewrite it.
-  // (Online meta persistence is the caller's shutdown hook.)
-  auto tree2 = std::make_unique<BTree>(*pool, file_id, *file, dev.get());
-  // Reuse tree's in-memory meta to write it out, as a shutdown would.
-  tree->flush_meta_offline();
-  pool->reset();
-  tree2->open_offline();
-  EXPECT_EQ(tree2->size(), 2000u);
-  bool done = false, found = false;
-  BTree::Value v = 0;
-  tree2->find(999 * 3, [&](bool f, BTree::Value val) {
-    found = f;
-    v = val;
-    done = true;
-  });
-  pump(done);
-  EXPECT_TRUE(found);
-  EXPECT_EQ(v, 999u);
+  tree->bulk_load_offline({{1, 1}});
+  EXPECT_EQ(find_sync(1), std::make_pair(true, BTree::Value{1}));
 }
 
 TEST_F(BTreeTest, BulkLoadBuildsSearchableTree) {
