@@ -14,6 +14,7 @@ int main() {
   namespace sim = trail::sim;
   namespace disk = trail::disk;
   namespace core = trail::core;
+  namespace io = trail::io;
 
   for (const char* which : {"ST41601N", "WD-Caviar-10G", "fixed-head-drum"}) {
     disk::DiskProfile profile = std::string(which) == "ST41601N" ? disk::st41601n()
@@ -51,7 +52,7 @@ int main() {
     p.rotation_drift_ppm = 200.0;
     sim::Simulator simulator;
     disk::DiskDevice device(simulator, p);
-    core::HeadPredictor predictor(device.geometry(), p.rotation_time());
+    io::HeadPredictor predictor(device.geometry(), p.rotation_time());
     disk::SectorBuf buf{};
     bool done = false;
     device.read(device.geometry().first_lba_of_track(10), 1, buf, [&] { done = true; });

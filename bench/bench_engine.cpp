@@ -410,14 +410,14 @@ void BM_WritebackQueueBacklog(benchmark::State& state) {
     if (!sched->try_merge(io)) sched->push(std::move(io));
   };
   while (sched->size() < backlog) submit();
-  disk::Lba head = 0;
+  io::HeadState head;
   for (auto _ : state) {
     submit();
     while (sched->size() > backlog) {
-      const io::PendingIo io = sched->pop_next(head);
-      head = io.lba + io.count;
+      const io::PendingIo io = sched->pop_next(head).io;
+      head.lba = io.lba + io.count;
     }
-    benchmark::DoNotOptimize(head);
+    benchmark::DoNotOptimize(head.lba);
   }
   state.SetItemsProcessed(state.iterations());
 }

@@ -9,10 +9,10 @@
 #include <benchmark/benchmark.h>
 
 #include "core/crc32.hpp"
-#include "core/head_predictor.hpp"
 #include "core/log_format.hpp"
 #include "db/wal.hpp"
 #include "disk/profile.hpp"
+#include "io/head_predictor.hpp"
 #include "sim/random.hpp"
 #include "sim/simulator.hpp"
 
@@ -22,7 +22,7 @@ using namespace trail;
 
 void BM_HeadPrediction(benchmark::State& state) {
   const disk::DiskProfile profile = disk::st41601n();
-  core::HeadPredictor predictor(profile.geometry, profile.rotation_time());
+  io::HeadPredictor predictor(profile.geometry, profile.rotation_time());
   predictor.set_delta(profile.command_overhead);
   predictor.set_reference(sim::TimePoint{0}, 100, 3);
   std::int64_t t = 1'000'000;

@@ -63,8 +63,8 @@ TrailDriver::TrailDriver(sim::Simulator& sim, std::vector<disk::DiskDevice*> log
       throw std::invalid_argument(
           "TrailDriver: log disk is not formatted (run format_log_disk)");
     LogUnit unit(*device);
-    unit.predictor = std::make_unique<HeadPredictor>(device->geometry(),
-                                                     device->profile().rotation_time());
+    unit.predictor = std::make_unique<io::HeadPredictor>(device->geometry(),
+                                                         device->profile().rotation_time());
     unit.allocator =
         std::make_unique<TrackAllocator>(device->geometry(), unit.layout.reserved_tracks());
     units_.push_back(std::move(unit));
@@ -83,8 +83,8 @@ TrailDriver::~TrailDriver() {
 
 io::DeviceId TrailDriver::add_data_disk(disk::DiskDevice& device) {
   if (mounted_) throw std::logic_error("TrailDriver: add data disks before mount()");
-  // Reads drain first in arrival order; write-backs are CSCAN-ordered and
-  // coalesce in-queue (§4.2–§4.3).
+  // Reads drain first, by predicted positioning time; write-backs are
+  // CSCAN-ordered and coalesce in-queue (§4.2–§4.3).
   data_queues_.push_back(
       std::make_unique<io::DeviceQueue>(device, io::make_writeback_scheduler()));
   data_disks_.push_back(&device);

@@ -40,7 +40,6 @@
 
 #include "core/buffer_manager.hpp"
 #include "core/format_tool.hpp"
-#include "core/head_predictor.hpp"
 #include "core/log_format.hpp"
 #include "core/recovery.hpp"
 #include "core/track_allocator.hpp"
@@ -48,6 +47,7 @@
 #include "disk/seek_model.hpp"
 #include "io/block.hpp"
 #include "io/device_queue.hpp"
+#include "io/head_predictor.hpp"
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 
@@ -226,7 +226,7 @@ class TrailDriver final : public io::BlockDriver {
   /// Allocator / predictor of log disk 0 (stats & tests); use the unit
   /// accessors for multi-log-disk setups.
   [[nodiscard]] const TrackAllocator& allocator() const { return *units_[0].allocator; }
-  [[nodiscard]] const HeadPredictor& predictor() const { return *units_[0].predictor; }
+  [[nodiscard]] const io::HeadPredictor& predictor() const { return *units_[0].predictor; }
   [[nodiscard]] const TrackAllocator& allocator_of(std::size_t unit) const {
     return *units_.at(unit).allocator;
   }
@@ -308,7 +308,7 @@ class TrailDriver final : public io::BlockDriver {
     disk::DiskDevice* device = nullptr;
     LogDiskLayout layout;
     disk::SeekModel seek;
-    std::unique_ptr<HeadPredictor> predictor;
+    std::unique_ptr<io::HeadPredictor> predictor;
     std::unique_ptr<TrackAllocator> allocator;
     bool busy = false;  // physical write or repositioning in flight
     bool full = false;  // ring exhausted: next track still live

@@ -5,7 +5,42 @@
 namespace trail::io {
 
 DeviceQueue::DeviceQueue(disk::DiskDevice& device, std::unique_ptr<IoScheduler> scheduler)
-    : device_(device), scheduler_(std::move(scheduler)) {}
+    : device_(device),
+      scheduler_(std::move(scheduler)),
+      predictor_(device.geometry(), device.profile().rotation_time()),
+      seek_(device.profile().seek),
+      read_deadline_(device.profile().command_overhead + device.profile().seek.full_stroke +
+                     device.profile().rotation_time()) {
+  predictor_.set_delta(device.profile().command_overhead);
+}
+
+sim::Duration DeviceQueue::position_time(disk::Lba lba) const {
+  const disk::Geometry& geom = device_.geometry();
+  const disk::Chs to = geom.to_chs(lba);
+  const disk::TrackId from = predictor_.reference_track();
+  const sim::Duration seek =
+      seek_.reposition_time(geom.cylinder_of_track(from), geom.surface_of_track(from),
+                            to.cylinder, to.surface);
+  return predictor_.position_time(geom.track_of(to.cylinder, to.surface), to.sector,
+                                  device_.simulator().now(), seek);
+}
+
+HeadState DeviceQueue::head_state() const {
+  HeadState head;
+  head.lba = device_.geometry().first_lba_of_track(device_.current_track());
+  head.now = device_.simulator().now();
+  head.deadline = read_deadline_;
+  if (predictor_.has_reference())
+    head.position = [this](disk::Lba lba) { return position_time(lba); };
+  return head;
+}
+
+void DeviceQueue::reference(disk::Lba last) {
+  const disk::Geometry& geom = device_.geometry();
+  const disk::Chs at = geom.to_chs(last);
+  predictor_.set_reference(device_.simulator().now(), geom.track_of(at.cylinder, at.surface),
+                           at.sector);
+}
 
 void DeviceQueue::attach_obs(obs::Obs* obs, std::uint32_t tid,
                              std::string_view depth_gauge_name,
@@ -17,6 +52,8 @@ void DeviceQueue::attach_obs(obs::Obs* obs, std::uint32_t tid,
     skip_counter_ = &obs_->metrics.counter("io.dispatch_skips");
     hold_counter_ = &obs_->metrics.counter("io.anticipation_holds");
     hit_counter_ = &obs_->metrics.counter("io.anticipation_hits");
+    reorder_counter_ = &obs_->metrics.counter("io.read_reorders");
+    deadline_counter_ = &obs_->metrics.counter("io.read_deadline_dispatches");
     h_service_ =
         service_hist_name.empty() ? nullptr : &obs_->metrics.histogram(service_hist_name);
   } else {
@@ -24,6 +61,8 @@ void DeviceQueue::attach_obs(obs::Obs* obs, std::uint32_t tid,
     skip_counter_ = nullptr;
     hold_counter_ = nullptr;
     hit_counter_ = nullptr;
+    reorder_counter_ = nullptr;
+    deadline_counter_ = nullptr;
     h_service_ = nullptr;
   }
 }
@@ -39,6 +78,7 @@ void DeviceQueue::update_depth() {
 
 void DeviceQueue::submit(PendingIo io) {
   io.seq = next_seq_++;
+  io.queued_at = device_.simulator().now();
   // Batched write-backs coalesce into an already-queued adjacent/
   // overlapping batch instead of occupying their own queue slot (§4.2).
   if (!scheduler_->try_merge(io)) scheduler_->push(std::move(io));
@@ -50,9 +90,11 @@ void DeviceQueue::pump() {
   if (dispatched_) return;
   while (!scheduler_->empty()) {
     if (holding()) return;
-    const disk::Lba head =
-        device_.geometry().first_lba_of_track(device_.current_track());
-    PendingIo io = scheduler_->pop_next(head);
+    Pick pick = scheduler_->pop_next(head_state());
+    if (pick.rule == Pick::Rule::kCloser && reorder_counter_ != nullptr) reorder_counter_->inc();
+    if (pick.rule == Pick::Rule::kDeadline && deadline_counter_ != nullptr)
+      deadline_counter_->inc();
+    PendingIo io = std::move(pick.io);
     if (!io.ranges.empty()) {
       if (begin_batch(std::move(io))) return;
       continue;  // every sub-range skipped; nothing reached the device
@@ -63,13 +105,15 @@ void DeviceQueue::pump() {
     // Stamp `begin` only when tracing is live at dispatch; the completion
     // checks the same flag so enabling the tracer mid-flight can't emit a
     // span whose start predates the enable (it would begin at time 0).
+    const disk::Lba last = io.lba + io.count - 1;
     const bool traced = obs_ != nullptr && obs_->tracer.enabled();
     const bool timed = traced || h_service_ != nullptr;
     sim::TimePoint begin{};
     if (timed) begin = obs_->tracer.now();
-    auto finish = [this, alive = alive_, priority, is_write, traced, timed, begin,
+    auto finish = [this, alive = alive_, priority, is_write, last, traced, timed, begin,
                    cb = std::move(io.on_complete)]() {
       if (!*alive) return;
+      reference(last);
       left_device(priority);
       if (timed && h_service_ != nullptr) h_service_->record(obs_->tracer.now() - begin);
       if (traced && obs_ != nullptr && obs_->tracer.enabled())
@@ -218,12 +262,14 @@ void DeviceQueue::issue_batch_run() {
   BatchRun& run = b.runs[b.next++];
   const auto count = static_cast<std::uint32_t>(run.image.size() / disk::kSectorSize);
   if (b.on_dispatch) b.on_dispatch(run.ranges, count);
+  const disk::Lba last = run.lba + count - 1;
   const bool traced = obs_ != nullptr && obs_->tracer.enabled();
   const bool timed = traced || h_service_ != nullptr;
   sim::TimePoint begin{};
   if (timed) begin = obs_->tracer.now();
-  device_.write(run.lba, count, run.image, [this, alive = alive_, traced, timed, begin] {
+  device_.write(run.lba, count, run.image, [this, alive = alive_, last, traced, timed, begin] {
     if (!*alive) return;
+    reference(last);
     if (timed && h_service_ != nullptr) h_service_->record(obs_->tracer.now() - begin);
     if (traced && obs_ != nullptr && obs_->tracer.enabled())
       obs_->tracer.complete("io.write", "io", begin, obs_->tracer.now() - begin, obs_tid_);

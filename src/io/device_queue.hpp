@@ -13,6 +13,13 @@
 // never waits. A batched write-back drops its redundant or
 // already-settled ranges at dispatch (§4.2). Both the standard baseline
 // driver and Trail's write-back engine are built on it.
+//
+// The queue predicts its device's head the way §3.1's log writer does:
+// one HeadPredictor, referenced at the trailing edge of every command
+// that leaves the device, with δ the profile's command overhead and the
+// profile's published seek curve for arm moves. The write-back policy
+// orders its reads by that prediction (scheduler.hpp); the other
+// policies never ask for it.
 #pragma once
 
 #include <cstdint>
@@ -22,6 +29,8 @@
 #include <vector>
 
 #include "disk/disk_device.hpp"
+#include "disk/seek_model.hpp"
+#include "io/head_predictor.hpp"
 #include "io/scheduler.hpp"
 #include "obs/obs.hpp"
 
@@ -48,14 +57,22 @@ class DeviceQueue {
 
   [[nodiscard]] disk::DiskDevice& device() { return device_; }
 
+  /// Predicted positioning time (command overhead + seek + rotational
+  /// wait) of a command starting at `lba` issued now, from the head's
+  /// state when the last command left the device. Requires a command to
+  /// have left it.
+  [[nodiscard]] sim::Duration position_time(disk::Lba lba) const;
+
   /// Invoked whenever the queue becomes idle (used by drain logic).
   void set_idle_callback(std::function<void()> cb) { on_idle_ = std::move(cb); }
 
   /// Optional observability: per-command service spans ("io.read" /
   /// "io.write") and "io.hold" instants on lane `tid`, queue-depth gauge
   /// + counter lane, a counter of write-back ranges dropped at dispatch,
-  /// and counters of held lower-class dispatches and of holds a request
-  /// of the held class ended. Near-zero cost while the tracer is off.
+  /// counters of held lower-class dispatches and of holds a request of
+  /// the held class ended, and counters of reads the read class sent
+  /// ahead of an older read and of overdue reads its deadline sent
+  /// first. Near-zero cost while the tracer is off.
   /// `service_hist_name`, when non-empty, names a histogram recording
   /// every command's device service time in ns (always on, tracer or
   /// not — the attribution layer's view of data-disk service cost).
@@ -84,6 +101,11 @@ class DeviceQueue {
   void pump();
   /// Pump, then tell the idle callback if nothing is left.
   void resume();
+  /// What the scheduler's pick knows of the device now.
+  [[nodiscard]] HeadState head_state() const;
+  /// A command ending at `last` left the device: the head sits at that
+  /// sector's trailing edge.
+  void reference(disk::Lba last);
   /// A command of class `priority` left the device: open its hold window.
   void left_device(int priority);
   /// True while the next request is of a worse class than the command
@@ -98,6 +120,11 @@ class DeviceQueue {
 
   disk::DiskDevice& device_;
   std::unique_ptr<IoScheduler> scheduler_;
+  HeadPredictor predictor_;
+  disk::SeekModel seek_;
+  /// The worst single positioning: overhead + full-stroke seek + one
+  /// revolution. A read queued longer goes first.
+  sim::Duration read_deadline_;
   std::uint64_t next_seq_ = 0;
   bool dispatched_ = false;  // one of ours is on the device
   int hold_class_ = 0;       // class of the command that last left the device
@@ -111,6 +138,8 @@ class DeviceQueue {
   obs::Counter* skip_counter_ = nullptr;
   obs::Counter* hold_counter_ = nullptr;
   obs::Counter* hit_counter_ = nullptr;
+  obs::Counter* reorder_counter_ = nullptr;
+  obs::Counter* deadline_counter_ = nullptr;
   obs::Histogram* h_service_ = nullptr;  // per-command service time, ns
   /// Lifetime token for device completions, which can outlive the queue.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <deque>
+#include <iterator>
 #include <limits>
 #include <map>
 #include <utility>
@@ -33,11 +34,37 @@ void merge_into(PendingIo& target, PendingIo io) {
   if (!target.on_dispatch) target.on_dispatch = std::move(io.on_dispatch);
 }
 
+/// The read class's pick from `reads` (oldest first): the oldest once it
+/// has waited past the deadline, else the read predicted to position
+/// soonest, ties to the oldest. Sets `rule` when the pick is not simply
+/// the oldest of several.
+std::deque<PendingIo>::iterator pick_read(std::deque<PendingIo>& reads, const HeadState& head,
+                                          Pick::Rule& rule) {
+  const auto oldest = reads.begin();
+  if (reads.size() == 1 || !head.position) return oldest;
+  if (head.now - oldest->queued_at > head.deadline) {
+    rule = Pick::Rule::kDeadline;
+    return oldest;
+  }
+  auto best = oldest;
+  sim::Duration best_time = head.position(oldest->lba);
+  for (auto it = std::next(oldest); it != reads.end(); ++it) {
+    const sim::Duration t = head.position(it->lba);
+    if (t < best_time) {
+      best = it;
+      best_time = t;
+    }
+  }
+  if (best != oldest) rule = Pick::Rule::kCloser;
+  return best;
+}
+
 /// The one scheduler behind every policy. Classes below `first_sorted`
-/// are FIFO deques (DeviceQueue stamps `seq` in push order, so the front
-/// is the oldest request); the others are CSCAN-ordered maps. With
-/// `writeback` set, the sorted classes coalesce batched write-backs;
-/// otherwise nothing merges.
+/// are deques (DeviceQueue stamps `seq` in push order, so the front is
+/// the oldest request), served from the front or, with `writeback` set,
+/// by pick_read; the others are CSCAN-ordered maps. With `writeback`
+/// set, the sorted classes coalesce batched write-backs; otherwise
+/// nothing merges.
 class IndexedScheduler final : public IoScheduler {
  public:
   IndexedScheduler(std::int64_t first_sorted, bool writeback)
@@ -47,7 +74,7 @@ class IndexedScheduler final : public IoScheduler {
     Class& c = classes_[io.priority];
     ++size_;
     if (io.priority < first_sorted_) {
-      c.fifo.push_back(std::move(io));
+      c.arrived.push_back(std::move(io));
       return;
     }
     c.widest = std::max(c.widest, io.count);
@@ -58,24 +85,25 @@ class IndexedScheduler final : public IoScheduler {
   [[nodiscard]] bool empty() const override { return size_ == 0; }
   [[nodiscard]] std::size_t size() const override { return size_; }
 
-  PendingIo pop_next(disk::Lba head_position) override {
+  Pick pop_next(const HeadState& head) override {
     // Classes are erased as they drain, so the first one holds work.
     const auto cls = classes_.begin();
     Class& c = cls->second;
-    PendingIo io;
-    if (!c.fifo.empty()) {
-      io = std::move(c.fifo.front());
-      c.fifo.pop_front();
+    Pick pick;
+    if (!c.arrived.empty()) {
+      const auto it = writeback_ ? pick_read(c.arrived, head, pick.rule) : c.arrived.begin();
+      pick.io = std::move(*it);
+      c.arrived.erase(it);
     } else {
       // Next envelope at or beyond the head, else wrap to the lowest.
-      auto it = c.sorted.lower_bound(Key{head_position, 0});
+      auto it = c.sorted.lower_bound(Key{head.lba, 0});
       if (it == c.sorted.end()) it = c.sorted.begin();
-      io = std::move(it->second);
+      pick.io = std::move(it->second);
       c.sorted.erase(it);
     }
-    if (c.fifo.empty() && c.sorted.empty()) classes_.erase(cls);
+    if (c.arrived.empty() && c.sorted.empty()) classes_.erase(cls);
     --size_;
-    return io;
+    return pick;
   }
 
   [[nodiscard]] int next_priority() const override { return classes_.begin()->first; }
@@ -111,7 +139,7 @@ class IndexedScheduler final : public IoScheduler {
   using Sorted = std::map<Key, PendingIo>;
 
   struct Class {
-    std::deque<PendingIo> fifo;
+    std::deque<PendingIo> arrived;  // unsorted classes, oldest first
     Sorted sorted;
     /// Largest envelope queued since the class was created: every
     /// envelope overlapping or touching [lba, lba + count) starts in

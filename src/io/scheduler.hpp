@@ -3,18 +3,19 @@
 // The standard-baseline driver uses C-LOOK (the Linux elevator of the
 // paper's era); Trail's write-back path keeps reads above writes ("data
 // disk reads are given higher priority than data disk writes", §4.3),
-// serves the read class in arrival order, and CSCAN-orders the write
-// class, coalescing adjacent/overlapping queued write-backs into one
-// multi-range device command (§4.2). Priority classes are part of the
-// scheduler interface so all policies fall out of one mechanism.
+// serves the read class by predicted positioning time, and CSCAN-orders
+// the write class, coalescing adjacent/overlapping queued write-backs
+// into one multi-range device command (§4.2). Priority classes are part
+// of the scheduler interface so all policies fall out of one mechanism.
 //
-// One indexed implementation serves every policy, so no operation scans
-// a whole class: an arrival-order class is a deque served from its
-// front; a CSCAN-ordered class is a map keyed by (envelope LBA, queue
-// position), so dispatch is one lower_bound from the head and equal LBAs
-// go to the earliest-queued request. Coalescing examines only the
-// envelopes that start within one largest-queued-envelope of the
-// arrival.
+// One indexed implementation serves every policy: an arrival-order class
+// is a deque served from its front; a CSCAN-ordered class is a map keyed
+// by (envelope LBA, queue position), so dispatch is one lower_bound from
+// the head and equal LBAs go to the earliest-queued request. Coalescing
+// examines only the envelopes that start within one
+// largest-queued-envelope of the arrival. Only the write-back policy's
+// read class is scanned whole at each pick: it holds about one read per
+// waiting transaction, where the write class holds thousands.
 #pragma once
 
 #include <cstdint>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "disk/types.hpp"
+#include "sim/time.hpp"
 
 namespace trail::io {
 
@@ -36,6 +38,7 @@ struct PendingIo {
   std::span<std::byte> out;           // read destination (caller-owned)
   int priority = 0;                   // lower value = dispatched first
   std::uint64_t seq = 0;              // submission order (DeviceQueue stamps it)
+  sim::TimePoint queued_at{};         // DeviceQueue stamps it; the read deadline runs from here
   std::function<void()> on_complete;
 
   /// One constituent dirty range of a batched write-back. Each range
@@ -77,6 +80,32 @@ struct PendingIo {
   std::function<void(std::uint32_t ranges, std::uint32_t sectors)> on_dispatch;
 };
 
+/// What a pick knows of the device.
+struct HeadState {
+  /// First LBA of the track under the head: the CSCAN and C-LOOK classes
+  /// sweep on from here.
+  disk::Lba lba = 0;
+  /// The rest serves the write-back policy's read class. Its oldest read
+  /// goes first once it has waited longer than `deadline` at `now`.
+  sim::TimePoint now{};
+  sim::Duration deadline{};
+  /// Predicted positioning time (command overhead + seek + rotational
+  /// wait) of a command starting at an LBA, issued at `now`. Empty while
+  /// nothing predicts the head; reads then go in arrival order.
+  std::function<sim::Duration(disk::Lba)> position;
+};
+
+/// A request pop_next removed, and the rule that chose it.
+struct Pick {
+  enum class Rule : std::uint8_t {
+    kOrder,     // its class's own order: the oldest, or the sweep's next
+    kCloser,    // read class: predicted to position sooner than an older read
+    kDeadline,  // read class: the oldest, overdue, ahead of other reads
+  };
+  PendingIo io;
+  Rule rule = Rule::kOrder;
+};
+
 class IoScheduler {
  public:
   virtual ~IoScheduler() = default;
@@ -86,8 +115,8 @@ class IoScheduler {
   [[nodiscard]] virtual std::size_t size() const = 0;
 
   /// Remove and return the next request to dispatch, given the head's
-  /// current position. Must only be called when !empty().
-  virtual PendingIo pop_next(disk::Lba head_position) = 0;
+  /// state. Must only be called when !empty().
+  virtual Pick pop_next(const HeadState& head) = 0;
 
   /// Priority class of the request pop_next would return. Must only be
   /// called when !empty().
@@ -110,9 +139,12 @@ std::unique_ptr<IoScheduler> make_fifo_scheduler();
 /// the head position, wrapping to the lowest pending LBA.
 std::unique_ptr<IoScheduler> make_clook_scheduler();
 
-/// Trail's data-disk policy (§4.2–§4.3): priority class 0 (reads, and
-/// recovery writes) in strict arrival order above all write-back classes;
-/// classes >= 1 CSCAN-ordered by envelope LBA, with adjacent/overlapping
+/// Trail's data-disk policy (§4.2–§4.3): priority class 0 (reads) above
+/// all write-back classes, served by predicted positioning time — the
+/// read with the least `HeadState::position` goes first, ties to the
+/// oldest, unless the oldest has waited past `HeadState::deadline`, when
+/// it goes first; classes >= 1 (write-backs, recovery's phase-3 runs
+/// among them) CSCAN-ordered by envelope LBA, with adjacent/overlapping
 /// batched write-backs coalesced in-queue (try_merge) up to each batch's
 /// merge cap.
 std::unique_ptr<IoScheduler> make_writeback_scheduler();

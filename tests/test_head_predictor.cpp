@@ -3,13 +3,15 @@
 #include <cmath>
 
 #include "core/delta_calibrator.hpp"
-#include "core/head_predictor.hpp"
 #include "disk/disk_device.hpp"
 #include "disk/profile.hpp"
+#include "io/head_predictor.hpp"
 #include "sim/simulator.hpp"
 
 namespace trail::core {
 namespace {
+
+using io::HeadPredictor;
 
 class HeadPredictorTest : public ::testing::Test {
  protected:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <list>
 #include <map>
 #include <memory>
@@ -18,6 +19,13 @@
 
 namespace trail::io {
 namespace {
+
+/// The request `sched` dispatches next with the head at `head`.
+PendingIo pop(IoScheduler& sched, disk::Lba head) {
+  HeadState at;
+  at.lba = head;
+  return sched.pop_next(at).io;
+}
 
 PendingIo make_write(disk::Lba lba, std::function<void()> cb = {}, int priority = 0) {
   PendingIo io;
@@ -39,7 +47,7 @@ TEST(FifoScheduler, PopsInSubmissionOrder) {
   }
   EXPECT_EQ(sched->size(), 5u);
   for (std::uint64_t i = 0; i < 5; ++i) {
-    const PendingIo io = sched->pop_next(/*head=*/0);
+    const PendingIo io = pop(*sched, /*head=*/0);
     EXPECT_EQ(io.seq, i);
   }
   EXPECT_TRUE(sched->empty());
@@ -53,8 +61,8 @@ TEST(FifoScheduler, PriorityClassesDrainInOrder) {
   PendingIo high = make_write(2, {}, /*priority=*/0);
   high.seq = 1;
   sched->push(std::move(high));
-  EXPECT_EQ(sched->pop_next(0).priority, 0) << "reads (class 0) before writes (class 1)";
-  EXPECT_EQ(sched->pop_next(0).priority, 1);
+  EXPECT_EQ(pop(*sched, 0).priority, 0) << "reads (class 0) before writes (class 1)";
+  EXPECT_EQ(pop(*sched, 0).priority, 1);
 }
 
 TEST(ClookScheduler, ServesAscendingFromHeadThenWraps) {
@@ -62,7 +70,7 @@ TEST(ClookScheduler, ServesAscendingFromHeadThenWraps) {
   for (const disk::Lba lba : {50u, 10u, 70u, 30u, 90u}) sched->push(make_write(lba));
   // Head at 40: expect 50, 70, 90, then wrap to 10, 30.
   std::vector<disk::Lba> order;
-  while (!sched->empty()) order.push_back(sched->pop_next(40).lba);
+  while (!sched->empty()) order.push_back(pop(*sched, 40).lba);
   EXPECT_EQ(order, (std::vector<disk::Lba>{50, 70, 90, 10, 30}));
 }
 
@@ -70,8 +78,8 @@ TEST(ClookScheduler, ExactHeadPositionIncluded) {
   auto sched = make_clook_scheduler();
   sched->push(make_write(40));
   sched->push(make_write(39));
-  EXPECT_EQ(sched->pop_next(40).lba, 40u);
-  EXPECT_EQ(sched->pop_next(40).lba, 39u);
+  EXPECT_EQ(pop(*sched, 40).lba, 40u);
+  EXPECT_EQ(pop(*sched, 40).lba, 39u);
 }
 
 // ---------------------------------------------------------------------------
@@ -80,11 +88,11 @@ TEST(ClookScheduler, ExactHeadPositionIncluded) {
 
 /// The list-scan scheduler the indexed implementation replaced, kept as
 /// the reference model. Requests sit in one std::list per priority class;
-/// a FIFO pick takes the minimum seq, a CSCAN pick scans the whole class,
-/// and try_merge joins the first mergeable batch in list order, then
-/// cascades by rescanning. `writeback` selects the write-back policy
-/// (class 0 FIFO, classes >= 1 CSCAN with coalescing);
-/// otherwise C-LOOK in every class.
+/// a read-class pick and a CSCAN pick each scan the whole class, and
+/// try_merge joins the first mergeable batch in list order, then cascades
+/// by rescanning. `writeback` selects the write-back policy (class 0 by
+/// predicted positioning time under a deadline, classes >= 1 CSCAN with
+/// coalescing); otherwise C-LOOK in every class.
 class ListScheduler final : public IoScheduler {
  public:
   explicit ListScheduler(bool writeback) : writeback_(writeback) {}
@@ -96,26 +104,43 @@ class ListScheduler final : public IoScheduler {
   [[nodiscard]] bool empty() const override { return size_ == 0; }
   [[nodiscard]] std::size_t size() const override { return size_; }
 
-  PendingIo pop_next(disk::Lba head_position) override {
+  Pick pop_next(const HeadState& head) override {
     auto cls = classes_.begin();
     while (cls->second.empty()) cls = classes_.erase(cls);
     Bucket& bucket = cls->second;
+    Pick out;
     auto pick = bucket.begin();
     if (writeback_ && cls->first <= 0) {
+      // The oldest once it has waited past the deadline; otherwise the
+      // least predicted positioning time, ties to the oldest.
+      auto oldest = bucket.begin();
       for (auto it = bucket.begin(); it != bucket.end(); ++it)
-        if (it->seq < pick->seq) pick = it;
+        if (it->seq < oldest->seq) oldest = it;
+      pick = oldest;
+      if (bucket.size() > 1 && head.position) {
+        if (head.now - oldest->queued_at > head.deadline) {
+          out.rule = Pick::Rule::kDeadline;
+        } else {
+          for (auto it = bucket.begin(); it != bucket.end(); ++it) {
+            const sim::Duration t = head.position(it->lba);
+            const sim::Duration best = head.position(pick->lba);
+            if (t < best || (t == best && it->seq < pick->seq)) pick = it;
+          }
+          if (pick != oldest) out.rule = Pick::Rule::kCloser;
+        }
+      }
     } else {
       auto best = bucket.end();
       for (auto it = bucket.begin(); it != bucket.end(); ++it) {
         if (it->lba < pick->lba) pick = it;
-        if (it->lba >= head_position && (best == bucket.end() || it->lba < best->lba)) best = it;
+        if (it->lba >= head.lba && (best == bucket.end() || it->lba < best->lba)) best = it;
       }
       if (best != bucket.end()) pick = best;
     }
-    PendingIo io = std::move(*pick);
+    out.io = std::move(*pick);
     bucket.erase(pick);
     --size_;
-    return io;
+    return out;
   }
 
   [[nodiscard]] int next_priority() const override {
@@ -148,13 +173,12 @@ class ListScheduler final : public IoScheduler {
     return true;
   }
 
-  /// Queued batch envelopes of class `priority` (situation coverage).
-  [[nodiscard]] std::vector<const PendingIo*> batches(int priority) const {
+  /// Queued requests of class `priority` (situation coverage).
+  [[nodiscard]] std::vector<const PendingIo*> queued(int priority) const {
     std::vector<const PendingIo*> out;
     const auto cls = classes_.find(priority);
     if (cls != classes_.end())
-      for (const PendingIo& io : cls->second)
-        if (!io.ranges.empty()) out.push_back(&io);
+      for (const PendingIo& io : cls->second) out.push_back(&io);
     return out;
   }
 
@@ -186,6 +210,8 @@ class ListScheduler final : public IoScheduler {
 /// calls over a narrow LBA space, asserting identical results after every
 /// call. Each write-back range logs its id through its `skipped` closure,
 /// which the checker invokes on pop to compare the per-batch range order.
+/// A virtual clock advances with every call; each pop hands both the
+/// same positioning function, which takes few values so that ties occur.
 class SchedulerDiff {
  public:
   struct Coverage {
@@ -194,6 +220,10 @@ class SchedulerDiff {
     int cascades = 0;            // merges that also absorbed a queued batch
     int heads_past_end = 0;      // pops with the head beyond every queued LBA
     int merges = 0;
+    int closer_picks = 0;        // class-0 picks ahead of an older request
+    int deadline_picks = 0;      // class-0 picks of the overdue oldest
+    int tied_picks = 0;          // class-0 picks whose least time several share
+    int unpredicted_picks = 0;   // class-0 picks among several, with no predictor
   };
 
   SchedulerDiff(std::unique_ptr<IoScheduler> indexed, bool writeback, std::uint64_t seed)
@@ -201,6 +231,7 @@ class SchedulerDiff {
 
   void run(int ops) {
     for (int i = 0; i < ops; ++i) {
+      now_ = now_ + sim::micros(rng_.uniform(0, 3));
       // Bias toward submits early so a backlog builds, then drain.
       const bool filling = i < ops / 2;
       const std::int64_t roll = rng_.uniform(0, 99);
@@ -219,10 +250,12 @@ class SchedulerDiff {
 
  private:
   static constexpr std::int64_t kLbaSpace = 160;
+  static constexpr sim::Duration kDeadline = sim::micros(6);
 
   PendingIo make_request() {
     PendingIo io;
     io.seq = next_seq_++;
+    io.queued_at = now_;
     io.is_write = true;
     io.lba = static_cast<disk::Lba>(rng_.uniform(0, kLbaSpace));
     io.count = static_cast<std::uint32_t>(rng_.uniform(1, 8));
@@ -251,7 +284,8 @@ class SchedulerDiff {
   void submit() {
     PendingIo io = make_request();
     if (!io.ranges.empty()) {
-      for (const PendingIo* q : model_.batches(io.priority)) {
+      for (const PendingIo* q : model_.queued(io.priority)) {
+        if (q->ranges.empty()) continue;
         if (q->lba == io.lba) ++cov_.equal_lba_pushes;
         const bool touches = q->lba <= io.lba + io.count && io.lba <= q->lba + q->count;
         const bool capped =
@@ -282,9 +316,26 @@ class SchedulerDiff {
     } else {
       head = static_cast<disk::Lba>(rng_.uniform(0, kLbaSpace + 8));
     }
+    HeadState at;
+    at.lba = head;
+    at.now = now_;
+    at.deadline = kDeadline;
+    // Three in four pops predict; the prediction depends on the head, the
+    // target and the pop, and takes one of four values.
+    const std::uint64_t salt = ++pops_;
+    if (rng_.uniform(0, 3) != 0)
+      at.position = [head, salt](disk::Lba lba) {
+        return sim::micros(static_cast<std::int64_t>((lba * 7 + head * 3 + salt) % 4));
+      };
     ASSERT_EQ(indexed_->next_priority(), model_.next_priority());
-    PendingIo a = indexed_->pop_next(head);
-    PendingIo b = model_.pop_next(head);
+    if (writeback_ && indexed_->next_priority() == 0) note_read_pick(at);
+    Pick pa = indexed_->pop_next(at);
+    Pick pb = model_.pop_next(at);
+    ASSERT_EQ(pa.rule, pb.rule) << "seq " << pb.io.seq;
+    if (pb.rule == Pick::Rule::kCloser) ++cov_.closer_picks;
+    if (pb.rule == Pick::Rule::kDeadline) ++cov_.deadline_picks;
+    PendingIo a = std::move(pa.io);
+    PendingIo b = std::move(pb.io);
     ASSERT_EQ(a.seq, b.seq) << "head " << head;
     ASSERT_EQ(a.priority, b.priority);
     ASSERT_EQ(a.is_write, b.is_write);
@@ -299,10 +350,27 @@ class SchedulerDiff {
     ASSERT_EQ(order_a, popped_ranges_) << "range order of batch seq " << a.seq;
   }
 
+  /// Situation coverage of a class-0 pick about to be made under `at`.
+  void note_read_pick(const HeadState& at) {
+    const std::vector<const PendingIo*> reads = model_.queued(0);
+    if (reads.size() < 2) return;
+    if (!at.position) {
+      ++cov_.unpredicted_picks;
+      return;
+    }
+    sim::Duration least = at.position(reads.front()->lba);
+    for (const PendingIo* r : reads) least = std::min(least, at.position(r->lba));
+    int sharing = 0;
+    for (const PendingIo* r : reads) sharing += at.position(r->lba) == least ? 1 : 0;
+    if (sharing > 1) ++cov_.tied_picks;
+  }
+
   std::unique_ptr<IoScheduler> indexed_;
   ListScheduler model_;
   bool writeback_;
   sim::Rng rng_;
+  sim::TimePoint now_{};
+  std::uint64_t pops_ = 0;
   std::uint64_t next_seq_ = 0;
   int next_range_id_ = 0;
   std::vector<int> popped_ranges_;
@@ -321,6 +389,10 @@ TEST(SchedulerDiff, WritebackMatchesListScanModel) {
     total.cascades += c.cascades;
     total.heads_past_end += c.heads_past_end;
     total.merges += c.merges;
+    total.closer_picks += c.closer_picks;
+    total.deadline_picks += c.deadline_picks;
+    total.tied_picks += c.tied_picks;
+    total.unpredicted_picks += c.unpredicted_picks;
   }
   // The sequences reach every situation the index must reproduce.
   EXPECT_GT(total.equal_lba_pushes, 100);
@@ -328,6 +400,12 @@ TEST(SchedulerDiff, WritebackMatchesListScanModel) {
   EXPECT_GT(total.cascades, 100);
   EXPECT_GT(total.heads_past_end, 100);
   EXPECT_GT(total.merges, 1000);
+  EXPECT_GT(total.closer_picks, 100);
+  EXPECT_GT(total.deadline_picks, 100);
+  EXPECT_GT(total.tied_picks, 100);
+  EXPECT_GT(total.unpredicted_picks, 100);
+  RecordProperty("closer_picks", total.closer_picks);
+  RecordProperty("deadline_picks", total.deadline_picks);
 }
 
 TEST(SchedulerDiff, ClookMatchesListScanModel) {
@@ -483,6 +561,168 @@ TEST_F(AnticipationTest, QueueDestroyedDuringAHoldLeavesAnInertTimer) {
   sim.run();
   EXPECT_FALSE(wb_done);
   EXPECT_EQ(dev.stats().writes, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Read order: the write-back policy's read class by predicted positioning
+// ---------------------------------------------------------------------------
+
+/// A Trail data disk's queue: reads at class 0 (no write-backs queued).
+class ReadOrderTest : public ::testing::Test {
+ protected:
+  /// A one-sector read of `lba` that logs its completion.
+  PendingIo make_read(disk::Lba lba, std::function<void()> then = {}) {
+    PendingIo io;
+    io.lba = lba;
+    io.count = 1;
+    io.out = buf_;
+    io.on_complete = [this, lba, then = std::move(then)] {
+      done.push_back({sim.now(), lba});
+      if (then) then();
+    };
+    return io;
+  }
+  std::uint64_t counter(std::string_view name) { return obs.metrics.counter(name).value(); }
+  /// Overhead + seek + rotational wait the device has charged so far.
+  sim::Duration positioning() const {
+    const disk::DiskStats& s = dev.stats();
+    return s.overhead + s.seek + s.rotation;
+  }
+
+  struct Done {
+    sim::TimePoint at;
+    disk::Lba lba = 0;
+  };
+
+  sim::Simulator sim;
+  disk::DiskDevice dev{sim, disk::wd_caviar_10g()};
+  obs::Obs obs{sim};
+  std::vector<Done> done;
+  /// Overhead + full-stroke seek + one revolution: 33.1 ms.
+  const sim::Duration deadline = dev.profile().command_overhead +
+                                 dev.profile().seek.full_stroke +
+                                 dev.profile().rotation_time();
+
+ private:
+  std::vector<std::byte> buf_ = std::vector<std::byte>(disk::kSectorSize);
+};
+
+TEST_F(ReadOrderTest, RotationallyCloserLaterReadGoesFirst) {
+  DeviceQueue queue(dev, make_writeback_scheduler());
+  queue.attach_obs(&obs, 16, "io.queue_depth.data0");
+  // Sector 10 of track 0 leaves the device; a command issued then lands
+  // about 50 sectors on (one 1 ms overhead at 550 sectors a revolution).
+  // Sector 11 has passed by then and waits nearly a revolution; sector
+  // 110 comes round in about 1 ms.
+  queue.submit(make_read(10, [&] {
+    EXPECT_LT(queue.position_time(110) + dev.profile().rotation_time() / 2,
+              queue.position_time(11));
+  }));
+  queue.submit(make_read(11));
+  queue.submit(make_read(110));
+  sim.run();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[1].lba, 110u) << "the later, closer read";
+  EXPECT_EQ(done[2].lba, 11u);
+  EXPECT_EQ(counter("io.read_reorders"), 1u);
+  EXPECT_EQ(counter("io.read_deadline_dispatches"), 0u);
+}
+
+TEST_F(ReadOrderTest, FarReadGoesAtTheFirstDispatchPastTheDeadline) {
+  DeviceQueue queue(dev, make_writeback_scheduler());
+  queue.attach_obs(&obs, 16, "io.queue_depth.data0");
+  const disk::Geometry& geom = dev.geometry();
+  const std::uint32_t spt = geom.spt_of_track(0);
+  // The far read sits a full stroke away, on the last track; every read
+  // of the stream lands on track 0 about 100 sectors past the last one,
+  // so each stream read is predicted closer than the far read.
+  const disk::Lba far = geom.first_lba_of_track(geom.track_count() - 1);
+  int streamed = 0;
+  std::function<void()> next = [&] {
+    if (++streamed > 60) return;
+    const disk::Lba last = done.back().lba;
+    queue.submit(make_read((last % spt + 100) % spt, next));
+  };
+  queue.submit(make_read(10, next));
+  const sim::TimePoint far_queued = sim.now();
+  queue.submit(make_read(far));
+  sim.run();
+  const auto it = std::find_if(done.begin(), done.end(), [&](const Done& d) { return d.lba == far; });
+  ASSERT_NE(it, done.end());
+  const auto i = static_cast<std::size_t>(it - done.begin());
+  ASSERT_GE(i, 2u);
+  // The device never idles, so each dispatch is the previous completion.
+  EXPECT_GT(done[i - 1].at - far_queued, deadline) << "dispatched past the deadline";
+  EXPECT_LE(done[i - 2].at - far_queued, deadline) << "at the first dispatch past it";
+  EXPECT_LT(i, done.size() - 10) << "ahead of the rest of the stream";
+  EXPECT_EQ(counter("io.read_deadline_dispatches"), 1u);
+  EXPECT_EQ(counter("io.read_reorders"), i - 1) << "every stream read before it";
+}
+
+TEST_F(ReadOrderTest, PredictedPositioningMatchesTheDevice) {
+  DeviceQueue queue(dev, make_writeback_scheduler());
+  queue.attach_obs(&obs, 16, "io.queue_depth.data0");
+  sim::Rng rng(11);
+  // Hot data: the first 100 tracks, so seeks stay short and the deadline
+  // seldom overrides the prediction.
+  const auto sectors = static_cast<std::int64_t>(dev.geometry().first_lba_of_track(100));
+  // Four one-sector reads outstanding at random LBAs. At each completion
+  // the queue dispatches its pick at once, so the stats' growth up to the
+  // next completion is that pick's overhead + seek + rotation, which the
+  // queue predicted at this completion.
+  std::vector<disk::Lba> queued;
+  std::map<disk::Lba, sim::Duration> predicted;
+  sim::Duration charged_before{};
+  std::int64_t worst_ns = 0;
+  int checked = 0;
+  int not_least = 0;
+  auto draw = [&] { return static_cast<disk::Lba>(rng.uniform(0, sectors - 1)); };
+  std::function<void()> on_done = [&] {
+    const disk::Lba lba = done.back().lba;
+    std::erase(queued, lba);
+    if (const auto it = predicted.find(lba); it != predicted.end()) {
+      const std::int64_t err_ns = (positioning() - charged_before - it->second).ns();
+      worst_ns = std::max(worst_ns, err_ns < 0 ? -err_ns : err_ns);
+      ++checked;
+      bool least = true;
+      for (const auto& [other, t] : predicted) least = least && t >= it->second;
+      not_least += least ? 0 : 1;
+    }
+    charged_before = positioning();
+    const bool more = done.size() <= 400;
+    if (more) queued.push_back(draw());
+    // Every queued read, the one about to be submitted too, is a candidate.
+    predicted.clear();
+    for (const disk::Lba q : queued) predicted[q] = queue.position_time(q);
+    if (more) queue.submit(make_read(queued.back(), on_done));
+  };
+  for (int i = 0; i < 4; ++i) {
+    queued.push_back(draw());
+    queue.submit(make_read(queued.back(), on_done));
+  }
+  sim.run();
+  EXPECT_EQ(checked, 403) << "every read but the first";
+  // The device rounds each sector time and each wait down to whole ns.
+  EXPECT_LE(worst_ns, 5);
+  // The queue dispatched its least-predicted read, but for its deadline.
+  EXPECT_GT(counter("io.read_reorders"), 100u);
+  EXPECT_LE(not_least, static_cast<int>(counter("io.read_deadline_dispatches")));
+  RecordProperty("worst_error_ns", static_cast<int>(worst_ns));
+}
+
+TEST_F(ReadOrderTest, SingleClassClookQueueKeepsItsOrder) {
+  DeviceQueue queue(dev, make_clook_scheduler());
+  queue.attach_obs(&obs, 16, "io.queue_depth.data0");
+  // The same three reads as above: C-LOOK sweeps up from the head's
+  // track, so sector 11 goes before the rotationally closer sector 110.
+  queue.submit(make_read(10));
+  queue.submit(make_read(110));
+  queue.submit(make_read(11));
+  sim.run();
+  ASSERT_EQ(done.size(), 3u);
+  EXPECT_EQ(done[1].lba, 11u);
+  EXPECT_EQ(done[2].lba, 110u);
+  EXPECT_EQ(counter("io.read_reorders"), 0u);
 }
 
 class StandardDriverTest : public ::testing::Test {

@@ -124,7 +124,7 @@ TEST_P(PredictionGrid, FreshReferencePredictionAvoidsRotation) {
   disk::DiskProfile profile = disk::small_test_disk();
   profile.rotation_drift_ppm = drift;
   disk::DiskDevice dev(sim, profile);
-  core::HeadPredictor predictor(dev.geometry(), profile.rotation_time());
+  io::HeadPredictor predictor(dev.geometry(), profile.rotation_time());
   predictor.set_delta(profile.command_overhead);
 
   // Reference freshly set by a read; predict + write immediately: even
