@@ -141,7 +141,11 @@ void BM_WalRecordEncode(benchmark::State& state) {
   rec.table = 2;
   rec.key = 123456;
   rec.row.resize(static_cast<std::size_t>(state.range(0)));
-  for (auto _ : state) benchmark::DoNotOptimize(db::LogManager::encode(rec));
+  std::vector<std::byte> out;
+  for (auto _ : state) {
+    out.clear();
+    benchmark::DoNotOptimize(db::LogManager::encode(rec, 0, out));
+  }
 }
 BENCHMARK(BM_WalRecordEncode)->Arg(64)->Arg(512);
 

@@ -49,7 +49,7 @@ class KvStore {
 
   void get(const std::string& key, std::function<void(bool, std::string)> done) {
     db::Txn& txn = db_.begin();
-    txn.get(table_, hash(key), [this, &txn, done](bool found, db::RowBuf row) {
+    txn.get(table_, hash(key), [this, &txn, done](bool found, db::RowView row) {
       std::string value;
       if (found) {
         const std::size_t len = static_cast<std::size_t>(row[0]) |

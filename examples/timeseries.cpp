@@ -104,7 +104,7 @@ int main() {
   for (const std::uint64_t key : hits) {
     db::Txn& txn = database.begin();
     bool done = false;
-    txn.get(samples, key, [&](bool found, db::RowBuf row) {
+    txn.get(samples, key, [&](bool found, db::RowView row) {
       if (found) {
         Sample s;
         std::memcpy(&s, row.data(), sizeof(Sample));

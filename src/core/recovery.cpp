@@ -24,11 +24,18 @@ RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevi
   for (disk::DiskDevice* device : log_disks) {
     Unit unit;
     unit.device = device;
-    const LogDiskLayout layout(device->geometry());
-    const auto reserved = layout.reserved_tracks();
-    for (disk::TrackId t = 0; t < device->geometry().track_count(); ++t)
-      if (std::find(reserved.begin(), reserved.end(), t) == reserved.end())
+    // One pass against the layout's replica tracks, which ascend.
+    const std::vector<disk::TrackId> reserved =
+        LogDiskLayout(device->geometry()).reserved_tracks();
+    const disk::TrackId tracks = device->geometry().track_count();
+    unit.usable.reserve(tracks);
+    auto next_reserved = reserved.begin();
+    for (disk::TrackId t = 0; t < tracks; ++t) {
+      if (next_reserved != reserved.end() && *next_reserved == t)
+        ++next_reserved;
+      else
         unit.usable.push_back(t);
+    }
     units_.push_back(std::move(unit));
   }
 }

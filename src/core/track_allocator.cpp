@@ -10,11 +10,11 @@ namespace trail::core {
 TrackAllocator::TrackAllocator(const disk::Geometry& geometry,
                                std::vector<disk::TrackId> reserved)
     : geometry_(geometry), reserved_(reserved.begin(), reserved.end()) {
+  usable_.reserve(geometry_.track_count());
   for (disk::TrackId t = 0; t < geometry_.track_count(); ++t)
     if (!reserved_.contains(t)) usable_.push_back(t);
   if (usable_.size() < 2)
     throw std::invalid_argument("TrackAllocator: need at least two usable tracks");
-  for (std::size_t i = 0; i < usable_.size(); ++i) usable_index_[usable_[i]] = i;
   tail_ = usable_.front();
   live_.emplace(tail_, TrackState{std::vector<bool>(geometry_.spt_of_track(tail_), false), 0, 0});
 }
@@ -61,8 +61,15 @@ double TrackAllocator::current_utilization() const {
   return static_cast<double>(it->second.used) / static_cast<double>(it->second.occupied.size());
 }
 
+std::size_t TrackAllocator::usable_position(disk::TrackId track) const {
+  const auto it = std::ranges::lower_bound(usable_, track);
+  return it != usable_.end() && *it == track ? static_cast<std::size_t>(it - usable_.begin())
+                                             : usable_.size();
+}
+
 disk::TrackId TrackAllocator::next_usable(disk::TrackId t) const {
-  const std::size_t i = usable_index_.at(t);
+  const std::size_t i = usable_position(t);
+  if (i == usable_.size()) throw std::out_of_range("TrackAllocator: track not usable");
   return usable_[(i + 1) % usable_.size()];
 }
 
@@ -98,7 +105,7 @@ void TrackAllocator::release_record(disk::TrackId track) {
 
 void TrackAllocator::adopt_record(disk::TrackId track, std::uint32_t first_sector,
                                   std::uint32_t sectors) {
-  if (!usable_index_.contains(track)) throw std::invalid_argument("adopt_record: track not usable");
+  if (!is_usable(track)) throw std::invalid_argument("adopt_record: track not usable");
   const std::uint32_t spt = geometry_.spt_of_track(track);
   if (first_sector + sectors > spt) throw std::out_of_range("adopt_record: beyond end of track");
   TrackState& st =
@@ -124,8 +131,7 @@ bool TrackAllocator::set_tail_after(disk::TrackId track) {
 }
 
 void TrackAllocator::set_tail(disk::TrackId track) {
-  if (!usable_index_.contains(track))
-    throw std::invalid_argument("set_tail: track not usable");
+  if (!is_usable(track)) throw std::invalid_argument("set_tail: track not usable");
   if (live_.contains(track) && live_.at(track).live_records > 0)
     throw std::logic_error("set_tail: track has live records");
   live_.erase(track);  // settled leftover state, if any
@@ -143,12 +149,12 @@ void TrackAllocator::move_tail(disk::TrackId track) {
 
 void TrackAllocator::audit(audit::Report& report) const {
   audit::Check& check = report.check("alloc.tracks");
-  check.require(usable_index_.contains(tail_), "tail is not a usable track");
+  check.require(is_usable(tail_), "tail is not a usable track");
   check.require(live_.contains(tail_), "tail track has no occupancy state");
   for (const auto& [track, st] : live_) {
     const disk::Lba lba = geometry_.first_lba_of_track(track);
     check.require(!reserved_.contains(track), "reserved track carries live state", lba);
-    if (!check.require(usable_index_.contains(track), "live state on a non-usable track", lba))
+    if (!check.require(is_usable(track), "live state on a non-usable track", lba))
       continue;
     if (!check.require(st.occupied.size() == geometry_.spt_of_track(track),
                        "occupancy bitmap size disagrees with the track geometry", lba))

@@ -118,14 +118,19 @@ class TrackAllocator {
   };
 
   [[nodiscard]] disk::TrackId next_usable(disk::TrackId t) const;
+  /// Index of `track` in usable_ (binary search), or usable_.size() if
+  /// the track is not usable.
+  [[nodiscard]] std::size_t usable_position(disk::TrackId track) const;
+  [[nodiscard]] bool is_usable(disk::TrackId track) const {
+    return usable_position(track) < usable_.size();
+  }
   TrackState& state(disk::TrackId track);
   /// Make `track` the tail, keeping any state it has.
   void move_tail(disk::TrackId track);
 
   const disk::Geometry& geometry_;
   std::unordered_set<disk::TrackId> reserved_;
-  std::vector<disk::TrackId> usable_;                  // physical order
-  std::unordered_map<disk::TrackId, std::size_t> usable_index_;
+  std::vector<disk::TrackId> usable_;  // physical order, so sorted
   std::unordered_map<disk::TrackId, TrackState> live_;
   disk::TrackId tail_ = 0;
 

@@ -136,7 +136,7 @@ PageNo BTree::allocate_page() {
   return next_free_++;
 }
 
-void BTree::descend(Key key, std::function<void(std::vector<PathEntry>, PageNo)> cb) {
+void BTree::descend(Key key, sim::Callback<void(std::vector<PathEntry>, PageNo)> cb) {
   struct State {
     std::vector<PathEntry> path;
     PageNo page;
@@ -345,8 +345,8 @@ void BTree::erase(Key key, std::function<void(bool)> cb) {
   });
 }
 
-void BTree::scan(Key from, Key to, std::function<bool(Key, Value)> each,
-                 std::function<void()> done) {
+void BTree::scan(Key from, Key to, sim::Callback<bool(Key, Value)> each,
+                 sim::Callback<void()> done) {
   descend(from, [this, from, to, each = std::move(each), done = std::move(done)](
                     std::vector<PathEntry>, PageNo leaf) mutable {
     struct State {
@@ -354,8 +354,8 @@ void BTree::scan(Key from, Key to, std::function<bool(Key, Value)> each,
       bool first = true;
       Key from;
       Key to;
-      std::function<bool(Key, Value)> each;
-      std::function<void()> done;
+      sim::Callback<bool(Key, Value)> each;
+      sim::Callback<void()> done;
       bool stopped = false;
     };
     auto st = std::make_shared<State>();

@@ -22,6 +22,7 @@
 #include "db/buffer_pool.hpp"
 #include "db/page_file.hpp"
 #include "db/types.hpp"
+#include "sim/callback.hpp"
 
 namespace trail::db {
 
@@ -42,8 +43,7 @@ class BTree {
 
   /// Visit entries with from <= key <= to in ascending order; `each`
   /// returns false to stop early. `done` fires after the scan.
-  void scan(Key from, Key to, std::function<bool(Key, Value)> each,
-            std::function<void()> done);
+  void scan(Key from, Key to, sim::Callback<bool(Key, Value)> each, sim::Callback<void()> done);
 
   /// Remove a key (leaf-local, no rebalancing — deleted space is reused
   /// by later inserts into the same leaf). cb(existed).
@@ -67,7 +67,7 @@ class BTree {
     std::uint32_t child_index;  // which child we descended into
   };
 
-  void descend(Key key, std::function<void(std::vector<PathEntry>, PageNo leaf)> cb);
+  void descend(Key key, sim::Callback<void(std::vector<PathEntry>, PageNo leaf)> cb);
   void insert_into_parent(std::vector<PathEntry> path, Key sep, PageNo new_child,
                           std::function<void(bool)> cb);
   [[nodiscard]] PageNo allocate_page();

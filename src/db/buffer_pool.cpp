@@ -37,11 +37,7 @@ void BufferPool::attach_obs(obs::Obs* obs) {
   obs_->tracer.set_track_name(obs::kDbCacheTid, "db.cache");
 }
 
-void BufferPool::touch(const FrameKey& key, Frame& frame) {
-  lru_.erase(frame.lru_pos);
-  lru_.push_front(key);
-  frame.lru_pos = lru_.begin();
-}
+void BufferPool::touch(Frame& frame) { lru_.splice(lru_.begin(), lru_, frame.lru_pos); }
 
 BufferPool::Frame& BufferPool::frame_at(std::uint32_t file_id, PageNo page) {
   auto it = frames_.find(FrameKey{file_id, page});
@@ -49,46 +45,32 @@ BufferPool::Frame& BufferPool::frame_at(std::uint32_t file_id, PageNo page) {
   return *it->second;
 }
 
-void BufferPool::fetch(std::uint32_t file_id, PageNo page,
-                       std::function<void(std::span<std::byte>)> use) {
+void BufferPool::fetch(std::uint32_t file_id, PageNo page, Use use) {
   const FrameKey key{file_id, page};
   auto it = frames_.find(key);
   if (it != frames_.end()) {
     Frame& frame = *it->second;
-    touch(key, frame);
+    touch(frame);
     if (frame.loading) {
       frame.waiters.push_back(std::move(use));
       return;
     }
     ++stats_.hits;
     if (c_hits_ != nullptr) c_hits_->inc();
-    // Charge a tiny CPU cost; run asynchronously to bound stack depth. An
-    // eviction write completing meanwhile may drop the frame, so look it
-    // up again and start over if it is gone or loading again.
-    auto alive = alive_;
-    sim_.schedule(kHitDelay, [this, alive, key, use = std::move(use)]() mutable {
-      if (!*alive) return;
-      const auto hit = frames_.find(key);
-      if (hit == frames_.end() || hit->second->loading) {
-        fetch(key.file, key.page, std::move(use));
-        return;
-      }
-      use(hit->second->data);
+    // Charge a tiny CPU cost; run asynchronously to bound stack depth.
+    hits_.push_back(Hit{key, std::move(use)});
+    sim_.schedule(kHitDelay, [this, alive = alive_] {
+      if (*alive) serve_hit();
     });
     return;
   }
 
-  // Miss: allocate a frame and read the page.
+  // Miss: take a frame and read the page.
   ++stats_.misses;
   if (c_misses_ != nullptr) c_misses_->inc();
-  auto frame = std::make_unique<Frame>();
-  frame->data.resize(kPageSize);
-  frame->loading = true;
-  frame->waiters.push_back(std::move(use));
-  lru_.push_front(key);
-  frame->lru_pos = lru_.begin();
-  Frame* fp = frame.get();
-  frames_.emplace(key, std::move(frame));
+  Frame* fp = insert_frame(key);
+  fp->loading = true;
+  fp->waiters.push_back(std::move(use));
   maybe_evict();
 
   if (g_resident_ != nullptr) g_resident_->set(static_cast<std::int64_t>(frames_.size()));
@@ -106,6 +88,56 @@ void BufferPool::fetch(std::uint32_t file_id, PageNo page,
     fp->waiters.clear();
     for (auto& w : waiters) w(fp->data);
   });
+}
+
+BufferPool::Frame* BufferPool::insert_frame(const FrameKey& key) {
+  if (spare_lru_.empty()) {
+    lru_.push_front(key);
+  } else {
+    spare_lru_.front() = key;
+    lru_.splice(lru_.begin(), spare_lru_, spare_lru_.begin());
+  }
+  if (spare_frames_.empty()) {
+    auto frame = std::make_unique<Frame>();
+    frame->data.resize(kPageSize);
+    frame->lru_pos = lru_.begin();
+    Frame* fp = frame.get();
+    frames_.emplace(key, std::move(frame));
+    return fp;
+  }
+  // A reinserted node lands where emplace would put it, so the map's
+  // iteration order (the checkpoint's write order) is unchanged.
+  FrameMap::node_type node = std::move(spare_frames_.back());
+  spare_frames_.pop_back();
+  node.key() = key;
+  Frame& frame = *node.mapped();
+  std::vector<std::byte> data = std::move(frame.data);
+  frame = Frame{};
+  frame.data = std::move(data);
+  frame.lru_pos = lru_.begin();
+  frames_.insert(std::move(node));
+  return &frame;
+}
+
+void BufferPool::drop_frame(const FrameKey& key, std::list<FrameKey>::iterator lru_pos) {
+  spare_lru_.splice(spare_lru_.begin(), lru_, lru_pos);
+  spare_frames_.push_back(frames_.extract(key));
+}
+
+void BufferPool::serve_hit() {
+  Hit hit = std::move(hits_[hits_head_++]);
+  if (hits_head_ == hits_.size()) {
+    hits_.clear();
+    hits_head_ = 0;
+  }
+  // An eviction write completing meanwhile may drop the frame, so look it
+  // up again and start over if it is gone or loading again.
+  const auto it = frames_.find(hit.key);
+  if (it == frames_.end() || it->second->loading) {
+    fetch(hit.key.file, hit.key.page, std::move(hit.use));
+    return;
+  }
+  hit.use(it->second->data);
 }
 
 void BufferPool::mark_dirty(std::uint32_t file_id, PageNo page) {
@@ -176,8 +208,7 @@ void BufferPool::maybe_evict() {
     if (victim == nullptr) return;  // everything pinned/in-flight: soft cap
 
     if (!victim->dirty) {
-      lru_.erase(pos);
-      frames_.erase(victim_key);
+      drop_frame(victim_key, pos);
       ++stats_.evictions;
       if (c_evictions_ != nullptr) c_evictions_->inc();
       if (g_resident_ != nullptr) g_resident_->set(static_cast<std::int64_t>(frames_.size()));
@@ -194,8 +225,7 @@ void BufferPool::maybe_evict() {
     write_copy(take_copy(victim_key, *victim), [this, key = victim_key](Frame& f) {
       capture_if_idle(key, f);
       if (!f.dirty && f.pins == 0) {
-        lru_.erase(f.lru_pos);
-        frames_.erase(key);
+        drop_frame(key, f.lru_pos);
         ++stats_.evictions;
         if (c_evictions_ != nullptr) c_evictions_->inc();
         if (g_resident_ != nullptr) g_resident_->set(static_cast<std::int64_t>(frames_.size()));
@@ -257,6 +287,8 @@ void BufferPool::reset() {
   alive_ = std::make_shared<bool>(true);
   frames_.clear();
   lru_.clear();
+  hits_.clear();
+  hits_head_ = 0;
   ckpt_.reset();
 }
 

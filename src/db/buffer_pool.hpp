@@ -28,6 +28,7 @@
 #include "db/types.hpp"
 #include "db/wal.hpp"
 #include "obs/obs.hpp"
+#include "sim/callback.hpp"
 #include "sim/simulator.hpp"
 
 namespace trail::audit {
@@ -56,11 +57,12 @@ class BufferPool {
   /// gauge, page-load spans and dirty-eviction instants on the cache lane.
   void attach_obs(obs::Obs* obs);
 
+  using Use = sim::Callback<void(std::span<std::byte> page)>;
+
   /// Fetch a page and hand its frame bytes to `use`. The span is valid
   /// for the duration of the callback only; to mutate, write through it
   /// and call mark_dirty before returning.
-  void fetch(std::uint32_t file_id, PageNo page,
-             std::function<void(std::span<std::byte>)> use);
+  void fetch(std::uint32_t file_id, PageNo page, Use use);
 
   void mark_dirty(std::uint32_t file_id, PageNo page);
 
@@ -118,7 +120,7 @@ class BufferPool {
     bool flushing = false;  // a write of a copy is in flight or queued
     bool capture_pending = false;  // dirty at the running checkpoint's snapshot, not yet copied
     std::uint32_t pins = 0;
-    std::vector<std::function<void(std::span<std::byte>)>> waiters;  // during load
+    std::vector<Use> waiters;  // during load
     std::list<FrameKey>::iterator lru_pos;
   };
   /// A frame's image as of one moment, with the version and WAL bound it
@@ -136,7 +138,22 @@ class BufferPool {
     std::function<void()> done;
   };
 
-  void touch(const FrameKey& key, Frame& frame);
+  /// A hit waiting out its CPU charge.
+  struct Hit {
+    FrameKey key;
+    Use use;
+  };
+
+  using FrameMap = std::unordered_map<FrameKey, std::unique_ptr<Frame>, FrameKeyHash>;
+
+  /// Add a frame for `key` at the LRU front, reusing an evicted frame's
+  /// map node, list node and page buffer when there is one.
+  Frame* insert_frame(const FrameKey& key);
+  /// Evict: keep the frame's nodes for insert_frame.
+  void drop_frame(const FrameKey& key, std::list<FrameKey>::iterator lru_pos);
+  void touch(Frame& frame);
+  /// Serve the oldest pending hit.
+  void serve_hit();
   void maybe_evict();
   Frame& frame_at(std::uint32_t file_id, PageNo page);
   /// Copy `frame` for a write; the frame is flushing until the write ends.
@@ -154,8 +171,16 @@ class BufferPool {
   std::size_t capacity_;
   LogManager* wal_;
   std::vector<PageFile*> files_;
-  std::unordered_map<FrameKey, std::unique_ptr<Frame>, FrameKeyHash> frames_;
+  // Its iteration order is flush_dirty's snapshot order, which sets the
+  // checkpoint's write order: keep the container.
+  FrameMap frames_;
   std::list<FrameKey> lru_;  // front = most recent
+  std::vector<FrameMap::node_type> spare_frames_;  // evicted, kept for reuse
+  std::list<FrameKey> spare_lru_;
+  // Every hit waits the same delay, so they fire in the order queued:
+  // the event carries no callback, it serves hits_[hits_head_].
+  std::vector<Hit> hits_;
+  std::size_t hits_head_ = 0;
   BufferPoolStats stats_;
   obs::Obs* obs_ = nullptr;
   obs::Counter* c_hits_ = nullptr;

@@ -5,29 +5,40 @@
 // (its completions never fire) is freed with them.
 #pragma once
 
-#include <functional>
+#include <cstddef>
 #include <memory>
 #include <vector>
 
+#include "sim/callback.hpp"
+
 namespace trail::db {
+
+/// What a loop body receives: calling it runs the next iteration. It is a
+/// shared handle on the body, small enough to ride in any continuation's
+/// inline capture; the body is freed with the last copy.
+class Again {
+ public:
+  using Body = sim::Callback<void(const Again& again)>;
+
+  explicit Again(Body body) : body_(std::make_shared<Body>(std::move(body))) {}
+
+  void operator()() const { (*body_)(*this); }
+
+ private:
+  std::shared_ptr<Body> body_;
+};
 
 /// Run `body` as an asynchronous loop: body(again) runs one iteration and
 /// calls again() (from a completion, or synchronously) to run the next;
 /// an iteration that does not call it ends the loop.
-inline void loop(std::function<void(const std::function<void()>& again)> body) {
-  using Body = std::function<void(const std::function<void()>&)>;
-  struct Iterate {
-    static void run(const std::shared_ptr<Body>& body) { (*body)([body] { run(body); }); }
-  };
-  Iterate::run(std::make_shared<Body>(std::move(body)));
-}
+inline void loop(Again::Body body) { Again(std::move(body))(); }
 
 /// Each step receives a `next` thunk and must eventually call it exactly
 /// once (possibly synchronously).
 class Chain {
  public:
-  using Next = std::function<void()>;
-  using Step = std::function<void(Next)>;
+  using Next = Again;
+  using Step = sim::Callback<void(Next)>;
 
   Chain& then(Step step) {
     steps_.push_back(std::move(step));
@@ -36,7 +47,7 @@ class Chain {
 
   /// Run all steps; invoke `done` after the last. The chain object may be
   /// a temporary: its steps move into the loop.
-  void run(std::function<void()> done) && {
+  void run(sim::Callback<void()> done) && {
     loop([steps = std::move(steps_), index = std::size_t{0},
           done = std::move(done)](const Next& again) mutable {
       if (index >= steps.size()) {

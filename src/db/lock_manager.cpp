@@ -6,11 +6,12 @@ namespace trail::db {
 
 LockManager::~LockManager() {
   // Timeout events capture `this`; cancel them all on teardown.
-  for (auto& [id, state] : locks_)
-    for (Waiter& w : state.waiters) sim_.cancel(w.timeout_event);
+  locks_.for_each([this](LockId, const LockState& state) {
+    for (const Waiter& w : state.waiters) sim_.cancel(w.timeout_event);
+  });
 }
 
-void LockManager::lock(TxnId txn, TableId table, Key key, std::function<void(bool)> cb) {
+void LockManager::lock(TxnId txn, TableId table, Key key, Granted cb) {
   const LockId id = lock_id(table, key);
   LockState& state = locks_[id];
   if (state.holder == 0 || state.holder == txn) {
@@ -26,9 +27,9 @@ void LockManager::lock(TxnId txn, TableId table, Key key, std::function<void(boo
   w.cb = std::move(cb);
   w.since = sim_.now();
   w.timeout_event = sim_.schedule(timeout_, [this, id, txn] {
-    auto it = locks_.find(id);
-    if (it == locks_.end()) return;
-    auto& ws = it->second.waiters;
+    LockState* lock = locks_.find(id);
+    if (lock == nullptr) return;
+    auto& ws = lock->waiters;
     auto wit = std::find_if(ws.begin(), ws.end(), [txn](const Waiter& x) { return x.txn == txn; });
     if (wit == ws.end()) return;
     auto cb = std::move(wit->cb);
@@ -46,7 +47,7 @@ void LockManager::grant_next(LockId id, LockState& state) {
     return;
   }
   Waiter w = std::move(state.waiters.front());
-  state.waiters.pop_front();
+  state.waiters.erase(state.waiters.begin());
   sim_.cancel(w.timeout_event);
   state.holder = w.txn;
   held_[w.txn].insert(id);
@@ -61,10 +62,10 @@ void LockManager::release_all(TxnId txn) {
   const auto ids = std::move(it->second);
   held_.erase(it);
   for (const LockId id : ids) {
-    auto lit = locks_.find(id);
-    if (lit == locks_.end() || lit->second.holder != txn) continue;
-    lit->second.holder = 0;
-    grant_next(id, lit->second);
+    LockState* lock = locks_.find(id);
+    if (lock == nullptr || lock->holder != txn) continue;
+    lock->holder = 0;
+    grant_next(id, *lock);
   }
 }
 

@@ -23,7 +23,7 @@ Table::Table(std::string name, TableId id, std::uint32_t row_size, BufferPool& p
 }
 
 void Table::write_slot(std::span<std::byte> page, std::uint32_t slot, bool used, Key key,
-                       const RowBuf& row) const {
+                       RowView row) const {
   std::byte* p = page.data() + static_cast<std::size_t>(slot) * slot_bytes();
   p[0] = std::byte(used ? 1 : 0);
   for (int i = 0; i < 8; ++i) p[1 + i] = std::byte(key >> (8 * i) & 0xFF);
@@ -33,7 +33,8 @@ void Table::write_slot(std::span<std::byte> page, std::uint32_t slot, bool used,
   }
 }
 
-std::uint32_t Table::allocate_slot(Key key) {
+std::uint32_t Table::slot_for(Key key) {
+  if (const std::uint32_t* existing = index_.find(key)) return *existing;
   std::uint32_t global;
   if (!free_slots_.empty()) {
     global = free_slots_.back();
@@ -47,56 +48,10 @@ std::uint32_t Table::allocate_slot(Key key) {
   return global;
 }
 
-void Table::get(Key key, std::function<void(bool, RowBuf)> cb) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    cb(false, {});
-    return;
-  }
-  const Slot loc = location_of(it->second);
-  const std::uint32_t slot = loc.slot;
-  const std::uint32_t rs = row_size_;
-  const std::uint32_t sb = slot_bytes();
-  pool_.fetch(pool_file_id_, loc.page, [cb = std::move(cb), slot, rs, sb](std::span<std::byte> page) {
-    const std::byte* p = page.data() + static_cast<std::size_t>(slot) * sb;
-    RowBuf row(p + 9, p + 9 + rs);
-    cb(true, std::move(row));
-  });
-}
-
-void Table::apply_image(Key key, const RowBuf& row, std::function<void()> cb) {
-  auto it = index_.find(key);
-  const std::uint32_t global = it != index_.end() ? it->second : allocate_slot(key);
-  const Slot loc = location_of(global);
-  pool_.fetch(pool_file_id_, loc.page,
-              [this, key, row, loc, cb = std::move(cb)](std::span<std::byte> page) {
-                write_slot(page, loc.slot, true, key, row);
-                pool_.mark_dirty(pool_file_id_, loc.page);
-                cb();
-              });
-}
-
-void Table::remove(Key key, std::function<void()> cb) {
-  auto it = index_.find(key);
-  if (it == index_.end()) {
-    cb();
-    return;
-  }
-  const std::uint32_t global = it->second;
-  index_.erase(it);
-  free_slots_.push_back(global);
-  const Slot loc = location_of(global);
-  pool_.fetch(pool_file_id_, loc.page, [this, loc, cb = std::move(cb)](std::span<std::byte> page) {
-    page[static_cast<std::size_t>(loc.slot) * slot_bytes()] = std::byte{0};
-    pool_.mark_dirty(pool_file_id_, loc.page);
-    cb();
-  });
-}
-
 std::optional<PageNo> Table::page_of(Key key) const {
-  auto it = index_.find(key);
-  if (it == index_.end()) return std::nullopt;
-  return location_of(it->second).page;
+  const std::uint32_t* global = index_.find(key);
+  if (global == nullptr) return std::nullopt;
+  return location_of(*global).page;
 }
 
 void Table::pin_page(PageNo page) { pool_.pin(pool_file_id_, page); }
@@ -130,24 +85,20 @@ void Table::rebuild_index(const std::function<void(PageNo, std::span<std::byte>)
   next_unused_slot_ = any ? highest_used + 1 : 0;
   // Gaps below the high-water mark go to the free list.
   std::vector<bool> used(next_unused_slot_, false);
-  for (const auto& [k, g] : index_) used[g] = true;
+  index_.for_each([&used](Key, std::uint32_t g) { used[g] = true; });
   for (std::uint32_t g = 0; g < next_unused_slot_; ++g)
     if (!used[g]) free_slots_.push_back(g);
 }
 
-void Table::load_row_offline(Key key, const RowBuf& row) {
+void Table::load_row_offline(Key key, RowView row) {
   if (device_ == nullptr || file_ == nullptr)
     throw std::logic_error("Table: no offline device attached");
-  const std::uint32_t global = index_.contains(key) ? index_[key] : allocate_slot(key);
-  const Slot loc = location_of(global);
-  std::vector<std::byte> page(kPageSize);
+  const Slot loc = location_of(slot_for(key));
+  std::vector<std::byte>& page = offline_page_;
+  page.resize(kPageSize);
   file_->peek_page_offline(*device_, loc.page, page);
   write_slot(page, loc.slot, true, key, row);
   file_->load_page_offline(*device_, loc.page, page);
-}
-
-void Table::for_each_key(const std::function<void(Key)>& fn) const {
-  for (const auto& [key, slot] : index_) fn(key);
 }
 
 }  // namespace trail::db

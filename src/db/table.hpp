@@ -10,10 +10,11 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "db/buffer_pool.hpp"
+#include "db/flat_map.hpp"
 #include "db/types.hpp"
 
 namespace trail::db {
@@ -33,16 +34,58 @@ class Table {
   }
   [[nodiscard]] bool contains(Key key) const { return index_.contains(key); }
 
-  /// Read a row through the buffer pool. cb(found, row bytes).
-  void get(Key key, std::function<void(bool, RowBuf)> cb);
+  /// Read a row through the buffer pool: cb(found, row), where `row` is a
+  /// view into the page frame, valid for the call only. Any callable
+  /// taking (bool, RowView) works; it rides by value into the pool's
+  /// fetch, so a small one costs no allocation.
+  template <typename F>
+  void get(Key key, F cb) {
+    const std::uint32_t* global = index_.find(key);
+    if (global == nullptr) {
+      cb(false, RowView{});
+      return;
+    }
+    const Slot loc = location_of(*global);
+    pool_.fetch(pool_file_id_, loc.page,
+                [cb = std::move(cb), offset = row_offset(loc.slot),
+                 size = row_size_](std::span<std::byte> page) mutable {
+                  cb(true, RowView(page.subspan(offset, size)));
+                });
+  }
 
   /// Write a row image (insert-or-update) through the buffer pool; used
-  /// by transaction apply and by WAL redo. cb fires once the page frame
-  /// is updated (and dirty), not when it reaches disk.
-  void apply_image(Key key, const RowBuf& row, std::function<void()> cb);
+  /// by transaction apply and by WAL redo. `row` must stay valid until cb
+  /// fires, which is once the page frame is updated (and dirty), not when
+  /// it reaches disk. Like get, `cb` is any callable.
+  template <typename F>
+  void apply_image(Key key, RowView row, F cb) {
+    const Slot loc = location_of(slot_for(key));
+    pool_.fetch(pool_file_id_, loc.page,
+                [this, key, row, loc, cb = std::move(cb)](std::span<std::byte> page) mutable {
+                  write_slot(page, loc.slot, true, key, row);
+                  pool_.mark_dirty(pool_file_id_, loc.page);
+                  cb();
+                });
+  }
 
   /// Remove a row (transaction apply / redo of kDelete).
-  void remove(Key key, std::function<void()> cb);
+  template <typename F>
+  void remove(Key key, F cb) {
+    const std::uint32_t* global = index_.find(key);
+    if (global == nullptr) {
+      cb();
+      return;
+    }
+    const Slot loc = location_of(*global);
+    free_slots_.push_back(*global);
+    index_.erase(key);
+    pool_.fetch(pool_file_id_, loc.page,
+                [this, loc, cb = std::move(cb)](std::span<std::byte> page) mutable {
+                  page[static_cast<std::size_t>(loc.slot) * slot_bytes()] = std::byte{0};
+                  pool_.mark_dirty(pool_file_id_, loc.page);
+                  cb();
+                });
+  }
 
   /// Page currently holding `key`, if present.
   [[nodiscard]] std::optional<PageNo> page_of(Key key) const;
@@ -58,10 +101,12 @@ class Table {
 
   /// Offline bulk load used by dataset population (no timed I/O): writes
   /// the row image directly to the platter and indexes it.
-  void load_row_offline(Key key, const RowBuf& row);
+  void load_row_offline(Key key, RowView row);
 
   /// Iterate all keys (index order unspecified).
-  void for_each_key(const std::function<void(Key)>& fn) const;
+  void for_each_key(const std::function<void(Key)>& fn) const {
+    index_.for_each([&fn](Key key, std::uint32_t) { fn(key); });
+  }
 
  private:
   struct Slot {
@@ -72,9 +117,13 @@ class Table {
   [[nodiscard]] Slot location_of(std::uint32_t global_slot) const {
     return Slot{global_slot / slots_per_page_, global_slot % slots_per_page_};
   }
-  [[nodiscard]] std::uint32_t allocate_slot(Key key);
+  [[nodiscard]] std::size_t row_offset(std::uint32_t slot) const {
+    return static_cast<std::size_t>(slot) * slot_bytes() + 9;
+  }
+  /// The key's global slot, allocating one if it has none.
+  [[nodiscard]] std::uint32_t slot_for(Key key);
   void write_slot(std::span<std::byte> page, std::uint32_t slot, bool used, Key key,
-                  const RowBuf& row) const;
+                  RowView row) const;
 
   std::string name_;
   TableId id_;
@@ -86,9 +135,10 @@ class Table {
   disk::DiskDevice* device_;  // offline population
   PageFile* file_;
 
-  std::unordered_map<Key, std::uint32_t> index_;  // key -> global slot
+  FlatMap<std::uint32_t> index_;  // key -> global slot
   std::vector<std::uint32_t> free_slots_;
   std::uint32_t next_unused_slot_ = 0;
+  std::vector<std::byte> offline_page_;  // load_row_offline's page image
 };
 
 }  // namespace trail::db

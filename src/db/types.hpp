@@ -8,6 +8,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "disk/types.hpp"
@@ -29,5 +30,7 @@ inline constexpr std::uint32_t kSectorsPerPage =
 using PageNo = std::uint32_t;
 
 using RowBuf = std::vector<std::byte>;
+/// A row image someone else owns: a page frame's bytes, or a RowBuf.
+using RowView = std::span<const std::byte>;
 
 }  // namespace trail::db

@@ -14,15 +14,15 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 4 + 4 + 8 + 1;  // length, crc, lsn, type
 
-void put_u16(std::vector<std::byte>& v, std::uint16_t x) {
-  v.push_back(std::byte(x & 0xFF));
-  v.push_back(std::byte(x >> 8 & 0xFF));
+/// Store the low `bytes` bytes of `x` at `p`, little-endian; returns the
+/// position after them.
+std::byte* put_le(std::byte* p, std::uint64_t x, int bytes) {
+  for (int i = 0; i < bytes; ++i) *p++ = std::byte(x >> (8 * i) & 0xFF);
+  return p;
 }
-void put_u32(std::vector<std::byte>& v, std::uint32_t x) {
-  for (int i = 0; i < 4; ++i) v.push_back(std::byte(x >> (8 * i) & 0xFF));
-}
-void put_u64(std::vector<std::byte>& v, std::uint64_t x) {
-  for (int i = 0; i < 8; ++i) v.push_back(std::byte(x >> (8 * i) & 0xFF));
+bool has_row(WalRecordType type) {
+  return type == WalRecordType::kUpdate || type == WalRecordType::kInsert ||
+         type == WalRecordType::kDelete;
 }
 std::uint16_t get_u16(std::span<const std::byte> d, std::size_t off) {
   return static_cast<std::uint16_t>(static_cast<std::uint16_t>(d[off]) |
@@ -46,29 +46,29 @@ LogManager::LogManager(sim::Simulator& sim, io::BlockDriver& driver, WalConfig c
   if (config_.region_sectors == 0) throw std::invalid_argument("LogManager: empty region");
 }
 
-std::vector<std::byte> LogManager::encode(const WalRecord& record) {
-  std::vector<std::byte> payload;
-  put_u64(payload, record.txn);
-  if (record.type == WalRecordType::kUpdate || record.type == WalRecordType::kInsert ||
-      record.type == WalRecordType::kDelete) {
-    put_u16(payload, record.table);
-    put_u64(payload, record.key);
-    put_u16(payload, static_cast<std::uint16_t>(record.row.size()));
-    payload.insert(payload.end(), record.row.begin(), record.row.end());
+std::size_t LogManager::encode(const WalRecord& record, Lsn lsn, std::vector<std::byte>& out) {
+  const std::size_t payload = 8 + (has_row(record.type) ? 2 + 8 + 2 + record.row.size() : 0);
+  const std::size_t length = kHeaderBytes + payload;
+  const std::size_t at = out.size();
+  out.resize(at + length);
+  std::byte* p = out.data() + at;
+  p = put_le(p, length, 4);
+  p += 4;  // crc, patched below
+  p = put_le(p, lsn, 8);
+  *p++ = std::byte(static_cast<std::uint8_t>(record.type));
+  p = put_le(p, record.txn, 8);
+  if (has_row(record.type)) {
+    p = put_le(p, record.table, 2);
+    p = put_le(p, record.key, 8);
+    p = put_le(p, record.row.size(), 2);
+    if (!record.row.empty()) std::memcpy(p, record.row.data(), record.row.size());
   }
-  std::vector<std::byte> out;
-  out.reserve(kHeaderBytes + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(kHeaderBytes + payload.size()));
-  put_u32(out, 0);  // crc patched below
-  put_u64(out, record.lsn);
-  out.push_back(std::byte(static_cast<std::uint8_t>(record.type)));
-  out.insert(out.end(), payload.begin(), payload.end());
   // The CRC covers everything after the crc field itself (lsn, type,
   // payload) so corrupted/stale headers are rejected too.
   const std::uint32_t crc =
-      core::crc32(std::span<const std::byte>(out.data() + 8, out.size() - 8));
-  for (int i = 0; i < 4; ++i) out[4 + static_cast<std::size_t>(i)] = std::byte(crc >> (8 * i) & 0xFF);
-  return out;
+      core::crc32(std::span<const std::byte>(out.data() + at + 8, length - 8));
+  put_le(out.data() + at + 4, crc, 4);
+  return length;
 }
 
 std::optional<std::pair<WalRecord, std::size_t>> LogManager::decode(
@@ -87,8 +87,7 @@ std::optional<std::pair<WalRecord, std::size_t>> LogManager::decode(
   rec.type = static_cast<WalRecordType>(type);
   if (payload.size() < 8) return std::nullopt;
   rec.txn = get_u64(payload, 0);
-  if (rec.type == WalRecordType::kUpdate || rec.type == WalRecordType::kInsert ||
-      rec.type == WalRecordType::kDelete) {
+  if (has_row(rec.type)) {
     if (payload.size() < 8 + 2 + 8 + 2) return std::nullopt;
     rec.table = get_u16(payload, 8);
     rec.key = get_u64(payload, 10);
@@ -100,16 +99,13 @@ std::optional<std::pair<WalRecord, std::size_t>> LogManager::decode(
 }
 
 Lsn LogManager::append(const WalRecord& record) {
-  WalRecord stamped = record;
-  stamped.lsn = next_lsn_;
-  const std::vector<std::byte> bytes = encode(stamped);
-  buffer_.insert(buffer_.end(), bytes.begin(), bytes.end());
-  next_lsn_ += bytes.size();
+  const Lsn lsn = next_lsn_;
+  next_lsn_ += encode(record, lsn, buffer_);
   ++stats_.appends;
-  return stamped.lsn;
+  return lsn;
 }
 
-void LogManager::commit(Lsn lsn, std::function<void()> done) {
+void LogManager::commit(Lsn lsn, Done done) {
   if (!config_.group_commit) {
     // O_SYNC semantics: wait until this commit's records are on disk.
     waiters_.push_back(Waiter{lsn + 1, std::move(done), sim_.now()});
@@ -132,7 +128,7 @@ void LogManager::commit(Lsn lsn, std::function<void()> done) {
   if (done) done();
 }
 
-void LogManager::flush_all(std::function<void()> done) {
+void LogManager::flush_all(Done done) {
   if (durable_lsn_ >= next_lsn_) {
     if (done) done();
     return;
@@ -141,7 +137,7 @@ void LogManager::flush_all(std::function<void()> done) {
   start_flush();
 }
 
-void LogManager::flush_until(Lsn target, std::function<void()> done) {
+void LogManager::flush_until(Lsn target, Done done) {
   if (target > next_lsn_) target = next_lsn_;
   if (durable_lsn_ >= target) {
     if (done) done();

@@ -34,6 +34,7 @@
 #include "db/types.hpp"
 #include "io/block.hpp"
 #include "obs/obs.hpp"
+#include "sim/callback.hpp"
 #include "sim/simulator.hpp"
 
 namespace trail::audit {
@@ -122,21 +123,24 @@ class LogManager {
   using GrowFn = std::function<void(std::uint64_t new_sectors, std::function<void()>)>;
   void set_grow_hook(GrowFn hook) { on_grow_ = std::move(hook); }
 
-  /// Append a record to the in-memory log buffer; returns its LSN.
+  /// Append a record (its `lsn` field is ignored) to the in-memory log
+  /// buffer, encoded in place; returns its LSN.
   Lsn append(const WalRecord& record);
+
+  using Done = sim::Callback<void()>;
 
   /// Commit point for a transaction whose newest record is `lsn`:
   /// applies the flush policy and calls `done` when the commit completes
   /// per that policy (NOT necessarily when it is durable, under group
   /// commit — that is the point).
-  void commit(Lsn lsn, std::function<void()> done);
+  void commit(Lsn lsn, Done done);
 
   /// Force everything buffered to disk (checkpoint / shutdown path).
-  void flush_all(std::function<void()> done);
+  void flush_all(Done done);
 
   /// Ensure bytes below `target` are durable (WAL rule before a data-page
   /// write); completes immediately when already durable.
-  void flush_until(Lsn target, std::function<void()> done);
+  void flush_until(Lsn target, Done done);
 
   [[nodiscard]] Lsn next_lsn() const { return next_lsn_; }
   [[nodiscard]] Lsn durable_lsn() const { return durable_lsn_; }
@@ -167,7 +171,9 @@ class LogManager {
   void audit(audit::Report& report, bool quiescent = false) const;
 
   // ---- serialization (shared with recovery) ----
-  static std::vector<std::byte> encode(const WalRecord& record);
+  /// Append `record`'s encoding, stamped with `lsn` (the record's own
+  /// `lsn` field is not read), to `out`; returns its size.
+  static std::size_t encode(const WalRecord& record, Lsn lsn, std::vector<std::byte>& out);
   /// Decode one record at `data` (which starts at a record boundary).
   /// Returns record + encoded size, or nullopt if invalid/end-of-log.
   static std::optional<std::pair<WalRecord, std::size_t>> decode(
@@ -197,7 +203,7 @@ class LogManager {
 
   struct Waiter {
     Lsn target;  // complete when durable_lsn_ >= target
-    std::function<void()> done;
+    Done done;
     sim::TimePoint since;
   };
   std::deque<Waiter> waiters_;

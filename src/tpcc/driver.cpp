@@ -18,58 +18,56 @@ BenchResult Driver::run(std::uint64_t total_txns) {
 }
 
 BenchResult Driver::run_internal(std::uint64_t total_txns, bool record) {
-  sim::Simulator& sim = tpcc_.database().simulator();
-  BenchResult result;
-  const sim::TimePoint start = sim.now();
-  std::uint64_t completed = 0;
-  std::uint64_t issued = 0;
-
   // Each client loops: run one mixed transaction, record, repeat. The
-  // issue budget is shared so exactly total_txns complete.
-  struct Client {
-    std::function<void()> go;
-  };
-  auto clients = std::make_shared<std::vector<Client>>(concurrency_);
+  // issue budget is shared so exactly total_txns complete. Every issued
+  // transaction has completed when the loop below ends, so no
+  // continuation outlives this frame.
+  struct Window {
+    Driver& driver;
+    sim::Simulator& sim;
+    std::uint64_t total;
+    bool record;
+    BenchResult result;
+    std::uint64_t completed = 0;
+    std::uint64_t issued = 0;
 
-  for (std::uint32_t i = 0; i < concurrency_; ++i) {
-    TxnRunner* runner = runners_[i].get();
-    (*clients)[i].go = [this, runner, &sim, &result, &completed, &issued, total_txns,
-                        record, clients, i] {
-      if (issued >= total_txns) return;
+    void go(std::size_t i) {
+      if (issued >= total) return;
       ++issued;
-      const sim::TimePoint t0 = sim.now();
-      runner->run_mixed([this, runner, &sim, &result, &completed, &issued, total_txns,
-                         record, clients, i, t0](TxnResult r) {
-        if (record) {
-          const sim::Duration response = sim.now() - t0;
-          result.response.record(response);
-          if (r.committed) {
-            ++result.committed;
-            if (r.type == TxnType::kNewOrder) {
-              ++result.new_order_commits;
-              result.new_order_response.record(response);
-            }
-          } else if (r.user_abort) {
-            ++result.user_aborts;
-          } else {
-            ++result.aborted;
-          }
-        }
-        ++completed;
-        (*clients)[i].go();
-      });
-    };
-  }
-  for (auto& c : *clients) c.go();
+      driver.runners_[i]->run_mixed(
+          [this, i, t0 = sim.now()](TxnResult r) { finish(i, t0, r); });
+    }
 
-  while (completed < total_txns) {
+    void finish(std::size_t i, sim::TimePoint t0, TxnResult r) {
+      if (record) {
+        const sim::Duration response = sim.now() - t0;
+        result.response.record(response);
+        if (r.committed) {
+          ++result.committed;
+          if (r.type == TxnType::kNewOrder) {
+            ++result.new_order_commits;
+            result.new_order_response.record(response);
+          }
+        } else if (r.user_abort) {
+          ++result.user_aborts;
+        } else {
+          ++result.aborted;
+        }
+      }
+      ++completed;
+      go(i);
+    }
+  };
+  sim::Simulator& sim = tpcc_.database().simulator();
+  const sim::TimePoint start = sim.now();
+  Window w{*this, sim, total_txns, record, {}};
+  for (std::size_t i = 0; i < concurrency_; ++i) w.go(i);
+
+  while (w.completed < total_txns) {
     if (!sim.step()) throw std::runtime_error("TPC-C driver: simulation stalled");
   }
-  // The go lambdas capture `clients`, so the vector would keep itself
-  // alive through the cycle; sever it now that every client is done.
-  for (auto& c : *clients) c.go = nullptr;
-  result.wall = sim.now() - start;
-  return result;
+  w.result.wall = sim.now() - start;
+  return std::move(w.result);
 }
 
 }  // namespace trail::tpcc

@@ -126,17 +126,16 @@ struct HistoryRow {
 static_assert(std::is_trivially_copyable_v<CustomerRow>);
 static_assert(std::is_trivially_copyable_v<StockRow>);
 
-// ---- row <-> RowBuf --------------------------------------------------------
+// ---- row <-> row bytes -----------------------------------------------------
 
+/// The row's bytes, viewed in place: valid while `r` is.
 template <typename Row>
-db::RowBuf to_row(const Row& r) {
-  db::RowBuf buf(sizeof(Row));
-  std::memcpy(buf.data(), &r, sizeof(Row));
-  return buf;
+db::RowView to_row(const Row& r) {
+  return {reinterpret_cast<const std::byte*>(&r), sizeof(Row)};
 }
 
 template <typename Row>
-Row from_row(const db::RowBuf& buf) {
+Row from_row(db::RowView buf) {
   Row r;
   std::memcpy(&r, buf.data(), sizeof(Row));
   return r;

@@ -1,6 +1,7 @@
 #include "tpcc/transactions.hpp"
 
 #include <algorithm>
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -14,23 +15,39 @@ namespace {
 /// short-circuits to the finish handler with ok=false. Only the pending
 /// next() owns the state (see db/chain.hpp).
 class Flow {
+  struct State;
+
  public:
-  using Next = std::function<void(bool)>;
-  using Step = std::function<void(Next)>;
+  /// A shared handle on the flow, small enough to ride in any
+  /// continuation's inline capture.
+  class Next {
+   public:
+    void operator()(bool ok) const { advance(state_, ok); }
+
+   private:
+    friend class Flow;
+    explicit Next(std::shared_ptr<State> state) : state_(std::move(state)) {}
+    std::shared_ptr<State> state_;
+  };
+  using Step = sim::Callback<void(Next)>;
+
+  /// NEW-ORDER, the longest transaction, runs five steps plus one per
+  /// order line (at most 15).
+  Flow() { steps_.reserve(20); }
 
   Flow& then(Step step) {
     steps_.push_back(std::move(step));
     return *this;
   }
 
-  void run(std::function<void(bool)> finish) && {
+  void run(sim::Callback<void(bool)> finish) && {
     advance(std::make_shared<State>(State{std::move(steps_), std::move(finish), 0}), true);
   }
 
  private:
   struct State {
     std::vector<Step> steps;
-    std::function<void(bool)> finish;
+    sim::Callback<void(bool)> finish;
     std::size_t index = 0;
   };
 
@@ -39,7 +56,7 @@ class Flow {
       st->finish(ok);
       return;
     }
-    st->steps[st->index++]([st](bool step_ok) { advance(st, step_ok); });
+    st->steps[st->index++](Next(st));
   }
 
   std::vector<Step> steps_;
@@ -85,11 +102,12 @@ void TxnRunner::new_order(Done done) {
     std::uint32_t w, d, c;
     std::uint32_t ol_cnt;
     bool rollback;  // clause 2.4.1.4: 1% unused item => rollback
-    std::vector<std::uint32_t> items;
-    std::vector<std::uint32_t> qty;
+    std::array<std::uint32_t, 15> items{};  // 5..15 order lines
+    std::array<std::uint32_t, 15> qty{};
     std::uint32_t o_id = 0;
     double w_tax = 0, d_tax = 0, c_discount = 0;
     double total = 0;
+    Done done;
   };
   auto ctx = std::make_shared<Ctx>();
   ctx->w = random_warehouse();
@@ -98,9 +116,10 @@ void TxnRunner::new_order(Done done) {
   ctx->ol_cnt = static_cast<std::uint32_t>(rng_.uniform(5, 15));
   ctx->rollback = rng_.chance(0.01);
   for (std::uint32_t i = 0; i < ctx->ol_cnt; ++i) {
-    ctx->items.push_back(nurand_item());
-    ctx->qty.push_back(static_cast<std::uint32_t>(rng_.uniform(1, 10)));
+    ctx->items[i] = nurand_item();
+    ctx->qty[i] = static_cast<std::uint32_t>(rng_.uniform(1, 10));
   }
+  ctx->done = std::move(done);
 
   db::Database& dbe = tpcc_.database();
   db::Txn& txn = dbe.begin();
@@ -109,7 +128,7 @@ void TxnRunner::new_order(Done done) {
   // District: allocate the order id.
   flow.then([this, &txn, ctx](Flow::Next next) {
     txn.get_for_update(t_district(), district_key(ctx->w, ctx->d),
-                       [this, &txn, ctx, next](bool ok, bool found, db::RowBuf row) {
+                       [this, &txn, ctx, next](bool ok, bool found, db::RowView row) {
                          if (!ok || !found) {
                            next(false);
                            return;
@@ -124,14 +143,14 @@ void TxnRunner::new_order(Done done) {
   });
   // Warehouse tax + customer discount (reads).
   flow.then([this, &txn, ctx](Flow::Next next) {
-    txn.get(t_warehouse(), warehouse_key(ctx->w), [ctx, next](bool found, db::RowBuf row) {
+    txn.get(t_warehouse(), warehouse_key(ctx->w), [ctx, next](bool found, db::RowView row) {
       if (found) ctx->w_tax = from_row<WarehouseRow>(row).tax;
       next(found);
     });
   });
   flow.then([this, &txn, ctx](Flow::Next next) {
     txn.get(t_customer(), customer_key(ctx->w, ctx->d, ctx->c),
-            [ctx, next](bool found, db::RowBuf row) {
+            [ctx, next](bool found, db::RowView row) {
               if (found) ctx->c_discount = from_row<CustomerRow>(row).discount;
               next(found);
             });
@@ -165,7 +184,7 @@ void TxnRunner::new_order(Done done) {
         return;
       }
       txn.get(t_item(), item_key(ctx->items[i]), [this, &txn, ctx, i, next](
-                                                     bool found, db::RowBuf row) {
+                                                     bool found, db::RowView row) {
         if (!found) {
           next(false);
           return;
@@ -173,7 +192,7 @@ void TxnRunner::new_order(Done done) {
         const double price = from_row<ItemRow>(row).price;
         txn.get_for_update(
             t_stock(), stock_key(ctx->w, ctx->items[i]),
-            [this, &txn, ctx, i, price, next](bool ok, bool found2, db::RowBuf srow) {
+            [this, &txn, ctx, i, price, next](bool ok, bool found2, db::RowView srow) {
               if (!ok || !found2) {
                 next(false);
                 return;
@@ -209,17 +228,17 @@ void TxnRunner::new_order(Done done) {
     });
   }
 
-  std::move(flow).run([this, &txn, ctx, done = std::move(done)](bool ok) mutable {
+  std::move(flow).run([this, &txn, ctx](bool ok) {
     if (!ok) {
-      fail(txn, TxnType::kNewOrder, std::move(done), ctx->rollback);
+      fail(txn, TxnType::kNewOrder, std::move(ctx->done), ctx->rollback);
       return;
     }
-    tpcc_.database().commit(txn, [this, ctx, done = std::move(done)](bool committed) {
+    tpcc_.database().commit(txn, [this, ctx](bool committed) {
       if (committed) tpcc_.note_new_order(ctx->w, ctx->d, ctx->c, ctx->o_id);
       TxnResult result;
       result.type = TxnType::kNewOrder;
       result.committed = committed;
-      done(result);
+      ctx->done(result);
     });
   });
 }
@@ -234,6 +253,7 @@ void TxnRunner::payment(Done done) {
     double amount;
     bool by_name;
     std::string last;
+    Done done;
   };
   auto ctx = std::make_shared<Ctx>();
   ctx->w = random_warehouse();
@@ -244,6 +264,7 @@ void TxnRunner::payment(Done done) {
   if (ctx->by_name)
     ctx->last = TpccDatabase::last_name(
         sim::nurand(rng_, 255, 0, 999, tpcc_.nurand_c().c_last));
+  ctx->done = std::move(done);
 
   db::Txn& txn = tpcc_.database().begin();
   Flow flow;
@@ -260,7 +281,7 @@ void TxnRunner::payment(Done done) {
   }
   flow.then([this, &txn, ctx](Flow::Next next) {
     txn.get_for_update(t_warehouse(), warehouse_key(ctx->w),
-                       [this, &txn, ctx, next](bool ok, bool found, db::RowBuf row) {
+                       [this, &txn, ctx, next](bool ok, bool found, db::RowView row) {
                          if (!ok || !found) {
                            next(false);
                            return;
@@ -273,7 +294,7 @@ void TxnRunner::payment(Done done) {
   });
   flow.then([this, &txn, ctx](Flow::Next next) {
     txn.get_for_update(t_district(), district_key(ctx->w, ctx->d),
-                       [this, &txn, ctx, next](bool ok, bool found, db::RowBuf row) {
+                       [this, &txn, ctx, next](bool ok, bool found, db::RowView row) {
                          if (!ok || !found) {
                            next(false);
                            return;
@@ -287,7 +308,7 @@ void TxnRunner::payment(Done done) {
   flow.then([this, &txn, ctx](Flow::Next next) {
     txn.get_for_update(
         t_customer(), customer_key(ctx->w, ctx->d, ctx->c),
-        [this, &txn, ctx, next](bool ok, bool found, db::RowBuf row) {
+        [this, &txn, ctx, next](bool ok, bool found, db::RowView row) {
           if (!ok || !found) {
             next(false);
             return;
@@ -312,16 +333,16 @@ void TxnRunner::payment(Done done) {
     txn.insert(t_history(), hkey, to_row(hr), [next](bool ok) { next(ok); });
   });
 
-  std::move(flow).run([this, &txn, done = std::move(done)](bool ok) mutable {
+  std::move(flow).run([this, &txn, ctx](bool ok) {
     if (!ok) {
-      fail(txn, TxnType::kPayment, std::move(done));
+      fail(txn, TxnType::kPayment, std::move(ctx->done));
       return;
     }
-    tpcc_.database().commit(txn, [done = std::move(done)](bool committed) {
+    tpcc_.database().commit(txn, [ctx](bool committed) {
       TxnResult result;
       result.type = TxnType::kPayment;
       result.committed = committed;
-      done(result);
+      ctx->done(result);
     });
   });
 }
@@ -334,6 +355,7 @@ void TxnRunner::order_status(Done done) {
   struct Ctx {
     std::uint32_t w, d, c, o = 0;
     std::uint32_t ol_cnt = 0;
+    Done done;
   };
   auto ctx = std::make_shared<Ctx>();
   ctx->w = random_warehouse();
@@ -343,6 +365,7 @@ void TxnRunner::order_status(Done done) {
   std::string last;
   if (by_name)
     last = TpccDatabase::last_name(sim::nurand(rng_, 255, 0, 999, tpcc_.nurand_c().c_last));
+  ctx->done = std::move(done);
 
   db::Txn& txn = tpcc_.database().begin();
   Flow flow;
@@ -361,7 +384,7 @@ void TxnRunner::order_status(Done done) {
   });
   flow.then([this, &txn, ctx](Flow::Next next) {
     txn.get(t_customer(), customer_key(ctx->w, ctx->d, ctx->c),
-            [next](bool found, db::RowBuf) { next(found); });
+            [next](bool found, db::RowView) { next(found); });
   });
   flow.then([this, &txn, ctx](Flow::Next next) {
     if (ctx->o == 0) {
@@ -369,7 +392,7 @@ void TxnRunner::order_status(Done done) {
       return;
     }
     txn.get(t_order(), order_key(ctx->w, ctx->d, ctx->o),
-            [ctx, next](bool found, db::RowBuf row) {
+            [ctx, next](bool found, db::RowView row) {
               if (found) ctx->ol_cnt = from_row<OrderRow>(row).ol_cnt;
               next(true);
             });
@@ -386,20 +409,20 @@ void TxnRunner::order_status(Done done) {
         return;
       }
       txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, ctx->o, line++),
-              [again](bool, db::RowBuf) { again(); });
+              [again](bool, db::RowView) { again(); });
     });
   });
 
-  std::move(flow).run([this, &txn, done = std::move(done)](bool ok) mutable {
+  std::move(flow).run([this, &txn, ctx](bool ok) {
     if (!ok) {
-      fail(txn, TxnType::kOrderStatus, std::move(done));
+      fail(txn, TxnType::kOrderStatus, std::move(ctx->done));
       return;
     }
-    tpcc_.database().commit(txn, [done = std::move(done)](bool committed) {
+    tpcc_.database().commit(txn, [ctx](bool committed) {
       TxnResult result;
       result.type = TxnType::kOrderStatus;
       result.committed = committed;
-      done(result);
+      ctx->done(result);
     });
   });
 }
@@ -413,14 +436,19 @@ void TxnRunner::delivery(Done done) {
     std::uint32_t w;
     std::uint32_t carrier;
     std::vector<std::pair<std::uint32_t, std::uint32_t>> picked;  // (d, o)
+    // The district step running now: its order and the order line read.
     std::uint32_t d = 1;
+    std::uint32_t o = 0;
+    std::uint32_t ol = 0;
     std::uint32_t c = 0;
     std::uint32_t ol_cnt = 0;
     double total = 0;
+    Done done;
   };
   auto ctx = std::make_shared<Ctx>();
   ctx->w = random_warehouse();
   ctx->carrier = static_cast<std::uint32_t>(rng_.uniform(1, 10));
+  ctx->done = std::move(done);
 
   db::Txn& txn = tpcc_.database().begin();
   Flow flow;
@@ -432,17 +460,18 @@ void TxnRunner::delivery(Done done) {
         return;
       }
       ctx->picked.emplace_back(d, o);
+      ctx->d = d;
+      ctx->o = o;
       // Delete NEW-ORDER row, stamp the order, stamp its lines, credit
       // the customer.
-      txn.remove(t_new_order(), new_order_key(ctx->w, d, o), [this, &txn, ctx, d, o, next](
-                                                                 bool ok) {
+      txn.remove(t_new_order(), new_order_key(ctx->w, d, o), [this, &txn, ctx, next](bool ok) {
         if (!ok) {
           next(false);
           return;
         }
         txn.get_for_update(
-            t_order(), order_key(ctx->w, d, o),
-            [this, &txn, ctx, d, o, next](bool ok2, bool found, db::RowBuf row) {
+            t_order(), order_key(ctx->w, ctx->d, ctx->o),
+            [this, &txn, ctx, next](bool ok2, bool found, db::RowView row) {
               if (!ok2 || !found) {
                 next(false);
                 return;
@@ -453,21 +482,21 @@ void TxnRunner::delivery(Done done) {
               ctx->ol_cnt = orow.ol_cnt;
               ctx->total = 0;
               txn.update(
-                  t_order(), order_key(ctx->w, d, o), to_row(orow),
-                  [this, &txn, ctx, d, o, next](bool ok3) {
+                  t_order(), order_key(ctx->w, ctx->d, ctx->o), to_row(orow),
+                  [this, &txn, ctx, next](bool ok3) {
                     if (!ok3) {
                       next(false);
                       return;
                     }
                     // Stamp each order line with the delivery date.
-                    db::loop([this, &txn, ctx, d, o, line = std::uint32_t{1},
+                    db::loop([this, &txn, ctx, line = std::uint32_t{1},
                               next](const auto& again) mutable {
                       if (line > ctx->ol_cnt) {
                         // Credit the customer's balance.
                         txn.get_for_update(
-                            t_customer(), customer_key(ctx->w, d, ctx->c),
-                            [this, &txn, ctx, d, next](bool ok4, bool found2,
-                                                       db::RowBuf crow) {
+                            t_customer(), customer_key(ctx->w, ctx->d, ctx->c),
+                            [this, &txn, ctx, next](bool ok4, bool found2,
+                                                    db::RowView crow) {
                               if (!ok4 || !found2) {
                                 next(false);
                                 return;
@@ -475,16 +504,16 @@ void TxnRunner::delivery(Done done) {
                               auto cr = from_row<CustomerRow>(crow);
                               cr.balance += ctx->total;
                               cr.delivery_cnt += 1;
-                              txn.update(t_customer(), customer_key(ctx->w, d, ctx->c),
+                              txn.update(t_customer(), customer_key(ctx->w, ctx->d, ctx->c),
                                          to_row(cr), [next](bool ok5) { next(ok5); });
                             });
                         return;
                       }
-                      const std::uint32_t ol = line++;
+                      ctx->ol = line++;
                       txn.get_for_update(
-                          t_order_line(), order_line_key(ctx->w, d, o, ol),
-                          [this, &txn, ctx, d, o, ol, again, next](bool ok4, bool found2,
-                                                                   db::RowBuf lrow) {
+                          t_order_line(), order_line_key(ctx->w, ctx->d, ctx->o, ctx->ol),
+                          [this, &txn, ctx, again, next](bool ok4, bool found2,
+                                                         db::RowView lrow) {
                             if (!ok4) {
                               next(false);
                               return;
@@ -496,7 +525,8 @@ void TxnRunner::delivery(Done done) {
                             auto lr = from_row<OrderLineRow>(lrow);
                             lr.delivery_d = tpcc_.database().simulator().now().ns();
                             ctx->total += lr.amount;
-                            txn.update(t_order_line(), order_line_key(ctx->w, d, o, ol),
+                            txn.update(t_order_line(),
+                                       order_line_key(ctx->w, ctx->d, ctx->o, ctx->ol),
                                        to_row(lr), [again, next](bool ok5) {
                                          if (!ok5) {
                                            next(false);
@@ -512,23 +542,23 @@ void TxnRunner::delivery(Done done) {
     });
   }
 
-  std::move(flow).run([this, &txn, ctx, done = std::move(done)](bool ok) mutable {
+  std::move(flow).run([this, &txn, ctx](bool ok) {
     if (!ok) {
       // Return the popped orders to the backlog (newest first so order is
       // preserved when re-prepended).
       for (auto it = ctx->picked.rbegin(); it != ctx->picked.rend(); ++it)
         tpcc_.unpop_new_order(ctx->w, it->first, it->second);
-      fail(txn, TxnType::kDelivery, std::move(done));
+      fail(txn, TxnType::kDelivery, std::move(ctx->done));
       return;
     }
-    tpcc_.database().commit(txn, [this, ctx, done = std::move(done)](bool committed) {
+    tpcc_.database().commit(txn, [this, ctx](bool committed) {
       if (!committed)
         for (auto it = ctx->picked.rbegin(); it != ctx->picked.rend(); ++it)
           tpcc_.unpop_new_order(ctx->w, it->first, it->second);
       TxnResult result;
       result.type = TxnType::kDelivery;
       result.committed = committed;
-      done(result);
+      ctx->done(result);
     });
   });
 }
@@ -544,17 +574,19 @@ void TxnRunner::stock_level(Done done) {
     std::uint32_t next_o = 0;
     std::vector<std::uint32_t> item_ids;
     std::uint32_t low = 0;
+    Done done;
   };
   auto ctx = std::make_shared<Ctx>();
   ctx->w = random_warehouse();
   ctx->d = random_district();
   ctx->threshold = static_cast<std::uint32_t>(rng_.uniform(10, 20));
+  ctx->done = std::move(done);
 
   db::Txn& txn = tpcc_.database().begin();
   Flow flow;
   flow.then([this, &txn, ctx](Flow::Next next) {
     txn.get(t_district(), district_key(ctx->w, ctx->d),
-            [ctx, next](bool found, db::RowBuf row) {
+            [ctx, next](bool found, db::RowView row) {
               if (!found) {
                 next(false);
                 return;
@@ -579,7 +611,7 @@ void TxnRunner::stock_level(Done done) {
         return;
       }
       txn.get(t_order_line(), order_line_key(ctx->w, ctx->d, o, ol++),
-              [ctx, again](bool found, db::RowBuf row) {
+              [ctx, again](bool found, db::RowView row) {
                 if (found) ctx->item_ids.push_back(from_row<OrderLineRow>(row).i_id);
                 again();
               });
@@ -595,23 +627,23 @@ void TxnRunner::stock_level(Done done) {
         return;
       }
       const std::uint32_t item = ctx->item_ids[idx++];
-      txn.get(t_stock(), stock_key(ctx->w, item), [ctx, again](bool found, db::RowBuf row) {
+      txn.get(t_stock(), stock_key(ctx->w, item), [ctx, again](bool found, db::RowView row) {
         if (found && from_row<StockRow>(row).quantity < ctx->threshold) ++ctx->low;
         again();
       });
     });
   });
 
-  std::move(flow).run([this, &txn, done = std::move(done)](bool ok) mutable {
+  std::move(flow).run([this, &txn, ctx](bool ok) {
     if (!ok) {
-      fail(txn, TxnType::kStockLevel, std::move(done));
+      fail(txn, TxnType::kStockLevel, std::move(ctx->done));
       return;
     }
-    tpcc_.database().commit(txn, [done = std::move(done)](bool committed) {
+    tpcc_.database().commit(txn, [ctx](bool committed) {
       TxnResult result;
       result.type = TxnType::kStockLevel;
       result.committed = committed;
-      done(result);
+      ctx->done(result);
     });
   });
 }

@@ -7,8 +7,7 @@
 // ORDER-STATUS 4%, DELIVERY 4%, STOCK-LEVEL 4%.
 #pragma once
 
-#include <functional>
-
+#include "sim/callback.hpp"
 #include "sim/random.hpp"
 #include "tpcc/workload.hpp"
 
@@ -30,7 +29,7 @@ class TxnRunner {
  public:
   TxnRunner(TpccDatabase& tpcc, sim::Rng rng) : tpcc_(tpcc), rng_(rng) {}
 
-  using Done = std::function<void(TxnResult)>;
+  using Done = sim::Callback<void(TxnResult)>;
 
   /// Execute one transaction of the given type end-to-end (begin ..
   /// commit/abort). `done` receives the outcome.

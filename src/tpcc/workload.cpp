@@ -101,7 +101,7 @@ void TpccDatabase::build_name_index() {
 
 void TpccDatabase::lookup_by_last_name(std::uint32_t w, std::uint32_t d,
                                        const std::string& last,
-                                       std::function<void(std::vector<std::uint32_t>)> cb) {
+                                       sim::Callback<void(std::vector<std::uint32_t>)> cb) {
   const db::Key lo = name_index_key(w, d, last, 0);
   const db::Key hi = lo | 0xFFF;
   auto hits = std::make_shared<std::vector<std::uint32_t>>();
@@ -271,9 +271,9 @@ TpccDatabase::ConsistencyReport TpccDatabase::check_consistency(sim::Simulator& 
   ConsistencyReport report;
   auto read_row = [&](db::TableId table, db::Key key, db::RowBuf& out) {
     bool done = false, found = false;
-    db_.table(table).get(key, [&](bool f, db::RowBuf row) {
+    db_.table(table).get(key, [&](bool f, db::RowView row) {
       found = f;
-      out = std::move(row);
+      out.assign(row.begin(), row.end());
       done = true;
     });
     while (!done)

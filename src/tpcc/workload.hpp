@@ -53,7 +53,7 @@ class TpccDatabase {
   /// secondary index (clause 2.5.2.2 picks the middle one). Costs real
   /// index-page I/O, like Berkeley DB's by-name B-tree lookups.
   void lookup_by_last_name(std::uint32_t w, std::uint32_t d, const std::string& last,
-                           std::function<void(std::vector<std::uint32_t>)> cb);
+                           sim::Callback<void(std::vector<std::uint32_t>)> cb);
   [[nodiscard]] std::uint32_t last_order_of(std::uint32_t w, std::uint32_t d,
                                             std::uint32_t c) const;
   void note_new_order(std::uint32_t w, std::uint32_t d, std::uint32_t c, std::uint32_t o);

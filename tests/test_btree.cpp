@@ -187,7 +187,8 @@ TEST_F(BTreeTest, BulkLoadRefusesToDropADirtyTableFrame) {
   PageFile table_file(driver, io::BlockAddr{dev_id, 40'000}, 8);
   Table table("t", 0, 64, *pool, pool->register_file(table_file), 8, dev.get(), &table_file);
   bool applied = false;
-  table.apply_image(1, RowBuf(64, std::byte{7}), [&] { applied = true; });
+  const RowBuf row(64, std::byte{7});  // must outlive the apply
+  table.apply_image(1, row, [&] { applied = true; });
   pump(applied);
   EXPECT_THROW(tree->bulk_load_offline({{1, 1}}), std::logic_error);
   bool flushed = false;

@@ -69,6 +69,20 @@ TEST_F(BufferPoolTest, LruEvictionAtCapacity) {
   EXPECT_EQ(pool->stats().misses, misses + 1);
 }
 
+TEST_F(BufferPoolTest, HitRefreshesRecency) {
+  for (PageNo p = 0; p < 4; ++p) with_page(p, [](std::span<std::byte>) {});
+  // A hit on the oldest page makes it the most recent, so the next miss
+  // evicts the next-oldest page (1) instead.
+  with_page(0, [](std::span<std::byte>) {});
+  with_page(4, [](std::span<std::byte>) {});
+  EXPECT_EQ(pool->stats().evictions, 1u);
+  const auto misses = pool->stats().misses;
+  with_page(0, [](std::span<std::byte>) {});
+  EXPECT_EQ(pool->stats().misses, misses) << "the refreshed page must still be resident";
+  with_page(1, [](std::span<std::byte>) {});
+  EXPECT_EQ(pool->stats().misses, misses + 1) << "the next-oldest page must have gone";
+}
+
 TEST_F(BufferPoolTest, DirtyEvictionWritesBack) {
   with_page(1, [&](std::span<std::byte> p) {
     p[0] = std::byte{0xEE};

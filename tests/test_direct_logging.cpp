@@ -164,9 +164,9 @@ TEST_F(DirectLogTest, DatabaseOnDirectLoggingSurvivesCrash) {
     db::Txn& txn = database->begin();
     bool done = false, found = false;
     db::RowBuf got;
-    txn.get(items2, static_cast<db::Key>(i), [&](bool f, db::RowBuf row) {
+    txn.get(items2, static_cast<db::Key>(i), [&](bool f, db::RowView row) {
       found = f;
-      got = std::move(row);
+      got.assign(row.begin(), row.end());
       done = true;
     });
     pump(done);

@@ -165,7 +165,7 @@ TEST_F(FilesystemTest, DatabaseOnFilesystemRoundTrip) {
   for (db::Key k = 0; k < 6; ++k) {
     db::Txn& txn = database->begin();
     bool done = false, found = false;
-    txn.get(items2, k, [&](bool f, db::RowBuf) {
+    txn.get(items2, k, [&](bool f, db::RowView) {
       found = f;
       done = true;
     });
