@@ -76,8 +76,8 @@ int main(int argc, char** argv) {
 
   const core::RecoveryStats& rs = rebooted->last_recovery();
   std::printf("recovery (%s write-back):\n", write_back ? "with" : "WITHOUT");
-  std::printf("  locate youngest record : %8.1f ms (%u track scans%s)\n", rs.locate_time.ms(),
-              rs.tracks_scanned, rs.sequential_fallback ? ", sequential fallback" : "");
+  std::printf("  locate youngest record : %8.1f ms (%u track scans)\n", rs.locate_time.ms(),
+              rs.tracks_scanned);
   std::printf("  rebuild pending set    : %8.1f ms (%u records, %u torn dropped)\n",
               rs.rebuild_time.ms(), rs.records_found, rs.records_dropped_torn);
   std::printf("  wait for write-back    : %8.1f ms (%llu sectors written back)\n",

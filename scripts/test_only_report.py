@@ -51,6 +51,8 @@ GENERATED = ("__static_initialization_and_destruction", "_GLOBAL__sub_I_")
 LAMBDA = "::{lambda("
 ANONYMOUS = "(anonymous namespace)"
 OPERATOR_TOKEN = re.compile(r"\boperator(?:<=>|<<=|>>=|<<|>>|<=|>=|->\*|->|<|>|\(\)|\[\])")
+# A space that may end a return type: not one before a cv or ref qualifier.
+RETURN_TYPE_END = re.compile(r" (?!(?:const|volatile)\b|[&*\[])")
 
 
 def gcov_documents(gcno: Path) -> list[dict]:
@@ -92,10 +94,34 @@ def strip_template_args(name: str, masked: str) -> tuple[str, str]:
     return "".join(out), "".join(out_masked)
 
 
+def strip_return_type(name: str, masked: str) -> tuple[str, str]:
+    """`name` and its mask without a function template's return type: the
+    text up to the last top-level space that a parameter list follows."""
+    depth, space, cut = 0, None, 0
+    for i, ch in enumerate(masked):
+        if depth == 0 and RETURN_TYPE_END.match(masked, i) and \
+                not masked[:i].endswith("operator"):
+            space = i
+        elif depth == 0 and ch == "(" and space is not None:
+            cut = space + 1
+        depth += (ch in "<({") - (ch in ">)}")
+    return name[cut:], masked[cut:]
+
+
 def function_key(name: str) -> str:
     """Fold a lambda into its enclosing function and an instantiation into
-    its template."""
-    masked = mask(name)
+    its template. A return type goes first: it may name a lambda too.
+
+    >>> function_key("trail::core::TrailDriver::mount()::{lambda()#1}::operator()() const")
+    'trail::core::TrailDriver::mount()'
+    >>> function_key("void trail::db::loop<Foo::bar()::{lambda(int)#2}>"
+    ...              "(Foo::bar()::{lambda(int)#2}&&)")
+    'trail::db::loop<>'
+    >>> function_key("TestBody()::{lambda()#1}& trail::sim::detail::target"
+    ...              "<TestBody()::{lambda()#1}>(void*)")
+    'trail::sim::detail::target<>'
+    """
+    name, masked = strip_return_type(name, mask(name))
     start = masked.find(LAMBDA)
     while start != -1:
         if balanced(masked[:start]):
@@ -110,10 +136,7 @@ def function_key(name: str) -> str:
             break
     if "<" not in masked[:params]:
         return name
-    head, head_masked = strip_template_args(name[:params], masked[:params])
-    # A function template's demangled name starts with its return type.
-    spaces = [m.start() for m in re.finditer(r" (?!<)", head_masked)]
-    return head[spaces[-1] + 1:] if spaces else head
+    return strip_template_args(name[:params], masked[:params])[0]
 
 
 def in_src(cwd: str, file: str) -> bool:

@@ -273,6 +273,8 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
                 geometry.first_lba_of_track(track));
   };
   std::optional<std::pair<disk::TrackId, core::TrackStamp>> first;
+  std::optional<disk::TrackId> last_usable, before_resume;
+  bool resume_unstamped = false;
   std::size_t cursor = 0;
   for (disk::TrackId t = 0; t < geometry.track_count(); ++t) {
     if (reserved.contains(t)) continue;
@@ -283,8 +285,20 @@ Report verify_log(const disk::SectorStore& store, const disk::Geometry& geometry
     }
     if (!first) first.emplace(t, stamp);
     ring_step(t, stamp);
+    if (t == seen.disk_header.resume_track) {
+      resume_unstamped = !stamp;
+      before_resume = last_usable;
+    }
+    last_usable = t;
   }
   if (first) ring_step(first->first, first->second);  // close the ring
+  // The resume rule locate rests on (DESIGN.md §5, invariant 9): an
+  // unstamped resume track follows the newest track, or the ring is
+  // empty. A fresh format's resume_track 0 is a reserved track.
+  if (resume_unstamped && youngest != nullptr &&
+      youngest->track != before_resume.value_or(*last_usable))
+    c_ring.fail("unstamped resume track does not follow the newest track",
+                geometry.first_lba_of_track(seen.disk_header.resume_track));
   if (c_ring.ok()) c_ring.pass();
 
   // ---- escape bytes and payload CRCs, graded by walk membership ----

@@ -26,7 +26,9 @@
 //                         below the stamped epoch: key-monotone, bounded
 //                         by the first intact record's log_head
 //   log.ring_order      — core::RingOrder over the usable tracks' stamps:
-//                         the ring locate's binary search rests on
+//                         the ring locate's binary search rests on; and
+//                         an unstamped resume track follows the newest
+//                         track, where locate's anchor rests
 #pragma once
 
 #include <cstdint>

@@ -257,7 +257,7 @@ using TrackStamp = std::optional<std::uint64_t>;
 /// record, the unstamped tracks form one leading run and the stamped
 /// tracks' stamps increase. The writer keeps it: FIFO allocation stamps
 /// the tracks in ring order, and a mount resumes right after the
-/// youngest record it keeps (TrailDriver::finish_mount). So, clockwise
+/// youngest record it keeps (TrailDriver::mf_adopt). So, clockwise
 /// from any stamped anchor, at_or_after() holds on one run of tracks
 /// ending at the newest and fails everywhere after it: one rotated
 /// binary search finds the newest track. fsck checks the invariant

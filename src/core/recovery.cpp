@@ -11,12 +11,6 @@
 
 namespace trail::core {
 
-namespace {
-/// Locate's anchor grid: probes spread over the ring before the
-/// binary search falls back to the sequential scan.
-constexpr std::uint32_t kAnchorProbes = 64;
-}  // namespace
-
 RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevice*> log_disks)
     : sim_(sim) {
   if (log_disks.empty() || log_disks.size() > kMaxLogUnits)
@@ -48,16 +42,17 @@ RecoveryManager::RecoveryManager(sim::Simulator& sim, std::vector<disk::DiskDevi
 // `depth` are kept in flight per unit, so the elevator can order whatever
 // the window holds:
 //   - locate runs all units' machines concurrently, one scan in flight
-//     per unit: anchor probes over a grid until one is stamped, then the
-//     rotated binary search on core::RingOrder::at_or_after. Only the
-//     sequential scan (ablation / fallback) keeps `depth` in flight;
+//     per unit: the header's resume track, then the rotated binary
+//     search on core::RingOrder::at_or_after when it is stamped, or the
+//     track before it when it is not. Only the sequential scan
+//     (ablation) keeps `depth` in flight;
 //   - rebuild walks the chain (core::ChainWalk) out of a track cache: a
 //     miss fetches the demanded record window plus up to depth-1
 //     ring-backward neighbour tracks, which C-LOOK serves as one
 //     ascending forward sweep — the fast direction — while the walk
 //     decodes records (core::read_record) out of the cache at zero cost.
 // The locate *result* (per-unit youngest key) and the rebuilt chain are
-// depth-invariant: the probes, the bisect and the walk read the same
+// depth-invariant: the anchor, the bisect and the walk read the same
 // tracks at every depth.
 // ---------------------------------------------------------------------------
 struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pipe> {
@@ -80,18 +75,14 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
   sim::TimePoint locate_start{};
   std::optional<obs::ScopedSpan> locate_span;
   struct Loc {
-    enum class Stage { kProbe, kOuter, kSeq, kDone };
-    Stage stage = Stage::kProbe;
-    std::size_t n = 0;       // usable ring size
-    std::size_t probes = 0;  // anchor grid size
-    std::size_t next_probe = 0;
-    std::size_t anchor_idx = 0;
+    std::size_t n = 0;           // usable ring size
+    std::size_t anchor_idx = 0;  // the resume track's ring index
     std::uint64_t anchor_key = 0;
     std::uint32_t unit_inflight = 0;  // sequential scan window
     // rotated binary search over clockwise offsets from the anchor
     std::size_t lo = 0, hi = 0, mid = 0;
     TrackKey lo_key;
-    // sequential scan (ablation / fallback)
+    // sequential scan (ablation)
     std::size_t seq_next = 0;
     TrackKey result;
   };
@@ -195,56 +186,25 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     locate_start = m.sim_.now();
     locate_span.emplace(m.obs_ != nullptr ? &m.obs_->tracer : nullptr, "recovery.locate",
                         "recovery", m.tid_);
-    loc.resize(m.units_.size());
     for (std::size_t u = 0; u < loc.size(); ++u) {
-      Loc& L = loc[u];
-      L.n = m.units_[u].usable.size();
-      if (opts.sequential_locate) {
-        outcome.stats.sequential_fallback = true;
-        L.stage = Loc::Stage::kSeq;
-      } else {
-        L.probes = std::min<std::size_t>(kAnchorProbes, L.n);
-      }
-    }
-    for (std::size_t u = 0; u < loc.size(); ++u) pump_locate(static_cast<std::uint8_t>(u));
-  }
-
-  void pump_locate(std::uint8_t u) {
-    Loc& L = loc[u];
-    switch (L.stage) {
-      case Loc::Stage::kProbe:
-        if (L.next_probe < L.probes) {
-          // One anchor probe in flight: the first stamped one anchors.
-          const std::size_t idx = L.next_probe++ * L.n / L.probes;
-          scan_async(u, idx, [this, u, idx](TrackKey key) { on_probe(u, idx, key); });
-          break;
-        }
-        // Short or empty log (or a degenerate ring): nothing anchored, so
-        // fall back to the exhaustive scan.
-        outcome.stats.sequential_fallback = true;
-        L.stage = Loc::Stage::kSeq;
-        pump_locate(u);
-        break;
-      case Loc::Stage::kSeq:
-        while (L.seq_next < L.n && L.unit_inflight < depth) {
-          scan_async(u, L.seq_next++, [this, u](TrackKey key) { on_seq(u, key); });
-        }
-        if (L.n == 0) finish_unit(u, TrackKey{});
-        break;
-      case Loc::Stage::kOuter:
-      case Loc::Stage::kDone:
-        break;  // completion-driven
+      const auto unit = static_cast<std::uint8_t>(u);
+      if (opts.sequential_locate)
+        pump_seq(unit);
+      else
+        scan_async(unit, loc[u].anchor_idx, [this, unit](TrackKey key) { on_anchor(unit, key); });
     }
   }
 
-  void on_probe(std::uint8_t u, std::size_t idx, const TrackKey& key) {
+  void on_anchor(std::uint8_t u, const TrackKey& key) {
     Loc& L = loc[u];
     if (!key.present) {
-      pump_locate(u);
+      // The crashed epoch wrote nothing on its resume track, so the newest
+      // track is the usable track before it, or the ring is empty
+      // (DESIGN.md §5, invariant 9).
+      scan_async(u, (L.anchor_idx + L.n - 1) % L.n,
+                 [this, u](TrackKey newest) { finish_unit(u, newest); });
       return;
     }
-    L.stage = Loc::Stage::kOuter;
-    L.anchor_idx = idx;
     L.anchor_key = key.key;
     L.lo = 0;
     L.lo_key = key;
@@ -276,6 +236,12 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
     step_outer(u);
   }
 
+  void pump_seq(std::uint8_t u) {
+    Loc& L = loc[u];
+    while (L.seq_next < L.n && L.unit_inflight < depth)
+      scan_async(u, L.seq_next++, [this, u](TrackKey key) { on_seq(u, key); });
+  }
+
   void on_seq(std::uint8_t u, const TrackKey& key) {
     Loc& L = loc[u];
     if (key.present && (!L.result.present || key.key > L.result.key)) L.result = key;
@@ -283,13 +249,11 @@ struct RecoveryManager::Pipe : std::enable_shared_from_this<RecoveryManager::Pip
       finish_unit(u, L.result);
       return;
     }
-    pump_locate(u);
+    pump_seq(u);
   }
 
   void finish_unit(std::uint8_t u, const TrackKey& key) {
-    Loc& L = loc[u];
-    L.stage = Loc::Stage::kDone;
-    L.result = key;
+    loc[u].result = key;
     if (++loc_units_done == loc.size()) finish_locate();
   }
 
@@ -543,13 +507,25 @@ RecoveryManager::~RecoveryManager() {
   if (pipe_) pipe_->failed = true;
 }
 
-void RecoveryManager::start(std::uint32_t target_epoch, std::uint32_t oldest_pending_epoch,
-                            const Options& options, RecordSink on_record,
-                            std::function<void(Outcome)> done) {
+void RecoveryManager::start(const std::vector<LogDiskHeader>& headers, const Options& options,
+                            RecordSink on_record, std::function<void(Outcome)> done) {
   pipe_ = std::make_shared<Pipe>(*this);
   Pipe& p = *pipe_;
-  p.target_epoch = target_epoch;
-  p.oldest_pending_epoch = oldest_pending_epoch;
+  p.loc.resize(units_.size());
+  // Units disagree after a crash mid-stamp: take the most lenient bound.
+  p.oldest_pending_epoch = ~std::uint32_t{0};
+  for (std::size_t u = 0; u < units_.size(); ++u) {
+    const LogDiskHeader& header = headers.at(u);
+    p.target_epoch = std::max(p.target_epoch, header.epoch);
+    p.oldest_pending_epoch = std::min(p.oldest_pending_epoch, oldest_pending_epoch(header));
+    // Locate starts on the track the crashed epoch's writer started on.
+    const std::vector<disk::TrackId>& usable = units_[u].usable;
+    const auto it = std::lower_bound(usable.begin(), usable.end(), header.resume_track);
+    if (it == usable.end() || *it != header.resume_track)
+      throw std::runtime_error("recovery: resume track is not a usable track");
+    p.loc[u].n = usable.size();
+    p.loc[u].anchor_idx = static_cast<std::size_t>(it - usable.begin());
+  }
   p.opts = options;
   p.depth = std::max<std::uint32_t>(1, options.pipeline_depth);
   p.on_record = std::move(on_record);

@@ -4,15 +4,19 @@
 // timed separately for the Fig. 4 breakdown:
 //
 //  1. LOCATE the youngest active write record: per-track scans driven by
-//     one binary search over each log disk's circular track ring. The
-//     writer keeps core::RingOrder's invariant (unstamped tracks only in
-//     one run after the newest, stamps increasing clockwise), so after
-//     one stamped anchor probe, "stamped with a key at least the
-//     anchor's" splits the ring clockwise from the anchor into one true
-//     run and one false run, and O(lg N) track scans find each disk's
-//     newest track; the global youngest is the max across disks. A
-//     sequential full scan exists both as the paper's baseline
-//     (ablation) and as the fallback when no anchor probe is stamped.
+//     one binary search over each log disk's circular track ring,
+//     anchored on the track the crashed epoch's writer started on (the
+//     disk header's resume_track). The writer keeps core::RingOrder's
+//     invariant (unstamped tracks only in one run after the newest,
+//     stamps increasing clockwise), so when that track is stamped,
+//     "stamped with a key at least the anchor's" splits the ring
+//     clockwise from it into one true run and one false run, and
+//     ⌈lg N⌉ more scans find the disk's newest track. When it is
+//     unstamped, the epoch wrote nothing there, and the newest track is
+//     the usable track before it, or the ring is empty (DESIGN.md §5,
+//     invariant 9): one more scan decides. The global youngest is the
+//     max across disks. A sequential scan of every track is the paper's
+//     baseline (ablation).
 //
 //  2. REBUILD the pending-record set: core::ChainWalk back along
 //     prev_sect from the youngest record — across log disks via encoded
@@ -72,7 +76,6 @@ struct RecoveredRecord {
 struct RecoveryStats {
   sim::Duration locate_time;
   std::uint32_t tracks_scanned = 0;
-  bool sequential_fallback = false;
   sim::Duration rebuild_time;
   std::uint32_t records_found = 0;
   std::uint32_t records_dropped_torn = 0;
@@ -86,7 +89,8 @@ struct RecoveryStats {
 class RecoveryManager {
  public:
   struct Options {
-    /// Force the O(N) sequential locate instead of binary search (ablation).
+    /// Scan every usable track instead of the anchored binary search:
+    /// the O(N) baseline Fig. 4 compares against (ablation).
     bool sequential_locate = false;
     /// Bounded in-flight read window per log unit: the rebuild prefetch
     /// breadth (the demanded track plus up to depth - 1 older ones) and
@@ -119,18 +123,20 @@ class RecoveryManager {
   using RecordSink = std::function<void(const RecoveredRecord&)>;
 
   /// Start recovery for the crashed epoch and return; `done` fires (from
-  /// a device completion) when locate + rebuild finish. Records of
+  /// a device completion) when locate + rebuild finish. `headers` holds
+  /// each log unit's disk header as the mount read it. Records of
   /// *earlier* epochs can also be pending when a previous recovery
-  /// adopted them instead of writing them back, so `target_epoch` is an
-  /// upper bound, `oldest_pending_epoch` (core::oldest_pending_epoch of
-  /// the disk headers) the lower one, and ordering uses record_key. Never
-  /// steps the simulator itself, so a sharded mount can start every
-  /// shard's mount and let them interleave on virtual time.
-  /// `on_record`, when set, receives each pending record the moment the
-  /// walk keeps it, youngest first; a walk that later fails has handed
-  /// over exactly the records above the failure.
-  void start(std::uint32_t target_epoch, std::uint32_t oldest_pending_epoch,
-             const Options& options, RecordSink on_record, std::function<void(Outcome)> done);
+  /// adopted them instead of writing them back, so the newest stamped
+  /// epoch is an upper bound, core::oldest_pending_epoch of the headers
+  /// the lower one, and ordering uses record_key. Each unit's locate
+  /// starts on its header's resume_track; a header whose resume_track is
+  /// not a usable track throws. Never steps the simulator itself, so a
+  /// sharded mount can start every shard's mount and let them interleave
+  /// on virtual time. `on_record`, when set, receives each pending record
+  /// the moment the walk keeps it, youngest first; a walk that later
+  /// fails has handed over exactly the records above the failure.
+  void start(const std::vector<LogDiskHeader>& headers, const Options& options,
+             RecordSink on_record, std::function<void(Outcome)> done);
 
  private:
   struct Unit {

@@ -229,10 +229,6 @@ void TrailDriver::mf_recover(std::shared_ptr<MountState> st) {
   RecoveryManager::Options opts;
   opts.sequential_locate = config_.recovery_sequential_locate;
   opts.pipeline_depth = config_.recovery_pipeline_depth;
-  // Units disagree after a crash mid-stamp: take the most lenient bound.
-  std::uint32_t oldest_pending = st->max_epoch;
-  for (const LogDiskHeader& header : st->headers)
-    oldest_pending = std::min(oldest_pending, oldest_pending_epoch(header));
   RecoveryManager::RecordSink on_record;
   if (config_.recovery_write_back)
     on_record = [this, st, alive = alive_](const RecoveredRecord& rec) {
@@ -240,7 +236,7 @@ void TrailDriver::mf_recover(std::shared_ptr<MountState> st) {
     };
   recovery_ = std::make_unique<RecoveryManager>(sim_, log_devices());
   recovery_->attach_obs(obs_, scope_.metric_prefix, scope_.recovery_tid);
-  recovery_->start(st->max_epoch, oldest_pending, opts, std::move(on_record),
+  recovery_->start(st->headers, opts, std::move(on_record),
                    [this, st, alive = alive_](RecoveryManager::Outcome outcome) {
                      if (!*alive) return;
                      last_recovery_ = outcome.stats;

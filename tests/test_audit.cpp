@@ -405,6 +405,53 @@ TEST_F(AuditVerifierTest, UnstampedTrackInsideTheArcBreaksRingOrder) {
             log_disk->geometry().first_lba_of_track(records[2].track));
 }
 
+// Locate anchors on the header's resume track; when it is unstamped, it
+// takes the track before it for the newest. A header naming an
+// unstamped track two past the newest would make the mount find nothing.
+TEST_F(AuditVerifierTest, UnstampedResumeTrackPastTheNewestBreaksRingOrder) {
+  core::TrailConfig cfg;
+  cfg.track_utilization_threshold = 0.0;  // one record per track
+  start(cfg);
+  for (auto& d : data_disks) d->crash_halt();
+  for (int i = 0; i < kRecords; ++i)
+    write_sync({devices[0], static_cast<disk::Lba>(i * 4)}, make_pattern(2, i));
+  driver->crash();
+  driver.reset();
+  const auto records = records_of_epoch(census_of(*log_disk), 1);
+  ASSERT_EQ(records.size(), static_cast<std::size_t>(kRecords));
+  const core::LogDiskLayout layout(log_disk->geometry());
+  const auto plant_resume = [&](disk::TrackId track) {
+    disk::SectorBuf sector{};
+    core::serialize_disk_header(core::LogDiskHeader{1, 0, track}, sector);
+    for (int r = 0; r < layout.replica_count(); ++r)
+      log_disk->store().write(layout.header_lba(r), 1, sector);
+  };
+  // small_test_disk reserves no track in this stretch of the ring.
+  const disk::TrackId after_newest = records.back().track + 1;
+  plant_resume(after_newest);
+  EXPECT_TRUE(audit::verify_log(*log_disk).ok());
+  plant_resume(after_newest + 1);
+  Report report = audit::verify_log(*log_disk);
+  const audit::Check& ring = report.check("log.ring_order");
+  ASSERT_EQ(ring.errors(), 1u) << report.to_string();
+  EXPECT_EQ(ring.findings().front().lba,
+            log_disk->geometry().first_lba_of_track(after_newest + 1));
+}
+
+// A fresh format's resume_track 0 is a reserved track, and the first
+// mount's is unstamped on an empty ring: both pass the resume rule.
+TEST_F(AuditVerifierTest, FreshFormatAndFirstMountPassTheResumeRule) {
+  EXPECT_TRUE(audit::verify_log(*log_disk).check("log.ring_order").ok());
+  start();
+  driver->crash();
+  driver.reset();
+  const LogCensus census = census_of(*log_disk);
+  EXPECT_EQ(census.disk_header.epoch, 1u);
+  EXPECT_EQ(census.disk_header.resume_track, 1u);  // the first usable track
+  EXPECT_TRUE(census.records.empty());
+  EXPECT_TRUE(audit::verify_log(*log_disk).check("log.ring_order").ok());
+}
+
 TEST_F(AuditVerifierTest, CorruptLogHeadDetected) {
   const auto records = prepare_crashed_log();
   const auto unwritten =

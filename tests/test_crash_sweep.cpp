@@ -16,13 +16,15 @@
 // as test properties (run with --gtest_output=xml:<file> to read them).
 // Only the chain walk's three messages are a known failure class (a walk
 // that steps onto a torn tail's reused track); any other throw fails the
-// sweep.
+// sweep. So does a mount whose locate scans more than ⌈lg n⌉ + 2 tracks
+// of any shard's n-track ring (property max_tracks_scanned).
 //
 // ctest runs every 10th p1 value. TRAIL_CRASH_SWEEP=full runs them all:
 // p1 = 30..1490 step 11 and p2 in {150, 400, 900, 2000}, 532 cases per
 // configuration.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cstdlib>
 #include <cstring>
@@ -118,6 +120,15 @@ struct Stack {
     for (auto& d : data) d->restart();
   }
 
+  /// The most tracks the last mount's locate scanned on one log disk.
+  std::uint32_t max_tracks_scanned() const {
+    if (single) return single->last_recovery().tracks_scanned;
+    std::uint32_t most = 0;
+    for (const core::RecoveryStats& shard : sharded->last_recovery().shards)
+      most = std::max(most, shard.tracks_scanned);
+    return most;
+  }
+
   /// fsck's log.ring_order errors over every log disk.
   std::uint64_t ring_errors() const {
     std::uint64_t errors = 0;
@@ -140,6 +151,7 @@ struct Tally {
   int lossy = 0;        // cases that lost an acked sector or read one stale
   std::uint64_t lost = 0;
   std::uint64_t stale = 0;
+  std::uint32_t max_scanned = 0;  // locate's track scans, most on one log disk
   std::map<std::string, int> mount_throws;
   std::vector<std::string> failures;  // the first few failing points
 };
@@ -224,6 +236,7 @@ void run_case(const SweepConfig& cfg, int p1, int p2, Tally& tally) {
       break;
     }
     check_ring("mounted");
+    tally.max_scanned = std::max(tally.max_scanned, s.max_tracks_scanned());
     const Rejected cut = read_back(s, oracle, /*judge=*/true);
     if (cut.lost + cut.stale > 0)
       failure += " " + std::to_string(cut.lost) + " lost and " + std::to_string(cut.stale) +
@@ -262,6 +275,7 @@ TEST_P(CrashSweep, AckedSectorsSurviveTwoCutsAndTheRingStaysOrdered) {
   RecordProperty("lossy_cases", tally.lossy);
   RecordProperty("lost_sectors", static_cast<int>(tally.lost));
   RecordProperty("stale_sectors", static_cast<int>(tally.stale));
+  RecordProperty("max_tracks_scanned", static_cast<int>(tally.max_scanned));
   for (const auto& [message, count] : tally.mount_throws)
     RecordProperty(property_key(message), count);
   std::string failures;
@@ -272,6 +286,8 @@ TEST_P(CrashSweep, AckedSectorsSurviveTwoCutsAndTheRingStaysOrdered) {
   EXPECT_EQ(tally.ring_broken, 0) << "cases whose log images break the track ring" << failures;
   EXPECT_EQ(tally.lost, 0u) << "acked sectors lost" << failures;
   EXPECT_EQ(tally.stale, 0u) << "acked sectors read back stale" << failures;
+  EXPECT_LE(tally.max_scanned,
+            locate_scan_bound((cfg.ring400 ? ring400_disk() : disk::small_test_disk()).geometry));
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -2,6 +2,7 @@
 // the clean power-cut crashes of test_recovery.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 
 #include "trail_fixture.hpp"
@@ -254,9 +255,13 @@ struct Machine {
   }
 
   /// Mount fully, drain, and require every acknowledged sector on the
-  /// data-disk platters.
-  void recover_and_check(const Acked& acked) {
+  /// data-disk platters. The mount's locate must stay within its scan
+  /// bound; `max_scanned` keeps the most it took.
+  void recover_and_check(const Acked& acked, std::uint32_t& max_scanned) {
     ASSERT_TRUE(mount_or_cut(~std::uint64_t{0}));
+    const std::uint32_t scanned = driver->last_recovery().tracks_scanned;
+    EXPECT_LE(scanned, locate_scan_bound(disks[0]->geometry()));
+    max_scanned = std::max(max_scanned, scanned);
     bool drained = false;
     driver->drain([&] { drained = true; });
     while (!drained) ASSERT_TRUE(sim.step()) << "drain stalled";
@@ -295,6 +300,7 @@ struct CutCounts {
   std::size_t single = 0;   // cuts inside the second boot's mount
   std::size_t partial = 0;  // ... leaving some, not all, acked sectors on the platters
   std::size_t nested = 0;   // cuts inside the third boot's mount
+  std::uint32_t max_scanned = 0;  // locate's track scans, most in one full mount
 };
 
 /// Cut the second boot's mount after each step k2, and the third boot's
@@ -315,20 +321,21 @@ CutCounts cut_power_inside_recovery(bool write_back) {
     const std::size_t on_platters = second.acked_on_platters(acked);
     if (on_platters > 0 && on_platters < acked.size()) ++counts.partial;
     const Image cut2 = second.image();
-    second.recover_and_check(acked);
+    second.recover_and_check(acked, counts.max_scanned);
     if (::testing::Test::HasFailure()) return counts;
     for (std::uint64_t k3 = 0;; ++k3) {
       SCOPED_TRACE("third boot cut after step " + std::to_string(k3));
       Machine third(cut2, write_back);
       if (third.mount_or_cut(k3)) break;
       ++counts.nested;
-      third.recover_and_check(acked);
+      third.recover_and_check(acked, counts.max_scanned);
       if (::testing::Test::HasFailure()) return counts;
     }
   }
   ::testing::Test::RecordProperty("single_level_cuts", static_cast<int>(counts.single));
   ::testing::Test::RecordProperty("partial_write_back_cuts", static_cast<int>(counts.partial));
   ::testing::Test::RecordProperty("two_level_cuts", static_cast<int>(counts.nested));
+  ::testing::Test::RecordProperty("max_tracks_scanned", static_cast<int>(counts.max_scanned));
   return counts;
 }
 

@@ -174,7 +174,6 @@ TEST_F(RecoveryTest, SequentialLocateFindsSameRecords) {
   cfg.recovery_sequential_locate = true;
   crash_and_remount(cfg);
   const auto& rs = driver->last_recovery();
-  EXPECT_TRUE(rs.sequential_fallback);
   EXPECT_EQ(rs.records_found, 6u);
   EXPECT_EQ(rs.tracks_scanned, 77u);  // every usable track
   verify_all_acknowledged_durable();
@@ -194,12 +193,77 @@ TEST_F(RecoveryTest, BinarySearchScansFewTracksOnWrappedLog) {
   write_sync({devices[0], 999}, make_pattern(1, 999));
   crash_and_remount();
   const auto& rs = driver->last_recovery();
-  EXPECT_FALSE(rs.sequential_fallback);
-  // One anchor probe plus one binary search over the 77-track ring:
-  // 1 + ceil(lg 77) scans.
+  // The stamped resume track plus one binary search over the 77-track
+  // ring: 1 + ceil(lg 77) scans.
   EXPECT_LE(rs.tracks_scanned, 8u);
   EXPECT_GE(rs.records_found, 1u);
   verify_all_acknowledged_durable();
+}
+
+// A power cut before the first record leaves the resume track the first
+// mount stamped unstamped, and the track before it too: the ring is
+// empty, and locate says so in two scans instead of reading every track.
+TEST_F(RecoveryTest, PowerCutBeforeTheFirstRecordLocatesInTwoScans) {
+  start();
+  crash_and_remount();
+  const auto& rs = driver->last_recovery();
+  EXPECT_EQ(rs.tracks_scanned, 2u);
+  EXPECT_EQ(rs.records_found, 0u);
+  write_sync({devices[0], 8}, make_pattern(2, 11));
+  settle();
+  verify_expected_on_data_disks();
+}
+
+// A recovering mount resumes right after the youngest record it keeps,
+// on an unstamped track. A second cut before any new record locates that
+// record on the track before the resume track, in two scans: written
+// back, it is older than the pending epoch and nothing is pending;
+// adopted, all five records are pending again.
+TEST_F(RecoveryTest, CutRightAfterARecoveringMountLocatesInTwoScans) {
+  for (const bool write_back : {true, false}) {
+    SCOPED_TRACE(write_back ? "write-back" : "adopt");
+    core::format_log_disk(*log_disk);
+    TrailConfig cfg;
+    cfg.track_utilization_threshold = 0.0;  // one record per track
+    cfg.recovery_write_back = write_back;
+    start(cfg);
+    write_pending(5, 61);
+    crash_and_remount(cfg);
+    EXPECT_EQ(driver->last_recovery().records_found, 5u);
+    crash_and_remount(cfg);
+    const auto& rs = driver->last_recovery();
+    EXPECT_EQ(rs.tracks_scanned, 2u);
+    EXPECT_EQ(rs.records_found, write_back ? 0u : 5u);
+    verify_all_acknowledged_durable();
+    settle();
+    verify_expected_on_data_disks();
+    driver->unmount();
+  }
+}
+
+// Locate starts on the crashed header's resume track, so a header naming
+// a reserved or nonexistent track is corrupt: the mount throws.
+TEST_F(RecoveryTest, CrashedHeaderWithoutAUsableResumeTrackThrows) {
+  const core::LogDiskLayout layout(log_disk->geometry());
+  for (const disk::TrackId resume : {layout.replica_track(0), log_disk->geometry().track_count()}) {
+    SCOPED_TRACE("resume_track " + std::to_string(resume));
+    core::format_log_disk(*log_disk);
+    start();
+    write_pending(3, 71);
+    driver->crash();
+    driver.reset();
+    disk::SectorBuf sector{};
+    core::serialize_disk_header(core::LogDiskHeader{1, 0, resume}, sector);
+    for (int r = 0; r < layout.replica_count(); ++r)
+      log_disk->store().write(layout.header_lba(r), 1, sector);
+    log_disk->restart();
+    for (auto& d : data_disks) d->restart();
+    driver = std::make_unique<core::TrailDriver>(sim, *log_disk);
+    for (auto& d : data_disks) (void)driver->add_data_disk(*d);
+    EXPECT_THROW(driver->mount(), std::runtime_error);
+    driver.reset();
+    sim.run();
+  }
 }
 
 TEST_F(RecoveryTest, RecoveryStatsPhasesAreTimed) {
@@ -349,7 +413,7 @@ TEST_F(RecoveryTest, ManyMountCyclesKeepRingSearchable) {
     write_sync({devices[0], static_cast<disk::Lba>(500 + i * 2)}, make_pattern(1, 900 + i));
   crash_and_remount();
   EXPECT_GE(driver->last_recovery().records_found, 4u);
-  EXPECT_FALSE(driver->last_recovery().sequential_fallback);
+  EXPECT_LE(driver->last_recovery().tracks_scanned, locate_scan_bound(log_disk->geometry()));
   verify_all_acknowledged_durable();
   verify_expected_on_data_disks();
 }
@@ -531,14 +595,12 @@ struct EquivOutcome {
 /// `depth`: recovery only reads the log, so it runs before the remount.
 std::set<std::uint64_t> recovered_keys(sim::Simulator& sim, std::vector<disk::DiskDevice*> logs,
                                        std::uint32_t depth) {
-  std::uint32_t max_epoch = 0;
-  std::uint32_t oldest_pending = ~std::uint32_t{0};
+  std::vector<core::LogDiskHeader> headers;
   for (disk::DiskDevice* log : logs) {
     bool read = false;
     core::read_disk_header(*log, [&](std::optional<core::LogDiskHeader> header) {
       if (!header) throw std::runtime_error("no valid log disk header replica");
-      max_epoch = std::max(max_epoch, header->epoch);
-      oldest_pending = std::min(oldest_pending, core::oldest_pending_epoch(*header));
+      headers.push_back(*header);
       read = true;
     });
     while (!read)
@@ -549,7 +611,7 @@ std::set<std::uint64_t> recovered_keys(sim::Simulator& sim, std::vector<disk::Di
   opts.pipeline_depth = depth;
   std::set<std::uint64_t> keys;
   bool done = false;
-  recovery.start(max_epoch, oldest_pending, opts, {},
+  recovery.start(headers, opts, {},
                  [&](core::RecoveryManager::Outcome outcome) {
                    for (const core::RecoveredRecord& rec : outcome.pending)
                      keys.insert(core::record_key(rec.header));

@@ -18,6 +18,7 @@
 #include "obs/obs.hpp"
 #include "sim/simulator.hpp"
 #include "tpcc/driver.hpp"
+#include "trail_fixture.hpp"
 
 namespace trail::tpcc {
 namespace {
@@ -356,7 +357,9 @@ namespace {
 /// ctest runs every 4th first cut and replays three of them (650, 1,450
 /// and 2,250 ms) with second cuts; TRAIL_CRASH_SWEEP=full runs all 60
 /// first cuts, each with its second cuts. The test properties record
-/// the mount's and recover()'s virtual times after the first cut.
+/// the mount's and recover()'s virtual times after the first cut, and
+/// the most tracks any mount's locate scanned, which may not pass
+/// ⌈lg n⌉ + 2 on the n-track log ring.
 class TpccPowerCut : public TpccTest {
  protected:
   static constexpr int kClients = 4;
@@ -376,6 +379,7 @@ class TpccPowerCut : public TpccTest {
     int cases = 0;
     int second_cuts = 0;  // second cuts that landed inside recover()
     std::vector<double> mount_ms, recover_ms;  // virtual time per first-cut case
+    std::uint32_t max_scanned = 0;             // locate's track scans, most in one mount
     std::vector<std::string> failures;
   };
 
@@ -432,6 +436,7 @@ class TpccPowerCut : public TpccTest {
         // The cut halts every disk, so recover()'s next read never
         // completes and it throws once the simulator runs dry.
         mount_trail(tc);
+        tally.max_scanned = std::max(tally.max_scanned, trail->last_recovery().tracks_scanned);
         make_database(*trail, cfg);
         const sim::EventId cut = sim->schedule_at(power_on + *second_cut, [this] { trail->crash(); });
         try {
@@ -446,6 +451,7 @@ class TpccPowerCut : public TpccTest {
       const sim::TimePoint booted = sim->now();
       mount_trail(tc);
       const sim::TimePoint mounted = sim->now();
+      tally.max_scanned = std::max(tally.max_scanned, trail->last_recovery().tracks_scanned);
       make_database(*trail, cfg);
       (void)database->recover();
       recovered = sim->now() - power_on;
@@ -492,6 +498,7 @@ class TpccPowerCut : public TpccTest {
     RecordProperty("cases", tally.cases);
     RecordProperty("second_cuts_inside_recover", tally.second_cuts);
     RecordProperty("failures", static_cast<int>(tally.failures.size()));
+    RecordProperty("max_tracks_scanned", static_cast<int>(tally.max_scanned));
     const auto record = [](const std::string& name, std::vector<double> ms) {
       if (ms.empty()) return;
       std::ranges::sort(ms);
@@ -508,6 +515,7 @@ class TpccPowerCut : public TpccTest {
       detail += "\n  " + tally.failures[i];
     EXPECT_TRUE(tally.failures.empty())
         << tally.failures.size() << " of " << tally.cases << " cases failed:" << detail;
+    EXPECT_LE(tally.max_scanned, trail::testing::locate_scan_bound(disk::st41601n().geometry));
   }
 };
 

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -24,6 +25,15 @@ inline std::vector<std::byte> make_pattern(std::uint32_t sectors, std::uint64_t 
   sim::Rng rng(seed);
   for (auto& b : v) b = std::byte(static_cast<std::uint8_t>(rng.next()));
   return v;
+}
+
+/// The most track scans a locate may spend per log disk: the resume
+/// track, then the track before it or a binary search over the n usable
+/// tracks, ⌈lg n⌉ + 2 in all (DESIGN.md §12).
+inline std::uint32_t locate_scan_bound(const disk::Geometry& geometry) {
+  const std::size_t usable =
+      geometry.track_count() - core::LogDiskLayout(geometry).reserved_tracks().size();
+  return static_cast<std::uint32_t>(std::bit_width(usable - 1)) + 2;
 }
 
 class TrailFixture : public ::testing::Test {
