@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <bit>
-#include <cstring>
 #include <stdexcept>
 
 #include "audit/check.hpp"
@@ -11,9 +10,9 @@ namespace trail::core {
 
 namespace {
 
-// Bitmask for the slots [off, off+run) of a group.
-constexpr std::uint32_t run_mask(std::uint32_t off, std::uint32_t run) {
-  return ((run >= 32 ? ~0u : (1u << run) - 1u)) << off;
+// Bitmask for the sectors [off, end) of a group.
+constexpr std::uint32_t run_mask(std::uint32_t off, std::uint32_t end) {
+  return ((1u << (end - off)) - 1u) << off;
 }
 
 }  // namespace
@@ -24,44 +23,21 @@ BufferManager::BufferManager(RecordDurableFn on_record_durable)
     throw std::invalid_argument("BufferManager: record-durable callback required");
 }
 
-bool BufferManager::release_slot(Group& group, std::uint32_t idx) {
-  SlotMeta& m = group.meta[idx];
+void BufferManager::release(Group& group, std::uint32_t s) {
+  const disk::SectorPool::Id id = group.slot[s];
+  Slot& m = slots_[id];
   m.version = 0;
   m.durable_version = 0;
   m.cover_pins = 0;
-  m.waiters = {};  // free capacity, not just size
-  group.live_mask &= ~(1u << idx);
-  --resident_sectors_;
-  return group.live_mask == 0;
+  m.waiters.clear();
+  group.live &= ~(1u << s);
+  pool_.release(id);
 }
 
-bool BufferManager::maybe_release(Group& group, std::uint32_t idx) {
-  if (!slot_live(group, idx)) return false;
-  const SlotMeta& m = group.meta[idx];
+void BufferManager::maybe_release(Group& group, std::uint32_t s) {
+  const Slot& m = slots_[group.slot[s]];
   if (m.waiters.empty() && m.durable_version >= m.version && m.cover_pins == 0)
-    return release_slot(group, idx);
-  return false;
-}
-
-BufferManager::Group& BufferManager::group_for(const Key& key) {
-  auto it = groups_.find(key);
-  if (it != groups_.end()) return it->second;
-  if (!spare_groups_.empty()) {
-    GroupMap::node_type node = std::move(spare_groups_.back());
-    spare_groups_.pop_back();
-    node.key() = key;
-    return groups_.insert(std::move(node)).position->second;
-  }
-  return groups_[key];
-}
-
-void BufferManager::retire_group(GroupMap::iterator it) {
-  // release_slot() already reset every slot; the payload array needs no
-  // scrub because live_mask gates all access.
-  if (spare_groups_.size() < kMaxSpareGroups)
-    spare_groups_.push_back(groups_.extract(it));
-  else
-    groups_.erase(it);
+    release(group, s);
 }
 
 void BufferManager::register_write(RecordId record, io::DeviceId dev, disk::Lba lba,
@@ -69,39 +45,37 @@ void BufferManager::register_write(RecordId record, io::DeviceId dev, disk::Lba 
   if (data.size() % disk::kSectorSize != 0 || data.empty())
     throw std::invalid_argument("BufferManager::register_write: not a sector multiple");
   const auto count = static_cast<std::uint32_t>(data.size() / disk::kSectorSize);
-  std::uint32_t i = 0;
-  while (i < count) {
-    const disk::Lba cur = lba + i;
-    const auto off = static_cast<std::uint32_t>(cur % kGroupSectors);
-    const std::uint32_t run = std::min(count - i, kGroupSectors - off);
-    Group& group = group_for(Key{dev.index(), cur / kGroupSectors});
-    std::memcpy(group.data.data() + static_cast<std::size_t>(off) * disk::kSectorSize,
-                data.data() + static_cast<std::size_t>(i) * disk::kSectorSize,
-                static_cast<std::size_t>(run) * disk::kSectorSize);
-    const std::uint32_t fresh = run_mask(off, run) & ~group.live_mask;
-    group.live_mask |= run_mask(off, run);
-    resident_sectors_ += static_cast<std::size_t>(std::popcount(fresh));
-    for (std::uint32_t s = off; s < off + run; ++s) {
-      SlotMeta& m = group.meta[s];
+  const std::byte* src = data.data();
+  for (std::uint32_t i = 0; i < count;) {
+    const auto off = static_cast<std::uint32_t>((lba + i) % kGroupSectors);
+    const std::uint32_t end = off + std::min(count - i, kGroupSectors - off);
+    Group& group = groups_[group_key(dev, lba + i)];
+    for (std::uint32_t s = off; s < end; ++s, src += disk::kSectorSize) {
+      if (!live(group, s)) {
+        group.slot[s] = pool_.acquire();
+        if (group.slot[s] == slots_.size()) slots_.emplace_back();
+        group.live |= 1u << s;
+      }
+      const disk::SectorPool::Id id = group.slot[s];
+      disk::SectorPool::copy(pool_.data(id), src, 1);
+      Slot& m = slots_[id];
       m.version = next_version_++;
       m.waiters.push_back(Waiter{record, m.version});
     }
-    i += run;
+    i += end - off;
   }
   pending_[record] += count;
   if (pinned_bytes() > high_water_) high_water_ = pinned_bytes();
 }
 
 bool BufferManager::covers(io::DeviceId dev, disk::Lba lba, std::uint32_t count) const {
-  std::uint32_t i = 0;
-  while (i < count) {
-    const disk::Lba cur = lba + i;
-    const auto off = static_cast<std::uint32_t>(cur % kGroupSectors);
-    const std::uint32_t run = std::min(count - i, kGroupSectors - off);
-    auto it = groups_.find(Key{dev.index(), cur / kGroupSectors});
-    const std::uint32_t mask = run_mask(off, run);
-    if (it == groups_.end() || (it->second.live_mask & mask) != mask) return false;
-    i += run;
+  for (std::uint32_t i = 0; i < count;) {
+    const auto off = static_cast<std::uint32_t>((lba + i) % kGroupSectors);
+    const std::uint32_t end = off + std::min(count - i, kGroupSectors - off);
+    const Group* group = groups_.find(group_key(dev, lba + i));
+    const std::uint32_t mask = run_mask(off, end);
+    if (group == nullptr || (group->live & mask) != mask) return false;
+    i += end - off;
   }
   return true;
 }
@@ -110,31 +84,15 @@ void BufferManager::overlay(io::DeviceId dev, disk::Lba lba, std::uint32_t count
                             std::span<std::byte> buf) const {
   if (buf.size() < static_cast<std::size_t>(count) * disk::kSectorSize)
     throw std::invalid_argument("BufferManager::overlay: buffer too small");
-  std::uint32_t i = 0;
-  while (i < count) {
-    const disk::Lba cur = lba + i;
-    const auto off = static_cast<std::uint32_t>(cur % kGroupSectors);
-    const std::uint32_t run = std::min(count - i, kGroupSectors - off);
-    auto it = groups_.find(Key{dev.index(), cur / kGroupSectors});
-    if (it != groups_.end()) {
-      const Group& group = it->second;
-      // Copy maximal extents of consecutive live sectors in one memcpy.
-      std::uint32_t s = off;
-      while (s < off + run) {
-        if (!slot_live(group, s)) {
-          ++s;
-          continue;
-        }
-        std::uint32_t e = s + 1;
-        while (e < off + run && slot_live(group, e)) ++e;
-        std::memcpy(
-            buf.data() + static_cast<std::size_t>(i + s - off) * disk::kSectorSize,
-            group.data.data() + static_cast<std::size_t>(s) * disk::kSectorSize,
-            static_cast<std::size_t>(e - s) * disk::kSectorSize);
-        s = e;
-      }
-    }
-    i += run;
+  std::byte* dst = buf.data();
+  for (std::uint32_t i = 0; i < count;) {
+    const auto off = static_cast<std::uint32_t>((lba + i) % kGroupSectors);
+    const std::uint32_t end = off + std::min(count - i, kGroupSectors - off);
+    const Group* group = groups_.find(group_key(dev, lba + i));
+    for (std::uint32_t s = off; s < end; ++s, dst += disk::kSectorSize)
+      if (group != nullptr && live(*group, s))
+        disk::SectorPool::copy(dst, pool_.data(group->slot[s]), 1);
+    i += end - off;
   }
 }
 
@@ -153,21 +111,18 @@ void BufferManager::snapshot_into(io::DeviceId dev, disk::Lba lba, std::uint32_t
   if (out.size() < static_cast<std::size_t>(count) * disk::kSectorSize ||
       versions.size() < count)
     throw std::invalid_argument("BufferManager::snapshot_into: destination too small");
-  std::uint32_t i = 0;
-  while (i < count) {
-    const disk::Lba cur = lba + i;
-    const auto off = static_cast<std::uint32_t>(cur % kGroupSectors);
-    const std::uint32_t run = std::min(count - i, kGroupSectors - off);
-    auto it = groups_.find(Key{dev.index(), cur / kGroupSectors});
-    const std::uint32_t mask = run_mask(off, run);
-    if (it == groups_.end() || (it->second.live_mask & mask) != mask)
+  std::byte* dst = out.data();
+  for (std::uint32_t i = 0; i < count;) {
+    const auto off = static_cast<std::uint32_t>((lba + i) % kGroupSectors);
+    const std::uint32_t end = off + std::min(count - i, kGroupSectors - off);
+    const Group* group = groups_.find(group_key(dev, lba + i));
+    const std::uint32_t mask = run_mask(off, end);
+    if (group == nullptr || (group->live & mask) != mask)
       throw std::logic_error("BufferManager::snapshot: sector not pinned");
-    const Group& group = it->second;
-    std::memcpy(out.data() + static_cast<std::size_t>(i) * disk::kSectorSize,
-                group.data.data() + static_cast<std::size_t>(off) * disk::kSectorSize,
-                static_cast<std::size_t>(run) * disk::kSectorSize);
-    for (std::uint32_t s = off; s < off + run; ++s) versions[i + s - off] = group.meta[s].version;
-    i += run;
+    for (std::uint32_t s = off; s < end; ++s, ++i, dst += disk::kSectorSize) {
+      disk::SectorPool::copy(dst, pool_.data(group->slot[s]), 1);
+      versions[i] = slots_[group->slot[s]].version;
+    }
   }
 }
 
@@ -175,102 +130,88 @@ void BufferManager::mark_durable(io::DeviceId dev, disk::Lba lba,
                                  std::span<const std::uint64_t> versions) {
   std::vector<RecordId> settled;
   const auto count = static_cast<std::uint32_t>(versions.size());
-  std::uint32_t i = 0;
-  while (i < count) {
-    const disk::Lba cur = lba + i;
-    const auto off = static_cast<std::uint32_t>(cur % kGroupSectors);
-    const std::uint32_t run = std::min(count - i, kGroupSectors - off);
-    auto it = groups_.find(Key{dev.index(), cur / kGroupSectors});
-    if (it == groups_.end()) {  // whole group already released by a newer write-back
-      i += run;
+  for (std::uint32_t i = 0; i < count;) {
+    const auto off = static_cast<std::uint32_t>((lba + i) % kGroupSectors);
+    const std::uint32_t end = off + std::min(count - i, kGroupSectors - off);
+    const std::uint64_t key = group_key(dev, lba + i);
+    Group* group = groups_.find(key);
+    if (group == nullptr) {  // whole group already released by a newer write-back
+      i += end - off;
       continue;
     }
-    Group& group = it->second;
-    bool group_empty = false;
-    for (std::uint32_t s = off; s < off + run; ++s) {
-      if (!slot_live(group, s)) continue;  // sector released earlier
-      SlotMeta& m = group.meta[s];
-      if (versions[i + s - off] > m.durable_version) m.durable_version = versions[i + s - off];
+    for (std::uint32_t s = off; s < end; ++s, ++i) {
+      if (!live(*group, s)) continue;  // sector released earlier
+      Slot& m = slots_[group->slot[s]];
+      if (versions[i] > m.durable_version) m.durable_version = versions[i];
       // Release every waiter whose logged version is now durable.
-      auto& ws = m.waiters;
+      Waiters& ws = m.waiters;
       for (std::size_t w = 0; w < ws.size();) {
         if (ws[w].version <= m.durable_version) {
-          auto pit = pending_.find(ws[w].record);
-          if (pit == pending_.end() || pit->second == 0)
+          const RecordId record = ws[w].record;
+          std::uint32_t* left = pending_.find(record);
+          if (left == nullptr || *left == 0)
             throw std::logic_error("BufferManager: waiter for settled record");
-          if (--pit->second == 0) {
-            pending_.erase(pit);
-            settled.push_back(ws[w].record);
+          if (--*left == 0) {
+            pending_.erase(record);
+            settled.push_back(record);
           }
-          ws[w] = ws.back();
-          ws.pop_back();
+          ws.erase(w);
         } else {
           ++w;
         }
       }
       // Unpin once nothing newer is outstanding and nobody waits.
-      if (ws.empty() && m.durable_version >= m.version && m.cover_pins == 0)
-        group_empty = release_slot(group, s);
+      maybe_release(*group, s);
     }
-    if (group_empty) retire_group(it);
-    i += run;
+    if (group->live == 0) groups_.erase(key);
   }
   for (RecordId r : settled) on_record_durable_(r);
 }
 
 bool BufferManager::range_settled(io::DeviceId dev, disk::Lba lba, std::uint32_t count) const {
-  std::uint32_t i = 0;
-  while (i < count) {
-    const disk::Lba cur = lba + i;
-    const auto off = static_cast<std::uint32_t>(cur % kGroupSectors);
-    const std::uint32_t run = std::min(count - i, kGroupSectors - off);
-    auto it = groups_.find(Key{dev.index(), cur / kGroupSectors});
-    if (it != groups_.end()) {
-      const Group& group = it->second;
-      for (std::uint32_t s = off; s < off + run; ++s) {
-        if (!slot_live(group, s)) continue;  // fully released earlier: durable
-        if (group.meta[s].durable_version < group.meta[s].version) return false;
+  for (std::uint32_t i = 0; i < count;) {
+    const auto off = static_cast<std::uint32_t>((lba + i) % kGroupSectors);
+    const std::uint32_t end = off + std::min(count - i, kGroupSectors - off);
+    if (const Group* group = groups_.find(group_key(dev, lba + i))) {
+      for (std::uint32_t s = off; s < end; ++s) {
+        if (!live(*group, s)) continue;  // released earlier: durable
+        const Slot& m = slots_[group->slot[s]];
+        if (m.durable_version < m.version) return false;
       }
     }
-    i += run;
+    i += end - off;
   }
   return true;
 }
 
 void BufferManager::pin_range(io::DeviceId dev, disk::Lba lba, std::uint32_t count) {
-  std::uint32_t i = 0;
-  while (i < count) {
-    const disk::Lba cur = lba + i;
-    const auto off = static_cast<std::uint32_t>(cur % kGroupSectors);
-    const std::uint32_t run = std::min(count - i, kGroupSectors - off);
-    auto it = groups_.find(Key{dev.index(), cur / kGroupSectors});
-    const std::uint32_t mask = run_mask(off, run);
-    if (it == groups_.end() || (it->second.live_mask & mask) != mask)
+  for (std::uint32_t i = 0; i < count;) {
+    const auto off = static_cast<std::uint32_t>((lba + i) % kGroupSectors);
+    const std::uint32_t end = off + std::min(count - i, kGroupSectors - off);
+    Group* group = groups_.find(group_key(dev, lba + i));
+    const std::uint32_t mask = run_mask(off, end);
+    if (group == nullptr || (group->live & mask) != mask)
       throw std::logic_error("BufferManager::pin_range: sector not resident");
-    for (std::uint32_t s = off; s < off + run; ++s) ++it->second.meta[s].cover_pins;
-    i += run;
+    for (std::uint32_t s = off; s < end; ++s) ++slots_[group->slot[s]].cover_pins;
+    i += end - off;
   }
 }
 
 void BufferManager::unpin_range(io::DeviceId dev, disk::Lba lba, std::uint32_t count) {
-  std::uint32_t i = 0;
-  while (i < count) {
-    const disk::Lba cur = lba + i;
-    const auto off = static_cast<std::uint32_t>(cur % kGroupSectors);
-    const std::uint32_t run = std::min(count - i, kGroupSectors - off);
-    auto it = groups_.find(Key{dev.index(), cur / kGroupSectors});
-    if (it == groups_.end())
-      throw std::logic_error("BufferManager::unpin_range: sector not pinned");
-    Group& group = it->second;
-    bool group_empty = false;
-    for (std::uint32_t s = off; s < off + run; ++s) {
-      if (!slot_live(group, s) || group.meta[s].cover_pins == 0)
+  for (std::uint32_t i = 0; i < count;) {
+    const auto off = static_cast<std::uint32_t>((lba + i) % kGroupSectors);
+    const std::uint32_t end = off + std::min(count - i, kGroupSectors - off);
+    const std::uint64_t key = group_key(dev, lba + i);
+    Group* group = groups_.find(key);
+    if (group == nullptr) throw std::logic_error("BufferManager::unpin_range: sector not pinned");
+    for (std::uint32_t s = off; s < end; ++s) {
+      if (!live(*group, s) || slots_[group->slot[s]].cover_pins == 0)
         throw std::logic_error("BufferManager::unpin_range: sector not pinned");
-      --group.meta[s].cover_pins;
-      group_empty = maybe_release(group, s) || group_empty;
+      --slots_[group->slot[s]].cover_pins;
+      maybe_release(*group, s);
     }
-    if (group_empty) retire_group(it);
-    i += run;
+    if (group->live == 0) groups_.erase(key);
+    i += end - off;
   }
 }
 
@@ -279,55 +220,69 @@ void BufferManager::audit(audit::Report& report) const {
   audit::Check& pending = report.check("buffer.pending");
 
   std::size_t live_total = 0;
-  std::unordered_map<RecordId, std::uint32_t> waiting;  // record -> attached waiters
-  for (const auto& [key, group] : groups_) {
-    state.require(group.live_mask != 0, "empty group not retired");
-    live_total += static_cast<std::size_t>(std::popcount(group.live_mask));
-    for (std::uint32_t idx = 0; idx < kGroupSectors; ++idx) {
-      const SlotMeta& m = group.meta[idx];
-      const disk::Lba lba = key.group * kGroupSectors + idx;
-      if (!slot_live(group, idx)) {
-        state.require(m.version == 0 && m.waiters.empty() && m.cover_pins == 0,
-                      "released slot retains bookkeeping", lba);
+  std::vector<bool> resident(slots_.size(), false);
+  sim::FlatMap<std::uint32_t> waiting;  // record -> attached waiters
+  groups_.for_each([&](std::uint64_t key, const Group& group) {
+    const disk::Lba first = first_lba(key);
+    state.require(group.live != 0, "empty group not retired", first);
+    live_total += static_cast<std::size_t>(std::popcount(group.live));
+    for (std::uint32_t s = 0; s < kGroupSectors; ++s) {
+      if (!live(group, s)) continue;
+      const disk::SectorPool::Id id = group.slot[s];
+      if (!state.require(id < slots_.size() && !resident[id],
+                         "resident sector without a slot of its own", first + s))
         continue;
-      }
-      state.require(m.version > 0, "live slot without a version", lba);
+      resident[id] = true;
+      const Slot& m = slots_[id];
+      state.require(m.version > 0, "live slot without a version", first + s);
       // A slot stays resident only while something holds it: a waiter, a
       // write-back pin, or content newer than the data disk.
       if (m.waiters.empty() && m.cover_pins == 0)
         state.require(m.durable_version < m.version, "slot resident with nothing holding it",
-                      lba);
-      for (const Waiter& w : m.waiters) {
-        ++waiting[w.record];
-        state.require(w.version <= m.version, "waiter version newer than its slot", lba);
-        state.require(w.version > m.durable_version,
-                      "waiter already durable but not released", lba);
+                      first + s);
+      for (std::size_t w = 0; w < m.waiters.size(); ++w) {
+        ++waiting[m.waiters[w].record];
+        state.require(m.waiters[w].version <= m.version, "waiter version newer than its slot",
+                      first + s);
+        state.require(m.waiters[w].version > m.durable_version,
+                      "waiter already durable but not released", first + s);
       }
     }
+  });
+  state.require(live_total == pool_.live(),
+                "resident-sector count disagrees with the pool's live slots");
+  // Freed payload goes to the next pin, so the pool never outgrows the
+  // pinned high water.
+  state.require(allocated_bytes() == high_water_, "payload held beyond the pinned high water");
+  for (std::size_t id = 0; id < slots_.size(); ++id) {
+    if (resident[id]) continue;
+    const Slot& m = slots_[id];
+    state.require(m.version == 0 && m.waiters.empty() && m.cover_pins == 0,
+                  "released slot retains bookkeeping");
   }
-  state.require(live_total == resident_sectors_,
-                "resident-sector count disagrees with the group masks");
 
-  for (const auto& [record, left] : pending_) {
-    if (!pending.require(left > 0, "pending record with zero sectors left")) continue;
-    const auto it = waiting.find(record);
-    pending.require(it != waiting.end() && it->second == left,
+  pending_.for_each([&](RecordId record, std::uint32_t left) {
+    if (!pending.require(left > 0, "pending record with zero sectors left")) return;
+    const std::uint32_t* attached = waiting.find(record);
+    pending.require(attached != nullptr && *attached == left,
                     "pending record's sectors-left disagrees with its attached waiters");
-  }
-  for (const auto& [record, n] : waiting)
+  });
+  waiting.for_each([&](RecordId record, std::uint32_t) {
     pending.require(pending_.contains(record), "waiter references a settled record");
+  });
 }
 
 void BufferManager::for_each_resident(
     const std::function<void(const ResidentInfo&)>& fn) const {
-  for (const auto& [key, group] : groups_) {
-    for (std::uint32_t idx = 0; idx < kGroupSectors; ++idx) {
-      if (!slot_live(group, idx)) continue;
-      const SlotMeta& m = group.meta[idx];
-      fn(ResidentInfo{key.dev, key.group * kGroupSectors + idx, m.version, m.durable_version,
-                      m.cover_pins, m.waiters.size()});
+  groups_.for_each([&](std::uint64_t key, const Group& group) {
+    const disk::Lba first = first_lba(key);
+    for (std::uint32_t s = 0; s < kGroupSectors; ++s) {
+      if (!live(group, s)) continue;
+      const Slot& m = slots_[group.slot[s]];
+      fn(ResidentInfo{static_cast<std::uint32_t>(key >> kDeviceShift), first + s, m.version,
+                      m.durable_version, m.cover_pins, m.waiters.size()});
     }
-  }
+  });
 }
 
 }  // namespace trail::core

@@ -22,21 +22,28 @@
 // queued write-back whose record was already satisfied by a newer
 // dispatch is skipped at dispatch time.
 //
-// Hot-path layout: sectors are stored in 16-sector groups keyed by
-// (device, lba / 16), so the contiguous ranges every driver operation
-// works on cost one hash probe per group run instead of one per sector.
-// A liveness bitmask distinguishes resident sectors inside a group.
+// Layout: a resident sector costs one 512-byte slot of a disk::SectorPool
+// (the allocator SectorStore draws from) plus a 64-byte record of its
+// versions, cover pins and waiters, the first waiter inline: a sector is
+// usually logged once before its write-back lands. Sectors are indexed in
+// 16-sector groups keyed by (device, lba / 16) in an open-addressing map,
+// so the contiguous ranges every driver operation works on cost one probe
+// per group run; a group is a liveness mask and the slot id of each
+// resident sector (68 bytes), not payload. A released slot goes back to
+// the pool, and the next pin reuses its payload and record, so the
+// manager holds the peak pinned payload and no more.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
+#include "disk/sector_pool.hpp"
 #include "disk/types.hpp"
 #include "io/block.hpp"
+#include "sim/flat_map.hpp"
 
 namespace trail::audit {
 class Report;
@@ -102,13 +109,16 @@ class BufferManager {
   void pin_range(io::DeviceId dev, disk::Lba lba, std::uint32_t count);
   void unpin_range(io::DeviceId dev, disk::Lba lba, std::uint32_t count);
 
-  [[nodiscard]] std::size_t pinned_sectors() const { return resident_sectors_; }
-  [[nodiscard]] std::size_t pinned_bytes() const { return resident_sectors_ * disk::kSectorSize; }
+  [[nodiscard]] std::size_t pinned_sectors() const { return pool_.live(); }
+  [[nodiscard]] std::size_t pinned_bytes() const { return pool_.live() * disk::kSectorSize; }
   [[nodiscard]] std::size_t pinned_bytes_high_water() const { return high_water_; }
+  /// Payload bytes the manager holds, pinned or free for the next pin:
+  /// the high water of pinned_bytes().
+  [[nodiscard]] std::size_t allocated_bytes() const { return pool_.allocated_bytes(); }
   [[nodiscard]] std::size_t pending_records() const { return pending_.size(); }
 
   // ---- invariant audit (trail::audit) ----
-  /// Internal-consistency audit: "buffer.state" (mask / residency / slot
+  /// Internal-consistency audit: "buffer.state" (index / residency / slot
   /// bookkeeping) and "buffer.pending" (waiter <-> pending-record
   /// agreement). Cold path; see DESIGN.md §9.
   void audit(audit::Report& report) const;
@@ -126,68 +136,77 @@ class BufferManager {
   void for_each_resident(const std::function<void(const ResidentInfo&)>& fn) const;
 
  private:
-  /// Sectors per group (8 KB — one DB page spans exactly one or two groups).
-  static constexpr std::uint32_t kGroupSectors = 16;
-
-  struct Key {
-    std::uint32_t dev;
-    disk::Lba group;
-    bool operator==(const Key&) const = default;
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      // splitmix64 finalizer: full-avalanche mixing so group indices that
-      // differ only in low bits spread across buckets.
-      std::uint64_t x = k.group ^ (std::uint64_t{k.dev} << 56);
-      x += 0x9E3779B97F4A7C15ULL;
-      x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
-      x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
-      return static_cast<std::size_t>(x ^ (x >> 31));
-    }
-  };
   struct Waiter {
     RecordId record;
-    std::uint64_t version;
+    std::uint64_t version;  // >= 1: versions start at 1
   };
-  struct SlotMeta {
+  /// A slot's waiters as one list, the first inline; erase() moves the
+  /// last into the hole, so the order matches a vector's swap-and-pop.
+  class Waiters {
+   public:
+    [[nodiscard]] std::size_t size() const { return (first_.version != 0 ? 1 : 0) + rest_.size(); }
+    [[nodiscard]] bool empty() const { return first_.version == 0; }
+    [[nodiscard]] const Waiter& operator[](std::size_t i) const {
+      return i == 0 ? first_ : rest_[i - 1];
+    }
+    void push_back(Waiter w) {
+      if (empty())
+        first_ = w;
+      else
+        rest_.push_back(w);
+    }
+    void erase(std::size_t i) {
+      if (rest_.empty()) {
+        first_ = Waiter{};
+        return;
+      }
+      (i == 0 ? first_ : rest_[i - 1]) = rest_.back();
+      rest_.pop_back();
+    }
+    void clear() {
+      first_ = Waiter{};
+      rest_ = {};  // free capacity, not just size
+    }
+
+   private:
+    Waiter first_{};
+    std::vector<Waiter> rest_;
+  };
+  struct Slot {
     std::uint64_t version = 0;          // of the slot's payload
     std::uint64_t durable_version = 0;  // newest version on the data disk
     std::uint32_t cover_pins = 0;       // queued write-backs referencing it
-    std::vector<Waiter> waiters;
+    Waiters waiters;
   };
+
+  /// Sectors per index entry (8 KB: one DB page spans one or two groups).
+  static constexpr std::uint32_t kGroupSectors = 16;
   struct Group {
-    std::uint32_t live_mask = 0;  // bit i: slot i holds a resident sector
-    std::array<SlotMeta, kGroupSectors> meta;
-    // Payload kept contiguous (sector i at i*512) so register/overlay/
-    // snapshot move whole runs with single memcpys.
-    std::array<std::byte, static_cast<std::size_t>(kGroupSectors) * disk::kSectorSize> data;
+    std::uint32_t live = 0;  // bit i: sector i of the group is resident
+    std::array<disk::SectorPool::Id, kGroupSectors> slot;  // meaningful where live
   };
-  using GroupMap = std::unordered_map<Key, Group, KeyHash>;
-
-  [[nodiscard]] static bool slot_live(const Group& g, std::uint32_t idx) {
-    return (g.live_mask >> idx) & 1;
+  static_assert(kGroupSectors < 32, "a group's live mask is one word with room to spare");
+  /// Index key: the device above kDeviceShift, the group number (far
+  /// below 2^48 on any modelled disk) under it.
+  static constexpr unsigned kDeviceShift = 48;
+  [[nodiscard]] static std::uint64_t group_key(io::DeviceId dev, disk::Lba lba) {
+    return std::uint64_t{dev.index()} << kDeviceShift | lba / kGroupSectors;
   }
-  /// Clear a released slot and drop it from the group; returns true if the
-  /// group is now empty (caller retires it — iterators stay valid until then).
-  bool release_slot(Group& group, std::uint32_t idx);
-  /// Release the slot if nothing pins or awaits it; returns true if the
-  /// group became empty.
-  bool maybe_release(Group& group, std::uint32_t idx);
-
-  /// Find-or-create, reusing a spare node so the steady-state log/write-back
-  /// cycle does not malloc/free an ~9 KB group per request.
-  Group& group_for(const Key& key);
-  /// Remove an emptied group, keeping its allocation for reuse.
-  void retire_group(GroupMap::iterator it);
-
-  static constexpr std::size_t kMaxSpareGroups = 32;
+  [[nodiscard]] static disk::Lba first_lba(std::uint64_t key) {
+    return (key & ((std::uint64_t{1} << kDeviceShift) - 1)) * kGroupSectors;
+  }
+  [[nodiscard]] static bool live(const Group& g, std::uint32_t s) { return ((g.live >> s) & 1) != 0; }
+  /// Release the group's sector `s` if nothing pins or awaits it.
+  void maybe_release(Group& group, std::uint32_t s);
+  /// Return the group's sector `s` to the pool, blanking its record.
+  void release(Group& group, std::uint32_t s);
 
   RecordDurableFn on_record_durable_;
-  GroupMap groups_;
-  std::vector<GroupMap::node_type> spare_groups_;
-  std::unordered_map<RecordId, std::uint32_t> pending_;  // record -> sectors left
+  disk::SectorPool pool_;
+  std::vector<Slot> slots_;  // bookkeeping by slot id, kept across reuse
+  sim::FlatMap<Group> groups_;  // group_key(dev, lba) -> resident sectors
+  sim::FlatMap<std::uint32_t> pending_;       // record -> sectors left
   std::uint64_t next_version_ = 1;
-  std::size_t resident_sectors_ = 0;
   std::size_t high_water_ = 0;
 };
 

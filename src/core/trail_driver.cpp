@@ -1156,23 +1156,24 @@ void TrailDriver::submit_read(io::BlockAddr addr, std::uint32_t count, std::span
 // ---------------------------------------------------------------------------
 
 void TrailDriver::drain(Completion cb) {
-  auto alive = alive_;
-  auto poll = std::make_shared<std::function<void()>>();
-  *poll = [this, alive, cb = std::move(cb), poll]() mutable {
+  poll_drain(alive_, std::make_shared<Completion>(std::move(cb)), sim::Duration{0});
+}
+
+void TrailDriver::poll_drain(std::shared_ptr<bool> alive, std::shared_ptr<Completion> done,
+                             sim::Duration delay) {
+  // Each poll event holds the two handles, not a copy of the completion;
+  // the last poll's event drops them, so nothing refers to itself.
+  sim_.schedule(delay, [this, alive = std::move(alive), done = std::move(done)]() mutable {
     if (!*alive) return;
-    if (quiescent()) {
-#if defined(TRAIL_AUDIT)
-      quiesce_audit("drain");
-#endif
-      if (cb) cb();
-      *poll = nullptr;  // break the self-reference cycle (we run as a copy)
+    if (!quiescent()) {
+      poll_drain(std::move(alive), std::move(done), sim::micros(500));
       return;
     }
-    sim_.schedule(sim::micros(500), *poll);
-  };
-  // Always execute a copy scheduled through the simulator so the stored
-  // closure can safely null itself out on completion.
-  sim_.schedule(sim::Duration{0}, *poll);
+#if defined(TRAIL_AUDIT)
+    quiesce_audit("drain");
+#endif
+    if (*done) (*done)();
+  });
 }
 
 void TrailDriver::arm_idle_timer() {

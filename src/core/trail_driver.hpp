@@ -362,6 +362,10 @@ class TrailDriver final : public io::BlockDriver {
   /// No synchronous write, physical log write, pinned record or data-disk
   /// command is outstanding (drain() and unmount() wait for this).
   [[nodiscard]] bool quiescent() const;
+  /// drain()'s poll: after `delay`, run `done` if quiescent, else poll
+  /// again 500 µs later.
+  void poll_drain(std::shared_ptr<bool> alive, std::shared_ptr<Completion> done,
+                  sim::Duration delay);
   /// TRAIL_AUDIT hook: run_audit(quiescent=true), dump counters into the
   /// attached metrics, throw on errors.
   void quiesce_audit(const char* where) const;

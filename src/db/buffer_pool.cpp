@@ -161,31 +161,44 @@ void BufferPool::unpin(std::uint32_t file_id, PageNo page) {
   }
 }
 
-BufferPool::Copy BufferPool::take_copy(const FrameKey& key, Frame& frame) {
+std::uint32_t BufferPool::take_copy(const FrameKey& key, Frame& frame) {
   frame.flushing = true;
-  return Copy{key, frame.data, frame.version, frame.flush_lsn};
+  std::uint32_t id;
+  if (free_copies_.empty()) {
+    id = static_cast<std::uint32_t>(copies_.size());
+    copies_.emplace_back();
+  } else {
+    id = free_copies_.back();
+    free_copies_.pop_back();
+  }
+  Copy& copy = copies_[id];
+  copy.key = key;
+  copy.image.assign(frame.data.begin(), frame.data.end());
+  copy.version = frame.version;
+  copy.flush_lsn = frame.flush_lsn;
+  return id;
 }
 
-void BufferPool::write_copy(Copy copy, std::function<void(Frame&)> done) {
-  const Lsn flush_lsn = copy.flush_lsn;
-  auto alive = alive_;
-  auto write_page = [this, alive, copy = std::move(copy), done = std::move(done)]() mutable {
+void BufferPool::write_copy(std::uint32_t copy, std::function<void(Frame&)> done) {
+  copies_[copy].done = std::move(done);
+  auto write_page = [this, alive = alive_, copy] {
     if (!*alive) return;
+    const Copy& page = copies_[copy];
     // The driver copies the image at submission.
-    files_.at(copy.key.file)
-        ->write_page(copy.key.page, copy.image,
-                     [this, alive, key = copy.key, version = copy.version,
-                      done = std::move(done)] {
-                       if (!*alive) return;
-                       // A flushing frame is never dropped.
-                       Frame& f = *frames_.at(key);
-                       f.flushing = false;
-                       if (f.version == version) f.dirty = false;
-                       done(f);
-                     });
+    files_.at(page.key.file)->write_page(page.key.page, page.image, [this, alive, copy] {
+      if (!*alive) return;
+      Copy& written = copies_[copy];
+      // A flushing frame is never dropped.
+      Frame& f = *frames_.at(written.key);
+      f.flushing = false;
+      if (f.version == written.version) f.dirty = false;
+      const auto done = std::move(written.done);
+      free_copies_.push_back(copy);
+      done(f);
+    });
   };
   if (wal_ != nullptr)
-    wal_->flush_until(flush_lsn, std::move(write_page));
+    wal_->flush_until(copies_[copy].flush_lsn, std::move(write_page));
   else
     write_page();
 }
@@ -263,11 +276,11 @@ void BufferPool::capture_if_idle(const FrameKey& key, Frame& frame) {
 void BufferPool::pump_checkpoint() {
   if (ckpt_ == nullptr) return;
   while (ckpt_->in_flight < kCheckpointWindow && !ckpt_->queue.empty()) {
-    Copy copy = std::move(ckpt_->queue.front());
+    const std::uint32_t copy = ckpt_->queue.front();
     ckpt_->queue.pop_front();
     ++ckpt_->in_flight;
     ++stats_.checkpoint_writes;
-    write_copy(std::move(copy), [this](Frame&) {
+    write_copy(copy, [this](Frame&) {
       --ckpt_->in_flight;
       pump_checkpoint();
     });
@@ -290,6 +303,8 @@ void BufferPool::reset() {
   hits_.clear();
   hits_head_ = 0;
   ckpt_.reset();
+  copies_.clear();
+  free_copies_.clear();
 }
 
 void BufferPool::audit(audit::Report& report, bool quiescent) const {

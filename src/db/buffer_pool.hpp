@@ -124,15 +124,18 @@ class BufferPool {
     std::list<FrameKey>::iterator lru_pos;
   };
   /// A frame's image as of one moment, with the version and WAL bound it
-  /// had then: what a page write puts on disk.
+  /// had then: what a page write puts on disk, and what to do when it is
+  /// there. The pool keeps every copy in copies_, named by its index, so
+  /// a write's continuations capture the index, not the copy.
   struct Copy {
     FrameKey key;
-    std::vector<std::byte> image;
-    std::uint64_t version;
-    Lsn flush_lsn;
+    std::vector<std::byte> image;  // kept across reuse of the copy
+    std::uint64_t version = 0;
+    Lsn flush_lsn = 0;
+    std::function<void(Frame&)> done;
   };
   struct Checkpoint {
-    std::deque<Copy> queue;  // copied, not yet submitted
+    std::deque<std::uint32_t> queue;  // copies taken, not yet submitted
     std::size_t in_flight = 0;
     std::size_t uncaptured = 0;  // frames with capture_pending
     std::function<void()> done;
@@ -157,10 +160,11 @@ class BufferPool {
   void maybe_evict();
   Frame& frame_at(std::uint32_t file_id, PageNo page);
   /// Copy `frame` for a write; the frame is flushing until the write ends.
-  static Copy take_copy(const FrameKey& key, Frame& frame);
-  /// WAL rule, then write `copy`; `done` runs once it is on disk, after the
-  /// frame is idle again and clean unless it changed since the copy.
-  void write_copy(Copy copy, std::function<void(Frame&)> done);
+  std::uint32_t take_copy(const FrameKey& key, Frame& frame);
+  /// WAL rule, then write copy `copy`; `done` runs once it is on disk,
+  /// after the frame is idle again and clean unless it changed since the
+  /// copy. The copy is free for the next take_copy once `done` starts.
+  void write_copy(std::uint32_t copy, std::function<void(Frame&)> done);
   /// Copy a frame awaiting capture once it is unpinned and idle (or just
   /// release it, when an eviction write already covered the snapshot).
   void capture_if_idle(const FrameKey& key, Frame& frame);
@@ -189,6 +193,8 @@ class BufferPool {
   obs::Counter* c_dirty_wb_ = nullptr;
   obs::Gauge* g_resident_ = nullptr;
   std::unique_ptr<Checkpoint> ckpt_;  // the running flush_dirty, if any
+  std::vector<Copy> copies_;  // page-write copies, by index
+  std::vector<std::uint32_t> free_copies_;
   /// Guards outstanding device completions across host-crash teardown.
   std::shared_ptr<bool> alive_ = std::make_shared<bool>(true);
 };

@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "db/buffer_pool.hpp"
-#include "db/flat_map.hpp"
 #include "db/lock_manager.hpp"
 #include "db/table.hpp"
 #include "db/types.hpp"
@@ -31,6 +30,7 @@
 #include "core/trail_driver.hpp"
 #include "fs/filesystem.hpp"
 #include "io/block.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/simulator.hpp"
 
 namespace trail::db {
@@ -240,7 +240,7 @@ class Database {
   std::vector<std::unique_ptr<Table>> tables_;
 
   core::TrailDriver* direct_trail_ = nullptr;
-  FlatMap<std::unique_ptr<Txn>> active_txns_;
+  sim::FlatMap<std::unique_ptr<Txn>> active_txns_;
   /// Finished transactions, kept for reuse with their vectors' capacity.
   std::vector<std::unique_ptr<Txn>> spare_txns_;
   TxnId next_txn_ = 1;  // 0 is the LockManager's "no holder" sentinel

@@ -12,9 +12,9 @@
 #include <unordered_set>
 #include <vector>
 
-#include "db/flat_map.hpp"
 #include "db/types.hpp"
 #include "sim/callback.hpp"
+#include "sim/flat_map.hpp"
 #include "sim/simulator.hpp"
 
 namespace trail::db {
@@ -65,7 +65,7 @@ class LockManager {
 
   sim::Simulator& sim_;
   sim::Duration timeout_;
-  FlatMap<LockState> locks_;
+  sim::FlatMap<LockState> locks_;
   // held_'s nodes and bucket arrays, recycled: a lock costs no heap
   // allocation once the pool is warm.
   std::pmr::unsynchronized_pool_resource held_pool_;

@@ -14,8 +14,8 @@
 #include <vector>
 
 #include "db/buffer_pool.hpp"
-#include "db/flat_map.hpp"
 #include "db/types.hpp"
+#include "sim/flat_map.hpp"
 
 namespace trail::db {
 
@@ -135,7 +135,7 @@ class Table {
   disk::DiskDevice* device_;  // offline population
   PageFile* file_;
 
-  FlatMap<std::uint32_t> index_;  // key -> global slot
+  sim::FlatMap<std::uint32_t> index_;  // key -> global slot
   std::vector<std::uint32_t> free_slots_;
   std::uint32_t next_unused_slot_ = 0;
   std::vector<std::byte> offline_page_;  // load_row_offline's page image

@@ -14,27 +14,45 @@ void SectorStore::check_range(Lba lba, std::uint32_t count) const {
     throw std::out_of_range("SectorStore: access beyond end of disk");
 }
 
+SectorStore::Chunk& SectorStore::chunk_for(std::uint64_t number) {
+  if (const std::uint32_t* at = index_.find(number)) return chunks_[*at];
+  index_[number] = static_cast<std::uint32_t>(chunks_.size());
+  return chunks_.emplace_back();
+}
+
+std::uint32_t SectorStore::span_end(const Chunk& chunk, std::uint32_t s, std::uint32_t end) {
+  const bool written = ((chunk.written >> s) & 1) != 0;
+  std::uint32_t e = s + 1;
+  while (e < end && (((chunk.written >> e) & 1) != 0) == written &&
+         (!written || SectorPool::follows(chunk.slot[e - 1], chunk.slot[e])))
+    ++e;
+  return e;
+}
+
 void SectorStore::read(Lba lba, std::uint32_t count, std::span<std::byte> out) const {
   check_range(lba, count);
   if (out.size() < static_cast<std::size_t>(count) * kSectorSize)
     throw std::invalid_argument("SectorStore::read: output buffer too small");
   std::byte* dst = out.data();
   while (count > 0) {
-    // One hash probe per chunk run, then one copy per page piece.
-    auto off = static_cast<std::uint32_t>(lba % kChunkSectors);
+    // One index probe per chunk run, then one copy per span.
+    const auto off = static_cast<std::uint32_t>(lba % kChunkSectors);
     const std::uint32_t end = off + std::min(count, kChunkSectors - off);
     const Chunk* chunk = find_chunk(lba / kChunkSectors);
     lba += end - off;
     count -= end - off;
-    for (std::uint32_t run = 0; off < end; off += run) {
-      run = std::min(end, (off / kPageSectors + 1) * kPageSectors) - off;
-      const Page* page = chunk == nullptr ? nullptr : chunk->pages[off / kPageSectors].get();
-      const std::size_t bytes = static_cast<std::size_t>(run) * kSectorSize;
-      if (page == nullptr)
-        std::memset(dst, 0, bytes);
+    if (chunk == nullptr) {
+      std::memset(dst, 0, static_cast<std::size_t>(end - off) * kSectorSize);
+      dst += static_cast<std::size_t>(end - off) * kSectorSize;
+      continue;
+    }
+    for (std::uint32_t s = off, e = 0; s < end; s = e) {
+      e = span_end(*chunk, s, end);
+      const std::size_t bytes = static_cast<std::size_t>(e - s) * kSectorSize;
+      if (((chunk->written >> s) & 1) != 0)
+        SectorPool::copy(dst, pool_.data(chunk->slot[s]), e - s);
       else
-        std::memcpy(dst, page->data() + static_cast<std::size_t>(off % kPageSectors) * kSectorSize,
-                    bytes);
+        std::memset(dst, 0, bytes);
       dst += bytes;
     }
   }
@@ -46,29 +64,22 @@ void SectorStore::write(Lba lba, std::uint32_t count, std::span<const std::byte>
     throw std::invalid_argument("SectorStore::write: input buffer too small");
   const std::byte* src = data.data();
   while (count > 0) {
-    auto off = static_cast<std::uint32_t>(lba % kChunkSectors);
+    const auto off = static_cast<std::uint32_t>(lba % kChunkSectors);
     const std::uint32_t end = off + std::min(count, kChunkSectors - off);
-    Chunk& chunk = get_or_create_chunk(lba / kChunkSectors);
+    Chunk& chunk = chunk_for(lba / kChunkSectors);
     lba += end - off;
     count -= end - off;
-    for (std::uint32_t run = 0; off < end; off += run) {
-      run = std::min(end, (off / kPageSectors + 1) * kPageSectors) - off;
-      std::unique_ptr<Page>& page = chunk.pages[off / kPageSectors];
-      if (page == nullptr) {
-        page = std::make_unique<Page>();
-        ++pages_;
-      }
-      const std::size_t bytes = static_cast<std::size_t>(run) * kSectorSize;
-      std::memcpy(page->data() + static_cast<std::size_t>(off % kPageSectors) * kSectorSize, src,
-                  bytes);
-      src += bytes;
-      // A page's sectors share one bitmap word: mark [off, off+run)
-      // written, counting only newly-set bits.
-      static_assert(64 % kPageSectors == 0);
-      std::uint64_t& word = chunk.written[off / 64];
-      const std::uint64_t mask = ((std::uint64_t{1} << run) - 1) << (off % 64);
-      written_count_ += static_cast<std::size_t>(std::popcount(mask & ~word));
-      word |= mask;
+    // Slots for the sectors written the first time: the store never
+    // releases one, so a run of them is carved consecutively.
+    for (std::uint32_t s = off; s < end; ++s) {
+      if (((chunk.written >> s) & 1) != 0) continue;
+      chunk.slot[s] = pool_.acquire();
+      chunk.written |= std::uint64_t{1} << s;
+    }
+    for (std::uint32_t s = off, e = 0; s < end; s = e) {
+      e = span_end(chunk, s, end);
+      SectorPool::copy(pool_.data(chunk.slot[s]), src, e - s);
+      src += static_cast<std::size_t>(e - s) * kSectorSize;
     }
   }
 }
@@ -76,42 +87,34 @@ void SectorStore::write(Lba lba, std::uint32_t count, std::span<const std::byte>
 void SectorStore::audit(audit::Report& report) const {
   audit::Check& check = report.check("store.chunks");
   const std::uint64_t chunk_count = (total_sectors_ + kChunkSectors - 1) / kChunkSectors;
+  check.require(index_.size() == chunks_.size(), "chunk index and chunks disagree in size");
+  std::vector<bool> referenced(pool_.carved(), false);
   std::size_t written = 0;
-  std::size_t pages = 0;
-  for (const auto& [index, chunk] : chunks_) {
-    check.require(index < chunk_count, "chunk index beyond end of disk",
-                  index * kChunkSectors);
-    for (std::uint32_t p = 0; p < kChunkPages; ++p) {
-      const std::uint32_t first = p * kPageSectors;
-      const std::uint64_t bits =
-          (chunk.written[first / 64] >> (first % 64)) & ((std::uint64_t{1} << kPageSectors) - 1);
-      written += static_cast<std::size_t>(std::popcount(bits));
-      if (chunk.pages[p] != nullptr)
-        ++pages;
-      else if (bits != 0)
-        check.fail("written sectors in an unallocated page", index * kChunkSectors + first);
+  index_.for_each([&](std::uint64_t number, std::uint32_t at) {
+    const Lba first = number * kChunkSectors;
+    if (!check.require(at < chunks_.size(), "chunk index entry beyond the chunks", first)) return;
+    check.require(number < chunk_count, "chunk index beyond end of disk", first);
+    const Chunk& chunk = chunks_[at];
+    written += static_cast<std::size_t>(std::popcount(chunk.written));
+    for (std::uint32_t s = 0; s < kChunkSectors; ++s) {
+      if (((chunk.written >> s) & 1) == 0) continue;
+      const SectorPool::Id id = chunk.slot[s];
+      if (!check.require(id < pool_.carved() && !referenced[id],
+                         "written sector without a slot of its own", first + s))
+        continue;
+      referenced[id] = true;
     }
-    // The final chunk of a disk whose size is not a multiple of 256 must
+    // The final chunk of a disk whose size is not a multiple of 64 must
     // not mark out-of-range sectors written.
-    if (index == chunk_count - 1 && total_sectors_ % kChunkSectors != 0) {
-      const std::uint32_t valid = static_cast<std::uint32_t>(total_sectors_ % kChunkSectors);
-      bool tail_clear = true;
-      for (std::uint32_t bit = valid; bit < kChunkSectors; ++bit)
-        if ((chunk.written[bit / 64] >> (bit % 64)) & 1) tail_clear = false;
-      check.require(tail_clear, "written bits beyond end of disk in the final chunk",
-                    index * kChunkSectors + valid);
+    if (number == chunk_count - 1 && total_sectors_ % kChunkSectors != 0) {
+      const auto valid = static_cast<std::uint32_t>(total_sectors_ % kChunkSectors);
+      check.require((chunk.written >> valid) == 0,
+                    "written bits beyond end of disk in the final chunk", first + valid);
     }
-  }
-  check.require(written == written_count_,
-                "written-sector count disagrees with the chunk bitmaps");
-  check.require(pages == pages_, "page count disagrees with the allocated pages");
-  if (cached_index_ != kNoChunk) {
-    const auto it = chunks_.find(cached_index_);
-    check.require(it != chunks_.end() && &it->second == cached_chunk_,
-                  "chunk cache points at a stale entry");
-  } else {
-    check.pass();
-  }
+  });
+  check.require(written == pool_.live(), "written-sector count disagrees with the chunk bitmaps");
+  // The store never releases a slot: a rewrite reuses its sector's.
+  check.require(pool_.live() == pool_.carved(), "a carved slot belongs to no written sector");
 }
 
 }  // namespace trail::disk

@@ -4,24 +4,28 @@
 // discards queued commands and driver state, never the store). Unwritten
 // sectors read back as zeroes, like a freshly formatted drive.
 //
-// Storage is organised as 256-sector extents (chunks), each backed by 32
-// lazily-allocated 4 KB pages: a multi-sector access touches one hash
-// probe per chunk run and one bulk memcpy per page piece, and a sparse
-// write allocates (and zero-fills) only the pages it touches, not the
-// whole 128 KB extent. A missing page reads as zeroes. A per-chunk bitmap
-// keeps is_written()/written_sector_count() exact at sector granularity,
-// and a one-entry chunk cache makes the sequential single-sector probes of
-// the recovery scanner near-free.
+// Every written sector holds one 512-byte slot of a disk::SectorPool, and
+// nothing else holds payload: a sparse 1 KB write costs 1 KB of payload.
+// Sectors are indexed in 64-sector chunks, each a written bitmap plus the
+// slot of every written sector, found through an open-addressing map
+// from chunk number to chunk, so the index grows with the chunks written
+// and nothing is allocated before the first write. A multi-sector access
+// probes the map once per chunk run and makes one copy per span of
+// consecutive slots (the slots of a first write are carved in order, so
+// a page written whole reads back in one copy); an unwritten sector reads
+// as zeroes. A rewrite reuses its sector's slot, so written_sector_count()
+// is the pool's live slot count.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <span>
-#include <unordered_map>
+#include <vector>
 
+#include "disk/sector_pool.hpp"
 #include "disk/types.hpp"
+#include "sim/flat_map.hpp"
 
 namespace trail::audit {
 class Report;
@@ -31,10 +35,8 @@ namespace trail::disk {
 
 class SectorStore {
  public:
-  /// Sectors per extent (128 KB of payload): one hash entry.
-  static constexpr std::uint32_t kChunkSectors = 256;
-  /// Sectors per lazily-allocated page of an extent (4 KB of payload).
-  static constexpr std::uint32_t kPageSectors = 8;
+  /// Sectors per chunk: one written-bitmap word and one index entry.
+  static constexpr std::uint32_t kChunkSectors = 64;
 
   explicit SectorStore(Lba total_sectors) : total_sectors_(total_sectors) {}
 
@@ -50,73 +52,51 @@ class SectorStore {
   [[nodiscard]] bool is_written(Lba lba) const {
     if (lba >= total_sectors_) return false;
     const Chunk* chunk = find_chunk(lba / kChunkSectors);
-    if (chunk == nullptr) return false;
-    const std::uint32_t off = static_cast<std::uint32_t>(lba % kChunkSectors);
-    return (chunk->written[off / 64] >> (off % 64)) & 1;
+    return chunk != nullptr && ((chunk->written >> (lba % kChunkSectors)) & 1) != 0;
   }
 
   /// Number of distinct sectors ever written (storage footprint metric).
-  [[nodiscard]] std::size_t written_sector_count() const { return written_count_; }
+  [[nodiscard]] std::size_t written_sector_count() const { return pool_.live(); }
 
-  /// Bytes of backing memory currently allocated for page payloads
+  /// Bytes of sector payload the store holds: 512 per written sector
   /// (observability: wipe() must return this to zero).
-  [[nodiscard]] std::size_t allocated_bytes() const { return pages_ * sizeof(Page); }
+  [[nodiscard]] std::size_t allocated_bytes() const { return pool_.allocated_bytes(); }
 
-  /// Internal-consistency audit ("store.chunks"): chunk index bounds,
-  /// written-count vs bitmap popcounts, written sectors backed by pages,
-  /// page count, chunk-cache coherence. Cold path used by trail::audit
+  /// Internal-consistency audit ("store.chunks"): chunk index bounds and
+  /// agreement, written-bitmap popcounts vs the pool's live slots, one
+  /// distinct slot per written sector. Cold path used by trail::audit
   /// quiesce checks; see DESIGN.md §9.
   void audit(audit::Report& report) const;
 
-  /// Reset every sector back to zeroes (reformat); reclaims all pages.
+  /// Reset every sector back to zeroes (reformat); frees all payload.
   void wipe() {
-    chunks_.clear();
-    pages_ = 0;
-    written_count_ = 0;
-    cached_index_ = kNoChunk;
-    cached_chunk_ = nullptr;
+    index_.clear();
+    chunks_ = {};
+    pool_.clear();
   }
 
  private:
-  static constexpr std::uint32_t kChunkPages = kChunkSectors / kPageSectors;
-  using Page = std::array<std::byte, static_cast<std::size_t>(kPageSectors) * kSectorSize>;
-
   struct Chunk {
-    // Null until first written; a fresh page is value-initialised, so
-    // unwritten sectors inside a written page read back as zeroes.
-    std::array<std::unique_ptr<Page>, kChunkPages> pages;
-    std::array<std::uint64_t, kChunkSectors / 64> written{};
+    std::uint64_t written = 0;  // bit s: sector s holds a slot
+    std::array<SectorPool::Id, kChunkSectors> slot;  // meaningful where written
   };
-
-  static constexpr std::uint64_t kNoChunk = ~std::uint64_t{0};
+  static_assert(kChunkSectors == 64, "one written-bitmap word per chunk");
 
   void check_range(Lba lba, std::uint32_t count) const;
 
-  /// Cached lookup. unordered_map nodes are pointer-stable, so the cache
-  /// survives inserts; wipe() is the only invalidation point.
-  const Chunk* find_chunk(std::uint64_t index) const {
-    if (index == cached_index_) return cached_chunk_;
-    auto it = chunks_.find(index);
-    if (it == chunks_.end()) return nullptr;
-    cached_index_ = index;
-    cached_chunk_ = &it->second;
-    return cached_chunk_;
+  /// End of the span from sector `s` (before `end`) that one copy moves:
+  /// unwritten sectors, or written ones whose slots follow each other.
+  static std::uint32_t span_end(const Chunk& chunk, std::uint32_t s, std::uint32_t end);
+  [[nodiscard]] const Chunk* find_chunk(std::uint64_t number) const {
+    const std::uint32_t* at = index_.find(number);
+    return at == nullptr ? nullptr : &chunks_[*at];
   }
-
-  Chunk& get_or_create_chunk(std::uint64_t index) {
-    if (index == cached_index_) return *const_cast<Chunk*>(cached_chunk_);
-    Chunk& chunk = chunks_[index];
-    cached_index_ = index;
-    cached_chunk_ = &chunk;
-    return chunk;
-  }
+  Chunk& chunk_for(std::uint64_t number);
 
   Lba total_sectors_;
-  std::unordered_map<std::uint64_t, Chunk> chunks_;
-  std::size_t pages_ = 0;
-  std::size_t written_count_ = 0;
-  mutable std::uint64_t cached_index_ = kNoChunk;
-  mutable const Chunk* cached_chunk_ = nullptr;
+  sim::FlatMap<std::uint32_t> index_;  // chunk number -> position in chunks_
+  std::vector<Chunk> chunks_;
+  SectorPool pool_;
 };
 
 }  // namespace trail::disk

@@ -1,7 +1,9 @@
 // Heap-allocation budgets for the two paths the repository benchmark times
 // on the host clock: one TPC-C transaction on Trail, and one synchronous
 // write through Trail. The binary replaces the global operator new to count
-// calls, so it is a test executable of its own.
+// calls and the live heap bytes (malloc_usable_size of every block new
+// returned and delete has not taken back), so it is a test executable of
+// its own.
 //
 // Both windows run the perfbench `--tiny` shapes on the perfbench stack
 // (ST41601N log disk, three WD data disks, default TrailConfig with a
@@ -13,6 +15,9 @@
 // inside it, and the test checks that), so the budgets hold in every build.
 #include <gtest/gtest.h>
 
+#include <malloc.h>
+
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
@@ -33,16 +38,28 @@
 namespace {
 
 std::uint64_t g_allocations = 0;
+std::size_t g_live_bytes = 0;
+std::size_t g_peak_live_bytes = 0;
 
-void* counted_alloc(std::size_t n) {
-  ++g_allocations;
-  return std::malloc(n == 0 ? 1 : n);
+void* counted(void* p) {
+  if (p != nullptr) {
+    ++g_allocations;
+    g_live_bytes += malloc_usable_size(p);
+    g_peak_live_bytes = std::max(g_peak_live_bytes, g_live_bytes);
+  }
+  return p;
 }
 
+void* counted_alloc(std::size_t n) { return counted(std::malloc(n == 0 ? 1 : n)); }
+
 void* counted_aligned_alloc(std::size_t n, std::align_val_t al) {
-  ++g_allocations;
   const auto a = static_cast<std::size_t>(al);
-  return std::aligned_alloc(a, (n + a - 1) / a * a);
+  return counted(std::aligned_alloc(a, (n + a - 1) / a * a));
+}
+
+void counted_free(void* p) noexcept {
+  if (p != nullptr) g_live_bytes -= malloc_usable_size(p);
+  std::free(p);
 }
 
 }  // namespace
@@ -59,26 +76,31 @@ void* operator new(std::size_t n, std::align_val_t al) {
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t n, std::align_val_t al) { return ::operator new(n, al); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { counted_free(p); }
+void operator delete[](void* p) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { counted_free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept { counted_free(p); }
 
 namespace trail {
 namespace {
 
 /// Allocations per measured TPC-C transaction (about 1,044 in this shape
-/// while the database's continuations were std::functions; about 208 when
-/// this budget was set).
-constexpr double kTpccBudget = 400;
+/// while the database's continuations were std::functions, about 208
+/// while the pinned buffer and the platter kept per-group and per-page
+/// allocations; 171.25 when this budget was set).
+constexpr double kTpccBudget = 180;
 /// Allocations per sync write through Trail: the count when this ceiling
-/// was set (19.4; perfbench sync_burst's full episode reads about 35, its
-/// own bookkeeping included), held until core/, io/ and disk/ lower it.
-constexpr double kSyncWriteCeiling = 20;
+/// was set (15.54, from 19.37 before the pinned buffer and the platter
+/// stored per sector), held until core/, io/ and disk/ lower it.
+constexpr double kSyncWriteCeiling = 16.5;
+/// Peak live heap bytes the sync-write window adds, per byte it pins at
+/// the peak or logs: 1.87 when this ceiling was set, 5.55 while a 1 KB
+/// write pinned a 9 KiB group and landed as a zero-filled 4 KiB page.
+constexpr double kSyncWriteLiveCeiling = 2.5;
 
 /// perfbench's stack: an ST41601N log disk formatted for Trail, three WD
 /// data disks, the default TrailConfig with a calibrated δ, mounted.
@@ -186,6 +208,9 @@ TEST(AllocBudget, TrailSyncWrite) {
   while (writers.acked < kProcs * kWarmup) ASSERT_TRUE(st.sim.step());
   const std::uint64_t before = g_allocations;
   const std::uint64_t acked0 = writers.acked;
+  const std::size_t live0 = g_live_bytes;
+  g_peak_live_bytes = live0;
+  const std::uint64_t logged0 = st.log_disk->stats().sectors_written;
   while (writers.acked < kProcs * (kWarmup + kMeasured)) ASSERT_TRUE(st.sim.step());
   const std::uint64_t allocations = g_allocations - before;
 
@@ -194,6 +219,19 @@ TEST(AllocBudget, TrailSyncWrite) {
   RecordProperty("sync_write_allocations_per_write", std::to_string(per_write));
   EXPECT_LE(per_write, kSyncWriteCeiling) << allocations << " allocations in "
                                           << writers.acked - acked0 << " writes";
+
+  // What the window must hold: the pinned buffer at its peak, and every
+  // sector it put on the log platter (headers included).
+  const std::size_t held = st.driver->buffers().pinned_bytes_high_water() +
+                           (st.log_disk->stats().sectors_written - logged0) * disk::kSectorSize;
+  const double live_per_held =
+      static_cast<double>(g_peak_live_bytes - live0) / static_cast<double>(held);
+  RecordProperty("sync_write_peak_live_bytes", std::to_string(g_peak_live_bytes - live0));
+  RecordProperty("sync_write_held_bytes", std::to_string(held));
+  RecordProperty("sync_write_peak_live_per_held_byte", std::to_string(live_per_held));
+  EXPECT_LE(live_per_held, kSyncWriteLiveCeiling)
+      << g_peak_live_bytes - live0 << " peak live heap bytes for " << held
+      << " pinned and logged bytes";
 }
 
 }  // namespace

@@ -146,6 +146,30 @@ TEST_F(BufferManagerTest, HighWaterMarkMonotone) {
   EXPECT_EQ(bm.pinned_bytes_high_water(), high);
 }
 
+TEST_F(BufferManagerTest, SteadyCycleReusesFreedPayload) {
+  // Each record logs 2 sectors at a fresh LBA and is written back after
+  // kInFlight newer ones: the pinned set peaks at kInFlight records, and
+  // every later pin reuses a released record's payload.
+  constexpr std::uint32_t kInFlight = 4;
+  constexpr std::uint32_t kRecords = 1000;
+  for (RecordId r = 0; r < kRecords; ++r) {
+    const disk::Lba lba = r * 37;
+    bm.register_write(r, dev, lba, fill(2, static_cast<std::uint8_t>(r)));
+    bm.pin_range(dev, lba, 2);
+    if (r < kInFlight) continue;
+    const disk::Lba old = (r - kInFlight) * 37;
+    const auto img = bm.snapshot(dev, old, 2);
+    EXPECT_EQ(img.data, fill(2, static_cast<std::uint8_t>(r - kInFlight)));
+    bm.mark_durable(dev, old, img.versions);
+    bm.unpin_range(dev, old, 2);
+  }
+  EXPECT_EQ(durable.size(), kRecords - kInFlight);
+  EXPECT_EQ(bm.pinned_sectors(), 2 * kInFlight);
+  EXPECT_EQ(bm.pinned_bytes_high_water(), (kInFlight + 1) * 2 * kSectorSize);
+  EXPECT_EQ(bm.allocated_bytes(), bm.pinned_bytes_high_water())
+      << "freed payload must be reused, not grown past the peak";
+}
+
 TEST_F(BufferManagerTest, RejectsBadInput) {
   EXPECT_THROW(bm.register_write(1, dev, 0, std::vector<std::byte>(100)), std::invalid_argument);
   EXPECT_THROW(bm.register_write(1, dev, 0, {}), std::invalid_argument);

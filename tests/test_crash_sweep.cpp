@@ -1,10 +1,15 @@
 // The crash-point sweep: six chained writers make 2-sector writes to
 // random LBAs below 1400 on two data disks. Power is cut after p1
-// simulator steps; the stack remounts and reads every sector back. It
-// then writes for p2 more steps, and the power is cut, the stack remounts
-// and reads back once more. Every read must satisfy audit::AckedOracle,
-// and no crashed or mounted log image may break the track ring
-// (core::RingOrder, fsck's log.ring_order).
+// simulator steps; the stack remounts and reads every sector back. The
+// writers submit their next writes and power is cut at once, before the
+// new epoch puts a byte on the log: where that mount resumed on an
+// unstamped track, the next locate takes the unstamped-resume-track
+// branch (DESIGN.md §5, invariant 9), two scans, and every configuration
+// must take it at least once (property unstamped_resume_mounts). The
+// stack remounts and reads back, then writes for p2 more steps, and the
+// power is cut, the stack remounts and reads back once more. Every read
+// must satisfy audit::AckedOracle, and no crashed or mounted log image
+// may break the track ring (core::RingOrder, fsck's log.ring_order).
 //
 // Each configuration is one driver shape (one TrailDriver, 2 or 4
 // shards) under one recovery policy (write-back or adopt) over one log
@@ -20,8 +25,8 @@
 // of any shard's n-track ring (property max_tracks_scanned).
 //
 // ctest runs every 10th p1 value. TRAIL_CRASH_SWEEP=full runs them all:
-// p1 = 30..1490 step 11 and p2 in {150, 400, 900, 2000}, 532 cases per
-// configuration.
+// p1 = 30..1490 step 11 and p2 in {150, 400, 900, 2000}, 532 cases of
+// three cuts per configuration.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -53,6 +58,9 @@ using audit::AckedOracle;
 constexpr int kWriters = 6;
 constexpr disk::Lba kSpan = 1402;  // LBAs below 1400, 2-sector writes
 constexpr int kP2[] = {150, 400, 900, 2000};
+/// Steps from the writers' restart to the cut that ends the fresh epoch:
+/// none, so no log write has started.
+constexpr int kFreshEpochSteps = 0;
 /// The chain walk's throws (core::ChainWalk verdicts in recovery.cpp).
 const std::set<std::string> kChainWalkThrows = {
     "recovery: prev_sect chain reached an invalid record header",
@@ -128,6 +136,15 @@ struct Stack {
       most = std::max(most, shard.tracks_scanned);
     return most;
   }
+  /// The fewest tracks the last mount's locate scanned on one log disk:
+  /// 2 when some unit's resume track was unstamped.
+  std::uint32_t min_tracks_scanned() const {
+    if (single) return single->last_recovery().tracks_scanned;
+    std::uint32_t fewest = ~std::uint32_t{0};
+    for (const core::RecoveryStats& shard : sharded->last_recovery().shards)
+      fewest = std::min(fewest, shard.tracks_scanned);
+    return fewest;
+  }
 
   /// fsck's log.ring_order errors over every log disk.
   std::uint64_t ring_errors() const {
@@ -152,6 +169,7 @@ struct Tally {
   std::uint64_t lost = 0;
   std::uint64_t stale = 0;
   std::uint32_t max_scanned = 0;  // locate's track scans, most on one log disk
+  int unstamped_resume_mounts = 0;  // locates that took the unstamped branch
   std::map<std::string, int> mount_throws;
   std::vector<std::string> failures;  // the first few failing points
 };
@@ -223,7 +241,7 @@ void run_case(const SweepConfig& cfg, int p1, int p2, Tally& tally) {
     ring_broken = true;
     failure += " ring broken on the " + image + " image;";
   };
-  for (const int steps : {p1, p2}) {
+  for (const int steps : {p1, kFreshEpochSteps, p2}) {
     for (auto& chain : chains) (*chain)();
     for (int i = 0; i < steps; ++i)
       if (!s.sim.step()) break;  // every writer parked on a full log
@@ -237,6 +255,7 @@ void run_case(const SweepConfig& cfg, int p1, int p2, Tally& tally) {
     }
     check_ring("mounted");
     tally.max_scanned = std::max(tally.max_scanned, s.max_tracks_scanned());
+    tally.unstamped_resume_mounts += s.min_tracks_scanned() == 2;
     const Rejected cut = read_back(s, oracle, /*judge=*/true);
     if (cut.lost + cut.stale > 0)
       failure += " " + std::to_string(cut.lost) + " lost and " + std::to_string(cut.stale) +
@@ -276,6 +295,7 @@ TEST_P(CrashSweep, AckedSectorsSurviveTwoCutsAndTheRingStaysOrdered) {
   RecordProperty("lost_sectors", static_cast<int>(tally.lost));
   RecordProperty("stale_sectors", static_cast<int>(tally.stale));
   RecordProperty("max_tracks_scanned", static_cast<int>(tally.max_scanned));
+  RecordProperty("unstamped_resume_mounts", tally.unstamped_resume_mounts);
   for (const auto& [message, count] : tally.mount_throws)
     RecordProperty(property_key(message), count);
   std::string failures;
@@ -284,6 +304,8 @@ TEST_P(CrashSweep, AckedSectorsSurviveTwoCutsAndTheRingStaysOrdered) {
     EXPECT_TRUE(kChainWalkThrows.contains(message))
         << count << " mounts threw \"" << message << "\"";
   EXPECT_EQ(tally.ring_broken, 0) << "cases whose log images break the track ring" << failures;
+  EXPECT_GT(tally.unstamped_resume_mounts, 0)
+      << "no mount located from an unstamped resume track";
   EXPECT_EQ(tally.lost, 0u) << "acked sectors lost" << failures;
   EXPECT_EQ(tally.stale, 0u) << "acked sectors read back stale" << failures;
   EXPECT_LE(tally.max_scanned,

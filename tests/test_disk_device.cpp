@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <vector>
@@ -308,9 +309,9 @@ TEST(SectorStore, UnwrittenSectorsInsideWrittenChunkReadZero) {
   EXPECT_EQ(out[kSectorSize - 1], std::byte{0});
   EXPECT_EQ(out[kSectorSize], std::byte{0xEE});
   EXPECT_EQ(out[2 * kSectorSize], std::byte{0});
-  // A read spanning written pages and the unallocated page between them
-  // (same chunk): the unallocated part reads as zeroes.
-  constexpr std::uint32_t kPage = SectorStore::kPageSectors;
+  // A read spanning written sectors and the unwritten run between them
+  // (same chunk): the unwritten part reads as zeroes.
+  constexpr std::uint32_t kPage = 8;
   store.write(2 * kPage + 1, 1, data);
   std::vector<std::byte> across(3 * kPage * kSectorSize, std::byte{0x55});
   store.read(0, 3 * kPage, across);
@@ -327,8 +328,48 @@ TEST(SectorStore, SparseWritesAllocateTouchedPagesOnly) {
   SectorStore store(kChunk * kExtents);
   std::vector<std::byte> data(kSectorSize, std::byte{0x42});
   for (Lba lba = 3; lba < kChunk * kExtents; lba += kChunk) store.write(lba, 1, data);
-  // One 4 KB page per sparse write, not a whole 128 KB extent.
-  EXPECT_LE(store.allocated_bytes(), kExtents * kChunk * kSectorSize / 16);
+  // One 512-byte slot per written sector, nothing for its neighbours.
+  EXPECT_EQ(store.allocated_bytes(), kExtents * kSectorSize);
+  // A 2-sector write straddling two chunks costs exactly its two sectors.
+  store.write(2 * kChunk - 1, 2, std::vector<std::byte>(2 * kSectorSize, std::byte{0x43}));
+  EXPECT_EQ(store.allocated_bytes(), (kExtents + 2) * kSectorSize);
+}
+
+TEST(SectorStore, RewrittenSectorHoldsOneSlot) {
+  SectorStore store(SectorStore::kChunkSectors * 4);
+  std::vector<std::byte> data(2 * kSectorSize);
+  for (int round = 0; round < 1000; ++round) {
+    std::fill(data.begin(), data.end(), std::byte(static_cast<std::uint8_t>(round)));
+    store.write(100, 2, data);
+  }
+  EXPECT_EQ(store.written_sector_count(), 2u);
+  EXPECT_EQ(store.allocated_bytes(), 2 * kSectorSize);
+  std::vector<std::byte> out(2 * kSectorSize);
+  store.read(100, 2, out);
+  EXPECT_EQ(out, data) << "the last write wins";
+}
+
+TEST(SectorStore, UnwrittenNeighboursReadZeroAcrossAChunkBoundary) {
+  constexpr std::uint32_t kChunk = SectorStore::kChunkSectors;
+  SectorStore store(kChunk * 4);
+  const std::vector<std::byte> data(kSectorSize, std::byte{0xEE});
+  // The last sector of chunk 0 and the second of chunk 1; chunk 2 is
+  // never written.
+  store.write(kChunk - 1, 1, data);
+  store.write(kChunk + 1, 1, data);
+  std::vector<std::byte> out(static_cast<std::size_t>(kChunk + 4) * kSectorSize,
+                             std::byte{0x55});
+  store.read(kChunk - 2, kChunk + 4, out);
+  for (std::uint32_t s = 0; s < kChunk + 4; ++s) {
+    const Lba lba = kChunk - 2 + s;
+    const std::byte want = lba == kChunk - 1 || lba == kChunk + 1 ? std::byte{0xEE} : std::byte{0};
+    EXPECT_EQ(out[static_cast<std::size_t>(s) * kSectorSize], want) << "lba " << lba;
+    EXPECT_EQ(out[(s + 1) * kSectorSize - 1], want) << "lba " << lba;
+  }
+  EXPECT_FALSE(store.is_written(kChunk - 2));
+  EXPECT_FALSE(store.is_written(kChunk));
+  EXPECT_FALSE(store.is_written(2 * kChunk));
+  EXPECT_EQ(store.allocated_bytes(), 2 * kSectorSize);
 }
 
 TEST(SectorStore, WrittenSectorCountIsExactUnderOverwrites) {
@@ -351,8 +392,8 @@ TEST(SectorStore, WipeReclaimsMemory) {
   EXPECT_EQ(store.allocated_bytes(), 0u);
   std::vector<std::byte> data(kSectorSize, std::byte{0x42});
   for (Lba lba = 0; lba < kChunk * 8; lba += kChunk) store.write(lba, 1, data);
-  // One page per single-sector write.
-  EXPECT_EQ(store.allocated_bytes(), 8u * SectorStore::kPageSectors * kSectorSize);
+  // One 512-byte slot per single-sector write.
+  EXPECT_EQ(store.allocated_bytes(), 8u * kSectorSize);
   EXPECT_EQ(store.written_sector_count(), 8u);
   store.wipe();
   EXPECT_EQ(store.allocated_bytes(), 0u);
@@ -362,6 +403,7 @@ TEST(SectorStore, WipeReclaimsMemory) {
   store.write(kChunk + 1, 1, data);
   EXPECT_TRUE(store.is_written(kChunk + 1));
   EXPECT_EQ(store.written_sector_count(), 1u);
+  EXPECT_EQ(store.allocated_bytes(), kSectorSize);
 }
 
 }  // namespace
